@@ -3,9 +3,15 @@
 Weighted players contribute their full weight when using a resource; Bernoulli
 players have unit weight but participate only with an individual probability,
 drawn independently of everyone's mixed strategies.  Expected conditional
-costs are computed exactly through Poisson-binomial convolutions (Bernoulli,
-always) and weighted-sum enumeration (weighted, up to twenty random terms),
-with a seeded Monte Carlo fallback beyond that.
+costs are computed exactly through Poisson-binomial laws (Bernoulli, always;
+weighted, when the random terms share one weight) and weighted-sum
+enumeration (weighted, up to twenty random terms), with a seeded Monte Carlo
+fallback beyond that.
+
+The Poisson-binomial law of a resource's load is built once per distinct
+column of usage indicators; each player's conditional cost needs the law
+without that player, which is deconvolved out of the full law in O(n)
+(``remove_bernoulli``) instead of convolved afresh from the other n-1 terms.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import DemandVector, Structure, _readonly, parse_instance
-from .discrete_dist import (ValueDist, bernoulli_sum_pmf,
+from .discrete_dist import (ValueDist, bernoulli_sum_pmf, remove_bernoulli,
                             weighted_sum_distribution)
 from .errors import (CapacityError, ConfigError, ConvergenceError, DomainError,
                      PrecisionError, StructureError)
@@ -51,6 +57,8 @@ class WeightedGame:
         object.__setattr__(self, "player_types", tuple(int(t) for t in self.player_types))
         if len(self.weights) != len(self.player_types):
             raise StructureError("one weight per player is required")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise DomainError("player weights must be finite")
         if any(w <= 0 for w in self.weights):
             raise StructureError("player weights must be positive")
         if any(t < 0 or t >= self.structure.n_types for t in self.player_types):
@@ -220,47 +228,109 @@ def resource_choice_prob(game: Game, profile: MixedProfile, i: int, e: int) -> f
 # exact conditional expected costs
 
 
+class _LoadLaw:
+    """The count law of one column of independent usage indicators.
+
+    ``full`` is the Poisson-binomial pmf of the column's nonzero entries
+    (``terms``).  ``without(q)`` is the law of the others when the entry of
+    the asking player is q: ``full`` itself when q is 0, else q deconvolved
+    out of it; a deconvolution that fails its residual check is replaced by
+    the direct convolution of the other terms.  The last such law is kept,
+    because one player's resources often share a column.  ``values``
+    memoizes expectations under these laws; ``key`` is the column's bytes.
+    """
+
+    def __init__(self, column: np.ndarray):
+        self.key = column.tobytes()
+        self.terms = column[column > 0.0]
+        self.full = bernoulli_sum_pmf(self.terms).probs
+        self.values: dict[tuple, object] = {}
+        self._last: tuple[float, np.ndarray] | None = None
+
+    def without(self, q: float) -> np.ndarray:
+        if q == 0.0:
+            return self.full
+        if self._last is not None and self._last[0] == q:
+            return self._last[1]
+        pmf = remove_bernoulli(self.full, q)
+        if pmf is None:
+            j = int(np.flatnonzero(self.terms == q)[0])
+            pmf = bernoulli_sum_pmf(np.delete(self.terms, j)).probs
+        self._last = (q, pmf)
+        return pmf
+
+
 class _CondCache:
-    """Memoizes pmfs and per-edge expectations keyed by exact probability multisets."""
+    """Conditional-cost memo for one usage matrix (players x resources).
 
-    def __init__(self):
-        self.pmfs: dict[tuple, np.ndarray] = {}
-        self.values: dict[tuple, float] = {}
+    A resource's column holds every player's chance to put a random unit on
+    it: participation times usage probability for Bernoulli players, the
+    usage probability below one for weighted players (certain usage is a
+    constant).  Each distinct column, keyed by its bytes, gets one
+    ``_LoadLaw``.  ``move`` replaces a player's row, as best-response
+    dynamics does, and forgets the laws of the resources whose columns it
+    changes, dropping each law no resource uses any more, so at most one law
+    per resource is kept.
+    """
 
-    def poisbin(self, key: tuple[float, ...]) -> np.ndarray:
-        hit = self.pmfs.get(key)
-        if hit is None:
-            hit = bernoulli_sum_pmf(key).probs
-            self.pmfs[key] = hit
-        return hit
+    def __init__(self, game: Game, usage: np.ndarray):
+        self.game = game
+        self.usage = usage
+        self.mags = np.asarray(game.magnitudes, dtype=float)
+        self.edge_laws: list[_LoadLaw | None] = [None] * usage.shape[1]
+        self.laws: dict[bytes, _LoadLaw] = {}
+        self.values: dict[tuple, tuple[float, float]] = {}
+        self.cost_grids: dict[tuple[int, int], np.ndarray] = {}
+
+    def law(self, e: int) -> _LoadLaw:
+        law = self.edge_laws[e]
+        if law is None:
+            u = self.usage[:, e]
+            col = self.mags * u if self.game.kind == "bernoulli" else u * (u < 1.0)
+            law = self.laws.get(col.tobytes())
+            if law is None:
+                law = _LoadLaw(col)
+                self.laws[law.key] = law
+            self.edge_laws[e] = law
+        return law
+
+    def move(self, i: int, row: np.ndarray) -> None:
+        for e in np.flatnonzero(self.usage[i] != row):
+            law, self.edge_laws[e] = self.edge_laws[e], None
+            if law is not None and not any(other is law for other in self.edge_laws):
+                del self.laws[law.key]
+        self.usage[i] = row
+
+    def unit_costs(self, e: int, size: int) -> np.ndarray:
+        """c_e(1), ..., c_e(size)."""
+        grid = self.cost_grids.get((e, size))
+        if grid is None:
+            cost = self.game.structure.cost_fns[e]
+            grid = np.asarray(cost.value_int(np.arange(size) + 1), dtype=float)
+            self.cost_grids[(e, size)] = grid
+        return grid
 
 
-def _edge_cost_bernoulli(game: BernoulliGame, usage: np.ndarray, i: int, e: int,
-                         cache: _CondCache) -> float:
+def _edge_cost_bernoulli(cache: _CondCache, i: int, e: int) -> float:
     """E[c_e(1 + Z)] where Z counts the other active players on resource e."""
-    p = np.asarray(game.probs) * usage[:, e]
-    others = np.delete(p, i)
-    others = others[others > 0.0]
-    key = ("b", e, tuple(np.sort(others)))
-    hit = cache.values.get(key)
-    if hit is not None:
-        return hit
-    pmf = cache.poisbin(key[2])
-    ks = np.arange(pmf.size)
-    cost = game.structure.cost_fns[e]
-    val = float(pmf @ np.asarray(cost.value_int(ks + 1), dtype=float))
-    cache.values[key] = val
-    return val
+    law = cache.law(e)
+    q = float(cache.mags[i] * cache.usage[i, e])
+    hit = law.values.get((e, q))
+    if hit is None:
+        pmf = law.without(q)
+        hit = law.values[(e, q)] = float(pmf @ cache.unit_costs(e, pmf.size))
+    return hit
 
 
-def _edge_cost_weighted(game: WeightedGame, usage: np.ndarray, i: int, e: int,
-                        cache: _CondCache, mc: MonteCarlo | None) -> tuple[float, float]:
+def _edge_cost_weighted(cache: _CondCache, i: int, e: int,
+                        mc: MonteCarlo | None) -> tuple[float, float]:
     """E[c_e(w_i + V)] where V sums the other players' weighted usage indicators.
 
     Returns (value, standard error); the error is zero on the exact branches.
     """
-    w = np.asarray(game.weights)
-    p = usage[:, e].copy()
+    game = cache.game
+    w = cache.mags
+    p = cache.usage[:, e].copy()
     p[i] = 0.0
     base = float(game.weights[i]) + float(w[p >= 1.0].sum())
     frac = p * (p < 1.0)
@@ -269,16 +339,24 @@ def _edge_cost_weighted(game: WeightedGame, usage: np.ndarray, i: int, e: int,
     cost = game.structure.cost_fns[e]
     if wf.size == 0:
         return float(cost.value(base)), 0.0
+    uniq = np.unique(wf)
+    if uniq.size == 1:
+        law = cache.law(e)
+        u = float(cache.usage[i, e])
+        q = u if u < 1.0 else 0.0
+        key = (e, base, float(uniq[0]), q)
+        hit = law.values.get(key)
+        if hit is None:
+            pmf = law.without(q)
+            vals = base + uniq[0] * np.arange(pmf.size)
+            hit = law.values[key] = (float(pmf @ np.asarray(cost.value(vals), dtype=float)),
+                                     0.0)
+        return hit
     key = ("w", e, base, tuple(sorted(zip(wf, pf))))
     hit = cache.values.get(key)
     if hit is not None:
         return hit
-    uniq = np.unique(wf)
-    if uniq.size == 1:
-        pmf = cache.poisbin(tuple(np.sort(pf)))
-        vals = base + uniq[0] * np.arange(pmf.size)
-        out = (float(pmf @ np.asarray(cost.value(vals), dtype=float)), 0.0)
-    elif wf.size <= 20:
+    if wf.size <= 20:
         dist = weighted_sum_distribution(wf, pf)
         out = (float(dist.masses @ np.asarray(cost.value(base + dist.values),
                                               dtype=float)), 0.0)
@@ -297,21 +375,16 @@ def _edge_cost_weighted(game: WeightedGame, usage: np.ndarray, i: int, e: int,
     return out
 
 
-def _strategy_cond_cost_detail(game: Game, usage: np.ndarray, i: int, s: int,
-                               cache: _CondCache,
-                               mc: MonteCarlo | None) -> tuple[float, float]:
-    t = game.player_types[i]
-    edges = game.structure.strategies[t][s]
+def _strategy_cond_cost(cache: _CondCache, i: int, s: int,
+                        mc: MonteCarlo | None) -> tuple[float, float]:
+    """(conditional cost, standard error) of strategy s for player i."""
+    game = cache.game
+    edges = game.structure.strategies[game.player_types[i]][s]
     if game.kind == "bernoulli":
-        return sum(_edge_cost_bernoulli(game, usage, i, e, cache) for e in edges), 0.0
-    parts = [_edge_cost_weighted(game, usage, i, e, cache, mc) for e in edges]
+        return sum(_edge_cost_bernoulli(cache, i, e) for e in edges), 0.0
+    parts = [_edge_cost_weighted(cache, i, e, mc) for e in edges]
     return (sum(v for v, _ in parts),
             math.sqrt(sum(se * se for _, se in parts)))
-
-
-def _strategy_cond_cost(game: Game, usage: np.ndarray, i: int, s: int,
-                        cache: _CondCache, mc: MonteCarlo | None) -> float:
-    return _strategy_cond_cost_detail(game, usage, i, s, cache, mc)[0]
 
 
 class CostEstimate(NamedTuple):
@@ -338,18 +411,16 @@ def conditional_cost_estimate(game: Game, profile: MixedProfile, i: int, s: int,
     t = game.player_types[i]
     if not 0 <= s < len(game.structure.strategies[t]):
         raise StructureError(f"player {i} has no strategy {s}")
-    usage = choice_probabilities(game, profile)
-    value, stderr = _strategy_cond_cost_detail(game, usage, i, s, _CondCache(), mc)
-    return CostEstimate(value, stderr)
+    cache = _CondCache(game, choice_probabilities(game, profile))
+    return CostEstimate(*_strategy_cond_cost(cache, i, s, mc))
 
 
 def player_expected_cost(game: Game, profile: MixedProfile, i: int,
                          *, mc: MonteCarlo | None = None) -> float:
     """Unconditional expected cost of player i (inactive players pay nothing)."""
     _check_profile(game, profile)
-    usage = choice_probabilities(game, profile)
-    cache = _CondCache()
-    total = sum(float(profile.probs[i][s]) * _strategy_cond_cost(game, usage, i, s, cache, mc)
+    cache = _CondCache(game, choice_probabilities(game, profile))
+    total = sum(float(profile.probs[i][s]) * _strategy_cond_cost(cache, i, s, mc)[0]
                 for s in range(profile.probs[i].size) if profile.probs[i][s] > 0.0)
     if game.kind == "bernoulli":
         return game.probs[i] * total
@@ -388,13 +459,12 @@ def verify_equilibrium(game: Game, profile: MixedProfile, tol: float = 1e-9,
     The profile is an (approximate) equilibrium iff the result is at most tol.
     """
     _check_profile(game, profile)
-    usage = choice_probabilities(game, profile)
-    cache = _CondCache()
+    cache = _CondCache(game, choice_probabilities(game, profile))
     rows = []
     worst = 0.0
     for i in range(game.n_players):
         m = profile.probs[i].size
-        costs = [_strategy_cond_cost(game, usage, i, s, cache, mc) for s in range(m)]
+        costs = [_strategy_cond_cost(cache, i, s, mc)[0] for s in range(m)]
         best = min(costs)
         used = profile.probs[i] > usage_tol
         regret = max((c - best for s, c in enumerate(costs) if used[s]), default=0.0)
@@ -442,8 +512,7 @@ def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int =
     state = list(initial)
     if len(state) != game.n_players:
         raise StructureError("initial profile does not cover every player")
-    usage = _pure_usage(game, state)
-    cache = _CondCache()
+    cache = _CondCache(game, _pure_usage(game, state))
     history = [tuple(state)]
     seen = {tuple(state): 0}
     for sweep in range(1, max_sweeps + 1):
@@ -451,12 +520,12 @@ def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int =
         for i in range(game.n_players):
             t = game.player_types[i]
             m = len(game.structure.strategies[t])
-            costs = [_strategy_cond_cost(game, usage, i, s, cache, mc) for s in range(m)]
+            costs = [_strategy_cond_cost(cache, i, s, mc)[0] for s in range(m)]
             best = int(np.argmin(costs))
             if costs[best] < costs[state[i]] - tie_tol:
                 state[i] = best
                 sl = game.structure.type_slices[t]
-                usage[i] = game.structure.incidence[sl][best]
+                cache.move(i, game.structure.incidence[sl][best])
                 changed = True
         snap = tuple(state)
         if not changed:
@@ -507,10 +576,9 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = 1e-9, damping: float = 
         v = np.zeros(m)
         v[a], v[b] = q, 1.0 - q
         prof = MixedProfile.symmetric(game, v)
-        usage = choice_probabilities(game, prof)
-        cache = _CondCache()
-        return (_strategy_cond_cost(game, usage, 0, a, cache, mc)
-                - _strategy_cond_cost(game, usage, 0, b, cache, mc))
+        cache = _CondCache(game, choice_probabilities(game, prof))
+        return (_strategy_cond_cost(cache, 0, a, mc)[0]
+                - _strategy_cond_cost(cache, 0, b, mc)[0])
 
     for a, b in itertools.combinations(range(m), 2):
         lo_val, hi_val = pair_gap(a, b, 0.0), pair_gap(a, b, 1.0)
@@ -533,10 +601,8 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = 1e-9, damping: float = 
     sigma = np.full(m, 1.0 / m)
     for it in range(max_iters):
         prof = MixedProfile.symmetric(game, sigma)
-        usage = choice_probabilities(game, prof)
-        cache = _CondCache()
-        costs = np.array([_strategy_cond_cost(game, usage, 0, s, cache, mc)
-                          for s in range(m)])
+        cache = _CondCache(game, choice_probabilities(game, prof))
+        costs = np.array([_strategy_cond_cost(cache, 0, s, mc)[0] for s in range(m)])
         floor = costs.min()
         target = (costs <= floor + TIE_TOL).astype(float)
         target /= target.sum()
@@ -566,7 +632,7 @@ def esc(game: Game, profile: MixedProfile, *, mc: MonteCarlo | None = None) -> f
     if all(float(p[s]) == 1.0 for p, s in zip(profile.probs, pure)):
         return _PureEscEvaluator(game).from_assignment(pure)
     usage = choice_probabilities(game, profile)
-    cache = _CondCache()
+    cache = _CondCache(game, usage)
     mags = game.magnitudes
     total = 0.0
     for i in range(game.n_players):
@@ -574,9 +640,9 @@ def esc(game: Game, profile: MixedProfile, *, mc: MonteCarlo | None = None) -> f
             if usage[i, e] <= 0.0:
                 continue
             if game.kind == "bernoulli":
-                val = _edge_cost_bernoulli(game, usage, i, e, cache)
+                val = _edge_cost_bernoulli(cache, i, e)
             else:
-                val = _edge_cost_weighted(game, usage, i, e, cache, mc)[0]
+                val = _edge_cost_weighted(cache, i, e, mc)[0]
             total += mags[i] * usage[i, e] * val
     return total
 

@@ -83,6 +83,8 @@ class AffineCost:
     has_integer_eval = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
+            raise DomainError("affine cost needs finite slope and intercept")
         if self.slope < 0 or self.intercept < 0:
             raise DomainError("affine cost needs nonnegative slope and intercept")
 
@@ -127,6 +129,8 @@ class PolynomialCost:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if not self.coeffs:
             raise DomainError("polynomial cost needs at least one coefficient")
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise DomainError("polynomial cost coefficients must be finite")
         if min(self.coeffs) < 0:
             raise DomainError("polynomial cost coefficients must be nonnegative")
 
@@ -351,6 +355,8 @@ class DemandVector:
         object.__setattr__(self, "values", _readonly(self.values))
         if self.values.ndim != 1:
             raise DomainError("demands must form a one-dimensional vector")
+        if not bool(np.all(np.isfinite(self.values))):
+            raise DomainError("demands must be finite")
         if self.values.size and float(self.values.min()) < 0:
             raise DomainError("demands must be nonnegative")
         if self.total is None:

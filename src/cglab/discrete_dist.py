@@ -20,6 +20,7 @@ from .errors import CapacityError, ConfigError, DomainError, PrecisionError
 
 _NORM_TOL = 1e-12
 _MERGE_TOL = 1e-12
+_DECONV_TOL = 1e-14
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -195,26 +196,119 @@ def poisson_pmf(mean: float, tail_tol: float = 1e-12) -> Pmf:
 def bernoulli_sum_pmf(probs: Sequence[float]) -> Pmf:
     """Exact Poisson-binomial pmf of a sum of independent Bernoulli variables.
 
-    Sequential O(n^2) convolution; the empty sum is a point mass at zero.
+    Divide-and-conquer product of the terms' generating polynomials: each
+    level convolves neighbouring pmfs pairwise, so every mass is a sum of
+    nonnegative products (no FFT, no cancellation).  A level of many short
+    pmfs takes one vector operation per coefficient instead of one
+    ``np.convolve`` per pair.  The empty sum is a point mass at zero.
     """
-    p = np.asarray(list(probs), dtype=float)
-    if p.size and (float(p.min()) < -1e-15 or float(p.max()) > 1.0 + 1e-15):
-        raise DomainError("Bernoulli probabilities must lie in [0, 1]")
-    out = np.array([1.0])
-    for pi in p:
-        nxt = np.zeros(out.size + 1)
-        nxt[:-1] = out * (1.0 - pi)
-        nxt[1:] += out * pi
-        out = nxt
-    return Pmf(out)
+    p = np.asarray(probs if isinstance(probs, np.ndarray) else list(probs), dtype=float)
+    if p.size and not (float(p.min()) >= -1e-15 and float(p.max()) <= 1.0 + 1e-15):
+        raise DomainError("Bernoulli probabilities must lie in [0, 1]")  # NaN fails too
+    level = np.stack([1.0 - p, p], axis=1) if p.size else np.ones((1, 1))
+    while level.shape[0] > 1:
+        if level.shape[0] % 2:  # a point mass at zero multiplies exactly
+            level = np.vstack([level, np.eye(1, level.shape[1])])
+        a, b = level[0::2], level[1::2]
+        width = level.shape[1]
+        if a.shape[0] > width:
+            nxt = np.zeros((a.shape[0], 2 * width - 1))
+            for j in range(width):
+                nxt[:, j:j + width] += a[:, j:j + 1] * b
+        else:
+            nxt = np.array([np.convolve(x, y) for x, y in zip(a, b)])
+        level = nxt
+    return Pmf(level[0, :p.size + 1])
+
+
+def remove_bernoulli(full: np.ndarray, p: float) -> np.ndarray | None:
+    """Masses of a Poisson-binomial sum with one Bernoulli(p) term taken out.
+
+    ``full`` holds the masses f of the whole sum on 0..n; the result holds
+    those, g, of the other terms on 0..n-1, which satisfy
+    ``f[k] = (1-p) g[k] + p g[k-1]``.  Each mass is solved for from the f[k]
+    it dominates: the forward recurrence ``g[k] = (f[k] - p g[k-1]) / (1-p)``
+    runs while ``(1-p) g[k] >= p g[k-1]``, and the backward one
+    ``g[k-1] = (f[k] - (1-p) g[k]) / p`` fills in the rest from the top.
+    The law of a Bernoulli sum is log-concave, so g[k] / g[k-1] falls with
+    k and each recurrence stays where it loses at most half of f[k] to the
+    subtraction: every mass keeps a small relative error, tails included.
+    p <= 1/2 runs mostly forward and p > 1/2 mostly backward; p = 0 and
+    p = 1 are exact.  Returns None when the result, convolved back, misses
+    ``full`` by more than ``_DECONV_TOL`` anywhere; the caller then
+    convolves the other terms directly.
+    """
+    f = np.asarray(full, dtype=float)
+    n = f.size - 1
+    if n < 1:
+        raise DomainError("no Bernoulli term to remove from a point mass")
+    if not 0.0 <= p <= 1.0:
+        raise DomainError("Bernoulli probability must lie in [0, 1]")
+    q = 1.0 - p
+    # g vanishes where f[k] = 0 (if p < 1) and where f[k+1] = 0 (if p > 0),
+    # so only the window g[lo..hi], checked against f[lo..hi+1], is computed
+    support = np.flatnonzero(f)
+    lo = max(int(support[0]) - (q == 0.0), 0)
+    hi = min(int(support[-1]) - (p > 0.0), n - 1)
+    fw = f[lo:hi + 2]
+    fl = fw.tolist()
+    g = [0.0] * (hi - lo + 1)  # g[j] is the mass at lo + j
+    split = 0  # g[:split] comes from the forward recurrence
+    prev = 0.0
+    while q > 0.0 and split <= hi - lo:
+        rest = fl[split] - p * prev  # (1-p) g[k]
+        if rest < p * prev:
+            break
+        prev = g[split] = rest / q
+        split += 1
+    prev = 0.0
+    for j in range(hi - lo, split - 1, -1):
+        prev = g[j] = (fl[j + 1] - q * prev) / p
+    gw = np.array(g)
+    back = np.zeros(fw.size)
+    back[:-1] += q * gw
+    back[1:] += p * gw
+    if float(np.abs(back - fw).max()) > _DECONV_TOL or float(gw.min()) < 0.0:
+        return None
+    out = np.zeros(n)
+    out[lo:hi + 1] = gw
+    return out
 
 
 def _merge_point_masses(values: np.ndarray, masses: np.ndarray,
                         tol: float = _MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-value sweep; points within tol of the group anchor are pooled."""
+    """Sorted-value sweep; points within tol of the group anchor are pooled.
+
+    The anchor is the smallest value of its group, so a chain of points each
+    within tol of the next can still split.  A point farther than tol from
+    both neighbours passes through as it is; only runs of close points go
+    through the sequential anchor rule.
+    """
     order = np.argsort(values, kind="stable")
-    v = values[order]
-    m = masses[order]
+    v = np.asarray(values, dtype=float)[order]
+    m = np.asarray(masses, dtype=float)[order]
+    cuts = np.flatnonzero(np.diff(v) > tol) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [v.size]))
+    runs = np.flatnonzero(ends - starts > 1)
+    if runs.size == 0:
+        return v, m
+    out_v: list[np.ndarray] = []
+    out_m: list[np.ndarray] = []
+    done = 0
+    for r in runs:
+        lo, hi = int(starts[r]), int(ends[r])
+        rv, rm = _anchor_merge(v[lo:hi], m[lo:hi], tol)
+        out_v += [v[done:lo], rv]
+        out_m += [m[done:lo], rm]
+        done = hi
+    out_v.append(v[done:])
+    out_m.append(m[done:])
+    return np.concatenate(out_v), np.concatenate(out_m)
+
+
+def _anchor_merge(v: np.ndarray, m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sequential anchor rule on sorted points: mass-weighted group means."""
     out_v: list[float] = []
     out_m: list[float] = []
     anchor = None

@@ -207,9 +207,8 @@ def build_limit_game(structure: Structure, demand: DemandVector,
     """
     if alpha is None:
         alpha = DEFAULT_ALPHA_HEADROOM * max(demand.total, 1e-12)
-    if alpha <= demand.total and alpha < demand.total * (1 + 1e-12):
-        if alpha < demand.total:
-            raise DomainError("alpha must be at least the total demand")
+    if alpha < demand.total:
+        raise DomainError("alpha must be at least the total demand")
     aux = tuple(AuxCost(c, tail_tol=tail_tol, domain_cap=alpha) for c in structure.cost_fns)
     return LimitGame(structure.with_costs(aux), demand, float(alpha))
 

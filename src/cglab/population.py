@@ -37,8 +37,8 @@ class PopulationModel:
             if self.means is None or self.probs is not None:
                 raise StructureError("poisson model needs per-type means only")
             object.__setattr__(self, "means", tuple(float(m) for m in self.means))
-            if any(m <= 0 for m in self.means):
-                raise DomainError("poisson means must be positive")
+            if any(not 0.0 < m < math.inf for m in self.means):
+                raise DomainError("poisson means must be positive and finite")
         elif self.kind == "bernoulli_product":
             if self.probs is None or self.means is not None:
                 raise StructureError("bernoulli model needs per-type probability lists only")
@@ -73,7 +73,7 @@ class PopulationModel:
             return 0.0
         if self.kind == "independent_poisson":
             m = self.means[t]
-            return math.exp(-m) * m ** n / math.factorial(n)
+            return math.exp(n * math.log(m) - m - math.lgamma(n + 1))
         return bernoulli_sum_pmf(self.probs[t]).prob(n)
 
     def count_pmf(self, t: int, tail_tol: float = 1e-12) -> Pmf:

@@ -101,3 +101,36 @@ def random_small_game(rng, kind, max_players=7):
         np.array(v) / sum(v)
         for v in (rng.uniform(0.05, 1.0, len(structure.strategies[t])) for t in types)))
     return game, profile
+
+
+def sequential_bernoulli_sum(probs):
+    """Poisson-binomial pmf by adding one Bernoulli term at a time."""
+    out = np.array([1.0])
+    for q in probs:
+        nxt = np.zeros(out.size + 1)
+        nxt[:-1] = out * (1.0 - q)
+        nxt[1:] += out * q
+        out = nxt
+    return out
+
+
+def sequential_merge(values, masses, tol):
+    """Point-mass pooling, one sorted point at a time.
+
+    A point joins the current group when it lies within tol of the group's
+    first (smallest) value; the group keeps the mass-weighted mean.
+    """
+    order = np.argsort(values, kind="stable")
+    out_v, out_m = [], []
+    anchor = None
+    for vi, mi in zip(values[order], masses[order]):
+        if anchor is None or vi - anchor > tol:
+            out_v.append(float(vi))
+            out_m.append(float(mi))
+            anchor = float(vi)
+        else:
+            tot = out_m[-1] + mi
+            if tot > 0:
+                out_v[-1] = (out_v[-1] * out_m[-1] + vi * mi) / tot
+            out_m[-1] = tot
+    return np.array(out_v), np.array(out_m)

@@ -516,3 +516,16 @@ class TestGameFiles:
         obj["players"][0]["speed"] = 3
         with pytest.raises(StructureError):
             parse_game(obj)
+
+
+class TestWeightValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        s = wheatstone_structure()
+        with pytest.raises(DomainError):
+            WeightedGame(s, (0.5, bad), (0, 0))
+
+    def test_nonpositive_weight_still_a_structure_error(self):
+        s = wheatstone_structure()
+        with pytest.raises(StructureError):
+            WeightedGame(s, (0.5, 0.0), (0, 0))

@@ -131,6 +131,22 @@ class TestCostFunctions:
         with pytest.raises(DomainError):
             AffineCost(1.0, -0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficients_rejected(self, bad):
+        for make in (lambda: AffineCost(bad), lambda: AffineCost(1.0, bad),
+                     lambda: PolynomialCost((1.0, bad)), lambda: PolynomialCost((bad,))):
+            with pytest.raises(DomainError):
+                make()
+
+    def test_nan_slope_in_instance_file_rejected(self):
+        # a NaN slope used to be accepted and then certified with epsilon 0.0
+        s = pigou_structure()
+        obj = instance_to_json(s, unit_demand(s))
+        assert obj["resources"][0]["cost"]["kind"] == "affine"
+        obj["resources"][0]["cost"]["a"] = float("nan")
+        with pytest.raises(DomainError):
+            parse_instance(json.loads(json.dumps(obj)))
+
     def test_polynomial_eval_and_calculus(self):
         c = PolynomialCost((1.0, 0.0, 2.0))  # 1 + 2x^2
         assert c.value(2.0) == pytest.approx(9.0, abs=0)
@@ -209,6 +225,11 @@ class TestDemandVector:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             DemandVector(np.array([-0.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            DemandVector(np.array([0.5, bad]))
 
 
 class TestInstanceFiles:

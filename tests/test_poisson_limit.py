@@ -256,6 +256,13 @@ class TestBuildLimitGame:
         with pytest.raises(DomainError):
             build_limit_game(s, unit_demand(s), alpha=0.5)
 
+    def test_alpha_equal_to_demand_accepted(self):
+        s = pigou_structure()
+        d = unit_demand(s)
+        assert build_limit_game(s, d, alpha=d.total).alpha == d.total
+        with pytest.raises(DomainError):
+            build_limit_game(s, d, alpha=math.nextafter(d.total, 0.0))
+
 
 class TestRateBounds:
     def pigou_constants(self):

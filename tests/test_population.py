@@ -35,6 +35,20 @@ class TestPopulationModel:
         p = PopulationModel.poisson([2.0])
         assert p.count_prob(0, 1) == pytest.approx(2.0 * math.exp(-2.0), abs=1e-15)
 
+    def test_poisson_count_prob_at_large_counts(self):
+        # n! overflows a float from n = 171 on; the log-space form does not
+        from scipy import stats
+
+        model = PopulationModel.poisson([150.0])
+        for n in (0, 1, 100, 150, 170, 171, 250, 400):
+            want = float(stats.poisson.pmf(n, 150.0))
+            assert model.count_prob(0, n) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_poisson_mean_rejected(self, bad):
+        with pytest.raises(DomainError):
+            PopulationModel.poisson([bad])
+
 
 class TestFlowProfileProbability:
     def test_poisson_flows_factor_into_independent_poissons(self):
