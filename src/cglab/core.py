@@ -47,13 +47,16 @@ class GrowthEnvelope:
     def __post_init__(self):
         if self.kind not in ("exp", "poly"):
             raise DomainError(f"unknown envelope kind {self.kind!r}")
+        if not (math.isfinite(self.rate) and math.isfinite(self.scale)):
+            raise DomainError("envelope rate and scale must be finite")
         if self.scale < 0 or self.rate < 0 or self.degree < 0:
             raise DomainError("envelope parameters must be nonnegative")
 
     def bound(self, k):
         k = np.asarray(k, dtype=float)
         if self.kind == "exp":
-            out = self.scale * np.exp(self.rate * k)
+            with np.errstate(over="ignore"):  # inf past the float range
+                out = self.scale * np.exp(self.rate * k)
         else:
             out = self.scale * (1.0 + k) ** self.degree
         return out if out.ndim else float(out)
@@ -72,6 +75,45 @@ class GrowthEnvelope:
         return {"kind": "poly", "degree": self.degree, "scale": self.scale}
 
 
+class _PolynomialStack:
+    """Affine and polynomial costs stacked into zero-padded coefficient arrays.
+
+    Horner's rule on a padded row performs the very operations of ``polyval``
+    and of the affine formulas, so values and marginals equal the scalar
+    methods bit for bit.  Each cost supplies its rows through
+    ``_coefficient_rows``: value, direct marginal part, slope, integral.
+    """
+
+    def __init__(self, costs):
+        rows = [c._coefficient_rows() for c in costs]
+        self._value, self._direct, self._slope, self._integral = (
+            _pad_rows([r[i] for r in rows]) for i in range(4))
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return _horner(self._value, x)
+
+    def marginals(self, x: np.ndarray) -> np.ndarray:
+        return _horner(self._direct, x) + x * _horner(self._slope, x)
+
+    def integrals(self, x: np.ndarray) -> np.ndarray:
+        return _horner(self._integral, x)
+
+
+def _pad_rows(rows) -> np.ndarray:
+    out = np.zeros((len(rows), max(len(r) for r in rows)))
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows of ascending coefficients evaluated at x, in ``polyval``'s order of operations."""
+    acc = coeffs[:, -1] + x * 0
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        acc = coeffs[:, j] + acc * x
+    return acc
+
+
 @dataclass(frozen=True)
 class AffineCost:
     """c(x) = slope * x + intercept with nonnegative coefficients."""
@@ -81,6 +123,7 @@ class AffineCost:
 
     is_continuous = True
     has_integer_eval = True
+    stack = _PolynomialStack
 
     def __post_init__(self):
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
@@ -109,6 +152,10 @@ class AffineCost:
     def curvature_max(self, hi: float) -> float:
         return 0.0
 
+    def _coefficient_rows(self):
+        a, b = float(self.slope), float(self.intercept)
+        return (b, a), (b, 2.0 * a), (0.0,), (0.0, b, 0.5 * a)
+
     def growth_envelope(self) -> GrowthEnvelope:
         return GrowthEnvelope("poly", degree=1, scale=self.slope + self.intercept)
 
@@ -124,6 +171,7 @@ class PolynomialCost:
 
     is_continuous = True
     has_integer_eval = True
+    stack = _PolynomialStack
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -164,6 +212,11 @@ class PolynomialCost:
         dd = [j * (j - 1) * c for j, c in enumerate(self.coeffs)][2:] or [0.0]
         return float(np.polynomial.polynomial.polyval(hi, dd))
 
+    def _coefficient_rows(self):
+        slope = [j * c for j, c in enumerate(self.coeffs)][1:] or [0.0]
+        integral = [0.0] + [c / (j + 1) for j, c in enumerate(self.coeffs)]
+        return self.coeffs, self.coeffs, slope, integral
+
     def growth_envelope(self) -> GrowthEnvelope:
         return GrowthEnvelope("poly", degree=self.degree, scale=sum(self.coeffs))
 
@@ -189,6 +242,8 @@ class TableCost:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise DomainError("table cost needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise DomainError("table cost values must be finite")
         if min(self.values) < 0:
             raise DomainError("table cost values must be nonnegative")
         if any(b < a for a, b in zip(self.values, self.values[1:])):
@@ -448,11 +503,55 @@ def all_strategy_costs(structure: Structure, x, costs=None) -> np.ndarray:
     return structure.incidence @ ce
 
 
+class CostBatch:
+    """Every resource's cost at a whole load vector, one vector call per cost family.
+
+    A continuous cost class names in its ``stack`` attribute the evaluator of
+    a list of its costs: affine and polynomial costs share one, auxiliary
+    costs have their own.
+    """
+
+    def __init__(self, costs):
+        families: dict = {}
+        for e, c in enumerate(costs):
+            stack = getattr(type(c), "stack", None)
+            if stack is None:
+                raise PrecisionError(f"{type(c).__name__} costs have no vector evaluation")
+            families.setdefault(stack, []).append(e)
+        self._size = len(costs)
+        self._families = [(np.array(rows), make([costs[e] for e in rows]))
+                          for make, rows in families.items()]
+
+    def _eval(self, method: str, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = np.empty(self._size)
+        for rows, stack in self._families:
+            out[rows] = getattr(stack, method)(x[rows])
+        return out
+
+    def values(self, x) -> np.ndarray:
+        return self._eval("values", x)
+
+    def marginals(self, x) -> np.ndarray:
+        """Derivatives of x * c(x): the marginal social costs."""
+        return self._eval("marginals", x)
+
+    def integrals(self, x) -> np.ndarray:
+        """Integrals of the costs from 0 to x: the Beckmann potential's terms."""
+        return self._eval("integrals", x)
+
+
 def social_cost(structure: Structure, pair: FlowLoadPair, costs=None) -> float:
     """Deterministic social cost: sum over resources of load times unit cost."""
     costs = structure.cost_fns if costs is None else costs
     return float(sum(float(pair.x[e]) * float(costs[e].value(float(pair.x[e])))
                      for e in range(structure.n_resources)))
+
+
+def potential(structure: Structure, x, costs=None) -> float:
+    """Beckmann potential: sum over resources of the cost integrated up to the load."""
+    costs = structure.cost_fns if costs is None else costs
+    return float(sum(costs[e].integral(float(x[e])) for e in range(structure.n_resources)))
 
 
 # ---------------------------------------------------------------------------

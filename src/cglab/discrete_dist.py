@@ -14,13 +14,17 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import CapacityError, ConfigError, DomainError, PrecisionError
 
 _NORM_TOL = 1e-12
 _MERGE_TOL = 1e-12
 _DECONV_TOL = 1e-14
+_LOG_HUGE = 709.0  # log of the largest tail bound reported as finite; larger ones are inf
+_SF_FLOOR = 1e-280  # Poisson tails below this are bounded, not evaluated
+_SERIES_LIMIT = 1_000_000  # largest truncation point of a certified Poisson series
+_BLOCK_ENTRIES = 1 << 18  # Poisson weights formed at once by poisson_expect
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -135,11 +139,14 @@ class ValueDist:
         return cls(vals, masses)
 
 
-def _eval_on(h, ks: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function on an array, falling back to a python loop."""
+def _eval_on(h, ks: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Evaluate a scalar function on an array, falling back to a python loop.
+
+    With ``rows`` set, ``h`` may also return one row of values per mean.
+    """
     try:
         out = np.asarray(h(ks), dtype=float)
-        if out.shape == ks.shape:
+        if out.shape == ks.shape or out.shape == (rows, ks.size):
             return out
     except Exception:
         pass
@@ -147,6 +154,8 @@ def _eval_on(h, ks: np.ndarray) -> np.ndarray:
 
 
 class Expectation(NamedTuple):
+    """Value and error are arrays when ``poisson_expect`` gets a vector of means."""
+
     value: float
     error: float  # certified bound on the truncated-tail contribution
 
@@ -454,68 +463,113 @@ def borisov_ruzankin_bound(mean: float, nu: float, max_prob: float) -> float:
 # certified expectations under exponential growth envelopes
 
 
-def exp_weighted_poisson_tail(mean: float, k_max: int, rate: float, scale: float) -> float:
+def _log(x):
+    """Natural log, -inf at 0, without floating-point warnings."""
+    return special.xlogy(1.0, x)
+
+
+def _log_poisson_sf(k: int, means: np.ndarray) -> np.ndarray:
+    """Upper bound on ``log P(Poisson(mean) > k)``, elementwise, never -inf by underflow.
+
+    Where ``pdtrc`` is representable it is used as is.  Below that, k lies far
+    above the mean, and the tail is at most its first term ``p(k+1)`` times the
+    geometric series of ratio ``mean / (k+2)``.
+    """
+    sf = special.pdtrc(k, means)
+    deep = sf < _SF_FLOOR
+    if not deep.any():
+        return _log(sf)
+    ratio = means / (k + 2.0)
+    first = special.xlogy(k + 1.0, means) - means - special.gammaln(k + 2.0)
+    bound = np.where(ratio < 1.0, first - special.log1p(-ratio), 0.0)
+    return np.where(deep, bound, _log(sf))
+
+
+def exp_weighted_poisson_tail(mean, k_max, rate, scale):
     """Certified bound on ``sum_{k > k_max} scale * e^{rate k} * Poisson_mean(k)``.
 
     Uses the exponential tilt: the weighted tail equals
     ``scale * e^{mean (e^rate - 1)}`` times a Poisson(mean * e^rate) tail.
+    The bound is formed in log space, so it never overflows on the way; a
+    bound beyond ``e^709`` comes back as inf.  Arguments (``k_max`` too)
+    broadcast against each other; the result is a float for scalar arguments.
     """
-    if mean < 0 or scale < 0 or rate < 0:
-        raise DomainError("mean, rate and scale must be nonnegative")
-    if scale == 0.0:
-        return 0.0
-    if rate * 1.0 > 50:
+    mean, rate, scale = (np.asarray(v, dtype=float) for v in (mean, rate, scale))
+    args = np.concatenate((mean.ravel(), rate.ravel(), scale.ravel()))
+    if not (args.min() >= 0.0 and args.max() < np.inf):
+        raise DomainError("mean, rate and scale must be finite and nonnegative")
+    if rate.max() > 50:
         raise PrecisionError("growth-envelope rate too large to certify tails")
-    tilted = mean * math.exp(rate)
-    factor = scale * math.exp(mean * math.expm1(rate))
-    return factor * float(stats.poisson.sf(k_max, tilted))
+    log_bound = _log(scale) + mean * np.expm1(rate) + _log_poisson_sf(k_max, mean * np.exp(rate))
+    bound = np.where(log_bound < _LOG_HUGE, np.exp(np.minimum(log_bound, _LOG_HUGE)), np.inf)
+    return float(bound) if bound.ndim == 0 else bound
 
 
-def exp_weighted_poisson_survival_tail(mean: float, k_max: int, rate: float,
-                                       scale: float) -> float:
-    """Certified bound on ``sum_{k > k_max} scale * e^{rate k} * P(Poisson >= k+1)``."""
-    if mean < 0 or scale < 0 or rate < 0:
-        raise DomainError("mean, rate and scale must be nonnegative")
-    if scale == 0.0:
-        return 0.0
-    if rate == 0.0:
-        # sum_{k>K} P(Y >= k+1) = E[(Y-K-1)^+] <= mean * P(Y >= K)
-        return scale * mean * float(stats.poisson.sf(k_max - 1, mean))
-    tilted = mean * math.exp(rate)
-    factor = scale * math.exp(-rate) / (-math.expm1(-rate))
-    return factor * math.exp(mean * math.expm1(rate)) * float(stats.poisson.sf(k_max + 1, tilted))
+def _poisson_weights(means: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Poisson(mean) masses on ``ks = 0..K``, one row per mean.
+
+    Exponentiated from the log-pmf, then scaled to the exact mass
+    ``P(X <= K)``: the large cancelling terms of the log-pmf at big means
+    leave no error in the overall scale, and ``e^{-mean}`` is never formed
+    on its own, so means where it underflows keep their mass.
+    """
+    w = np.multiply.outer(np.log(np.where(means > 0.0, means, 1.0)), ks)
+    w -= special.gammaln(ks + 1.0)
+    w -= means[:, None]
+    np.exp(w, out=w)
+    zero = means == 0.0
+    if zero.any():
+        w[zero] = ks == 0
+    w *= (special.pdtr(ks[-1], means) / w.sum(axis=1))[:, None]
+    return w
 
 
-def _poisson_terms(mean: float, k_max: int) -> np.ndarray:
-    terms = np.empty(k_max + 1)
-    terms[0] = math.exp(-mean)
-    for k in range(1, k_max + 1):
-        terms[k] = terms[k - 1] * mean / k
-    return terms
-
-
-def poisson_expect(mean: float, h, rate: float, scale: float,
-                   tol: float = 1e-12) -> Expectation:
+def poisson_expect(mean, h, rate, scale, tol: float = 1e-12) -> Expectation:
     """Certified ``E[h(X)]`` for ``X ~ Poisson(mean)``, with ``|h(k)| <= scale e^{rate k}``.
 
-    The truncation point is grown until the envelope-weighted tail drops
-    below ``tol``; the returned error is that certified tail bound.
+    ``mean`` is a scalar or a vector of means; ``rate`` and ``scale`` give one
+    envelope for all of them or one per mean.  A single truncation point K,
+    shared by every mean, is doubled until each envelope-weighted tail drops
+    below ``tol``; the returned error is that certified tail bound.  ``h``
+    maps the integers ``0..K`` to one row of values shared by every mean, or
+    to one row per mean.  Value and error are floats for a scalar mean and
+    arrays otherwise.
     """
-    if mean < 0:
-        raise DomainError("Poisson mean must be nonnegative")
-    if mean == 0.0:
-        return Expectation(float(h(0)) if np.isscalar(h(0)) else float(np.asarray(h(0))), 0.0)
-    k_max = int(mean + 10.0 * math.sqrt(mean + 1.0) + 20.0)
+    means = np.asarray(mean, dtype=float)
+    if means.ndim > 1:
+        raise DomainError("Poisson means must form a scalar or a vector")
+    scalar = means.ndim == 0
+    means = means.reshape(-1)
+    top = float(means.max(initial=0.0))
+    if not (top < np.inf and means.min(initial=0.0) >= 0.0):
+        raise DomainError("Poisson mean must be finite and nonnegative")
+    k_max = int(top + 10.0 * math.sqrt(top + 1.0) + 20.0)
     while True:
-        err = exp_weighted_poisson_tail(mean, k_max, rate, scale)
-        if err < tol:
+        err = exp_weighted_poisson_tail(means, k_max, rate, scale)
+        if err.max(initial=0.0) < tol:
             break
         k_max *= 2
-        if k_max > 1_000_000:
+        if k_max > _SERIES_LIMIT:
             raise PrecisionError("cannot certify Poisson expectation under this envelope")
-    terms = _poisson_terms(mean, k_max)
     ks = np.arange(k_max + 1)
-    value = float(np.dot(_eval_on(h, ks), terms))
+    hv = _eval_on(h, ks, rows=means.size)
+    overflow = ~np.isfinite(hv)
+    if overflow.any():
+        # A shared K can reach far past where a fast-growing h stays finite.
+        # Those terms are dropped, and the envelope bounds what they held.
+        first = np.where(overflow.any(axis=-1), overflow.argmax(axis=-1), ks.size)
+        err = err + exp_weighted_poisson_tail(means, first - 1, rate, scale)
+        if err.max() >= tol:
+            raise PrecisionError("the expected function overflows on the truncation range")
+        hv = np.where(overflow, 0.0, hv)
+    value = np.empty(means.size)
+    step = max(1, _BLOCK_ENTRIES // ks.size)
+    for lo in range(0, means.size, step):
+        w = _poisson_weights(means[lo:lo + step], ks)
+        value[lo:lo + step] = (w @ hv if hv.ndim == 1
+                               else np.einsum("ij,ij->i", w, hv[lo:lo + step]))
+    if scalar:
+        return Expectation(float(value[0]), float(err[0]))
     return Expectation(value, err)
 
 

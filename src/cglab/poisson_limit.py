@@ -11,16 +11,12 @@ bounds.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
-
 from .core import AffineCost, DemandVector, PolynomialCost, Structure
-from .discrete_dist import (exp_weighted_poisson_survival_tail,
-                            exp_weighted_poisson_tail, poisson_expect)
+from .discrete_dist import poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
 
 DEFAULT_TAIL_TOL = 1e-10
@@ -49,12 +45,82 @@ def _require_integer_cost(cost):
         raise PrecisionError("base cost declares no growth envelope") from None
 
 
+class _AuxSeries:
+    """Poisson mixtures of one or more integer costs, one certified series per call.
+
+    Row i holds a base cost c_i, its table ``c_i(1..n)`` (grown on demand and
+    shared by every call) and the envelope ``(rate_i, scale_i)`` of
+    ``k -> c_i(1 + k)``.  Each method makes one ``poisson_expect`` call: with
+    a single row, at any vector of loads; with several, at one load per row.
+    """
+
+    def __init__(self, bases, tail_tol: float):
+        envelopes = np.array([_require_integer_cost(b) for b in bases], dtype=float)
+        self.bases = tuple(bases)
+        self.tail_tol = float(tail_tol)
+        self._rate = envelopes[:, 0]
+        self._scale = envelopes[:, 1] * np.exp(self._rate)
+        self._table = np.zeros((len(self.bases), 0))
+
+    def _rows(self, n: int) -> np.ndarray:
+        """``c_i(1..n)`` for every row: a vector for a single row, else a matrix."""
+        table = self._table
+        if table.shape[1] < n:
+            ks = np.arange(1, max(n, 2 * table.shape[1]) + 1)
+            table = np.array([np.asarray(b.value_int(ks), dtype=float) for b in self.bases])
+            self._table = table
+        rows = table[:, :n]
+        return rows[0] if len(self.bases) == 1 else rows
+
+    def _expect(self, x, h, rate, scale):
+        x = np.asarray(x, dtype=float)
+        if (x < 0).any():
+            raise DomainError("auxiliary costs are defined for nonnegative loads")
+        value = poisson_expect(x, h, rate, scale, self.tail_tol).value
+        return float(value) if x.ndim == 0 else value
+
+    def values(self, x):
+        """``E c(1 + X)`` for ``X ~ Poisson(x)``."""
+        return self._expect(x, lambda ks: self._rows(ks.size), self._rate, self._scale)
+
+    def derivatives(self, x, order: int = 1):
+        """E of the order-th forward difference of c at ``1 + Poisson(x)``."""
+        if order < 1:
+            raise DomainError("derivative order must be at least 1")
+        # |sum_j binom(order, j) (-1)^(order-j) c(1+k+j)| <= (1 + e^rate)^order scale e^{rate k}
+        scale = (2.0 ** order) * self._scale * np.exp(self._rate * order)
+        return self._expect(x, lambda ks: np.diff(self._rows(ks.size + order), n=order),
+                            self._rate, scale)
+
+    def marginals(self, x):
+        return self.values(x) + np.asarray(x, dtype=float) * self.derivatives(x)
+
+    def integrals(self, x):
+        """Integral of ``values`` from 0 to x, as ``E C(X)`` with ``C(j) = sum_{k<j} c(1+k)``.
+
+        Termwise, ``int_0^x e^{-u} u^k / k! du = P(Poisson(x) >= k+1)``.  The
+        envelope of C is ``scale e^{rate j} / (e^rate - 1)``, or ``scale e^{j-1}``
+        for a bounded cost (rate 0, using j <= e^{j-1}).
+        """
+        positive = self._rate > 0.0
+        rate = np.where(positive, self._rate, 1.0)
+        scale = self._scale / np.where(positive, np.expm1(rate), math.e)
+
+        def running_sum(ks):
+            rows = self._rows(ks.size - 1)
+            zero = np.zeros(rows.shape[:-1] + (1,))
+            return np.concatenate((zero, np.cumsum(rows, axis=-1)), axis=-1)
+
+        return self._expect(x, running_sum, rate, scale)
+
+
 class AuxCost:
     """Poisson mixture of an integer cost: value(x) = sum_k c(1+k) e^{-x} x^k / k!.
 
     Series truncation is certified against the base cost's growth envelope so
-    each evaluation is accurate to ``tail_tol``.  Evaluations are memoized
-    behind a lock, and instances are otherwise immutable.
+    each evaluation is accurate to ``tail_tol``.  Every method evaluates one
+    vector Poisson series (``_AuxSeries``); the solvers evaluate all the
+    auxiliary costs of a structure together through ``stack``.
     """
 
     is_continuous = True
@@ -64,41 +130,22 @@ class AuxCost:
                  domain_cap: float | None = None):
         if not 0.0 < tail_tol < 1.0:
             raise DomainError("tail_tol must lie in (0, 1)")
-        rate, scale = _require_integer_cost(base)
         self.base = base
         self.tail_tol = float(tail_tol)
         self.domain_cap = None if domain_cap is None else float(domain_cap)
-        # envelope of k -> c(1 + k)
-        self._rate = rate
-        self._scale = scale * math.exp(rate)
-        self._cache: dict[tuple[str, float], float] = {}
-        self._lock = threading.Lock()
+        self._series = _AuxSeries((base,), self.tail_tol)
         if self.domain_cap is not None:
             grid = self.values_on_grid(np.linspace(0.0, self.domain_cap, 1000))
             if np.any(np.diff(grid) < -1e-9):
                 raise PrecisionError("auxiliary cost fails monotonicity on the check grid")
 
-    def _truncation(self, mean: float) -> int:
-        k_max = int(mean + 10.0 * math.sqrt(mean + 1.0) + 20.0)
-        while exp_weighted_poisson_tail(mean, k_max, self._rate, self._scale) >= self.tail_tol:
-            k_max *= 2
-            if k_max > 1_000_000:
-                raise PrecisionError("cannot certify the auxiliary-cost series")
-        return k_max
+    @staticmethod
+    def stack(costs) -> _AuxSeries:
+        """All the given auxiliary costs as one series, certified to the smallest tail_tol."""
+        return _AuxSeries(tuple(c.base for c in costs), min(c.tail_tol for c in costs))
 
     def value(self, x: float) -> float:
-        x = float(x)
-        if x < 0:
-            raise DomainError("auxiliary costs are defined for nonnegative loads")
-        with self._lock:
-            hit = self._cache.get(("v", x))
-        if hit is not None:
-            return hit
-        val = poisson_expect(x, lambda k: self.base.value_int(np.asarray(k) + 1),
-                             self._rate, self._scale, self.tail_tol).value
-        with self._lock:
-            self._cache[("v", x)] = val
-        return val
+        return self._series.values(float(x))
 
     def value_int(self, k):
         if np.isscalar(k):
@@ -107,79 +154,23 @@ class AuxCost:
 
     def values_on_grid(self, xs) -> np.ndarray:
         """Vectorized evaluation on a grid, sharing one certified truncation."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return np.zeros(0)
-        if float(xs.min()) < 0:
-            raise DomainError("auxiliary costs are defined for nonnegative loads")
-        k_max = self._truncation(float(xs.max()))
-        ks = np.arange(k_max + 1)
-        cvals = np.asarray(self.base.value_int(ks + 1), dtype=float)
-        terms = np.empty((xs.size, k_max + 1))
-        terms[:, 0] = np.exp(-xs)
-        for k in range(1, k_max + 1):
-            terms[:, k] = terms[:, k - 1] * xs / k
-        return terms @ cvals
+        return self._series.values(np.asarray(xs, dtype=float).ravel())
 
-    def derivative(self, x: float, order: int = 1) -> float:
-        """E of the order-th forward difference of c at 1 + Poisson(x)."""
-        x = float(x)
-        if x < 0:
-            raise DomainError("auxiliary costs are defined for nonnegative loads")
-        if order < 1:
-            raise DomainError("derivative order must be at least 1")
-        key = ("d%d" % order, x)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        base = self.base
-
-        def diff(k):
-            ks = np.asarray(k) + 1
-            out = np.zeros(ks.shape, dtype=float)
-            for j in range(order + 1):
-                out = out + math.comb(order, j) * (-1.0) ** (order - j) \
-                    * np.asarray(base.value_int(ks + j), dtype=float)
-            return out
-
-        rate = self._rate
-        scale = (2.0 ** order) * self._scale * math.exp(rate * order)
-        val = poisson_expect(x, diff, rate, scale, self.tail_tol).value
-        with self._lock:
-            self._cache[key] = val
-        return val
+    def derivative(self, x, order: int = 1):
+        """E of the order-th forward difference of c at 1 + Poisson(x), at a load or a grid."""
+        return self._series.derivatives(x, order)
 
     def marginal(self, x: float) -> float:
-        return self.value(x) + float(x) * self.derivative(x)
+        return self.value(x) + float(x) * self.derivative(float(x))
 
     def integral(self, x: float) -> float:
-        """Integral of the auxiliary cost from 0 to x (for potential values).
-
-        Uses ``int_0^x e^{-u} u^k / k! du = P(Poisson(x) >= k+1)`` termwise.
-        """
-        x = float(x)
-        if x < 0:
-            raise DomainError("auxiliary costs are defined for nonnegative loads")
-        if x == 0.0:
-            return 0.0
-        k_max = int(x + 10.0 * math.sqrt(x + 1.0) + 20.0)
-        while exp_weighted_poisson_survival_tail(
-                x, k_max, self._rate, self._scale) >= self.tail_tol:
-            k_max *= 2
-            if k_max > 1_000_000:
-                raise PrecisionError("cannot certify the auxiliary-cost integral")
-        ks = np.arange(k_max + 1)
-        cvals = np.asarray(self.base.value_int(ks + 1), dtype=float)
-        survival = stats.poisson.sf(ks, x)
-        return float(np.dot(cvals, survival))
+        """Integral of the auxiliary cost from 0 to x (for potential values)."""
+        return self._series.integrals(float(x))
 
     def social_cost_convex_on(self, hi: float, points: int = 65) -> bool:
         """Grid check that x * value(x) is convex on [0, hi]."""
-        for x in np.linspace(0.0, float(hi), points):
-            if 2.0 * self.derivative(float(x)) + float(x) * self.derivative(float(x), 2) < -1e-9:
-                return False
-        return True
+        xs = np.linspace(0.0, float(hi), points)
+        return bool(np.all(2.0 * self.derivative(xs) + xs * self.derivative(xs, 2) >= -1e-9))
 
     def to_json(self) -> dict:
         return {"kind": "aux", "base": self.base.to_json(), "tail_tol": self.tail_tol}
@@ -318,7 +309,7 @@ def regularity_constants(structure: Structure, alpha: float, *,
                 nu = max(nu, poisson_expect(alpha, second_diff, env_rate, env_scale,
                                             tail_tol).value)
                 delta1.append(float(c.value_int(2)) - float(c.value_int(1)))
-            zeta = math.expm1(alpha) * nu + max(delta1)
+            zeta = _lipschitz_bound(alpha, nu, max(delta1))
             delta1_min = min(delta1)
             aux = [AuxCost(c, tail_tol=max(tail_tol, 1e-14)) for c in costs]
             x = np.array([a.value(alpha) for a in aux])
@@ -343,7 +334,7 @@ def regularity_constants(structure: Structure, alpha: float, *,
         beta, beta_source = float(beta_override), "override"
     elif all(isinstance(c, AffineCost) for c in costs) and min(c.slope for c in costs) > 0:
         beta, beta_source = min(c.slope for c in costs), "affine"
-    elif delta1_min is not None and delta1_min > 0:
+    elif delta1_min is not None and delta1_min * math.exp(-alpha) > 0:
         beta, beta_source = delta1_min * math.exp(-alpha), "first-difference"
     else:
         beta, beta_source = None, None
@@ -352,6 +343,17 @@ def regularity_constants(structure: Structure, alpha: float, *,
                           beta_source=beta_source, nu=nu, zeta=zeta,
                           slope_min=slope_min, slope_max=slope_max, gamma=gamma,
                           c_cap=c_cap, c_cap_aux=c_cap_aux)
+
+
+def _lipschitz_bound(alpha: float, nu: float, delta1_max: float) -> float | None:
+    """zeta = (e^alpha - 1) nu + max c(2)-c(1), or None when it exceeds the float range."""
+    if nu == 0.0:
+        return delta1_max
+    try:
+        zeta = math.expm1(alpha) * nu + delta1_max
+    except OverflowError:
+        return None
+    return zeta if math.isfinite(zeta) else None
 
 
 def lambda_bound(constants: BoundConstants, r: float) -> float:

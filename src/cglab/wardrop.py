@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import (DemandVector, FlowLoadPair, Structure, all_strategy_costs,
-                   check_feasible, social_cost)
+from .core import (AffineCost, CostBatch, DemandVector, FlowLoadPair, PolynomialCost,
+                   Structure, all_strategy_costs, check_feasible, potential, social_cost)
 from .errors import DomainError, FeasibilityError, PrecisionError
 
 USAGE_TOL = 1e-10
@@ -25,21 +25,37 @@ USAGE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class WardropSolution:
+    """An approximate equilibrium and how the solver got there.
+
+    ``converged`` certifies the returned pair (``epsilon <= target_eps``);
+    ``stop_reason`` says why the iteration ended: ``"converged"`` (an iterate
+    met the target), ``"budget"`` (``max_iters`` ran out) or ``"no_descent"``
+    (no step lowered the objective).
+    """
+
     pair: FlowLoadPair
     epsilon: float
     iterations: int
     potential_value: float
     converged: bool
     potential_history: tuple[float, ...]
+    stop_reason: str
 
 
 @dataclass(frozen=True, eq=False)
 class SocialOptimum:
+    """An approximate social optimum; ``stop_reason`` as for ``WardropSolution``.
+
+    ``gap`` is the linearization gap, clipped at 0, of the last iterate the
+    solver evaluated.
+    """
+
     pair: FlowLoadPair
     value: float
     gap: float
     iterations: int
     converged: bool
+    stop_reason: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +110,6 @@ def wardrop_epsilon(structure: Structure, demand: DemandVector, pair: FlowLoadPa
     return _epsilon_from_costs(structure, demand, pair.y, strat_costs, usage_tol)
 
 
-def _potential(structure: Structure, costs, x: np.ndarray) -> float:
-    return float(sum(costs[e].integral(float(x[e])) for e in range(structure.n_resources)))
-
-
 def _pairwise_direction(structure: Structure, y: np.ndarray,
                         strat_costs: np.ndarray) -> np.ndarray | None:
     """Flow direction draining each type's priciest used strategy into its cheapest.
@@ -124,19 +136,16 @@ def _pairwise_direction(structure: Structure, y: np.ndarray,
     return d if moved else None
 
 
-def _segment_minimizer(structure: Structure, costs, x: np.ndarray, dx: np.ndarray,
-                       value_at) -> float:
+def _segment_minimizer(density, x: np.ndarray, dx: np.ndarray) -> float:
     """Exact line search for a convex objective along x + gamma dx, gamma in [0, 1].
 
-    ``value_at(e, load)`` must return the objective's derivative density on
-    resource e (the cost for the Beckmann potential, the marginal cost for the
-    social cost), which is nondecreasing in the load.
+    ``density(loads)`` must return the objective's derivative density on
+    every resource (the costs for the Beckmann potential, the marginal costs
+    for the social cost), each nondecreasing in its load.
     """
-    nz = np.flatnonzero(np.abs(dx) > 0.0)
 
     def slope(gamma: float) -> float:
-        xl = x + gamma * dx
-        return float(sum(value_at(int(e), float(xl[e])) * float(dx[e]) for e in nz))
+        return float(density(x + gamma * dx) @ dx)
 
     s0 = slope(0.0)
     if s0 >= 0.0:
@@ -145,6 +154,14 @@ def _segment_minimizer(structure: Structure, costs, x: np.ndarray, dx: np.ndarra
     if s1 <= 0.0:
         return 1.0
     return float(brentq(slope, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16))
+
+
+def _continuous_costs(structure: Structure, costs, solver: str) -> tuple:
+    costs = structure.cost_fns if costs is None else tuple(costs)
+    for c in costs:
+        if not getattr(c, "is_continuous", False):
+            raise PrecisionError(f"the {solver} needs continuous cost functions")
+    return costs
 
 
 def solve_wardrop(structure: Structure, demand: DemandVector, *, costs=None,
@@ -156,18 +173,20 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *, costs=None,
     Stops once the certified additive gap drops to ``target_eps``; if the
     iteration budget runs out first, the best iterate found is returned with
     ``converged`` set to False.  With ``line_search`` off, the classic
-    2/(k+2) step size is used.
+    2/(k+2) step size is used.  Every iteration evaluates the costs as whole
+    load vectors (``CostBatch``); the returned epsilon and potential are
+    recomputed through each resource's own cost methods.
     """
     if target_eps <= 0:
         raise DomainError("target_eps must be positive")
-    costs = structure.cost_fns if costs is None else tuple(costs)
-    for c in costs:
-        if not getattr(c, "is_continuous", False):
-            raise PrecisionError("the nonatomic solver needs continuous cost functions")
+    costs = _continuous_costs(structure, costs, "nonatomic solver")
+    batch = CostBatch(costs)
+
+    def strategy_costs(x: np.ndarray) -> np.ndarray:
+        return structure.incidence @ batch.values(x)
 
     if y0 is None:
-        zero_costs = all_strategy_costs(structure, np.zeros(structure.n_resources), costs)
-        y = _aon_flows(structure, demand, zero_costs)
+        y = _aon_flows(structure, demand, strategy_costs(np.zeros(structure.n_resources)))
     else:
         y = np.array(y0, dtype=float)
         pair0 = FlowLoadPair.from_flows(structure, y)
@@ -176,26 +195,25 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *, costs=None,
             raise FeasibilityError(f"starting flows are infeasible (violation {violation:.3e})")
 
     x = y @ structure.incidence
-    history = [_potential(structure, costs, x)]
+    history = [float(batch.integrals(x).sum())]
     best_y, best_eps = y, math.inf
     iterations = 0
+    stop_reason = "budget"
     for k in range(max_iters):
-        strat_costs = all_strategy_costs(structure, x, costs)
+        strat_costs = strategy_costs(x)
         eps = _epsilon_from_costs(structure, demand, y, strat_costs, usage_tol)
         if eps < best_eps:
             best_y, best_eps = y, eps
         if eps <= target_eps:
+            stop_reason = "converged"
             break
         iterations = k + 1
         y_target = _aon_flows(structure, demand, strat_costs)
         dy = y_target - y
         dx = dy @ structure.incidence
 
-        def cost_at(e: int, load: float) -> float:
-            return float(costs[e].value(load))
-
         if line_search:
-            gamma = _segment_minimizer(structure, costs, x, dx, cost_at)
+            gamma = _segment_minimizer(batch.values, x, dx)
         else:
             gamma = 2.0 / (k + 3.0)
         moved = gamma > 0.0
@@ -203,25 +221,24 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *, costs=None,
             y = y + gamma * dy
             x = y @ structure.incidence
         if line_search:
-            pw = _pairwise_direction(structure, y,
-                                     all_strategy_costs(structure, x, costs))
+            pw = _pairwise_direction(structure, y, strategy_costs(x))
             if pw is not None:
-                gamma_pw = _segment_minimizer(structure, costs, x,
-                                              pw @ structure.incidence, cost_at)
+                gamma_pw = _segment_minimizer(batch.values, x, pw @ structure.incidence)
                 if gamma_pw > 0.0:
                     y = y + gamma_pw * pw
                     x = y @ structure.incidence
                     moved = True
         if not moved:
-            break  # no descent direction left
-        history.append(_potential(structure, costs, x))
+            stop_reason = "no_descent"
+            break
+        history.append(float(batch.integrals(x).sum()))
 
     pair = FlowLoadPair.from_flows(structure, best_y)
     eps = wardrop_epsilon(structure, demand, pair, costs, usage_tol)
     return WardropSolution(pair=pair, epsilon=eps, iterations=iterations,
-                           potential_value=_potential(structure, costs, pair.x),
+                           potential_value=potential(structure, pair.x, costs),
                            converged=eps <= target_eps,
-                           potential_history=tuple(history))
+                           potential_history=tuple(history), stop_reason=stop_reason)
 
 
 def _assert_sc_convex(costs, hi: float) -> None:
@@ -235,8 +252,6 @@ def _assert_sc_convex(costs, hi: float) -> None:
             continue
         # affine and polynomial costs with nonnegative coefficients always
         # give a convex x*c(x); anything else must certify itself
-        from .core import AffineCost, PolynomialCost
-
         if not isinstance(c, (AffineCost, PolynomialCost)):
             raise DomainError(
                 "cannot assert convexity of x*c(x) for this cost; the certified "
@@ -252,58 +267,51 @@ def solve_social_optimum(structure: Structure, demand: DemandVector, *, costs=No
     with exact line search on the marginal costs then certifies optimality via
     the linearization gap.
     """
-    costs = structure.cost_fns if costs is None else tuple(costs)
-    for c in costs:
-        if not getattr(c, "is_continuous", False):
-            raise PrecisionError("the social optimum solver needs continuous cost functions")
+    costs = _continuous_costs(structure, costs, "social optimum solver")
     _assert_sc_convex(costs, demand.total)
-
-    def marginal(e: int, load: float) -> float:
-        return float(costs[e].marginal(load))
-
-    def sc(x: np.ndarray) -> float:
-        return float(sum(float(x[e]) * float(costs[e].value(float(x[e])))
-                         for e in range(structure.n_resources)))
+    batch = CostBatch(costs)
 
     if y0 is None:
         y = _aon_flows(structure, demand,
-                       all_strategy_costs(structure, np.zeros(structure.n_resources), costs))
+                       structure.incidence @ batch.values(np.zeros(structure.n_resources)))
     else:
         y = np.array(y0, dtype=float)
     x = y @ structure.incidence
 
     gap = math.inf
     iterations = 0
+    stop_reason = "budget"
     for k in range(max_iters):
-        marg = np.array([marginal(e, float(x[e])) for e in range(structure.n_resources)])
+        marg = batch.marginals(x)
         strat_marg = structure.incidence @ marg
         y_target = _aon_flows(structure, demand, strat_marg)
         dy = y_target - y
         dx = dy @ structure.incidence
         gap = float(-(marg @ dx))
         if gap <= target_gap:
+            stop_reason = "converged"
             break
         iterations = k + 1
-        gamma = _segment_minimizer(structure, costs, x, dx, marginal)
+        gamma = _segment_minimizer(batch.marginals, x, dx)
         moved = gamma > 0.0
         if moved:
             y = y + gamma * dy
             x = y @ structure.incidence
-        pw = _pairwise_direction(structure, y, structure.incidence @ np.array(
-            [marginal(e, float(x[e])) for e in range(structure.n_resources)]))
+        pw = _pairwise_direction(structure, y, structure.incidence @ batch.marginals(x))
         if pw is not None:
-            gamma_pw = _segment_minimizer(structure, costs, x,
-                                          pw @ structure.incidence, marginal)
+            gamma_pw = _segment_minimizer(batch.marginals, x, pw @ structure.incidence)
             if gamma_pw > 0.0:
                 y = y + gamma_pw * pw
                 x = y @ structure.incidence
                 moved = True
         if not moved:
+            stop_reason = "no_descent"
             break
 
     pair = FlowLoadPair.from_flows(structure, y)
-    return SocialOptimum(pair=pair, value=sc(pair.x), gap=max(gap, 0.0),
-                         iterations=iterations, converged=gap <= target_gap)
+    return SocialOptimum(pair=pair, value=social_cost(structure, pair, costs),
+                         gap=max(gap, 0.0), iterations=iterations,
+                         converged=gap <= target_gap, stop_reason=stop_reason)
 
 
 def poa_nonatomic(structure: Structure, demand: DemandVector, *, costs=None,
@@ -360,4 +368,4 @@ def solution_to_json(structure: Structure, sol: WardropSolution) -> dict:
     loads = {rid: float(sol.pair.x[e]) for e, rid in enumerate(structure.resources)}
     return {"flows": flows, "loads": loads, "epsilon": sol.epsilon,
             "potential_value": sol.potential_value, "iterations": sol.iterations,
-            "converged": sol.converged}
+            "converged": sol.converged, "stop_reason": sol.stop_reason}

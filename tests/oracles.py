@@ -5,7 +5,9 @@ ignorant of the library's decompositions, so agreement is meaningful.
 """
 
 import itertools
+import math
 
+import mpmath
 import numpy as np
 
 from cglab.atomic import BernoulliGame, MixedProfile, WeightedGame
@@ -134,3 +136,40 @@ def sequential_merge(values, masses, tol):
                 out_v[-1] = (out_v[-1] * out_m[-1] + vi * mi) / tot
             out_m[-1] = tot
     return np.array(out_v), np.array(out_m)
+
+
+def _poisson_terms_mp(mean, rate):
+    """Poisson(mean) masses in mpmath, far past where any of them (times an
+    envelope of the given rate) could matter."""
+    tilted = float(mean) * math.exp(rate)
+    top = int(tilted + 40.0 * math.sqrt(tilted + 1.0) + 200.0)
+    m = mpmath.mpf(mean)
+    term = mpmath.exp(-m)
+    for k in range(top + 1):
+        yield k, term
+        term = term * m / (k + 1)
+
+
+def poisson_expect_mp(mean, h, rate=0.0, dps=40):
+    """E[h(X)] for X ~ Poisson(mean), summed term by term at ``dps`` digits.
+
+    ``h`` maps an integer k to a float; ``rate`` is the exponential growth
+    rate of |h|, which sets how far the sum runs.
+    """
+    with mpmath.workdps(dps):
+        return float(mpmath.fsum(mpmath.mpf(h(k)) * p for k, p in _poisson_terms_mp(mean, rate)))
+
+
+def aux_integral_mp(mean, c, rate=0.0, dps=40):
+    """int_0^mean E[c(1 + Poisson(u))] du as sum_k c(1+k) P(Poisson(mean) >= k+1).
+
+    The survival probabilities are summed from the far end down, so none of
+    them is formed as a difference of numbers close to 1.
+    """
+    with mpmath.workdps(dps):
+        masses = [p for _, p in _poisson_terms_mp(mean, rate)]
+        total, above = mpmath.mpf(0), mpmath.mpf(0)
+        for k in range(len(masses) - 1, -1, -1):
+            total += mpmath.mpf(c(1 + k)) * above  # above = P(X >= k + 1)
+            above += masses[k]
+        return float(total)

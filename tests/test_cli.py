@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from cglab.cli import main
-from cglab.core import instance_to_json, load_instance
+from cglab.core import DemandVector, instance_to_json, load_instance
 from cglab.instances import pigou_structure, unit_demand, wheatstone_structure
 
 
@@ -71,6 +72,22 @@ def test_limit_emits_consumable_instance(pigou_instance, tmp_path):
     assert main(["wardrop", str(inst_path), "--json", str(sol_path)]) == 0
     sol = json.loads(sol_path.read_text())
     assert sol["loads"]["e1"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_limit_at_a_large_demand_fails_cleanly(tmp_path, capsys):
+    # the auxiliary costs' tail bounds used to overflow math.exp here
+    s = pigou_structure()
+    path = tmp_path / "pigou-1000.json"
+    path.write_text(json.dumps(instance_to_json(s, DemandVector(np.array([1000.0])))))
+    out = tmp_path / "limit.json"
+    code = main(["limit", str(path), "--json", str(out)])
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")
+        return
+    assert code == 0
+    constants = json.loads(out.read_text())["constants"]
+    assert constants["alpha"] == 1500.0
+    assert constants["c_cap_aux"] == pytest.approx(1501.0, rel=1e-12)
 
 
 def test_bounds_command(pigou_instance, capsys):

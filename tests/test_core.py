@@ -138,6 +138,15 @@ class TestCostFunctions:
             with pytest.raises(DomainError):
                 make()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_tables_and_envelopes_rejected(self, bad):
+        for make in (lambda: TableCost((0.0, bad)), lambda: TableCost((bad,)),
+                     lambda: GrowthEnvelope("exp", rate=bad),
+                     lambda: GrowthEnvelope("exp", rate=0.1, scale=bad),
+                     lambda: GrowthEnvelope("poly", degree=1, scale=bad)):
+            with pytest.raises(DomainError):
+                make()
+
     def test_nan_slope_in_instance_file_rejected(self):
         # a NaN slope used to be accepted and then certified with epsilon 0.0
         s = pigou_structure()

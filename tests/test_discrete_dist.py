@@ -7,7 +7,8 @@ from scipy import stats
 
 from cglab.discrete_dist import (Pmf, ValueDist, barbour_hall_bound,
                                  bernoulli_sum_pmf, borisov_ruzankin_bound,
-                                 expect_over, poisson_expect, poisson_pmf,
+                                 exp_weighted_poisson_tail, expect_over,
+                                 poisson_expect, poisson_pmf,
                                  tv_distance, tv_poisson_bound,
                                  weighted_sum_distribution)
 from cglab.errors import (CapacityError, ConfigError, DomainError, PrecisionError)
@@ -304,3 +305,49 @@ class TestExpectations:
         # E[X^2] = mean + mean^2
         assert got.value == pytest.approx(1.5 + 2.25, abs=1e-10)
         assert got.error < 1e-12
+
+    def test_large_mean_keeps_its_mass(self):
+        # e^{-800} underflows; a series started from it returned 0.0 with a
+        # certified error of 1.7e-24
+        got = poisson_expect(800.0, lambda k: np.ones(np.shape(k)), 0.0, 1.0)
+        assert got.value == pytest.approx(1.0, abs=1e-12)
+        assert got.error < 1e-12
+        # k <= e^k, so a unit-rate envelope covers the identity
+        mean = poisson_expect(800.0, lambda k: k.astype(float), 1.0, 1.0)
+        assert mean.value == pytest.approx(800.0, rel=1e-13)
+
+    def test_vector_means_share_one_truncation(self):
+        means = np.array([0.0, 0.5, 3.0, 40.0])
+        got = poisson_expect(means, lambda k: k.astype(float) ** 2, 1.0, 2.0 * math.e, 1e-12)
+        assert got.value.shape == got.error.shape == (4,)
+        assert np.allclose(got.value, means + means ** 2, rtol=1e-13, atol=1e-12)
+        assert np.all(got.error < 1e-12)
+        # one row of h per mean
+        rows = poisson_expect(means[1:], lambda k: np.outer([1.0, 2.0, 3.0], k),
+                              1.0, np.array([1.0, 2.0, 3.0]), 1e-12)
+        assert np.allclose(rows.value, [0.5, 6.0, 120.0], rtol=1e-13)
+
+    def test_tail_bounds_never_overflow(self):
+        # mean * (e - 1) = 859 used to overflow math.exp
+        assert exp_weighted_poisson_tail(500.0, 743, 1.0, 1.0) == math.inf
+        assert 0.0 < exp_weighted_poisson_tail(500.0, 3500, 1.0, 1.0) < 1e-100
+        assert exp_weighted_poisson_tail(0.0, 0, 1.0, 1.0) == 0.0
+        assert exp_weighted_poisson_tail(3.0, 10, 0.5, 0.0) == 0.0
+        bounds = exp_weighted_poisson_tail(np.array([1.0, 2.0]), 30, 0.5, np.array([1.0, 3.0]))
+        assert bounds.shape == (2,)
+        for m, s, b in zip((1.0, 2.0), (1.0, 3.0), bounds):
+            assert b == exp_weighted_poisson_tail(m, 30, 0.5, s)
+
+    def test_deep_tail_is_bounded_not_underflowed(self):
+        # P(Poisson(300 e) > 2200) underflows in pdtrc, but e^{300 (e - 1)}
+        # times it is 4.4007e-126 (mpmath, 30 digits); a direct product gave 0.0
+        bound = exp_weighted_poisson_tail(300.0, 2200, 1.0, 1.0)
+        assert 4.40068473494883e-126 <= bound <= 4.41e-126
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_arguments_rejected(self, bad):
+        with pytest.raises(DomainError):
+            poisson_expect(bad, lambda k: k, 0.0, 1.0)
+        for args in ((bad, 5, 0.1, 1.0), (1.0, 5, bad, 1.0), (1.0, 5, 0.1, bad)):
+            with pytest.raises(DomainError):
+                exp_weighted_poisson_tail(*args)

@@ -64,6 +64,42 @@ class TestAuxCostValues:
         assert np.all(np.diff(vals) >= -1e-10)
 
 
+class TestAuxCostLargeLoads:
+    def test_bounded_table_keeps_its_value(self):
+        # the series used to start from e^{-800} = 0.0 and return 0.0
+        aux = AuxCost(TableCost((1.0, 1.0, 1.0), GrowthEnvelope("exp", 0.0, 1.0)))
+        assert abs(aux.value(800.0) - 1.0) <= aux.tail_tol
+
+    @pytest.mark.parametrize("x", [500.0, 1000.0])
+    def test_identity_base_at_large_loads(self, x):
+        # the tail bound used to overflow math.exp at these loads
+        aux = AuxCost(AffineCost(1.0))
+        try:
+            got = aux.value(x)
+        except PrecisionError:
+            return
+        assert abs(got - (x + 1.0)) <= aux.tail_tol
+
+    def test_constants_at_a_large_cap(self):
+        # (e^alpha - 1) nu overflows for alpha > 709; zeta is then left unset
+        s = Structure(("a",), (PolynomialCost((0.0, 0.0, 1.0)),), ("t",), (((0,),),))
+        c = regularity_constants(s, 800.0)
+        assert c.nu == pytest.approx(2.0, rel=1e-9)
+        assert c.zeta is None
+        with pytest.raises(ConfigError):
+            lambda_bound(c, 0.1)
+        # the first-difference beta, 3 e^{-800}, underflows: no derivable beta
+        assert c.beta is None
+
+    def test_vector_derivative_matches_scalar_calls(self):
+        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)), tail_tol=TAIL)
+        xs = np.linspace(0.0, 3.0, 7)
+        for order in (1, 2):
+            grid = aux.derivative(xs, order)
+            for x, v in zip(xs, grid):
+                assert v == pytest.approx(aux.derivative(float(x), order), abs=2 * TAIL)
+
+
 class TestAuxCostDerivative:
     def test_identity_base_unit_slope(self):
         aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)

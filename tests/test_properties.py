@@ -1,8 +1,9 @@
 """Property-based checks of the fast kernels against brute-force oracles.
 
 Covers the leave-one-out load laws (deconvolution with its direct-convolution
-fallback), the divide-and-conquer Poisson-binomial pmf, and the vectorised
-point-mass merge.
+fallback), the divide-and-conquer Poisson-binomial pmf, the vectorised
+point-mass merge, the batched cost evaluator of the Frank-Wolfe solvers, and
+the vector Poisson series behind the auxiliary costs.
 """
 
 import math
@@ -15,13 +16,17 @@ from hypothesis import strategies as st
 from cglab import atomic
 from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           conditional_expected_cost, verify_equilibrium)
-from cglab.core import AffineCost, Structure
-from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf,
+from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
+                        Structure, TableCost)
+from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf, poisson_expect,
                                  remove_bernoulli, weighted_sum_distribution)
 from cglab.errors import DomainError
 from cglab.instances import wheatstone_structure
+from cglab.poisson_limit import AuxCost, build_limit_game
+from cglab.wardrop import solve_wardrop, wardrop_epsilon
 
-from oracles import enumerate_bernoulli_sum, sequential_bernoulli_sum, sequential_merge
+from oracles import (aux_integral_mp, enumerate_bernoulli_sum, poisson_expect_mp,
+                     sequential_bernoulli_sum, sequential_merge)
 
 SPECIAL_P = (0.0, 1e-4, 0.5, 0.9, 1.0)
 
@@ -198,3 +203,127 @@ class TestVectorisedMerge:
         dist = weighted_sum_distribution([0.1, 0.2, 0.1, 0.3, 0.2], [0.5, 0.4, 0.3, 0.2, 0.6])
         assert len(dist) == 10
         assert abs(float(dist.masses.sum()) - 1.0) <= 1e-15
+
+
+coefficients = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+smooth_costs = st.one_of(
+    st.builds(AffineCost, coefficients, coefficients),
+    st.builds(PolynomialCost, st.lists(coefficients, min_size=1, max_size=5).map(tuple)))
+loads = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+
+
+class TestCostBatch:
+    @given(st.lists(st.tuples(smooth_costs, loads), min_size=1, max_size=12))
+    @example([(AffineCost(1.0), 0.0), (PolynomialCost((0.3,)), 2.5),
+              (PolynomialCost((0.1, 0.7, 0.0, 0.2)), 1.7), (AffineCost(0.0, 2.0), 3.0)])
+    def test_bit_identical_to_scalar_methods(self, rows):
+        costs = [c for c, _ in rows]
+        x = np.array([v for _, v in rows])
+        batch = CostBatch(costs)
+        want_values = np.array([float(c.value(float(v))) for c, v in rows])
+        want_marginals = np.array([float(c.marginal(float(v))) for c, v in rows])
+        assert batch.values(x).tobytes() == want_values.tobytes()
+        assert batch.marginals(x).tobytes() == want_marginals.tobytes()
+        want_integrals = np.array([float(c.integral(float(v))) for c, v in rows])
+        assert np.allclose(batch.integrals(x), want_integrals, rtol=1e-13, atol=0.0)
+
+    def test_aux_rows_match_their_scalar_methods(self):
+        costs = [AuxCost(AffineCost(1.0, 0.5)), PolynomialCost((0.2, 1.0)),
+                 AuxCost(PolynomialCost((0.0, 0.0, 1.0)), tail_tol=1e-12)]
+        x = np.array([0.7, 1.3, 2.9])
+        batch = CostBatch(costs)
+        for method, got in (("value", batch.values(x)), ("marginal", batch.marginals(x)),
+                            ("integral", batch.integrals(x))):
+            want = [float(getattr(c, method)(float(v))) for c, v in zip(costs, x)]
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-10), method
+
+
+def _table_base(seed: int, rate: float) -> TableCost:
+    values = np.cumsum(np.random.default_rng(seed).uniform(0.0, 1.0, 13))
+    top = float(values[-1]) + 1.0
+    return TableCost(tuple(values), GrowthEnvelope("exp", rate=rate, scale=top))
+
+
+BASES = (AffineCost(1.0, 0.5), PolynomialCost((0.3, 1.0, 0.0, 0.2)),
+         _table_base(4, 0.2), _table_base(5, 0.0))
+TAIL_TOL = 1e-10
+# beyond the certified truncation error, double rounding of the weighted sum,
+# relative to the size of the value
+ROUNDING = 2e-13
+
+
+def _envelope(base):
+    """Rate and scale of the envelope of k -> c(1 + k)."""
+    rate, scale = base.growth_envelope().exp_majorant()
+    return rate, scale * math.exp(rate)
+
+
+def _close_to_oracle(got: float, want: float) -> bool:
+    return abs(got - want) <= TAIL_TOL + ROUNDING * abs(want)
+
+
+class TestPoissonSeries:
+    @given(st.lists(st.tuples(loads, st.sampled_from(range(len(BASES)))),
+                    min_size=1, max_size=3))
+    @example([(800.0, 3), (0.0, 0), (1000.0, 1)])
+    def test_vector_expectation_matches_mpmath(self, rows):
+        means = np.array([m for m, _ in rows])
+        bases = [BASES[b] for _, b in rows]
+        envelopes = np.array([_envelope(b) for b in bases])
+        got = poisson_expect(
+            means, lambda ks: np.array([b.value_int(ks + 1) for b in bases], dtype=float),
+            envelopes[:, 0], envelopes[:, 1], TAIL_TOL)
+        assert got.value.shape == got.error.shape == means.shape
+        for m, b, (rate, _), value, error in zip(means, bases, envelopes, got.value, got.error):
+            assert error < TAIL_TOL
+            want = poisson_expect_mp(m, lambda k: float(b.value_int(k + 1)), rate)
+            assert _close_to_oracle(value, want), (m, b, value, want)
+
+    @given(st.lists(loads, min_size=1, max_size=5), st.sampled_from(range(len(BASES))))
+    def test_shared_row_matches_scalar_calls(self, means, b):
+        base = BASES[b]
+        rate, scale = _envelope(base)
+        h = lambda ks: base.value_int(np.asarray(ks) + 1)
+        got = poisson_expect(np.array(means), h, rate, scale, TAIL_TOL).value
+        for m, v in zip(means, got):
+            one = poisson_expect(m, h, rate, scale, TAIL_TOL)
+            assert abs(v - one.value) <= 2 * TAIL_TOL + ROUNDING * abs(one.value)
+
+    @given(loads, st.sampled_from(range(len(BASES))))
+    @example(500.0, 0)
+    @example(1000.0, 2)
+    def test_aux_value_and_integral_match_mpmath(self, x, b):
+        base = BASES[b]
+        rate = base.growth_envelope().exp_majorant()[0]
+        aux = AuxCost(base, tail_tol=TAIL_TOL)
+        want = poisson_expect_mp(x, lambda k: float(base.value_int(k + 1)), rate)
+        assert _close_to_oracle(aux.value(x), want)
+        want = aux_integral_mp(x, lambda k: float(base.value_int(k)), rate)
+        assert _close_to_oracle(aux.integral(x), want)
+
+
+def _random_game(seed: int, n_resources: int, n_types: int, limit: bool):
+    rng = np.random.default_rng(seed)
+    costs = tuple(PolynomialCost((rng.uniform(0.0, 1.0), rng.uniform(0.1, 1.0), 0.0,
+                                  rng.uniform(0.0, 0.2))) if rng.uniform() < 0.5
+                  else AffineCost(rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.0))
+                  for _ in range(n_resources))
+    strategies = []
+    for _ in range(n_types):
+        picks = {tuple(sorted(rng.choice(n_resources, int(rng.integers(1, 3)), replace=False)))
+                 for _ in range(4)}
+        strategies.append(tuple(sorted(picks)))
+    s = Structure(tuple(f"r{e}" for e in range(n_resources)), costs,
+                  tuple(f"t{t}" for t in range(n_types)), tuple(strategies))
+    d = DemandVector(rng.uniform(0.2, 2.0, n_types))
+    return (build_limit_game(s, d).structure if limit else s), d
+
+
+class TestSolverCertificate:
+    @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(1, 3), st.booleans(),
+           st.sampled_from((1e-4, 1e-8, 1e-12)), st.integers(0, 60))
+    def test_epsilon_is_recomputable(self, seed, n_resources, n_types, limit, target, iters):
+        s, d = _random_game(seed, n_resources, n_types, limit)
+        sol = solve_wardrop(s, d, target_eps=target, max_iters=iters)
+        assert sol.epsilon == wardrop_epsilon(s, d, sol.pair)
+        assert sol.stop_reason in ("converged", "budget", "no_descent")

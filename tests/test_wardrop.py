@@ -7,8 +7,8 @@ from cglab.errors import DomainError, FeasibilityError, PrecisionError
 from cglab.instances import (parallel_structure, pigou_structure, unit_demand,
                              wheatstone_structure)
 from cglab.wardrop import (approx_we_distance_bound, demand_perturbation_bound,
-                           poa_nonatomic, solve_social_optimum, solve_wardrop,
-                           strategy_cost_cap, wardrop_epsilon)
+                           poa_nonatomic, solution_to_json, solve_social_optimum,
+                           solve_wardrop, strategy_cost_cap, wardrop_epsilon)
 
 
 def pigou_limit_structure():
@@ -173,6 +173,43 @@ class TestSocialOptimum:
         s = wheatstone_structure()
         opt = solve_social_optimum(s, unit_demand(s), target_gap=1e-8)
         assert opt.value - 1.5 <= opt.gap + 1e-12
+
+
+class TestStopReason:
+    def skewed_pair(self):
+        # equilibrium and optimum sit at irrational-looking splits, so neither
+        # gap ever reaches 0 in floating point
+        return two_edge(AffineCost(1.0, 0.1), AffineCost(3.0, 0.0))
+
+    def test_converged(self):
+        s = wheatstone_structure()
+        sol = solve_wardrop(s, unit_demand(s), target_eps=1e-10)
+        opt = solve_social_optimum(s, unit_demand(s), target_gap=1e-11)
+        assert sol.stop_reason == opt.stop_reason == "converged"
+        assert sol.converged and opt.converged
+        assert solution_to_json(s, sol)["stop_reason"] == "converged"
+
+    def test_budget(self):
+        s = self.skewed_pair()
+        d = unit_demand(s)
+        sol = solve_wardrop(s, d, target_eps=1e-12, max_iters=1, y0=np.array([1.0, 0.0]))
+        opt = solve_social_optimum(s, d, target_gap=1e-12, max_iters=1)
+        assert sol.stop_reason == opt.stop_reason == "budget"
+        assert sol.iterations == opt.iterations == 1
+        assert not (sol.converged or opt.converged)
+        assert solution_to_json(s, sol)["stop_reason"] == "budget"
+
+    def test_no_descent(self):
+        # a target below rounding: the line searches run out of descent first
+        s = self.skewed_pair()
+        d = unit_demand(s)
+        sol = solve_wardrop(s, d, target_eps=1e-300)
+        opt = solve_social_optimum(s, d, target_gap=1e-300)
+        assert sol.stop_reason == opt.stop_reason == "no_descent"
+        assert sol.iterations < 1000 and opt.iterations < 1000
+        assert not (sol.converged or opt.converged)
+        assert sol.epsilon <= 1e-15
+        assert np.allclose(sol.pair.x, [0.725, 0.275], atol=1e-12)
 
 
 class TestPoaNonatomic:
