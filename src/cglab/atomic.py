@@ -12,6 +12,15 @@ The Poisson-binomial law of a resource's load is built once per distinct
 column of usage indicators; each player's conditional cost needs the law
 without that player, which is deconvolved out of the full law in O(n)
 (``remove_bernoulli``) instead of convolved afresh from the other n-1 terms.
+
+The exact social optimum is searched over pure profiles.  When the players of
+each type share one magnitude, a profile is a vector of per-type strategy
+counts, and a resource's value depends only on how many players of each type
+use it.  The search therefore holds every count vector as one row of an
+integer array, gets each resource's per-type counts by one matrix product,
+builds one value table per resource, and scores each row as the ``fsum`` of
+its table entries; ``esc`` scores a pure profile from the same per-resource
+values, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -270,13 +279,15 @@ class _CondCache:
     ``_LoadLaw``.  ``move`` replaces a player's row, as best-response
     dynamics does, and forgets the laws of the resources whose columns it
     changes, dropping each law no resource uses any more, so at most one law
-    per resource is kept.
+    per resource is kept.  ``equal_mags`` records whether every player has
+    the same magnitude.
     """
 
     def __init__(self, game: Game, usage: np.ndarray):
         self.game = game
         self.usage = usage
         self.mags = np.asarray(game.magnitudes, dtype=float)
+        self.equal_mags = bool(np.all(self.mags == self.mags[:1]))
         self.edge_laws: list[_LoadLaw | None] = [None] * usage.shape[1]
         self.laws: dict[bytes, _LoadLaw] = {}
         self.values: dict[tuple, tuple[float, float]] = {}
@@ -339,16 +350,15 @@ def _edge_cost_weighted(cache: _CondCache, i: int, e: int,
     cost = game.structure.cost_fns[e]
     if wf.size == 0:
         return float(cost.value(base)), 0.0
-    uniq = np.unique(wf)
-    if uniq.size == 1:
+    if cache.equal_mags or np.unique(wf).size == 1:
         law = cache.law(e)
         u = float(cache.usage[i, e])
         q = u if u < 1.0 else 0.0
-        key = (e, base, float(uniq[0]), q)
+        key = (e, base, float(wf[0]), q)
         hit = law.values.get(key)
         if hit is None:
             pmf = law.without(q)
-            vals = base + uniq[0] * np.arange(pmf.size)
+            vals = base + wf[0] * np.arange(pmf.size)
             hit = law.values[key] = (float(pmf @ np.asarray(cost.value(vals), dtype=float)),
                                      0.0)
         return hit
@@ -711,33 +721,55 @@ def strategy_flow_covariance(game: Game, profile: MixedProfile, t: int,
     return total
 
 
-def _compositions(n: int, k: int):
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, k - 1):
-            yield (head,) + rest
+def _compositions(n: int, k: int) -> np.ndarray:
+    """Every split of n players over k strategies, one row each, in lexicographic order.
+
+    Row r places k - 1 bars among n + k - 1 slots (the r-th combination of
+    slot indices); the gaps between consecutive bars are the counts.
+    """
+    rows = list(itertools.combinations(range(n + k - 1), k - 1))
+    bars = np.array(rows, dtype=np.int64).reshape(len(rows), k - 1)
+    ends = np.full((len(rows), 1), n + k - 1)
+    return np.diff(np.hstack([-np.ones_like(ends), bars, ends]), axis=1) - 1
 
 
 class _PureEscEvaluator:
-    """Exact expected social cost of pure profiles, memoized per edge pattern."""
+    """Exact expected social cost of pure profiles, one resource at a time.
+
+    A resource's value is its expected load times cost: fsum(w) c(fsum(w))
+    for the weights w on it, or E[K c(K)] for the Poisson-binomial count K of
+    the participation probabilities on it (0.0 when nobody uses it).
+    Bernoulli values are memoized per (resource, sorted probabilities) and
+    their pmfs per sorted probabilities alone, so resources with the same
+    users share one pmf.  A profile's cost is the fsum of its resources'
+    values, which does not depend on edge order, so every route that sums the
+    same values (``from_assignment``, the count-space optimum search) agrees
+    bit for bit.
+    """
 
     def __init__(self, game: Game):
         self.game = game
-        self._edge_cache: dict[tuple, float] = {}
+        self._pmfs: dict[tuple[float, ...], np.ndarray] = {}
+        self._values: dict[tuple, float] = {}
 
-    def _edge_value_bernoulli(self, e: int, probs_key: tuple[float, ...]) -> float:
-        key = (e, probs_key)
-        hit = self._edge_cache.get(key)
-        if hit is not None:
-            return hit
-        pmf = bernoulli_sum_pmf(probs_key).probs
-        ks = np.arange(pmf.size)
+    def edge_value(self, e: int, mags: Sequence[float]) -> float:
+        """Value of resource e when players of these magnitudes use it."""
         cost = self.game.structure.cost_fns[e]
-        val = float(pmf @ (ks * np.asarray(cost.value_int(ks), dtype=float)))
-        self._edge_cache[key] = val
-        return val
+        if self.game.kind == "weighted":
+            load = math.fsum(mags)
+            return load * float(cost.value(load))
+        if not mags:
+            return 0.0
+        key = tuple(sorted(mags))
+        hit = self._values.get((e, key))
+        if hit is None:
+            pmf = self._pmfs.get(key)
+            if pmf is None:
+                pmf = self._pmfs[key] = bernoulli_sum_pmf(key).probs
+            ks = np.arange(pmf.size)
+            hit = self._values[(e, key)] = float(
+                pmf @ (ks * np.asarray(cost.value_int(ks), dtype=float)))
+        return hit
 
     def from_assignment(self, state: Sequence[int]) -> float:
         game = self.game
@@ -746,13 +778,7 @@ class _PureEscEvaluator:
         for i, si in enumerate(state):
             for e in s.strategies[game.player_types[i]][si]:
                 per_edge[e].append(game.magnitudes[i])
-        # fsum makes the total independent of edge order, so assignments that
-        # permute identical edge patterns evaluate bitwise equal
-        if game.kind == "weighted":
-            return math.fsum(math.fsum(ws) * float(s.cost_fns[e].value(math.fsum(ws)))
-                             for e, ws in enumerate(per_edge))
-        return math.fsum(self._edge_value_bernoulli(e, tuple(sorted(ps)))
-                         for e, ps in enumerate(per_edge) if ps)
+        return math.fsum(self.edge_value(e, ms) for e, ms in enumerate(per_edge))
 
 
 @dataclass(frozen=True)
@@ -760,6 +786,60 @@ class OptResult:
     value: float
     exact: bool
     description: str
+
+
+_COMBO_CHUNK = 1 << 14
+
+
+def _count_space_optimum(game: Game, evaluator: _PureEscEvaluator,
+                         by_type: dict[int, list[int]]) -> OptResult:
+    """Minimum over per-type strategy counts, each scored from per-resource tables.
+
+    The counts of type t are the rows of ``_compositions``; every combination
+    of one row per type is a profile, visited in ``itertools.product`` order.
+    A resource's value depends only on how many players of each type use it,
+    so each resource gets one table over the per-type counts that vary on it,
+    filled by ``evaluator.edge_value``; ``parts[j]`` holds, per composition of
+    type j and per resource, that type's share of the flat table index.
+    """
+    s = game.structure
+    type_ids = sorted(by_type)
+    comps = [_compositions(len(by_type[t]), len(s.strategies[t])) for t in type_ids]
+    # users[j][r, e]: players of type j on resource e under composition r
+    users = [c @ s.incidence[s.type_slices[t]].astype(np.int64)
+             for c, t in zip(comps, type_ids)]
+    mags = [game.magnitudes[by_type[t][0]] for t in type_ids]
+    parts = [np.zeros_like(u) for u in users]
+    table: list[float] = []
+    for e in range(s.n_resources):
+        ranges = [range(len(by_type[t]) + 1) if np.ptp(u[:, e]) > 0 else (int(u[0, e]),)
+                  for t, u in zip(type_ids, users)]
+        stride = 1
+        for j in reversed(range(len(ranges))):
+            if len(ranges[j]) > 1:
+                parts[j][:, e] = users[j][:, e] * stride
+                stride *= len(ranges[j])
+        parts[0][:, e] += len(table)
+        table.extend(evaluator.edge_value(e, [w for w, k in zip(mags, ks) for _ in range(k)])
+                     for ks in itertools.product(*ranges))
+    values = np.array(table)
+    shape = tuple(len(c) for c in comps)
+    total = math.prod(shape)
+    best = math.inf
+    best_row = None
+    for start in range(0, total, _COMBO_CHUNK):
+        rows = np.unravel_index(np.arange(start, min(start + _COMBO_CHUNK, total)), shape)
+        index = sum(part[r] for part, r in zip(parts, rows))
+        for k, row in enumerate(values[index].tolist()):
+            val = math.fsum(row)
+            if val < best - 1e-15:
+                best = val
+                best_row = start + k
+    best_counts = None
+    if best_row is not None:
+        best_counts = tuple(tuple(int(v) for v in c[r])
+                            for c, r in zip(comps, np.unravel_index(best_row, shape)))
+    return OptResult(best, True, f"pure counts {best_counts}")
 
 
 def social_optimum_pure(game: Game, budget: int = 250_000) -> OptResult | None:
@@ -783,23 +863,7 @@ def social_optimum_pure(game: Game, budget: int = 250_000) -> OptResult | None:
             m = len(s.strategies[t])
             combos *= math.comb(len(members) + m - 1, m - 1)
         if combos <= budget:
-            best = math.inf
-            best_counts = None
-            type_ids = sorted(by_type)
-            count_lists = [list(_compositions(len(by_type[t]), len(s.strategies[t])))
-                           for t in type_ids]
-            for combo in itertools.product(*count_lists):
-                state: list[int] = [0] * game.n_players
-                for t, counts in zip(type_ids, combo):
-                    idx = iter(by_type[t])
-                    for strat, c in enumerate(counts):
-                        for _ in range(c):
-                            state[next(idx)] = strat
-                val = evaluator.from_assignment(state)
-                if val < best - 1e-15:
-                    best = val
-                    best_counts = combo
-            return OptResult(best, True, f"pure counts {best_counts}")
+            return _count_space_optimum(game, evaluator, by_type)
     total = 1
     for t in game.player_types:
         total *= len(s.strategies[t])

@@ -130,13 +130,17 @@ def induced_flows(structure: Structure, demand: DemandVector,
 
 
 def _multinomial_prob(counts: np.ndarray, weights: np.ndarray) -> float:
-    n = int(counts.sum())
-    out = float(math.factorial(n))
+    """n! prod(w^c / c!), formed in log space; exactly 0.0 when a positive
+    count falls on a weight that is zero (or a round-off negative)."""
+    log_p = math.lgamma(int(counts.sum()) + 1)
     for c, w in zip(counts, weights):
-        if c and w == 0.0:
+        c = int(c)
+        if c == 0:
+            continue
+        if w <= 0.0:
             return 0.0
-        out *= w ** int(c) / math.factorial(int(c))
-    return out
+        log_p += c * math.log(w) - math.lgamma(c + 1)
+    return math.exp(log_p)
 
 
 def flow_profile_probability(model: PopulationModel, sigma: TypeProfile,

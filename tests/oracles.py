@@ -11,7 +11,8 @@ import mpmath
 import numpy as np
 
 from cglab.atomic import BernoulliGame, MixedProfile, WeightedGame
-from cglab.core import AffineCost, Structure
+from cglab.core import AffineCost, PolynomialCost, Structure
+from cglab.discrete_dist import bernoulli_sum_pmf
 
 
 def enumerate_bernoulli_sum(probs):
@@ -103,6 +104,122 @@ def random_small_game(rng, kind, max_players=7):
         np.array(v) / sum(v)
         for v in (rng.uniform(0.05, 1.0, len(structure.strategies[t])) for t in types)))
     return game, profile
+
+
+def random_homogeneous_game(rng, kind, max_types=2, max_players=4):
+    """Seeded random game whose players share one magnitude within each type.
+
+    Costs are affine or quadratic; a type may have a single strategy, and the
+    players of different types (at most ``max_players // n_types`` each) are
+    interleaved in the player order.
+    """
+    n_res = int(rng.integers(2, 5))
+    costs = tuple(PolynomialCost(tuple(round(float(rng.uniform(0, 2)), 3)
+                                       for _ in range(int(rng.integers(2, 4)))))
+                  for _ in range(n_res))
+    all_subsets = [tuple(c) for k in range(1, n_res + 1)
+                   for c in itertools.combinations(range(n_res), k)]
+    n_types = int(rng.integers(1, max_types + 1))
+    strategies = []
+    for _ in range(n_types):
+        picks = rng.choice(len(all_subsets), size=int(rng.integers(1, 4)), replace=False)
+        strategies.append(tuple(all_subsets[j] for j in sorted(picks)))
+    structure = Structure(tuple(f"e{j}" for j in range(n_res)), costs,
+                          tuple(f"t{j}" for j in range(n_types)), tuple(strategies))
+    per_type = max(1, max_players // n_types)
+    types = [t for t in range(n_types) for _ in range(int(rng.integers(1, per_type + 1)))]
+    types = tuple(types[j] for j in rng.permutation(len(types)))
+    mags = [round(float(rng.uniform(0.05, 0.95)), 3) for _ in range(n_types)]
+    cls = WeightedGame if kind == "weighted" else BernoulliGame
+    return cls(structure, tuple(mags[t] for t in types), types)
+
+
+def _compositions(n, k):
+    if k == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for rest in _compositions(n - head, k - 1):
+            yield (head,) + rest
+
+
+def pure_esc_by_assignment(game, state):
+    """Expected social cost of a pure profile, one resource at a time.
+
+    Each resource contributes load times cost: fsum(w) c(fsum(w)) for the
+    weights on it, or E[K c(K)] for the Poisson-binomial count K of the
+    probabilities on it (sorted before the pmf is built); the resources'
+    values are added with fsum.
+    """
+    s = game.structure
+    per_edge = [[] for _ in range(s.n_resources)]
+    for i, si in enumerate(state):
+        for e in s.strategies[game.player_types[i]][si]:
+            per_edge[e].append(game.magnitudes[i])
+    if game.kind == "weighted":
+        return math.fsum(math.fsum(ws) * float(s.cost_fns[e].value(math.fsum(ws)))
+                         for e, ws in enumerate(per_edge))
+    values = []
+    for e, ps in enumerate(per_edge):
+        if ps:
+            pmf = bernoulli_sum_pmf(tuple(sorted(ps))).probs
+            ks = np.arange(pmf.size)
+            values.append(float(pmf @ (ks * np.asarray(s.cost_fns[e].value_int(ks),
+                                                       dtype=float))))
+    return math.fsum(values)
+
+
+def pure_optimum_by_assignment(game, budget=250_000):
+    """(value, description) of the cheapest pure profile, or None over budget.
+
+    Games whose players share one magnitude within each type walk the
+    per-type strategy counts (compositions in lexicographic order, combined
+    across types in ``itertools.product`` order), filling each type's
+    players in index order; other games walk every profile.  Each profile
+    is scored by ``pure_esc_by_assignment``, and a profile replaces the best
+    so far only when it is cheaper by more than 1e-15.
+    """
+    s = game.structure
+    by_type = {}
+    for i, t in enumerate(game.player_types):
+        by_type.setdefault(t, []).append(i)
+    if all(len({game.magnitudes[i] for i in members}) == 1 for members in by_type.values()):
+        combos = math.prod(math.comb(len(members) + len(s.strategies[t]) - 1,
+                                     len(s.strategies[t]) - 1)
+                           for t, members in by_type.items())
+        if combos <= budget:
+            best, best_counts = math.inf, None
+            type_ids = sorted(by_type)
+            count_lists = [list(_compositions(len(by_type[t]), len(s.strategies[t])))
+                           for t in type_ids]
+            for combo in itertools.product(*count_lists):
+                val = pure_esc_by_assignment(game, state_from_counts(game, combo))
+                if val < best - 1e-15:
+                    best, best_counts = val, combo
+            return best, f"pure counts {best_counts}"
+    if math.prod(len(s.strategies[t]) for t in game.player_types) > budget:
+        return None
+    best, best_state = math.inf, None
+    for state in itertools.product(*[range(len(s.strategies[t])) for t in game.player_types]):
+        val = pure_esc_by_assignment(game, state)
+        if val < best - 1e-15:
+            best, best_state = val, state
+    return best, f"pure profile {best_state}"
+
+
+def state_from_counts(game, counts):
+    """Pure strategies that put counts[t][s] players of type t on strategy s,
+    filling each type's players in index order."""
+    state = [0] * game.n_players
+    by_type = {}
+    for i, t in enumerate(game.player_types):
+        by_type.setdefault(t, []).append(i)
+    for t, per_t in zip(sorted(by_type), counts):
+        idx = iter(by_type[t])
+        for strat, c in enumerate(per_t):
+            for _ in range(c):
+                state[next(idx)] = strat
+    return state
 
 
 def sequential_bernoulli_sum(probs):

@@ -19,7 +19,8 @@ from cglab.instances import (UPPER, ZIGZAG, LOWER, parallel_structure,
                              wheatstone_structure, wheatstone_symmetric_mix)
 
 
-from oracles import esc_brute_force, outcome_probability, random_small_game
+from oracles import (esc_brute_force, outcome_probability, pure_optimum_by_assignment,
+                     random_small_game)
 
 
 def wheatstone_bernoulli(n):
@@ -366,6 +367,30 @@ class TestOptAndPoa:
                 esc_brute_force(game, MixedProfile.pure(game, list(outcome)))
                 for outcome in itertools.product(range(2), repeat=5))
             assert found.value == pytest.approx(best, abs=1e-12)
+
+    def test_budget_edge(self):
+        # the count search runs when its combo count equals the budget; one
+        # below, the search falls through to the profile walk (over budget
+        # here, since a homogeneous game has at least as many profiles as
+        # count vectors), exactly as the assignment oracle does
+        s = Structure(("a", "b", "c"),
+                      (AffineCost(1.0), AffineCost(1.0, 0.2), AffineCost(1.0)),
+                      ("t1", "t2"), (((0,), (1,)), ((1,), (2,))))
+        homogeneous = [wheatstone_bernoulli(4), wheatstone_weighted(5),
+                       BernoulliGame(s, (1 / 3, 0.5, 1 / 3, 0.5, 1 / 3), (0, 1, 0, 1, 0))]
+        for game, combos in zip(homogeneous, (15, 21, 12)):
+            found = social_optimum_pure(game, budget=combos)
+            want = pure_optimum_by_assignment(game, budget=combos)
+            assert (found.value, found.description) == want
+            assert found.exact and found.description.startswith("pure counts")
+            assert social_optimum_pure(game, budget=combos - 1) is None
+            assert pure_optimum_by_assignment(game, budget=combos - 1) is None
+        # unequal weights take the profile walk: 3^3 profiles
+        game = WeightedGame(wheatstone_structure(), (0.2, 0.3, 0.5), (0, 0, 0))
+        found = social_optimum_pure(game, budget=27)
+        assert (found.value, found.description) == pure_optimum_by_assignment(game, 27)
+        assert found.description.startswith("pure profile")
+        assert social_optimum_pure(game, budget=26) is None
 
 
 class TestLoadDistribution:

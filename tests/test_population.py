@@ -76,6 +76,21 @@ class TestFlowProfileProbability:
             3.0 / 8.0, abs=1e-15)
         assert flow_profile_probability(model, sigma, ((2, 2),)) == 0.0
 
+    def test_large_counts_do_not_overflow(self):
+        # 200! is past the float range; thinning Poisson(150) by half gives
+        # two independent Poisson(75) counts
+        from scipy import stats
+
+        model = PopulationModel.poisson([150.0])
+        sigma = TypeProfile((np.array([0.5, 0.5]),))
+        got = flow_profile_probability(model, sigma, ((100, 100),))
+        assert got == pytest.approx(float(stats.poisson.pmf(100, 75.0)) ** 2, rel=1e-11)
+        # a positive count on a zero-weight strategy stays exactly impossible
+        skewed = TypeProfile((np.array([1.0, 0.0]),))
+        assert flow_profile_probability(model, skewed, ((199, 1),)) == 0.0
+        assert flow_profile_probability(model, skewed, ((200, 0),)) == pytest.approx(
+            model.count_prob(0, 200), rel=1e-11)
+
 
 class TestPosterior:
     def test_poisson_environmental_equivalence(self):

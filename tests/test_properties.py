@@ -2,10 +2,13 @@
 
 Covers the leave-one-out load laws (deconvolution with its direct-convolution
 fallback), the divide-and-conquer Poisson-binomial pmf, the vectorised
-point-mass merge, the batched cost evaluator of the Frank-Wolfe solvers, and
-the vector Poisson series behind the auxiliary costs.
+point-mass merge, the batched cost evaluator of the Frank-Wolfe solvers, the
+vector Poisson series behind the auxiliary costs, and the count-space search
+for the pure social optimum.
 """
 
+import ast
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 
 from cglab import atomic
 from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
-                          conditional_expected_cost, verify_equilibrium)
+                          conditional_expected_cost, esc, social_optimum_pure,
+                          verify_equilibrium)
 from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
                         Structure, TableCost)
 from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf, poisson_expect,
@@ -25,8 +29,10 @@ from cglab.instances import wheatstone_structure
 from cglab.poisson_limit import AuxCost, build_limit_game
 from cglab.wardrop import solve_wardrop, wardrop_epsilon
 
-from oracles import (aux_integral_mp, enumerate_bernoulli_sum, poisson_expect_mp,
-                     sequential_bernoulli_sum, sequential_merge)
+from oracles import (aux_integral_mp, enumerate_bernoulli_sum, esc_brute_force,
+                     poisson_expect_mp, pure_optimum_by_assignment,
+                     random_homogeneous_game, sequential_bernoulli_sum, sequential_merge,
+                     state_from_counts)
 
 SPECIAL_P = (0.0, 1e-4, 0.5, 0.9, 1.0)
 
@@ -327,3 +333,28 @@ class TestSolverCertificate:
         sol = solve_wardrop(s, d, target_eps=target, max_iters=iters)
         assert sol.epsilon == wardrop_epsilon(s, d, sol.pair)
         assert sol.stop_reason in ("converged", "budget", "no_descent")
+
+
+class TestCountSpaceOptimum:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("weighted", "bernoulli")))
+    def test_matches_brute_force_minimum(self, seed, kind):
+        game = random_homogeneous_game(np.random.default_rng(seed), kind)
+        found = social_optimum_pure(game)
+        assert found.exact and found.description.startswith("pure counts")
+        s = game.structure
+        best = min(esc_brute_force(game, MixedProfile.pure(game, list(state)))
+                   for state in itertools.product(*[range(len(s.strategies[t]))
+                                                    for t in game.player_types]))
+        assert abs(found.value - best) <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("weighted", "bernoulli")))
+    def test_bit_identical_to_assignment_oracle(self, seed, kind):
+        game = random_homogeneous_game(np.random.default_rng(seed), kind, max_types=3,
+                                       max_players=8)
+        found = social_optimum_pure(game)
+        value, description = pure_optimum_by_assignment(game)
+        assert found.value.hex() == value.hex()
+        assert found.description == description
+        counts = ast.literal_eval(description.removeprefix("pure counts "))
+        profile = MixedProfile.pure(game, state_from_counts(game, counts))
+        assert esc(game, profile).hex() == value.hex()
