@@ -654,7 +654,7 @@ def esc(game: Game, profile: MixedProfile, *, mc: MonteCarlo | None = None) -> f
             else:
                 val = _edge_cost_weighted(cache, i, e, mc)[0]
             total += mags[i] * usage[i, e] * val
-    return total
+    return float(total)
 
 
 def expected_loads(game: Game, profile: MixedProfile) -> np.ndarray:

@@ -141,7 +141,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("atomic", help="verify or solve an atomic game")
     p.add_argument("game")
     p.add_argument("--profile", default=None)
-    p.add_argument("--verify", action="store_true")
     p.add_argument("--solve", choices=("pure", "symmetric"), default=None)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--json", default=None)

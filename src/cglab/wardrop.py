@@ -1,16 +1,24 @@
 """Nonatomic congestion games: equilibria, social optima, and sensitivity bounds.
 
-The equilibrium solver runs conditional-gradient (Frank-Wolfe) descent on the
-Beckmann potential, the sum over resources of the integrated cost.  The
-cheapest-strategy subproblem is solved by direct enumeration over each type's
-strategy set, so iterates stay feasible by construction.  Certification is in
-terms of the additive equilibrium gap: the largest amount by which a used
-strategy overpays relative to the cheapest alternative of its type.
+Both solvers run one conditional-gradient (Frank-Wolfe) core, ``_frank_wolfe``.
+Its cheapest-strategy subproblem is solved by enumerating each type's
+strategies, so iterates stay feasible by construction.  The equilibrium
+descends the Beckmann potential (the summed integrated costs) on the cost
+density and stops on the additive equilibrium gap: the most a used strategy
+overpays against its type's cheapest.  The optimum descends the social cost on
+the marginal-cost density and stops on the linearization gap.
+
+The equilibrium returns its smallest-gap iterate: the gap is what it
+certifies, and the descent, which only lowers the potential, can raise it.
+The optimum returns its last iterate: each step lowers the social cost, so the
+last evaluated linearization gap, a bound on that iterate's excess cost,
+bounds the returned one's too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,12 +164,80 @@ def _segment_minimizer(density, x: np.ndarray, dx: np.ndarray) -> float:
     return float(brentq(slope, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16))
 
 
+_Descent = namedtuple("_Descent", "last best certificate iterations stop_reason loads")
+
+
+def _frank_wolfe(structure: Structure, demand: DemandVector, y: np.ndarray, density,
+                 certificate, target: float, max_iters: int,
+                 line_search: bool) -> _Descent:
+    """Frank-Wolfe descent with a pairwise companion step from the feasible flows ``y``.
+
+    ``density`` is as for ``_segment_minimizer``.  An iterate scores
+    ``certificate(y, strat, d, dx)``: ``d`` is the density at its loads,
+    ``strat`` the strategies' sums of ``d``, ``dx`` the load direction to the
+    all-or-nothing flows on ``strat``.  The descent stops at the first score
+    at most ``target``, after ``max_iters`` steps, or when no step moves.
+    With ``line_search`` off the step is 2/(k+2), with no pairwise step.
+    Returns the last flows, the evaluated flows of least score, the last
+    score (inf if none), the step count, the stop reason, and the loads at
+    the start and after each accepted step.
+    """
+    inc = structure.incidence
+    x = y @ inc
+    loads = [x]
+    best, best_cert, cert = y, math.inf, math.inf
+    iterations, stop_reason = 0, "budget"
+    for k in range(max_iters):
+        d = density(x)
+        strat = inc @ d
+        dy = _aon_flows(structure, demand, strat) - y
+        dx = dy @ inc
+        cert = certificate(y, strat, d, dx)
+        if cert < best_cert:
+            best, best_cert = y, cert
+        if cert <= target:
+            stop_reason = "converged"
+            break
+        iterations = k + 1
+        gamma = _segment_minimizer(density, x, dx) if line_search else 2.0 / (k + 3.0)
+        moved = gamma > 0.0
+        if moved:
+            y = y + gamma * dy
+            x = y @ inc
+        if line_search:
+            pw = _pairwise_direction(structure, y, inc @ density(x))
+            if pw is not None:
+                gamma_pw = _segment_minimizer(density, x, pw @ inc)
+                if gamma_pw > 0.0:
+                    y = y + gamma_pw * pw
+                    x = y @ inc
+                    moved = True
+        if not moved:
+            stop_reason = "no_descent"
+            break
+        loads.append(x)
+    return _Descent(y, best, cert, iterations, stop_reason, loads)
+
+
 def _continuous_costs(structure: Structure, costs, solver: str) -> tuple:
     costs = structure.cost_fns if costs is None else tuple(costs)
     for c in costs:
         if not getattr(c, "is_continuous", False):
             raise PrecisionError(f"the {solver} needs continuous cost functions")
     return costs
+
+
+def _start_flows(structure: Structure, demand: DemandVector, batch: CostBatch,
+                 y0) -> np.ndarray:
+    """``y0`` once checked feasible, or all-or-nothing flows on the zero-load costs."""
+    if y0 is None:
+        return _aon_flows(structure, demand,
+                          structure.incidence @ batch.values(np.zeros(structure.n_resources)))
+    y = np.array(y0, dtype=float)
+    violation = check_feasible(structure, demand, FlowLoadPair.from_flows(structure, y))
+    if violation > 1e-9 * max(1.0, demand.total):
+        raise FeasibilityError(f"starting flows are infeasible (violation {violation:.3e})")
+    return y
 
 
 def solve_wardrop(structure: Structure, demand: DemandVector, *, costs=None,
@@ -181,64 +257,19 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *, costs=None,
         raise DomainError("target_eps must be positive")
     costs = _continuous_costs(structure, costs, "nonatomic solver")
     batch = CostBatch(costs)
-
-    def strategy_costs(x: np.ndarray) -> np.ndarray:
-        return structure.incidence @ batch.values(x)
-
-    if y0 is None:
-        y = _aon_flows(structure, demand, strategy_costs(np.zeros(structure.n_resources)))
-    else:
-        y = np.array(y0, dtype=float)
-        pair0 = FlowLoadPair.from_flows(structure, y)
-        violation = check_feasible(structure, demand, pair0)
-        if violation > 1e-9 * max(1.0, demand.total):
-            raise FeasibilityError(f"starting flows are infeasible (violation {violation:.3e})")
-
-    x = y @ structure.incidence
-    history = [float(batch.integrals(x).sum())]
-    best_y, best_eps = y, math.inf
-    iterations = 0
-    stop_reason = "budget"
-    for k in range(max_iters):
-        strat_costs = strategy_costs(x)
-        eps = _epsilon_from_costs(structure, demand, y, strat_costs, usage_tol)
-        if eps < best_eps:
-            best_y, best_eps = y, eps
-        if eps <= target_eps:
-            stop_reason = "converged"
-            break
-        iterations = k + 1
-        y_target = _aon_flows(structure, demand, strat_costs)
-        dy = y_target - y
-        dx = dy @ structure.incidence
-
-        if line_search:
-            gamma = _segment_minimizer(batch.values, x, dx)
-        else:
-            gamma = 2.0 / (k + 3.0)
-        moved = gamma > 0.0
-        if moved:
-            y = y + gamma * dy
-            x = y @ structure.incidence
-        if line_search:
-            pw = _pairwise_direction(structure, y, strategy_costs(x))
-            if pw is not None:
-                gamma_pw = _segment_minimizer(batch.values, x, pw @ structure.incidence)
-                if gamma_pw > 0.0:
-                    y = y + gamma_pw * pw
-                    x = y @ structure.incidence
-                    moved = True
-        if not moved:
-            stop_reason = "no_descent"
-            break
-        history.append(float(batch.integrals(x).sum()))
-
-    pair = FlowLoadPair.from_flows(structure, best_y)
+    run = _frank_wolfe(structure, demand, _start_flows(structure, demand, batch, y0),
+                       batch.values,
+                       lambda y, strat, _d, _dx: _epsilon_from_costs(structure, demand, y,
+                                                                     strat, usage_tol),
+                       target_eps, max_iters, line_search)
+    pair = FlowLoadPair.from_flows(structure, run.best)
     eps = wardrop_epsilon(structure, demand, pair, costs, usage_tol)
-    return WardropSolution(pair=pair, epsilon=eps, iterations=iterations,
+    return WardropSolution(pair=pair, epsilon=eps, iterations=run.iterations,
                            potential_value=potential(structure, pair.x, costs),
                            converged=eps <= target_eps,
-                           potential_history=tuple(history), stop_reason=stop_reason)
+                           potential_history=tuple(float(batch.integrals(x).sum())
+                                                   for x in run.loads),
+                           stop_reason=run.stop_reason)
 
 
 def _assert_sc_convex(costs, hi: float) -> None:
@@ -265,53 +296,19 @@ def solve_social_optimum(structure: Structure, demand: DemandVector, *, costs=No
 
     Requires x*c(x) convex on the demand range for every resource; Frank-Wolfe
     with exact line search on the marginal costs then certifies optimality via
-    the linearization gap.
+    the linearization gap.  The last iterate is returned.
     """
     costs = _continuous_costs(structure, costs, "social optimum solver")
     _assert_sc_convex(costs, demand.total)
     batch = CostBatch(costs)
-
-    if y0 is None:
-        y = _aon_flows(structure, demand,
-                       structure.incidence @ batch.values(np.zeros(structure.n_resources)))
-    else:
-        y = np.array(y0, dtype=float)
-    x = y @ structure.incidence
-
-    gap = math.inf
-    iterations = 0
-    stop_reason = "budget"
-    for k in range(max_iters):
-        marg = batch.marginals(x)
-        strat_marg = structure.incidence @ marg
-        y_target = _aon_flows(structure, demand, strat_marg)
-        dy = y_target - y
-        dx = dy @ structure.incidence
-        gap = float(-(marg @ dx))
-        if gap <= target_gap:
-            stop_reason = "converged"
-            break
-        iterations = k + 1
-        gamma = _segment_minimizer(batch.marginals, x, dx)
-        moved = gamma > 0.0
-        if moved:
-            y = y + gamma * dy
-            x = y @ structure.incidence
-        pw = _pairwise_direction(structure, y, structure.incidence @ batch.marginals(x))
-        if pw is not None:
-            gamma_pw = _segment_minimizer(batch.marginals, x, pw @ structure.incidence)
-            if gamma_pw > 0.0:
-                y = y + gamma_pw * pw
-                x = y @ structure.incidence
-                moved = True
-        if not moved:
-            stop_reason = "no_descent"
-            break
-
-    pair = FlowLoadPair.from_flows(structure, y)
+    run = _frank_wolfe(structure, demand, _start_flows(structure, demand, batch, y0),
+                       batch.marginals, lambda _y, _strat, marg, dx: float(-(marg @ dx)),
+                       target_gap, max_iters, True)
+    pair = FlowLoadPair.from_flows(structure, run.last)
     return SocialOptimum(pair=pair, value=social_cost(structure, pair, costs),
-                         gap=max(gap, 0.0), iterations=iterations,
-                         converged=gap <= target_gap, stop_reason=stop_reason)
+                         gap=max(run.certificate, 0.0), iterations=run.iterations,
+                         converged=run.certificate <= target_gap,
+                         stop_reason=run.stop_reason)
 
 
 def poa_nonatomic(structure: Structure, demand: DemandVector, *, costs=None,

@@ -296,6 +296,14 @@ class TestEsc:
                 assert esc(game, prof) == pytest.approx(
                     esc_brute_force(game, prof), abs=1e-10)
 
+    def test_mixed_profile_gives_python_float(self):
+        # reports write repr(esc); a numpy scalar would print as np.float64(...)
+        s = parallel_structure()
+        weighted = WeightedGame.homogeneous(s, unit_demand(s), 4)
+        bernoulli = wheatstone_bernoulli(4)
+        assert type(esc(weighted, MixedProfile.symmetric(weighted, [0.5, 0.5]))) is float
+        assert type(esc(bernoulli, wheatstone_symmetric_mix(bernoulli))) is float
+
 
 class TestOptAndPoa:
     def test_weighted_closed_forms(self):

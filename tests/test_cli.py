@@ -39,14 +39,12 @@ def test_atomic_verify_profile(bernoulli_game_file, tmp_path):
     profile = {str(i): [0.5, 0.0, 0.5] for i in range(10)}
     ppath = tmp_path / "profile.json"
     ppath.write_text(json.dumps(profile))
-    code = main(["atomic", str(bernoulli_game_file), "--profile", str(ppath),
-                 "--verify"])
+    code = main(["atomic", str(bernoulli_game_file), "--profile", str(ppath)])
     assert code == 0
 
     bad = {str(i): [0.0, 1.0, 0.0] for i in range(10)}
     ppath.write_text(json.dumps(bad))
-    assert main(["atomic", str(bernoulli_game_file), "--profile", str(ppath),
-                 "--verify"]) == 1
+    assert main(["atomic", str(bernoulli_game_file), "--profile", str(ppath)]) == 1
 
 
 def test_atomic_solvers(bernoulli_game_file, capsys):
@@ -122,6 +120,17 @@ def test_converge_env_seed_override(tmp_path, monkeypatch, capsys):
     assert main(["converge", str(spec_path), "--out", str(out), "--json", str(js)]) == 0
     payload = json.loads(js.read_text())
     assert payload["spec"]["seed"] == 42
+
+
+def test_converge_reports_plain_floats(tmp_path, capsys):
+    spec = {"example": "parallel", "model": "weighted", "n_values": [4], "seed": 1}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out, js = tmp_path / "report.csv", tmp_path / "report.json"
+    assert main(["converge", str(spec_path), "--out", str(out), "--json", str(js)]) == 0
+    for path in (out, js):
+        assert "np.float64" not in path.read_text()
+    assert out.read_text().splitlines()[1].endswith(",0.625,1.25,1.25")
 
 
 def test_example_command(capsys):

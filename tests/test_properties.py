@@ -27,7 +27,7 @@ from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf, poisson
 from cglab.errors import DomainError
 from cglab.instances import wheatstone_structure
 from cglab.poisson_limit import AuxCost, build_limit_game
-from cglab.wardrop import solve_wardrop, wardrop_epsilon
+from cglab.wardrop import solve_social_optimum, solve_wardrop, wardrop_epsilon
 
 from oracles import (aux_integral_mp, enumerate_bernoulli_sum, esc_brute_force,
                      poisson_expect_mp, pure_optimum_by_assignment,
@@ -325,6 +325,17 @@ def _random_game(seed: int, n_resources: int, n_types: int, limit: bool):
     return (build_limit_game(s, d).structure if limit else s), d
 
 
+def _linearization_gap(s, d, pair) -> float:
+    """Frank-Wolfe gap of ``pair``, clipped at 0, through the scalar ``marginal``
+    methods, with the solver's all-or-nothing target (ties to the lowest index)."""
+    marg = np.array([c.marginal(float(load)) for c, load in zip(s.cost_fns, pair.x)])
+    strat = s.incidence @ marg
+    target = np.zeros(s.n_flows)
+    for t, sl in enumerate(s.type_slices):
+        target[sl.start + int(np.argmin(strat[sl]))] = d[t]
+    return max(float(-(marg @ ((target - pair.y) @ s.incidence))), 0.0)
+
+
 class TestSolverCertificate:
     @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(1, 3), st.booleans(),
            st.sampled_from((1e-4, 1e-8, 1e-12)), st.integers(0, 60))
@@ -333,6 +344,22 @@ class TestSolverCertificate:
         sol = solve_wardrop(s, d, target_eps=target, max_iters=iters)
         assert sol.epsilon == wardrop_epsilon(s, d, sol.pair)
         assert sol.stop_reason in ("converged", "budget", "no_descent")
+
+    @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(1, 3),
+           st.sampled_from((1e-4, 1e-9, 1e-12)), st.integers(0, 60))
+    def test_optimum_gap_is_recomputable(self, seed, n_resources, n_types, target, iters):
+        # the gap belongs to the last iterate evaluated: the returned pair,
+        # unless the budget ran out, when one more step followed it
+        s, d = _random_game(seed, n_resources, n_types, limit=False)
+        opt = solve_social_optimum(s, d, target_gap=target, max_iters=iters)
+        assert opt.converged == (opt.gap <= target)
+        if opt.stop_reason != "budget":
+            assert opt.gap == _linearization_gap(s, d, opt.pair)
+        elif iters == 0:
+            assert opt.gap == math.inf
+        else:
+            before = solve_social_optimum(s, d, target_gap=target, max_iters=iters - 1)
+            assert opt.gap == _linearization_gap(s, d, before.pair)
 
 
 class TestCountSpaceOptimum:

@@ -174,6 +174,13 @@ class TestSocialOptimum:
         opt = solve_social_optimum(s, unit_demand(s), target_gap=1e-8)
         assert opt.value - 1.5 <= opt.gap + 1e-12
 
+    def test_infeasible_start_rejected(self):
+        # off the demand simplex the linearization gap certifies nothing: this
+        # start has a zero gap at a cost below the optimum's
+        s = pigou_structure()
+        with pytest.raises(FeasibilityError):
+            solve_social_optimum(s, unit_demand(s), y0=np.array([0.3, 0.3]))
+
 
 class TestStopReason:
     def skewed_pair(self):
