@@ -277,10 +277,10 @@ class _CondCache:
     usage probability below one for weighted players (certain usage is a
     constant).  Each distinct column, keyed by its bytes, gets one
     ``_LoadLaw``.  ``move`` replaces a player's row, as best-response
-    dynamics does, and forgets the laws of the resources whose columns it
-    changes, dropping each law no resource uses any more, so at most one law
-    per resource is kept.  ``equal_mags`` records whether every player has
-    the same magnitude.
+    dynamics does, and forgets the laws (and column sums) of the resources
+    whose columns it changes, dropping each law no resource uses any more, so
+    at most one law per resource is kept.  ``equal_mags`` records whether
+    every player has the same magnitude.
     """
 
     def __init__(self, game: Game, usage: np.ndarray):
@@ -289,6 +289,7 @@ class _CondCache:
         self.mags = np.asarray(game.magnitudes, dtype=float)
         self.equal_mags = bool(np.all(self.mags == self.mags[:1]))
         self.edge_laws: list[_LoadLaw | None] = [None] * usage.shape[1]
+        self.columns: list[tuple[float, float, int] | None] = [None] * usage.shape[1]
         self.laws: dict[bytes, _LoadLaw] = {}
         self.values: dict[tuple, tuple[float, float]] = {}
         self.cost_grids: dict[tuple[int, int], np.ndarray] = {}
@@ -305,8 +306,24 @@ class _CondCache:
             self.edge_laws[e] = law
         return law
 
+    def column(self, e: int) -> tuple[float, float, int]:
+        """Resource e's certain weight (all of it, and all but one player's) and
+        its count of fractional users, for equal magnitudes.
+
+        The sums add the same weights in the same order as a sum over the
+        other certain players does, so they are bit for bit the same.
+        """
+        col = self.columns[e]
+        if col is None:
+            u = self.usage[:, e]
+            certain = self.mags[u >= 1.0]
+            col = self.columns[e] = (float(certain.sum()), float(certain[:-1].sum()),
+                                     int(np.count_nonzero((u > 0.0) & (u < 1.0))))
+        return col
+
     def move(self, i: int, row: np.ndarray) -> None:
         for e in np.flatnonzero(self.usage[i] != row):
+            self.columns[e] = None
             law, self.edge_laws[e] = self.edge_laws[e], None
             if law is not None and not any(other is law for other in self.edge_laws):
                 del self.laws[law.key]
@@ -340,6 +357,14 @@ def _edge_cost_weighted(cache: _CondCache, i: int, e: int,
     Returns (value, standard error); the error is zero on the exact branches.
     """
     game = cache.game
+    cost = game.structure.cost_fns[e]
+    u = float(cache.usage[i, e])
+    if cache.equal_mags:
+        certain, certain_but_one, n_frac = cache.column(e)
+        base = float(game.weights[i]) + (certain_but_one if u >= 1.0 else certain)
+        if n_frac == (0.0 < u < 1.0):  # no other player is uncertain
+            return float(cost.value(base)), 0.0
+        return _edge_cost_equal_weights(cache, e, base, float(cache.mags[0]), u)
     w = cache.mags
     p = cache.usage[:, e].copy()
     p[i] = 0.0
@@ -347,21 +372,10 @@ def _edge_cost_weighted(cache: _CondCache, i: int, e: int,
     frac = p * (p < 1.0)
     sel = frac > 0.0
     wf, pf = w[sel], frac[sel]
-    cost = game.structure.cost_fns[e]
     if wf.size == 0:
         return float(cost.value(base)), 0.0
-    if cache.equal_mags or np.unique(wf).size == 1:
-        law = cache.law(e)
-        u = float(cache.usage[i, e])
-        q = u if u < 1.0 else 0.0
-        key = (e, base, float(wf[0]), q)
-        hit = law.values.get(key)
-        if hit is None:
-            pmf = law.without(q)
-            vals = base + wf[0] * np.arange(pmf.size)
-            hit = law.values[key] = (float(pmf @ np.asarray(cost.value(vals), dtype=float)),
-                                     0.0)
-        return hit
+    if np.unique(wf).size == 1:
+        return _edge_cost_equal_weights(cache, e, base, float(wf[0]), u)
     key = ("w", e, base, tuple(sorted(zip(wf, pf))))
     hit = cache.values.get(key)
     if hit is not None:
@@ -383,6 +397,21 @@ def _edge_cost_weighted(cache: _CondCache, i: int, e: int,
         out = (mean, math.sqrt(max(var, 0.0) / mc.samples))
     cache.values[key] = out
     return out
+
+
+def _edge_cost_equal_weights(cache: _CondCache, e: int, base: float, weight: float,
+                             u: float) -> tuple[float, float]:
+    """E[c_e(base + weight Z)], Z counting the other uncertain users of e (player's usage u)."""
+    law = cache.law(e)
+    q = u if u < 1.0 else 0.0
+    key = (e, base, weight, q)
+    hit = law.values.get(key)
+    if hit is None:
+        pmf = law.without(q)
+        vals = base + weight * np.arange(pmf.size)
+        cost = cache.game.structure.cost_fns[e]
+        hit = law.values[key] = (float(pmf @ np.asarray(cost.value(vals), dtype=float)), 0.0)
+    return hit
 
 
 def _strategy_cond_cost(cache: _CondCache, i: int, s: int,

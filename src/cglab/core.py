@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, PrecisionError, StructureError
 
 FEASIBILITY_TOL = 1e-9
+ALL = slice(None)  # every row of a cost stack
 
 
 def _readonly(a) -> np.ndarray:
@@ -79,24 +80,32 @@ class _PolynomialStack:
     """Affine and polynomial costs stacked into zero-padded coefficient arrays.
 
     Horner's rule on a padded row performs the very operations of ``polyval``
-    and of the affine formulas, so values and marginals equal the scalar
-    methods bit for bit.  Each cost supplies its rows through
-    ``_coefficient_rows``: value, direct marginal part, slope, integral.
+    and of the affine formulas, so values, derivatives and marginals equal the
+    scalar methods bit for bit.  Each cost supplies its rows through
+    ``_coefficient_rows``: value, direct marginal part, slope, integral, and
+    the load-derivatives of value and marginal.  Every method takes the loads
+    of the rows ``idx`` selects.
     """
 
     def __init__(self, costs):
         rows = [c._coefficient_rows() for c in costs]
-        self._value, self._direct, self._slope, self._integral = (
-            _pad_rows([r[i] for r in rows]) for i in range(4))
+        (self._value, self._direct, self._slope, self._integral, self._value_slope,
+         self._marginal_slope) = (_pad_rows([r[i] for r in rows]) for i in range(6))
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return _horner(self._value, x)
+    def values(self, x: np.ndarray, idx=ALL) -> np.ndarray:
+        return _horner(self._value[idx], x)
 
-    def marginals(self, x: np.ndarray) -> np.ndarray:
-        return _horner(self._direct, x) + x * _horner(self._slope, x)
+    def marginals(self, x: np.ndarray, idx=ALL) -> np.ndarray:
+        return _horner(self._direct[idx], x) + x * _horner(self._slope[idx], x)
 
-    def integrals(self, x: np.ndarray) -> np.ndarray:
-        return _horner(self._integral, x)
+    def integrals(self, x: np.ndarray, idx=ALL) -> np.ndarray:
+        return _horner(self._integral[idx], x)
+
+    def value_slopes(self, x: np.ndarray, idx=ALL) -> np.ndarray:
+        return np.stack((self.values(x, idx), _horner(self._value_slope[idx], x)))
+
+    def marginal_slopes(self, x: np.ndarray, idx=ALL) -> np.ndarray:
+        return np.stack((self.marginals(x, idx), _horner(self._marginal_slope[idx], x)))
 
 
 def _pad_rows(rows) -> np.ndarray:
@@ -154,7 +163,7 @@ class AffineCost:
 
     def _coefficient_rows(self):
         a, b = float(self.slope), float(self.intercept)
-        return (b, a), (b, 2.0 * a), (0.0,), (0.0, b, 0.5 * a)
+        return (b, a), (b, 2.0 * a), (0.0,), (0.0, b, 0.5 * a), (a,), (2.0 * a,)
 
     def growth_envelope(self) -> GrowthEnvelope:
         return GrowthEnvelope("poly", degree=1, scale=self.slope + self.intercept)
@@ -215,7 +224,9 @@ class PolynomialCost:
     def _coefficient_rows(self):
         slope = [j * c for j, c in enumerate(self.coeffs)][1:] or [0.0]
         integral = [0.0] + [c / (j + 1) for j, c in enumerate(self.coeffs)]
-        return self.coeffs, self.coeffs, slope, integral
+        # d/dx (c + x c') = sum_j j (j + 1) c_j x^(j-1)
+        marginal_slope = [j * (j + 1) * c for j, c in enumerate(self.coeffs)][1:] or [0.0]
+        return self.coeffs, self.coeffs, slope, integral, slope, marginal_slope
 
     def growth_envelope(self) -> GrowthEnvelope:
         return GrowthEnvelope("poly", degree=self.degree, scale=sum(self.coeffs))
@@ -508,7 +519,10 @@ class CostBatch:
 
     A continuous cost class names in its ``stack`` attribute the evaluator of
     a list of its costs: affine and polynomial costs share one, auxiliary
-    costs have their own.
+    costs have their own.  ``values`` and ``marginals`` also evaluate a subset
+    of the resources: with ``rows``, ``x`` holds just those rows' loads.  With
+    ``slopes`` they return a (2, n) array, the density and its derivative in
+    the load.
     """
 
     def __init__(self, costs):
@@ -521,20 +535,34 @@ class CostBatch:
         self._size = len(costs)
         self._families = [(np.array(rows), make([costs[e] for e in rows]))
                           for make, rows in families.items()]
+        self._family = np.empty(self._size, dtype=int)
+        self._local = np.empty(self._size, dtype=int)  # position within its family
+        for f, (rows, _) in enumerate(self._families):
+            self._family[rows] = f
+            self._local[rows] = np.arange(rows.size)
 
-    def _eval(self, method: str, x) -> np.ndarray:
+    def _eval(self, method: str, x, rows=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.empty(self._size)
-        for rows, stack in self._families:
-            out[rows] = getattr(stack, method)(x[rows])
+        if len(self._families) == 1:  # local positions are the resource indices
+            return getattr(self._families[0][1], method)(x, ALL if rows is None else rows)
+        rows = np.arange(self._size) if rows is None else np.asarray(rows)
+        family = self._family[rows]
+        out = None
+        for f, (_, stack) in enumerate(self._families):
+            at = np.flatnonzero(family == f)
+            if at.size:
+                got = getattr(stack, method)(x[at], self._local[rows[at]])
+                if out is None:
+                    out = np.empty(got.shape[:-1] + rows.shape)
+                out[..., at] = got
         return out
 
-    def values(self, x) -> np.ndarray:
-        return self._eval("values", x)
+    def values(self, x, rows=None, slopes: bool = False) -> np.ndarray:
+        return self._eval("value_slopes" if slopes else "values", x, rows)
 
-    def marginals(self, x) -> np.ndarray:
+    def marginals(self, x, rows=None, slopes: bool = False) -> np.ndarray:
         """Derivatives of x * c(x): the marginal social costs."""
-        return self._eval("marginals", x)
+        return self._eval("marginal_slopes" if slopes else "marginals", x, rows)
 
     def integrals(self, x) -> np.ndarray:
         """Integrals of the costs from 0 to x: the Beckmann potential's terms."""

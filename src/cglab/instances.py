@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .atomic import BernoulliGame, Game, MixedProfile, WeightedGame
-from .core import AffineCost, DemandVector, Structure
+from .core import AffineCost, DemandVector, PolynomialCost, Structure
 from .errors import DomainError
 
 # Wheatstone strategy order
@@ -55,6 +55,35 @@ def parallel_structure() -> Structure:
 
 def unit_demand(structure: Structure) -> DemandVector:
     return DemandVector.of(structure, {structure.types[0]: 1.0})
+
+
+def random_instance(rng: np.random.Generator, n_resources: int, n_types: int,
+                    n_strategies: int) -> tuple[Structure, DemandVector]:
+    """Random nonatomic instance (W3 at 60 resources, 4 types, 40 strategies).
+
+    ``n_resources`` resources with ``PolynomialCost((U(0,1), U(.1,1), 0,
+    U(0,.2)))``; ``n_types`` types, each with ``n_strategies`` distinct
+    strategies of 2 to 5 resources; unit demand per type.  The draws from
+    ``rng`` are those of the benchmark's own copy of this generator.
+    """
+    cost_fns = tuple(PolynomialCost((rng.uniform(0.0, 1.0), rng.uniform(0.1, 1.0), 0.0,
+                                     rng.uniform(0.0, 0.2)))
+                     for _ in range(n_resources))
+    strategies = []
+    for _ in range(n_types):
+        seen: set[tuple[int, ...]] = set()
+        per_type = []
+        while len(per_type) < n_strategies:
+            size = int(rng.integers(2, 6))
+            s = tuple(sorted(int(e) for e in rng.choice(n_resources, size, replace=False)))
+            if s not in seen:
+                seen.add(s)
+                per_type.append(s)
+        strategies.append(tuple(per_type))
+    structure = Structure(resources=tuple(f"r{e}" for e in range(n_resources)),
+                          cost_fns=cost_fns, types=tuple(f"t{t}" for t in range(n_types)),
+                          strategies=tuple(strategies))
+    return structure, DemandVector(np.ones(n_types))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from .core import AffineCost, DemandVector, PolynomialCost, Structure
+from .core import ALL, AffineCost, DemandVector, PolynomialCost, Structure
 from .discrete_dist import poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
 
@@ -50,8 +50,9 @@ class _AuxSeries:
 
     Row i holds a base cost c_i, its table ``c_i(1..n)`` (grown on demand and
     shared by every call) and the envelope ``(rate_i, scale_i)`` of
-    ``k -> c_i(1 + k)``.  Each method makes one ``poisson_expect`` call: with
-    a single row, at any vector of loads; with several, at one load per row.
+    ``k -> c_i(1 + k)``.  Each method makes one ``poisson_expect`` call.
+    Without ``idx`` a single row is evaluated at any vector of loads; with it,
+    the rows ``idx`` selects at one load each, as ``CostBatch`` asks.
     """
 
     def __init__(self, bases, tail_tol: float):
@@ -62,15 +63,19 @@ class _AuxSeries:
         self._scale = envelopes[:, 1] * np.exp(self._rate)
         self._table = np.zeros((len(self.bases), 0))
 
-    def _rows(self, n: int) -> np.ndarray:
-        """``c_i(1..n)`` for every row: a vector for a single row, else a matrix."""
+    def _rows(self, n: int, idx=None) -> np.ndarray:
+        """``c_i(1..n)``: one row per entry of ``idx``, or without it the single row."""
         table = self._table
         if table.shape[1] < n:
             ks = np.arange(1, max(n, 2 * table.shape[1]) + 1)
             table = np.array([np.asarray(b.value_int(ks), dtype=float) for b in self.bases])
             self._table = table
-        rows = table[:, :n]
-        return rows[0] if len(self.bases) == 1 else rows
+        return table[0, :n] if idx is None else table[idx, :n]
+
+    def _order_scale(self, order: int) -> np.ndarray:
+        """Envelope scale of the order-th forward difference of ``k -> c(1 + k)``."""
+        # |sum_j binom(order, j) (-1)^(order-j) c(1+k+j)| <= (1 + e^rate)^order scale e^{rate k}
+        return (2.0 ** order) * self._scale * np.exp(self._rate * order)
 
     def _expect(self, x, h, rate, scale):
         x = np.asarray(x, dtype=float)
@@ -79,35 +84,62 @@ class _AuxSeries:
         value = poisson_expect(x, h, rate, scale, self.tail_tol).value
         return float(value) if x.ndim == 0 else value
 
-    def values(self, x):
+    def _stacked(self, x, idx, orders) -> np.ndarray:
+        """``E Δ^j c_i(1 + X_i)`` for each order j in ``orders``: one row per order.
+
+        ``X_i ~ Poisson(x_i)``, one load per row ``idx`` selects.  Since
+        d/dx E f(1 + X) = E Δf(1 + X), order j is the j-th load-derivative of
+        the value.  Every order shares one series and its certified tails.
+        """
+        top = max(orders)
+
+        def differences(ks):
+            table = self._rows(ks.size + top, idx)
+            return np.concatenate([np.diff(table, n=j)[:, :ks.size] for j in orders])
+
+        rate = np.tile(self._rate[idx], len(orders))
+        scale = np.concatenate([self._order_scale(j)[idx] for j in orders])
+        return self._expect(np.tile(x, len(orders)), differences, rate,
+                            scale).reshape(len(orders), -1)
+
+    def values(self, x, idx=None):
         """``E c(1 + X)`` for ``X ~ Poisson(x)``."""
+        if idx is not None:
+            return self._stacked(x, idx, (0,))[0]
         return self._expect(x, lambda ks: self._rows(ks.size), self._rate, self._scale)
 
     def derivatives(self, x, order: int = 1):
         """E of the order-th forward difference of c at ``1 + Poisson(x)``."""
         if order < 1:
             raise DomainError("derivative order must be at least 1")
-        # |sum_j binom(order, j) (-1)^(order-j) c(1+k+j)| <= (1 + e^rate)^order scale e^{rate k}
-        scale = (2.0 ** order) * self._scale * np.exp(self._rate * order)
         return self._expect(x, lambda ks: np.diff(self._rows(ks.size + order), n=order),
-                            self._rate, scale)
+                            self._rate, self._order_scale(order))
 
-    def marginals(self, x):
-        return self.values(x) + np.asarray(x, dtype=float) * self.derivatives(x)
+    def value_slopes(self, x, idx) -> np.ndarray:
+        return self._stacked(x, idx, (0, 1))
 
-    def integrals(self, x):
+    def marginals(self, x, idx) -> np.ndarray:
+        value, slope = self._stacked(x, idx, (0, 1))
+        return value + x * slope
+
+    def marginal_slopes(self, x, idx) -> np.ndarray:
+        value, slope, curvature = self._stacked(x, idx, (0, 1, 2))
+        return np.stack((value + x * slope, 2.0 * slope + x * curvature))
+
+    def integrals(self, x, idx=None):
         """Integral of ``values`` from 0 to x, as ``E C(X)`` with ``C(j) = sum_{k<j} c(1+k)``.
 
         Termwise, ``int_0^x e^{-u} u^k / k! du = P(Poisson(x) >= k+1)``.  The
         envelope of C is ``scale e^{rate j} / (e^rate - 1)``, or ``scale e^{j-1}``
         for a bounded cost (rate 0, using j <= e^{j-1}).
         """
-        positive = self._rate > 0.0
-        rate = np.where(positive, self._rate, 1.0)
-        scale = self._scale / np.where(positive, np.expm1(rate), math.e)
+        sel = ALL if idx is None else idx
+        positive = self._rate[sel] > 0.0
+        rate = np.where(positive, self._rate[sel], 1.0)
+        scale = self._scale[sel] / np.where(positive, np.expm1(rate), math.e)
 
         def running_sum(ks):
-            rows = self._rows(ks.size - 1)
+            rows = self._rows(ks.size - 1, idx)
             zero = np.zeros(rows.shape[:-1] + (1,))
             return np.concatenate((zero, np.cumsum(rows, axis=-1)), axis=-1)
 
@@ -245,19 +277,33 @@ class BoundConstants:
             raise DomainError("beta must be positive when set")
 
     @property
+    def weighted_beta(self) -> float | None:
+        """The lower bound on the raw cost slopes that the weighted bounds divide by.
+
+        The ``first-difference`` beta bounds the auxiliary costs' slopes, not
+        the raw ones, so in its place the weighted model takes ``slope_min``
+        when that is positive, and has no beta otherwise.
+        """
+        if self.beta_source != "first-difference":
+            return self.beta
+        return self.slope_min if self.slope_min is not None and self.slope_min > 0 else None
+
+    @property
     def theta(self) -> float | None:
         """Weighted-model rate constant sqrt(alpha/4) + sqrt(2 a k (zeta + gamma a/4)/beta)."""
         zeta = self.slope_max if self.slope_max is not None else self.zeta
-        if None in (self.beta, zeta, self.gamma):
+        beta = self.weighted_beta
+        if None in (beta, zeta, self.gamma):
             return None
-        inner = 2.0 * self.alpha * self.kappa * (zeta + self.gamma * self.alpha / 4.0) / self.beta
+        inner = 2.0 * self.alpha * self.kappa * (zeta + self.gamma * self.alpha / 4.0) / beta
         return math.sqrt(self.alpha / 4.0) + math.sqrt(inner)
 
     @property
     def xi(self) -> float | None:
-        if self.beta is None or self.c_cap is None:
+        beta = self.weighted_beta
+        if beta is None or self.c_cap is None:
             return None
-        return math.sqrt(2.0 * self.c_cap / self.beta)
+        return math.sqrt(2.0 * self.c_cap / beta)
 
     @property
     def theta_hat(self) -> float | None:
@@ -282,6 +328,7 @@ def regularity_constants(structure: Structure, alpha: float, *,
     all-affine costs; otherwise the fallback ``min[c(2)-c(1)] * e^{-alpha}``
     when positive.  Structures mixing constant resources with increasing ones
     end up with no derivable beta, and bound evaluation then needs an override.
+    The weighted bounds never take the fallback (see ``weighted_beta``).
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -383,7 +430,8 @@ def rate_bounds(constants: BoundConstants, model: str, param: float,
         raise DomainError("demand gap must be nonnegative")
     if model == "weighted":
         if constants.theta is None:
-            raise ConfigError("weighted bounds need beta, zeta and gamma")
+            raise ConfigError("weighted bounds need a positive lower bound beta on the raw "
+                              "cost slopes (or an override), zeta and gamma")
         point = constants.theta * math.sqrt(param)
         if demand_gap_l1 > 0 and constants.xi is None:
             raise ConfigError("the sequence bound needs the strategy cost cap")

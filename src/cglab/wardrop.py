@@ -1,17 +1,18 @@
 """Nonatomic congestion games: equilibria, social optima, and sensitivity bounds.
 
-Both solvers run one conditional-gradient (Frank-Wolfe) core, ``_frank_wolfe``.
-Its cheapest-strategy subproblem is solved by enumerating each type's
-strategies, so iterates stay feasible by construction.  The equilibrium
+Both solvers run one path-equilibration core (Dafermos & Sparrow 1969;
+Jayakrishnan et al. 1994).  Each sweep shifts every type's flow, one used
+strategy at a time, to the type's cheapest strategy by the exact minimiser
+along the shift, so iterates stay feasible by construction.  The equilibrium
 descends the Beckmann potential (the summed integrated costs) on the cost
 density and stops on the additive equilibrium gap: the most a used strategy
-overpays against its type's cheapest.  The optimum descends the social cost on
-the marginal-cost density and stops on the linearization gap.
+overpays against its type's cheapest.  The optimum descends the social cost
+on the marginal-cost density and stops on the linearization gap.
 
 The equilibrium returns its smallest-gap iterate: the gap is what it
 certifies, and the descent, which only lowers the potential, can raise it.
-The optimum returns its last iterate: each step lowers the social cost, so the
-last evaluated linearization gap, a bound on that iterate's excess cost,
+The optimum returns its last iterate: each sweep lowers the social cost, so
+the last evaluated linearization gap, a bound on that iterate's excess cost,
 bounds the returned one's too.
 """
 
@@ -22,7 +23,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (AffineCost, CostBatch, DemandVector, FlowLoadPair, PolynomialCost,
                    Structure, all_strategy_costs, check_feasible, potential, social_cost)
@@ -36,9 +36,9 @@ class WardropSolution:
     """An approximate equilibrium and how the solver got there.
 
     ``converged`` certifies the returned pair (``epsilon <= target_eps``);
-    ``stop_reason`` says why the iteration ended: ``"converged"`` (an iterate
+    ``stop_reason`` says why the sweeps ended: ``"converged"`` (an iterate
     met the target), ``"budget"`` (``max_iters`` ran out) or ``"no_descent"``
-    (no step lowered the objective).
+    (a sweep left the flows unchanged).
     """
 
     pair: FlowLoadPair
@@ -77,10 +77,7 @@ class NonatomicPoA:
 
 def _aon_flows(structure: Structure, demand: DemandVector,
                strat_costs: np.ndarray) -> np.ndarray:
-    """All-or-nothing assignment: each type's demand on its cheapest strategy.
-
-    Ties break to the lowest strategy index.
-    """
+    """All-or-nothing flows: each type's demand on its cheapest strategy (ties to the lowest)."""
     y = np.zeros(structure.n_flows)
     for t, sl in enumerate(structure.type_slices):
         best = int(np.argmin(strat_costs[sl]))
@@ -118,69 +115,90 @@ def wardrop_epsilon(structure: Structure, demand: DemandVector, pair: FlowLoadPa
     return _epsilon_from_costs(structure, demand, pair.y, strat_costs, usage_tol)
 
 
-def _pairwise_direction(structure: Structure, y: np.ndarray,
-                        strat_costs: np.ndarray) -> np.ndarray | None:
-    """Flow direction draining each type's priciest used strategy into its cheapest.
+SEGMENT_XTOL = 1e-14  # width at which the line search stops
 
-    Classic Frank-Wolfe only adds mass toward good vertices and removes stale
-    mass at a sublinear rate; this companion step removes it directly, which
-    is what lets the solvers settle on faces of the feasible polytope.
+
+def _segment_minimizer(slope, s0: float, ds0: float) -> float:
+    """Exact minimiser on [0, 1] of a convex function from its derivative.
+
+    ``s0`` and ``ds0`` are the derivative and its own derivative at 0;
+    ``slope(gamma)`` returns both at ``gamma``.  Newton steps from 0 keep a
+    bracket of the derivative's sign change; a step out of it tries 1 first,
+    then bisects.  The search stops once the bracket or the step is narrower
+    than ``SEGMENT_XTOL``.
     """
-    d = np.zeros_like(y)
-    moved = False
-    for sl in structure.type_slices:
-        c = strat_costs[sl]
-        held = y[sl]
-        active = np.flatnonzero(held > 0.0)
-        if active.size == 0:
-            continue
-        best = int(np.argmin(c))
-        worst = int(active[np.argmax(c[active])])
-        if worst == best or c[worst] <= c[best]:
-            continue
-        d[sl.start + worst] -= held[worst]
-        d[sl.start + best] += held[worst]
-        moved = True
-    return d if moved else None
-
-
-def _segment_minimizer(density, x: np.ndarray, dx: np.ndarray) -> float:
-    """Exact line search for a convex objective along x + gamma dx, gamma in [0, 1].
-
-    ``density(loads)`` must return the objective's derivative density on
-    every resource (the costs for the Beckmann potential, the marginal costs
-    for the social cost), each nondecreasing in its load.
-    """
-
-    def slope(gamma: float) -> float:
-        return float(density(x + gamma * dx) @ dx)
-
-    s0 = slope(0.0)
     if s0 >= 0.0:
         return 0.0
-    s1 = slope(1.0)
-    if s1 <= 0.0:
-        return 1.0
-    return float(brentq(slope, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16))
+    gamma, g, dg = 0.0, s0, ds0
+    lo, hi, hi_tried = 0.0, 1.0, False
+    while hi - lo > SEGMENT_XTOL:
+        step = g / dg if dg > 0.0 else math.inf
+        if lo < gamma - step < hi:
+            if abs(step) <= SEGMENT_XTOL:
+                return gamma - step
+            gamma -= step
+        else:  # only a step to the right can leave the bracket before 1 is tried
+            gamma = 0.5 * (lo + hi) if hi_tried else 1.0
+        g, dg = slope(gamma)
+        if g == 0.0 or (g < 0.0 and gamma == 1.0):
+            break
+        if g < 0.0:
+            lo = gamma
+        else:
+            hi, hi_tried = gamma, True
+    return gamma
+
+
+def _equilibrate_type(inc: np.ndarray, y: np.ndarray, x: np.ndarray, d: np.ndarray,
+                      density) -> None:
+    """Shift one type's flows ``y`` (incidence rows ``inc``) to its cheapest strategy b.
+
+    Used strategies p drain into b, the priciest first, by the exact minimiser
+    along ``y_p (inc[b] - inc[p])``.  The loads ``x`` and the density with its
+    slopes ``d`` (two rows) follow in place on the rows a shift moves, the
+    only ones its line search evaluates."""
+    b = int(np.argmin(inc @ d[0]))
+    used = np.flatnonzero(y > 0.0)
+    for p in used[np.argsort(-(inc[used] @ d[0]), kind="stable")]:
+        delta = inc[b] - inc[p]
+        rows = np.flatnonzero(delta)
+        x_r, dx, d_r = x[rows], y[p] * delta[rows], d[:, rows]
+        s0 = float(d_r[0] @ dx)
+        # a slope within the rounding error of its own dot product is no descent
+        if s0 >= -rows.size * np.finfo(float).eps * float(np.abs(d_r[0]) @ np.abs(dx)):
+            continue
+        evaluated = []
+
+        def slope(gamma):
+            evaluated[:] = [density(np.maximum(x_r + gamma * dx, 0.0), rows, slopes=True)]
+            return float(evaluated[0][0] @ dx), float(evaluated[0][1] @ (dx * dx))
+
+        gamma = _segment_minimizer(slope, s0, float(d_r[1] @ (dx * dx)))
+        if gamma == 0.0:
+            continue
+        shift = y[p] if gamma == 1.0 else gamma * y[p]
+        y[p] = 0.0 if gamma == 1.0 else y[p] - shift
+        y[b] += shift
+        x[rows] = np.maximum(x_r + shift * delta[rows], 0.0)
+        # the search ends on its last evaluation or within SEGMENT_XTOL of it
+        d[:, rows] = evaluated[0] if evaluated else density(x[rows], rows, slopes=True)
 
 
 _Descent = namedtuple("_Descent", "last best certificate iterations stop_reason loads")
 
 
-def _frank_wolfe(structure: Structure, demand: DemandVector, y: np.ndarray, density,
-                 certificate, target: float, max_iters: int,
-                 line_search: bool) -> _Descent:
-    """Frank-Wolfe descent with a pairwise companion step from the feasible flows ``y``.
+def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarray,
+                        density, certificate, target: float, max_iters: int) -> _Descent:
+    """Gauss-Seidel sweeps of ``_equilibrate_type`` over the types from feasible flows ``y``.
 
-    ``density`` is as for ``_segment_minimizer``.  An iterate scores
-    ``certificate(y, strat, d, dx)``: ``d`` is the density at its loads,
-    ``strat`` the strategies' sums of ``d``, ``dx`` the load direction to the
-    all-or-nothing flows on ``strat``.  The descent stops at the first score
-    at most ``target``, after ``max_iters`` steps, or when no step moves.
-    With ``line_search`` off the step is 2/(k+2), with no pairwise step.
-    Returns the last flows, the evaluated flows of least score, the last
-    score (inf if none), the step count, the stop reason, and the loads at
-    the start and after each accepted step.
+    ``density`` is ``CostBatch.values`` or ``.marginals``.  A sweep first
+    scores its flows by ``certificate(y, strat, d, dx)``: ``d`` is the
+    density at their loads, ``strat`` the strategies' sums of ``d``, ``dx``
+    the load direction to the all-or-nothing flows on ``strat``.  The sweeps
+    stop at a score at most ``target``, after ``max_iters``, or when one
+    leaves the flows bitwise unchanged.  Returns the last flows, the scored
+    flows of least score, the last score (inf if none), the sweep count, the
+    stop reason, and the loads at the start and after each sweep.
     """
     inc = structure.incidence
     x = y @ inc
@@ -188,80 +206,62 @@ def _frank_wolfe(structure: Structure, demand: DemandVector, y: np.ndarray, dens
     best, best_cert, cert = y, math.inf, math.inf
     iterations, stop_reason = 0, "budget"
     for k in range(max_iters):
-        d = density(x)
-        strat = inc @ d
-        dy = _aon_flows(structure, demand, strat) - y
-        dx = dy @ inc
-        cert = certificate(y, strat, d, dx)
+        d = density(x, slopes=True)
+        strat = inc @ d[0]
+        cert = certificate(y, strat, d[0], (_aon_flows(structure, demand, strat) - y) @ inc)
         if cert < best_cert:
             best, best_cert = y, cert
         if cert <= target:
             stop_reason = "converged"
             break
         iterations = k + 1
-        gamma = _segment_minimizer(density, x, dx) if line_search else 2.0 / (k + 3.0)
-        moved = gamma > 0.0
-        if moved:
-            y = y + gamma * dy
-            x = y @ inc
-        if line_search:
-            pw = _pairwise_direction(structure, y, inc @ density(x))
-            if pw is not None:
-                gamma_pw = _segment_minimizer(density, x, pw @ inc)
-                if gamma_pw > 0.0:
-                    y = y + gamma_pw * pw
-                    x = y @ inc
-                    moved = True
-        if not moved:
+        swept, x_run = y.copy(), x.copy()
+        for sl in structure.type_slices:
+            _equilibrate_type(inc[sl], swept[sl], x_run, d, density)
+        if np.array_equal(swept, y):
             stop_reason = "no_descent"
             break
+        y = swept
+        x = y @ inc
         loads.append(x)
     return _Descent(y, best, cert, iterations, stop_reason, loads)
 
 
-def _continuous_costs(structure: Structure, costs, solver: str) -> tuple:
+def _setup(structure: Structure, demand: DemandVector, costs, y0, solver: str) -> tuple:
+    """Costs, their ``CostBatch``, and the start: ``y0`` once checked feasible, or
+    all-or-nothing flows on the zero-load costs."""
     costs = structure.cost_fns if costs is None else tuple(costs)
-    for c in costs:
-        if not getattr(c, "is_continuous", False):
-            raise PrecisionError(f"the {solver} needs continuous cost functions")
-    return costs
-
-
-def _start_flows(structure: Structure, demand: DemandVector, batch: CostBatch,
-                 y0) -> np.ndarray:
-    """``y0`` once checked feasible, or all-or-nothing flows on the zero-load costs."""
+    if not all(getattr(c, "is_continuous", False) for c in costs):
+        raise PrecisionError(f"the {solver} needs continuous cost functions")
+    batch = CostBatch(costs)
     if y0 is None:
-        return _aon_flows(structure, demand,
-                          structure.incidence @ batch.values(np.zeros(structure.n_resources)))
+        zero = batch.values(np.zeros(structure.n_resources))
+        return costs, batch, _aon_flows(structure, demand, structure.incidence @ zero)
     y = np.array(y0, dtype=float)
     violation = check_feasible(structure, demand, FlowLoadPair.from_flows(structure, y))
     if violation > 1e-9 * max(1.0, demand.total):
         raise FeasibilityError(f"starting flows are infeasible (violation {violation:.3e})")
-    return y
+    return costs, batch, y
 
 
 def solve_wardrop(structure: Structure, demand: DemandVector, *, costs=None,
-                  target_eps: float = 1e-8, max_iters: int = 1000,
-                  line_search: bool = True, y0=None,
+                  target_eps: float = 1e-8, max_iters: int = 1000, y0=None,
                   usage_tol: float = USAGE_TOL) -> WardropSolution:
-    """Find an approximate Wardrop equilibrium by Frank-Wolfe on the potential.
+    """Find an approximate Wardrop equilibrium by path equilibration on the potential.
 
     Stops once the certified additive gap drops to ``target_eps``; if the
-    iteration budget runs out first, the best iterate found is returned with
-    ``converged`` set to False.  With ``line_search`` off, the classic
-    2/(k+2) step size is used.  Every iteration evaluates the costs as whole
-    load vectors (``CostBatch``); the returned epsilon and potential are
-    recomputed through each resource's own cost methods.
+    sweep budget runs out first, the best iterate found is returned with
+    ``converged`` set to False.  The sweeps evaluate the costs through
+    ``CostBatch``; the returned epsilon and potential are recomputed through
+    each resource's own cost methods.
     """
     if target_eps <= 0:
         raise DomainError("target_eps must be positive")
-    costs = _continuous_costs(structure, costs, "nonatomic solver")
-    batch = CostBatch(costs)
-    run = _frank_wolfe(structure, demand, _start_flows(structure, demand, batch, y0),
-                       batch.values,
-                       lambda y, strat, _d, _dx: _epsilon_from_costs(structure, demand, y,
-                                                                     strat, usage_tol),
-                       target_eps, max_iters, line_search)
+    costs, batch, y = _setup(structure, demand, costs, y0, "nonatomic solver")
+    run = _path_equilibration(
+        structure, demand, y, batch.values,
+        lambda y, strat, _d, _dx: _epsilon_from_costs(structure, demand, y, strat, usage_tol),
+        target_eps, max_iters)
     pair = FlowLoadPair.from_flows(structure, run.best)
     eps = wardrop_epsilon(structure, demand, pair, costs, usage_tol)
     return WardropSolution(pair=pair, epsilon=eps, iterations=run.iterations,
@@ -294,16 +294,15 @@ def solve_social_optimum(structure: Structure, demand: DemandVector, *, costs=No
                          y0=None) -> SocialOptimum:
     """Minimize the social cost over feasible flows with a certified duality gap.
 
-    Requires x*c(x) convex on the demand range for every resource; Frank-Wolfe
-    with exact line search on the marginal costs then certifies optimality via
-    the linearization gap.  The last iterate is returned.
+    Requires x*c(x) convex on the demand range for every resource; path
+    equilibration on the marginal costs then certifies optimality via the
+    linearization gap.  The last iterate is returned.
     """
-    costs = _continuous_costs(structure, costs, "social optimum solver")
+    costs, batch, y = _setup(structure, demand, costs, y0, "social optimum solver")
     _assert_sc_convex(costs, demand.total)
-    batch = CostBatch(costs)
-    run = _frank_wolfe(structure, demand, _start_flows(structure, demand, batch, y0),
-                       batch.marginals, lambda _y, _strat, marg, dx: float(-(marg @ dx)),
-                       target_gap, max_iters, True)
+    run = _path_equilibration(structure, demand, y, batch.marginals,
+                              lambda _y, _strat, marg, dx: float(-(marg @ dx)),
+                              target_gap, max_iters)
     pair = FlowLoadPair.from_flows(structure, run.last)
     return SocialOptimum(pair=pair, value=social_cost(structure, pair, costs),
                          gap=max(run.certificate, 0.0), iterations=run.iterations,

@@ -290,3 +290,37 @@ def aux_integral_mp(mean, c, rate=0.0, dps=40):
             total += mpmath.mpf(c(1 + k)) * above  # above = P(X >= k + 1)
             above += masses[k]
         return float(total)
+
+
+def linearization_gap(s, d, pair) -> float:
+    """Linearization gap of ``pair``, clipped at 0, through the scalar ``marginal``
+    methods, with the solvers' all-or-nothing target (ties to the lowest index)."""
+    marg = np.array([c.marginal(float(load)) for c, load in zip(s.cost_fns, pair.x)])
+    strat = s.incidence @ marg
+    target = np.zeros(s.n_flows)
+    for t, sl in enumerate(s.type_slices):
+        target[sl.start + int(np.argmin(strat[sl]))] = d[t]
+    return max(float(-(marg @ ((target - pair.y) @ s.incidence))), 0.0)
+
+
+def bisection_minimizer(costs, x, dx, width: float = 1e-15) -> float:
+    """Minimiser on [0, 1] of the summed cost integrals along ``x + gamma dx``.
+
+    Bisects on the sign of the derivative, summed exactly (``math.fsum``)
+    from the costs' scalar ``value`` methods.
+    """
+    def slope(gamma):
+        return math.fsum(float(c.value(xe + gamma * de)) * de for c, xe, de in zip(costs, x, dx))
+
+    if slope(0.0) >= 0.0:
+        return 0.0
+    if slope(1.0) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

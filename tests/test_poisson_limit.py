@@ -329,6 +329,25 @@ class TestRateBounds:
         with pytest.raises(ConfigError):
             rate_bounds(c, "weighted", 0.1)
 
+    def test_weighted_bound_needs_a_raw_slope_bound(self):
+        # c(x) = x^3 has c'(0) = 0: no positive raw slope bound exists, and the
+        # first-difference beta (c(2) - c(1)) e^-alpha bounds only the
+        # auxiliary costs' slopes, so the weighted bound has no certificate
+        cube = PolynomialCost((0.0, 0.0, 0.0, 1.0))
+        s = Structure(("a", "b"), (cube, cube), ("t",), (((0,), (1,)),))
+        c = regularity_constants(s, 1.5)
+        assert c.beta_source == "first-difference" and c.slope_min == 0.0
+        assert c.weighted_beta is None and c.theta is None and c.xi is None
+        with pytest.raises(ConfigError):
+            rate_bounds(c, "weighted", 0.01)
+        assert rate_bounds(c, "bernoulli", 0.01).point > 0.0  # beta serves the limit model
+        forced = regularity_constants(s, 1.5, beta_override=0.5)
+        assert forced.weighted_beta == 0.5 and rate_bounds(forced, "weighted", 0.01).point > 0
+        # with a positive linear term the smallest raw slope is the weighted beta
+        steep = PolynomialCost((0.0, 1.0, 0.0, 1.0))
+        c = regularity_constants(s.with_costs((steep, steep)), 1.5)
+        assert c.beta_source == "first-difference" and c.weighted_beta == c.slope_min == 1.0
+
     def test_tv_dominance_on_pigou_sequence(self):
         s = pigou_structure()
         d = unit_demand(s)

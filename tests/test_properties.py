@@ -2,7 +2,8 @@
 
 Covers the leave-one-out load laws (deconvolution with its direct-convolution
 fallback), the divide-and-conquer Poisson-binomial pmf, the vectorised
-point-mass merge, the batched cost evaluator of the Frank-Wolfe solvers, the
+point-mass merge, the batched cost evaluator of the nonatomic solvers (whole
+load vectors and row subsets, with slopes), their Newton line search, the
 vector Poisson series behind the auxiliary costs, and the count-space search
 for the pure social optimum.
 """
@@ -12,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -27,12 +29,13 @@ from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf, poisson
 from cglab.errors import DomainError
 from cglab.instances import wheatstone_structure
 from cglab.poisson_limit import AuxCost, build_limit_game
-from cglab.wardrop import solve_social_optimum, solve_wardrop, wardrop_epsilon
+from cglab.wardrop import (_segment_minimizer, solve_social_optimum, solve_wardrop,
+                           wardrop_epsilon)
 
-from oracles import (aux_integral_mp, enumerate_bernoulli_sum, esc_brute_force,
-                     poisson_expect_mp, pure_optimum_by_assignment,
-                     random_homogeneous_game, sequential_bernoulli_sum, sequential_merge,
-                     state_from_counts)
+from oracles import (aux_integral_mp, bisection_minimizer, enumerate_bernoulli_sum,
+                     esc_brute_force, linearization_gap, poisson_expect_mp,
+                     pure_optimum_by_assignment, random_homogeneous_game,
+                     sequential_bernoulli_sum, sequential_merge, state_from_counts)
 
 SPECIAL_P = (0.0, 1e-4, 0.5, 0.9, 1.0)
 
@@ -154,6 +157,38 @@ class TestLeaveOneOut:
                 assert got == pytest.approx(atomic._strategy_cond_cost(fresh, i, k, None)[0],
                                             rel=1e-13, abs=1e-13)
 
+    def test_weighted_column_sums_follow_moves(self):
+        # equal weights: the cached certain-weight sums and fractional counts
+        # of each column are dropped on a move, so a moved cache answers bit
+        # for bit as a fresh one, and both match the enumerated law
+        n, w = 9, 0.3
+        rng = np.random.default_rng(11)
+        s = wheatstone_structure()
+        game = WeightedGame(s, (w,) * n, (0,) * n)
+        rows = s.incidence[s.type_slices[0]]
+        choices = [rows[k] for k in range(3)] + [np.array([0.5, 0.5, 0.0, 0.5, 0.5])]
+        usage = np.array([choices[int(rng.integers(0, 4))] for _ in range(n)])
+        cache = atomic._CondCache(game, usage.copy())
+        for step in range(40):
+            for i in range(n):
+                atomic._strategy_cond_cost(cache, i, int(rng.integers(0, 3)), None)
+            row = choices[int(rng.integers(0, 4))]
+            usage[step % n] = row
+            cache.move(step % n, row)
+        fresh = atomic._CondCache(game, usage.copy())
+        for i in range(n):
+            others = np.delete(usage, i, axis=0)
+            for k in range(3):
+                got = atomic._strategy_cond_cost(cache, i, k, None)[0]
+                assert got == atomic._strategy_cond_cost(fresh, i, k, None)[0]
+                want = 0.0
+                for e in s.strategies[0][k]:
+                    col = others[:, e]
+                    law = enumerate_bernoulli_sum(list(col[col < 1.0]))
+                    loads = w + w * float(np.sum(col >= 1.0)) + w * np.arange(law.size)
+                    want += float(law @ np.asarray(s.cost_fns[e].value(loads), dtype=float))
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+
 
 class TestTreeConvolution:
     @given(st.lists(probabilities, max_size=12))
@@ -216,6 +251,12 @@ smooth_costs = st.one_of(
     st.builds(AffineCost, coefficients, coefficients),
     st.builds(PolynomialCost, st.lists(coefficients, min_size=1, max_size=5).map(tuple)))
 loads = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+row_picks = st.lists(st.integers(0, 11), min_size=1, max_size=12)
+
+
+def _subset(picks, n: int) -> np.ndarray:
+    """Distinct rows below n, in the order first picked."""
+    return np.array(list(dict.fromkeys(i % n for i in picks)))
 
 
 class TestCostBatch:
@@ -233,6 +274,24 @@ class TestCostBatch:
         want_integrals = np.array([float(c.integral(float(v))) for c, v in rows])
         assert np.allclose(batch.integrals(x), want_integrals, rtol=1e-13, atol=0.0)
 
+    @given(st.lists(st.tuples(smooth_costs, loads), min_size=1, max_size=12), row_picks)
+    @example([(AffineCost(2.0, 1.0), 0.0), (PolynomialCost((0.1, 0.7, 0.0, 0.2)), 1.7)], [1])
+    def test_row_subsets_and_slopes_bit_identical(self, rows, picks):
+        costs = [c for c, _ in rows]
+        x = np.array([v for _, v in rows])
+        sub = _subset(picks, len(rows))
+        batch = CostBatch(costs)
+        for method in (batch.values, batch.marginals):
+            full = method(x, slopes=True)
+            assert full.shape == (2, len(rows))
+            assert full[0].tobytes() == method(x).tobytes()
+            assert method(x[sub], sub, slopes=True).tobytes() == full[:, sub].tobytes()
+            assert method(x[sub], sub).tobytes() == full[0, sub].tobytes()
+        want = np.array([float(c.derivative(float(v))) for c, v in rows])
+        assert batch.values(x, slopes=True)[1].tobytes() == want.tobytes()
+        want = [_marginal_slope(c, float(v)) for c, v in rows]
+        assert np.allclose(batch.marginals(x, slopes=True)[1], want, rtol=1e-12, atol=0.0)
+
     def test_aux_rows_match_their_scalar_methods(self):
         costs = [AuxCost(AffineCost(1.0, 0.5)), PolynomialCost((0.2, 1.0)),
                  AuxCost(PolynomialCost((0.0, 0.0, 1.0)), tail_tol=1e-12)]
@@ -242,6 +301,12 @@ class TestCostBatch:
                             ("integral", batch.integrals(x))):
             want = [float(getattr(c, method)(float(v))) for c, v in zip(costs, x)]
             assert np.allclose(got, want, rtol=1e-13, atol=1e-10), method
+
+
+def _marginal_slope(cost, x: float) -> float:
+    """Second derivative of x c(x), from the coefficients by ``numpy.polynomial``."""
+    coeffs = ((cost.intercept, cost.slope) if isinstance(cost, AffineCost) else cost.coeffs)
+    return float(P.polyval(x, P.polyder((0.0,) + tuple(coeffs), 2)))
 
 
 def _table_base(seed: int, rate: float) -> TableCost:
@@ -308,6 +373,99 @@ class TestPoissonSeries:
         assert _close_to_oracle(aux.integral(x), want)
 
 
+def _close_to(got, want, tol: float, size) -> bool:
+    """Within two certified tails of ``tol`` each, plus rounding relative to ``size``."""
+    return bool(np.all(np.abs(np.asarray(got) - np.asarray(want))
+                       <= 2 * tol + ROUNDING * np.asarray(size)))
+
+
+class TestAuxCostBatch:
+    @given(st.lists(st.tuples(st.sampled_from(range(len(BASES))), st.floats(0.0, 40.0),
+                              st.booleans()), min_size=1, max_size=6), row_picks)
+    @example([(2, 3.0, True), (1, 0.0, False), (3, 40.0, True)], [2, 0])
+    def test_row_subsets_and_slopes_match_scalar_methods(self, rows, picks):
+        # table bases have no continuous evaluation, so their rows are always auxiliary
+        costs = [AuxCost(BASES[b], tail_tol=TAIL_TOL) if aux or b >= 2 else BASES[b]
+                 for b, _, aux in rows]
+        x = np.array([v for _, v, _ in rows])
+        sub = _subset(picks, len(rows))
+        is_aux = np.array([isinstance(c, AuxCost) for c in costs])
+        batch = CostBatch(costs)
+        value, slope = batch.values(x, slopes=True)
+        marginal, marginal_slope = batch.marginals(x, slopes=True)
+        for full, got in ((np.stack((value, slope)), batch.values(x[sub], sub, slopes=True)),
+                          (np.stack((marginal, marginal_slope)),
+                           batch.marginals(x[sub], sub, slopes=True))):
+            poly = ~is_aux[sub]
+            assert got[:, poly].tobytes() == full[:, sub][:, poly].tobytes()
+            assert _close_to(got, full[:, sub], TAIL_TOL * (2.0 + x[sub]), np.abs(full[:, sub]))
+        for e in np.flatnonzero(is_aux):
+            c, v = costs[e], float(x[e])
+            d1, d2 = c.derivative(v), c.derivative(v, 2)
+            assert _close_to(value[e], c.value(v), TAIL_TOL, abs(value[e]))
+            assert _close_to(slope[e], d1, TAIL_TOL, abs(d1))
+            assert _close_to(marginal[e], c.marginal(v), TAIL_TOL * (1.0 + v), abs(marginal[e]))
+            assert _close_to(marginal_slope[e], 2.0 * d1 + v * d2, TAIL_TOL * (2.0 + v),
+                             2.0 * abs(d1) + v * abs(d2))
+
+
+steep_costs = st.one_of(
+    st.builds(AffineCost, st.floats(0.1, 3.0), coefficients),
+    st.builds(lambda c0, c1, rest: PolynomialCost((c0, c1) + tuple(rest)),
+              coefficients, st.floats(0.1, 3.0), st.lists(coefficients, max_size=3)))
+STEEP_BASES = (AffineCost(1.0, 0.5), PolynomialCost((0.3, 1.0, 0.0, 0.2)))
+
+
+def _segment(rows, flow: float):
+    """A path shift: ``flow`` leaves the resources of one strategy for the other's.
+
+    Each row is (cost, joins, other load): whether the moving flow joins the
+    resource or leaves it, and the load the resource carries besides.
+    """
+    costs = [c for c, _, _ in rows]
+    x = np.array([other + (0.0 if joins else flow) for _, joins, other in rows])
+    dx = np.array([flow if joins else -flow for _, joins, _ in rows])
+    return costs, x, dx
+
+
+def _newton_minimizer(costs, x, dx) -> float:
+    batch = CostBatch(costs)
+    rows = np.arange(len(costs))
+
+    def slope(gamma):
+        dens, ddens = batch.values(np.maximum(x + gamma * dx, 0.0), rows, slopes=True)
+        return float(dens @ dx), float(ddens @ (dx * dx))
+
+    d0, dd0 = batch.values(x, slopes=True)
+    return _segment_minimizer(slope, float(d0 @ dx), float(dd0 @ (dx * dx)))
+
+
+class TestSegmentMinimizer:
+    @given(st.lists(st.tuples(steep_costs, st.booleans(), st.floats(0.0, 3.0)),
+                    min_size=1, max_size=6), st.floats(0.01, 3.0))
+    @example([(AffineCost(1.0), True, 0.5), (AffineCost(1.0), False, 2.0)], 1.0)  # gamma 0
+    @example([(AffineCost(1.0, 0.1), False, 0.0), (AffineCost(0.5), True, 0.0)], 1.0)  # 1
+    @example([(AffineCost(1.0), False, 0.0), (AffineCost(1.0), True, 0.0)], 1.0)  # 1/2
+    def test_polynomial_segments_match_bisection(self, rows, flow):
+        costs, x, dx = _segment(rows, flow)
+        want = bisection_minimizer(costs, x, dx)
+        got = _newton_minimizer(costs, x, dx)
+        assert got == want if want in (0.0, 1.0) else abs(got - want) <= 1e-9
+
+    @given(st.lists(st.tuples(st.sampled_from(range(len(STEEP_BASES))), st.booleans(),
+                              st.floats(0.0, 3.0)), min_size=1, max_size=4),
+           st.floats(0.01, 3.0))
+    @example([(0, True, 1.0), (1, False, 0.0)], 0.5)  # gamma 0
+    @example([(0, False, 0.0), (0, True, 0.0)], 2.0)  # interior
+    @example([(1, False, 2.0), (0, True, 0.0)], 0.5)  # gamma 1
+    def test_aux_segments_match_bisection(self, rows, flow):
+        costs, x, dx = _segment([(AuxCost(STEEP_BASES[b], tail_tol=1e-12), joins, other)
+                                 for b, joins, other in rows], flow)
+        want = bisection_minimizer(costs, x, dx)
+        got = _newton_minimizer(costs, x, dx)
+        assert got == want if want in (0.0, 1.0) else abs(got - want) <= 1e-8
+
+
 def _random_game(seed: int, n_resources: int, n_types: int, limit: bool):
     rng = np.random.default_rng(seed)
     costs = tuple(PolynomialCost((rng.uniform(0.0, 1.0), rng.uniform(0.1, 1.0), 0.0,
@@ -323,17 +481,6 @@ def _random_game(seed: int, n_resources: int, n_types: int, limit: bool):
                   tuple(f"t{t}" for t in range(n_types)), tuple(strategies))
     d = DemandVector(rng.uniform(0.2, 2.0, n_types))
     return (build_limit_game(s, d).structure if limit else s), d
-
-
-def _linearization_gap(s, d, pair) -> float:
-    """Frank-Wolfe gap of ``pair``, clipped at 0, through the scalar ``marginal``
-    methods, with the solver's all-or-nothing target (ties to the lowest index)."""
-    marg = np.array([c.marginal(float(load)) for c, load in zip(s.cost_fns, pair.x)])
-    strat = s.incidence @ marg
-    target = np.zeros(s.n_flows)
-    for t, sl in enumerate(s.type_slices):
-        target[sl.start + int(np.argmin(strat[sl]))] = d[t]
-    return max(float(-(marg @ ((target - pair.y) @ s.incidence))), 0.0)
 
 
 class TestSolverCertificate:
@@ -354,12 +501,12 @@ class TestSolverCertificate:
         opt = solve_social_optimum(s, d, target_gap=target, max_iters=iters)
         assert opt.converged == (opt.gap <= target)
         if opt.stop_reason != "budget":
-            assert opt.gap == _linearization_gap(s, d, opt.pair)
+            assert opt.gap == linearization_gap(s, d, opt.pair)
         elif iters == 0:
             assert opt.gap == math.inf
         else:
             before = solve_social_optimum(s, d, target_gap=target, max_iters=iters - 1)
-            assert opt.gap == _linearization_gap(s, d, before.pair)
+            assert opt.gap == linearization_gap(s, d, before.pair)
 
 
 class TestCountSpaceOptimum:

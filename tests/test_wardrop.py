@@ -1,14 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cglab
 from cglab.core import (AffineCost, DemandVector, FlowLoadPair, Structure,
                         TableCost)
 from cglab.errors import DomainError, FeasibilityError, PrecisionError
-from cglab.instances import (parallel_structure, pigou_structure, unit_demand,
-                             wheatstone_structure)
+from cglab.instances import (parallel_structure, pigou_structure, random_instance,
+                             unit_demand, wheatstone_structure)
+from cglab.poisson_limit import AuxCost, build_limit_game
 from cglab.wardrop import (approx_we_distance_bound, demand_perturbation_bound,
                            poa_nonatomic, solution_to_json, solve_social_optimum,
                            solve_wardrop, strategy_cost_cap, wardrop_epsilon)
+
+from oracles import linearization_gap
 
 
 def pigou_limit_structure():
@@ -40,13 +49,13 @@ class TestSolveWardrop:
         sol = solve_wardrop(s, unit_demand(s), target_eps=1e-10)
         assert np.allclose(sol.pair.x, [1.0, 0.0], atol=1e-9)
 
-    def test_plain_steps_reach_moderate_accuracy(self):
-        # the 2/(k+2) schedule closes the gap at rate O(1/k)
+    def test_one_sweep_splits_identical_links(self):
+        # from all flow on one link, the exact line search of the first sweep
+        # lands on the even split; the second sweep only scores it
         s = parallel_structure()
-        sol = solve_wardrop(s, unit_demand(s), target_eps=1e-3,
-                            line_search=False, max_iters=10_000)
-        assert sol.converged
-        assert sol.epsilon <= 1e-3
+        sol = solve_wardrop(s, unit_demand(s), target_eps=1e-15, max_iters=2)
+        assert sol.converged and sol.iterations == 1
+        assert sol.pair.x.tolist() == [0.5, 0.5]
 
     def test_iteration_budget_flags_nonconvergence(self):
         s = two_edge(AffineCost(1.0, 1.0), AffineCost(1.0, 0.0))
@@ -94,6 +103,19 @@ class TestSolveWardrop:
         a = solve_wardrop(s, d, target_eps=target, y0=np.array([1.0, 0.0]))
         b = solve_wardrop(s, d, target_eps=target, y0=np.array([0.0, 1.0]))
         assert np.abs(a.pair.x - b.pair.x).max() <= 10 * target / beta
+
+    def test_drained_strategies_leave_no_negative_load(self):
+        # one sweep drains both types off the shared resource e; its load
+        # 0.7 + 0.1 - 0.7 - 0.1 rounds below 0, which an auxiliary cost rejects
+        costs = tuple(AuxCost(base) for base in (AffineCost(0.0, 100.0), AffineCost(1.0),
+                                                 AffineCost(1.0), AffineCost(1.0),
+                                                 AffineCost(1.0)))
+        s = Structure(("e", "a1", "a2", "b1", "b2"), costs, ("A", "B"),
+                      (((0, 1), (2,)), ((0, 3), (4,))))
+        sol = solve_wardrop(s, DemandVector(np.array([0.7, 0.1])),
+                            y0=np.array([0.7, 0.0, 0.1, 0.0]))
+        assert sol.converged and sol.iterations == 1
+        assert sol.pair.y.tolist() == [0.0, 0.7, 0.0, 0.1]
 
 
 class TestMultipleTypes:
@@ -184,9 +206,9 @@ class TestSocialOptimum:
 
 class TestStopReason:
     def skewed_pair(self):
-        # equilibrium and optimum sit at irrational-looking splits, so neither
-        # gap ever reaches 0 in floating point
-        return two_edge(AffineCost(1.0, 0.1), AffineCost(3.0, 0.0))
+        # equilibrium and optimum sit at splits with no binary expansion (49/60
+        # and 0.825), and along the sweeps neither gap reaches 0 in floating point
+        return two_edge(AffineCost(1.0, 0.1), AffineCost(5.0, 0.0))
 
     def test_converged(self):
         s = wheatstone_structure()
@@ -216,7 +238,36 @@ class TestStopReason:
         assert sol.iterations < 1000 and opt.iterations < 1000
         assert not (sol.converged or opt.converged)
         assert sol.epsilon <= 1e-15
-        assert np.allclose(sol.pair.x, [0.725, 0.275], atol=1e-12)
+        assert np.allclose(sol.pair.x, [49 / 60, 11 / 60], atol=1e-12)
+
+
+class TestRandomInstances:
+    @pytest.mark.parametrize("seed", (1, 10))
+    def test_w3_converges_raw_and_in_the_limit(self, seed):
+        # 60 resources, 4 types of 40 strategies: library defaults for the raw
+        # game, 200 sweeps for its Poisson limit
+        s, d = random_instance(np.random.default_rng(seed), 60, 4, 40)
+        limit = build_limit_game(s, d).structure
+        eq = solve_wardrop(s, d)
+        opt = solve_social_optimum(s, d)
+        limit_eq = solve_wardrop(limit, d, max_iters=200)
+        assert eq.converged and opt.converged and limit_eq.converged
+        assert eq.stop_reason == opt.stop_reason == limit_eq.stop_reason == "converged"
+        assert eq.epsilon == wardrop_epsilon(s, d, eq.pair) <= 1e-8
+        assert limit_eq.epsilon == wardrop_epsilon(limit, d, limit_eq.pair) <= 1e-8
+        assert opt.gap == linearization_gap(s, d, opt.pair) <= 1e-9
+        for sol in (eq, limit_eq):
+            assert len(sol.potential_history) == sol.iterations + 1
+            assert np.all(np.diff(sol.potential_history) <= 1e-12)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the line search is the package's own: importing cglab loads no root finder
+    env = dict(os.environ, PYTHONPATH=str(Path(cglab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, cglab; print('scipy.optimize' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestPoaNonatomic:
@@ -255,14 +306,15 @@ class TestSensitivityBounds:
             demand_perturbation_bound(1.0, -1.0, 0.1)
 
     def test_approximate_solutions_stay_close(self):
-        # plain 2/(k+2) steps give genuinely approximate equilibria; the
-        # distance to the known split must respect sqrt(eps * alpha / beta)
+        # a start off the even split is a genuinely approximate equilibrium,
+        # returned unmoved under a loose target; its distance to the known
+        # split must respect sqrt(eps * alpha / beta)
         s = two_edge(AffineCost(1.0, 0.0), AffineCost(1.0, 0.0))
         d = unit_demand(s)
         exact = np.array([0.5, 0.5])
-        for target in (1e-2, 1e-3, 1e-4):
-            sol = solve_wardrop(s, d, target_eps=target, line_search=False,
-                                max_iters=60_000, y0=np.array([1.0, 0.0]))
+        for offset in (0.3, 1e-2, 1e-4):
+            sol = solve_wardrop(s, d, target_eps=1.0, y0=np.array([0.5 + offset, 0.5 - offset]))
+            assert sol.iterations == 0 and sol.epsilon == wardrop_epsilon(s, d, sol.pair) > 0
             bound = approx_we_distance_bound(sol.epsilon, 1.0, 1.0)
             assert np.linalg.norm(sol.pair.x - exact) <= bound + 1e-12
 
