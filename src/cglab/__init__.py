@@ -6,9 +6,8 @@ and checks the quantitative convergence bounds connecting them.
 """
 
 from .atomic import (BernoulliGame, CostEstimate, MixedProfile, MonteCarlo,
-                     WeightedGame, best_response_dynamics,
-                     conditional_cost_estimate, conditional_expected_cost, esc,
-                     load_distribution, opt_and_poa, resource_choice_prob,
+                     WeightedGame, best_response_dynamics, conditional_cost_estimate,
+                     esc, load_distribution, opt_and_poa, resource_choice_prob,
                      symmetric_mixed_equilibrium, verify_equilibrium)
 from .core import (AffineCost, DemandVector, FlowLoadPair, GrowthEnvelope,
                    PolynomialCost, Structure, TableCost, check_feasible,
@@ -19,8 +18,7 @@ from .discrete_dist import (Pmf, ValueDist, barbour_hall_bound, bernoulli_sum_pm
                             tv_distance, tv_poisson_bound, weighted_sum_distribution)
 from .harness import (ConvergenceReport, SequenceSpec, opt_convergence,
                       reproduce_example, run_convergence)
-from .poisson_limit import (AuxCost, BoundConstants, aux_cost_derivative,
-                            aux_cost_eval, build_limit_game, lambda_bound,
+from .poisson_limit import (AuxCost, BoundConstants, build_limit_game, lambda_bound,
                             poa_polynomial_bound, rate_bounds, regularity_constants)
 from .population import (PopulationModel, TypeProfile, flow_profile_probability,
                          posterior, posterior_count_pmf,

@@ -12,6 +12,9 @@ The Poisson-binomial law of a resource's load is built once per distinct
 column of usage indicators; each player's conditional cost needs the law
 without that player, which is deconvolved out of the full law in O(n)
 (``remove_bernoulli``) instead of convolved afresh from the other n-1 terms.
+Every other law of a load comes from ``_PureEscEvaluator``: the whole load
+for ``esc`` and ``load_distribution``, and the other players' load when their
+random weights differ.
 
 The exact social optimum is searched over pure profiles.  When the players of
 each type share one magnitude, a profile is a vector of per-type strategy
@@ -19,8 +22,8 @@ counts, and a resource's value depends only on how many players of each type
 use it.  The search therefore holds every count vector as one row of an
 integer array, gets each resource's per-type counts by one matrix product,
 builds one value table per resource, and scores each row as the ``fsum`` of
-its table entries; ``esc`` scores a pure profile from the same per-resource
-values, so the two agree bit for bit.
+its table entries; ``esc`` scores every profile as the ``fsum`` of the same
+per-resource values, so on pure profiles the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import DemandVector, Structure, _readonly, parse_instance
-from .discrete_dist import (ValueDist, bernoulli_sum_pmf, remove_bernoulli,
-                            weighted_sum_distribution)
-from .errors import (CapacityError, ConfigError, ConvergenceError, DomainError,
+from .discrete_dist import (EXACT_TERMS, Pmf, ValueDist, bernoulli_sum_pmf,
+                            remove_bernoulli, weighted_sum_distribution)
+from .errors import (ConfigError, ConvergenceError, DomainError,
                      PrecisionError, StructureError)
 
 USAGE_TOL = 1e-10
@@ -280,7 +283,8 @@ class _CondCache:
     dynamics does, and forgets the laws (and column sums) of the resources
     whose columns it changes, dropping each law no resource uses any more, so
     at most one law per resource is kept.  ``equal_mags`` records whether
-    every player has the same magnitude.
+    every player has the same magnitude; ``loads`` builds the other players'
+    load when their random weights differ.
     """
 
     def __init__(self, game: Game, usage: np.ndarray):
@@ -293,6 +297,7 @@ class _CondCache:
         self.laws: dict[bytes, _LoadLaw] = {}
         self.values: dict[tuple, tuple[float, float]] = {}
         self.cost_grids: dict[tuple[int, int], np.ndarray] = {}
+        self.loads = _PureEscEvaluator(game)
 
     def law(self, e: int) -> _LoadLaw:
         law = self.edge_laws[e]
@@ -365,38 +370,24 @@ def _edge_cost_weighted(cache: _CondCache, i: int, e: int,
         if n_frac == (0.0 < u < 1.0):  # no other player is uncertain
             return float(cost.value(base)), 0.0
         return _edge_cost_equal_weights(cache, e, base, float(cache.mags[0]), u)
-    w = cache.mags
-    p = cache.usage[:, e].copy()
-    p[i] = 0.0
-    base = float(game.weights[i]) + float(w[p >= 1.0].sum())
-    frac = p * (p < 1.0)
-    sel = frac > 0.0
-    wf, pf = w[sel], frac[sel]
+    others = cache.usage[:, e].copy()
+    others[i] = 0.0
+    certain, wf, pf = _split_column(cache.mags, others)
+    base = float(game.weights[i]) + certain
     if wf.size == 0:
         return float(cost.value(base)), 0.0
     if np.unique(wf).size == 1:
         return _edge_cost_equal_weights(cache, e, base, float(wf[0]), u)
     key = ("w", e, base, tuple(sorted(zip(wf, pf))))
     hit = cache.values.get(key)
-    if hit is not None:
-        return hit
-    if wf.size <= 20:
-        dist = weighted_sum_distribution(wf, pf)
-        out = (float(dist.masses @ np.asarray(cost.value(base + dist.values),
-                                              dtype=float)), 0.0)
-    else:
-        if mc is None:
-            raise ConfigError(
-                "more than 20 unequal-weight random terms: supply MonteCarlo settings")
-        dist = weighted_sum_distribution(wf, pf, mode="monte_carlo", seed=mc.seed,
-                                         samples=mc.samples,
-                                         stream=i * game.structure.n_resources + e + 1)
+    if hit is None:
+        dist = cache.loads.random_load(wf, pf, mc, stream=i * game.structure.n_resources + e + 1)
         cvals = np.asarray(cost.value(base + dist.values), dtype=float)
         mean = float(dist.masses @ cvals)
-        var = float(dist.masses @ (cvals - mean) ** 2)
-        out = (mean, math.sqrt(max(var, 0.0) / mc.samples))
-    cache.values[key] = out
-    return out
+        sampled = wf.size > EXACT_TERMS
+        var = float(dist.masses @ (cvals - mean) ** 2) / mc.samples if sampled else 0.0
+        hit = cache.values[key] = (mean, math.sqrt(max(var, 0.0)))
+    return hit
 
 
 def _edge_cost_equal_weights(cache: _CondCache, e: int, base: float, weight: float,
@@ -431,21 +422,16 @@ class CostEstimate(NamedTuple):
     stderr: float  # zero whenever every edge took an exact branch
 
 
-def conditional_expected_cost(game: Game, profile: MixedProfile, i: int, s: int,
-                              *, mc: MonteCarlo | None = None) -> float:
-    """Expected cost of strategy s for player i, conditional on i playing it.
+def conditional_cost_estimate(game: Game, profile: MixedProfile, i: int, s: int,
+                              *, mc: MonteCarlo | None = None) -> CostEstimate:
+    """Expected cost of strategy s for player i, conditional on i playing it,
+    with its sampling standard error (zero when exact).
 
     Bernoulli games are always exact (Poisson-binomial over the other players'
     active-and-using probabilities).  Weighted games are exact whenever the
     random terms share one weight or number at most twenty; otherwise seeded
     Monte Carlo settings are required.
     """
-    return conditional_cost_estimate(game, profile, i, s, mc=mc).value
-
-
-def conditional_cost_estimate(game: Game, profile: MixedProfile, i: int, s: int,
-                              *, mc: MonteCarlo | None = None) -> CostEstimate:
-    """Conditional cost with its sampling standard error (zero when exact)."""
     _check_profile(game, profile)
     t = game.player_types[i]
     if not 0 <= s < len(game.structure.strategies[t]):
@@ -660,30 +646,16 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = 1e-9, damping: float = 
 
 
 def esc(game: Game, profile: MixedProfile, *, mc: MonteCarlo | None = None) -> float:
-    """Expected social cost, decomposed through per-player conditional costs.
+    """Expected social cost: the fsum over resources of E[L_e c_e(L_e)].
 
-    Exact whenever the conditional costs are exact (always, for Bernoulli).
-    Pure profiles take the direct per-resource route, which the optimum
-    search shares, so equal assignments produce bitwise-equal values.
+    Exact unless a resource has more than twenty unequal-weight random users,
+    which need ``mc``.  The optimum search sums the same per-resource values,
+    so equal pure assignments give bitwise-equal costs.
     """
-    _check_profile(game, profile)
-    pure = [int(np.argmax(p)) for p in profile.probs]
-    if all(float(p[s]) == 1.0 for p, s in zip(profile.probs, pure)):
-        return _PureEscEvaluator(game).from_assignment(pure)
     usage = choice_probabilities(game, profile)
-    cache = _CondCache(game, usage)
-    mags = game.magnitudes
-    total = 0.0
-    for i in range(game.n_players):
-        for e in range(game.structure.n_resources):
-            if usage[i, e] <= 0.0:
-                continue
-            if game.kind == "bernoulli":
-                val = _edge_cost_bernoulli(cache, i, e)
-            else:
-                val = _edge_cost_weighted(cache, i, e, mc)[0]
-            total += mags[i] * usage[i, e] * val
-    return float(total)
+    evaluator = _PureEscEvaluator(game)
+    return math.fsum(evaluator.edge_value(e, game.magnitudes, usage[:, e], mc)
+                     for e in range(game.structure.n_resources))
 
 
 def expected_loads(game: Game, profile: MixedProfile) -> np.ndarray:
@@ -694,33 +666,18 @@ def expected_loads(game: Game, profile: MixedProfile) -> np.ndarray:
 
 def load_distribution(game: Game, profile: MixedProfile, e: int,
                       *, mc: MonteCarlo | None = None):
-    """Exact distribution of the random load on resource e.
+    """Distribution of the random load on resource e, the law ``esc`` reads.
 
     Bernoulli games yield a pmf on the integers; weighted games yield a
-    value distribution (scaled counts when all weights agree).
+    value distribution (shifted, scaled counts when the random weights agree).
     """
-    _check_profile(game, profile)
     if not 0 <= e < game.structure.n_resources:
         raise StructureError(f"no resource with index {e}")
-    usage = choice_probabilities(game, profile)
+    usage = choice_probabilities(game, profile)[:, e]
+    evaluator = _PureEscEvaluator(game)
     if game.kind == "bernoulli":
-        p = np.asarray(game.probs) * usage[:, e]
-        return bernoulli_sum_pmf(p[p > 0.0])
-    w = np.asarray(game.weights)
-    p = usage[:, e]
-    sel = p > 0.0
-    wf, pf = w[sel], p[sel]
-    if np.unique(wf).size <= 1:
-        pmf = bernoulli_sum_pmf(pf)
-        scale = float(wf[0]) if wf.size else 1.0
-        return ValueDist.from_pmf(pmf, scale=scale)
-    if wf.size <= 20:
-        return weighted_sum_distribution(wf, pf)
-    if mc is None:
-        raise CapacityError(
-            "more than 20 unequal weights: supply MonteCarlo settings for sampling")
-    return weighted_sum_distribution(wf, pf, mode="monte_carlo", seed=mc.seed,
-                                     samples=mc.samples, stream=e + 1)
+        return Pmf(evaluator.count_law(game.magnitudes, usage)[1])
+    return evaluator.weighted_law(game.magnitudes, usage, mc, stream=e + 1)
 
 
 def strategy_flow_covariance(game: Game, profile: MixedProfile, t: int,
@@ -762,43 +719,88 @@ def _compositions(n: int, k: int) -> np.ndarray:
     return np.diff(np.hstack([-np.ones_like(ends), bars, ends]), axis=1) - 1
 
 
-class _PureEscEvaluator:
-    """Exact expected social cost of pure profiles, one resource at a time.
+def _split_column(mags: Sequence[float],
+                  usage: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The certain users' fsum, and the uncertain users' magnitudes and usage."""
+    w = np.asarray(mags, dtype=float)
+    rand = (usage > 0.0) & (usage < 1.0)
+    return math.fsum(w[usage >= 1.0].tolist()), w[rand], usage[rand]
 
-    A resource's value is its expected load times cost: fsum(w) c(fsum(w))
-    for the weights w on it, or E[K c(K)] for the Poisson-binomial count K of
-    the participation probabilities on it (0.0 when nobody uses it).
-    Bernoulli values are memoized per (resource, sorted probabilities) and
-    their pmfs per sorted probabilities alone, so resources with the same
-    users share one pmf.  A profile's cost is the fsum of its resources'
-    values, which does not depend on edge order, so every route that sums the
-    same values (``from_assignment``, the count-space optimum search) agrees
-    bit for bit.
+
+class _PureEscEvaluator:
+    """The law of a resource's load, and its expected social cost E[L c(L)].
+
+    A resource's users come as magnitudes with usage probabilities (None: all
+    certain, as in a pure profile).  A Bernoulli load is the Poisson-binomial
+    count of magnitude times usage.  A weighted load is the fsum of the
+    certain weights plus the random rest: a scaled Poisson-binomial count when
+    its weights agree, else enumerated (up to twenty terms) or sampled.  Pmfs
+    are memoized per sorted probabilities, so resources with the same users
+    share one, and Bernoulli values per (resource, sorted probabilities).  A
+    profile's cost is the fsum of its resources' values, which does not depend
+    on edge order, so every route that sums the same values (``esc``,
+    ``from_assignment``, the count-space optimum search) agrees bit for bit.
     """
 
     def __init__(self, game: Game):
         self.game = game
-        self._pmfs: dict[tuple[float, ...], np.ndarray] = {}
+        self._pmfs: dict[tuple[float, ...], np.ndarray] = {(): np.ones(1)}  # nobody: 0
         self._values: dict[tuple, float] = {}
 
-    def edge_value(self, e: int, mags: Sequence[float]) -> float:
-        """Value of resource e when players of these magnitudes use it."""
+    def count_law(self, mags: Sequence[float],
+                  usage: np.ndarray | None = None) -> tuple[tuple[float, ...], np.ndarray]:
+        """Sorted Bernoulli terms of a count, and the count's pmf."""
+        if usage is not None:
+            p = np.asarray(mags, dtype=float) * usage
+            mags = p[p > 0.0].tolist()
+        key = tuple(sorted(mags))
+        pmf = self._pmfs.get(key)
+        if pmf is None:
+            pmf = self._pmfs[key] = bernoulli_sum_pmf(key).probs
+        return key, pmf
+
+    def random_load(self, weights: np.ndarray, probs: np.ndarray, mc: MonteCarlo | None,
+                    stream: int) -> ValueDist:
+        """Law of sum_j weights_j Bernoulli(probs_j), sampled past EXACT_TERMS unequal terms."""
+        if np.all(weights == weights[0]):
+            pmf = Pmf(self.count_law(probs.tolist())[1])
+            return ValueDist.from_pmf(pmf, scale=float(weights[0]))
+        if weights.size <= EXACT_TERMS:
+            return weighted_sum_distribution(weights, probs)
+        if mc is None:
+            raise ConfigError(f"more than {EXACT_TERMS} unequal-weight random terms: "
+                              "supply MonteCarlo settings")
+        return weighted_sum_distribution(weights, probs, mode="monte_carlo", seed=mc.seed,
+                                         samples=mc.samples, stream=stream)
+
+    def weighted_law(self, mags: Sequence[float], usage: np.ndarray, mc: MonteCarlo | None,
+                     stream: int) -> ValueDist:
+        """Law of a weighted load: the certain weights' fsum plus the random rest."""
+        base, wf, pf = _split_column(mags, usage)
+        if wf.size == 0:
+            return ValueDist(np.array([base]), np.ones(1))
+        rest = self.random_load(wf, pf, mc, stream)
+        return ValueDist(base + rest.values, rest.masses)
+
+    def edge_value(self, e: int, mags: Sequence[float], usage: np.ndarray | None = None,
+                   mc: MonteCarlo | None = None) -> float:
+        """E[L c_e(L)] for the load L these users put on resource e."""
         cost = self.game.structure.cost_fns[e]
-        if self.game.kind == "weighted":
+        if self.game.kind == "bernoulli":
+            key, pmf = self.count_law(mags, usage)
+            if not key:
+                return 0.0
+            hit = self._values.get((e, key))
+            if hit is None:
+                ks = np.arange(pmf.size)
+                hit = self._values[(e, key)] = float(
+                    pmf @ (ks * np.asarray(cost.value_int(ks), dtype=float)))
+            return hit
+        if usage is None:
             load = math.fsum(mags)
             return load * float(cost.value(load))
-        if not mags:
-            return 0.0
-        key = tuple(sorted(mags))
-        hit = self._values.get((e, key))
-        if hit is None:
-            pmf = self._pmfs.get(key)
-            if pmf is None:
-                pmf = self._pmfs[key] = bernoulli_sum_pmf(key).probs
-            ks = np.arange(pmf.size)
-            hit = self._values[(e, key)] = float(
-                pmf @ (ks * np.asarray(cost.value_int(ks), dtype=float)))
-        return hit
+        law = self.weighted_law(mags, usage, mc, stream=e + 1)
+        return float(law.masses @ (law.values * np.asarray(cost.value(law.values), dtype=float)))
 
     def from_assignment(self, state: Sequence[int]) -> float:
         game = self.game

@@ -21,8 +21,8 @@ from .atomic import (best_response_dynamics, load_game, load_profile,
 from .core import instance_to_json, load_instance
 from .errors import CglabError
 from .harness import SequenceSpec, reproduce_example, run_convergence
-from .poisson_limit import (DEFAULT_ALPHA_HEADROOM, build_limit_game, rate_bounds,
-                            regularity_constants)
+from .poisson_limit import (build_limit_game, rate_bounds, regularity_constants,
+                            resolve_alpha)
 from .wardrop import solution_to_json, solve_wardrop
 
 
@@ -94,7 +94,7 @@ def _cmd_limit(args) -> int:
 
 def _cmd_bounds(args) -> int:
     structure, demand = load_instance(args.instance)
-    alpha = args.alpha if args.alpha else DEFAULT_ALPHA_HEADROOM * demand.total
+    alpha = resolve_alpha(demand, args.alpha)
     constants = regularity_constants(structure, alpha, beta_override=args.beta)
     bounds = rate_bounds(constants, args.model, args.param, args.demand_gap)
     _write_or_print({"model": args.model, "param": args.param,

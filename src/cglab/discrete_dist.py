@@ -25,6 +25,7 @@ _LOG_HUGE = 709.0  # log of the largest tail bound reported as finite; larger on
 _SF_FLOOR = 1e-280  # Poisson tails below this are bounded, not evaluated
 _SERIES_LIMIT = 1_000_000  # largest truncation point of a certified Poisson series
 _BLOCK_ENTRIES = 1 << 18  # Poisson weights formed at once by poisson_expect
+EXACT_TERMS = 20  # most terms weighted_sum_distribution enumerates exactly
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -355,9 +356,9 @@ def weighted_sum_distribution(weights: Sequence[float], probs: Sequence[float],
         raise DomainError("probabilities must lie in [0, 1]")
 
     if mode == "exact":
-        if w.size > 20:
+        if w.size > EXACT_TERMS:
             raise CapacityError(
-                f"exact enumeration limited to 20 terms (got {w.size}); "
+                f"exact enumeration limited to {EXACT_TERMS} terms (got {w.size}); "
                 "use mode='monte_carlo' with an explicit seed")
         vals = np.array([0.0])
         mass = np.array([1.0])

@@ -28,8 +28,8 @@ from .atomic import (BernoulliGame, Game, MixedProfile, WeightedGame,
 from .core import social_cost
 from .discrete_dist import poisson_pmf, tv_distance
 from .errors import ConfigError, DomainError
-from .poisson_limit import (DEFAULT_ALPHA_HEADROOM, build_limit_game, rate_bounds,
-                            regularity_constants)
+from .poisson_limit import (build_limit_game, rate_bounds, regularity_constants,
+                            resolve_alpha)
 from .wardrop import poa_nonatomic, solve_social_optimum, solve_wardrop
 
 REPORT_SCHEMA = 1
@@ -160,7 +160,7 @@ def _limit_environment(spec: SequenceSpec):
     ex = instances.EXAMPLES[spec.example]
     structure = ex.build()
     demand = ex.demand()
-    alpha = spec.alpha if spec.alpha is not None else DEFAULT_ALPHA_HEADROOM * demand.total
+    alpha = resolve_alpha(demand, spec.alpha)
     constants = regularity_constants(structure, alpha, beta_override=spec.beta_override,
                                      tail_tol=min(spec.tail_tol, 1e-12))
     if spec.model == "bernoulli":

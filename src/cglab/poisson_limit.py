@@ -208,16 +208,16 @@ class AuxCost:
         return {"kind": "aux", "base": self.base.to_json(), "tail_tol": self.tail_tol}
 
 
-def aux_cost_eval(aux: AuxCost, x: float) -> float:
-    """Auxiliary cost value with certified error below the configured tail_tol."""
-    return aux.value(x)
-
-
-def aux_cost_derivative(aux: AuxCost, x: float, order: int = 1) -> float:
-    """Derivative of the auxiliary cost via expected forward differences."""
-    if order not in (1, 2):
-        raise DomainError("only first and second derivatives are supported")
-    return aux.derivative(x, order)
+def resolve_alpha(demand: DemandVector, alpha: float | None = None) -> float:
+    """The demand cap: ``alpha``, by default ``DEFAULT_ALPHA_HEADROOM`` times the
+    total demand; a cap that is not finite, not positive or below the total
+    demand raises ``DomainError``."""
+    if alpha is None:
+        alpha = DEFAULT_ALPHA_HEADROOM * max(demand.total, 1e-12)
+    if not (math.isfinite(alpha) and alpha > 0.0 and alpha >= demand.total):
+        raise DomainError(f"alpha {alpha} is not a finite, positive cap on the total "
+                          f"demand {demand.total}")
+    return float(alpha)
 
 
 def build_limit_game(structure: Structure, demand: DemandVector,
@@ -225,15 +225,11 @@ def build_limit_game(structure: Structure, demand: DemandVector,
                      alpha: float | None = None) -> LimitGame:
     """Nonatomic instance whose costs are the Poisson mixtures of the base costs.
 
-    ``alpha`` caps the load range used for validation; it defaults to 1.5
-    times the total demand so the regularity machinery has headroom.
+    ``alpha`` caps the load range used for validation (see ``resolve_alpha``).
     """
-    if alpha is None:
-        alpha = DEFAULT_ALPHA_HEADROOM * max(demand.total, 1e-12)
-    if alpha < demand.total:
-        raise DomainError("alpha must be at least the total demand")
+    alpha = resolve_alpha(demand, alpha)
     aux = tuple(AuxCost(c, tail_tol=tail_tol, domain_cap=alpha) for c in structure.cost_fns)
-    return LimitGame(structure.with_costs(aux), demand, float(alpha))
+    return LimitGame(structure.with_costs(aux), demand, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,35 @@ def esc_brute_force(game, profile):
     return total
 
 
+def load_law_brute_force(game, profile, e):
+    """Law of the load on resource e over the full outcome space, as {load: mass}.
+
+    Loads are rounded to 9 decimals, so sums of the same weights taken in a
+    different order share one key.
+    """
+    s = game.structure
+    n = game.n_players
+    mags = game.magnitudes
+    if game.kind == "bernoulli":
+        actives = list(itertools.product((0, 1), repeat=n))
+        chances = [math.prod(r if a else 1.0 - r for a, r in zip(act, mags)) for act in actives]
+    else:
+        actives, chances = [(1,) * n], [1.0]
+    law = {}
+    for outcome in itertools.product(*[range(len(s.strategies[t]))
+                                       for t in game.player_types]):
+        p_strat = outcome_probability(profile, outcome)
+        on = [e in s.strategies[t][si] for t, si in zip(game.player_types, outcome)]
+        for act, chance in zip(actives, chances):
+            if game.kind == "bernoulli":
+                load = float(sum(o and a for o, a in zip(on, act)))
+            else:
+                load = math.fsum(m for m, o in zip(mags, on) if o)
+            key = round(load, 9)
+            law[key] = law.get(key, 0.0) + p_strat * chance
+    return law
+
+
 def random_small_game(rng, kind, max_players=7):
     """Seeded random congestion game with affine costs plus a mixed profile."""
     n_res = int(rng.integers(2, 4))

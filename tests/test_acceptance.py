@@ -19,7 +19,7 @@ from cglab.instances import (parallel_structure, pigou_structure, unit_demand,
                              wheatstone_bernoulli_poa, wheatstone_structure,
                              wheatstone_symmetric_mix, wheatstone_weighted_poa,
                              wheatstone_weighted_pos)
-from cglab.poisson_limit import AuxCost, aux_cost_derivative, build_limit_game
+from cglab.poisson_limit import AuxCost, build_limit_game
 from cglab.population import (PopulationModel, TypeProfile, posterior,
                               verify_poisson_game_equilibrium)
 from cglab.wardrop import poa_nonatomic, solve_wardrop
@@ -161,12 +161,12 @@ def test_criterion_6_auxiliary_cost_correctness():
             aux = AuxCost(base, tail_tol=tail)
             for x in np.linspace(0.05, 2.0, 40):
                 fd = (aux.value(float(x) + h) - aux.value(float(x) - h)) / (2.0 * h)
-                assert abs(aux_cost_derivative(aux, float(x)) - fd) <= 1e-6
+                assert abs(aux.derivative(float(x)) - fd) <= 1e-6
 
         for base in (AffineCost(1.0), PolynomialCost((0.0, 0.0, 1.0)), table):
             aux = AuxCost(base, tail_tol=tail)
             for x in np.linspace(0.0, 2.0, 25):
-                assert aux_cost_derivative(aux, float(x)) > 0.0
+                assert aux.derivative(float(x)) > 0.0
     _report(6, "auxiliary cost evaluation and slopes", t, 5.0)
 
 

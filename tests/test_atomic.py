@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cglab.atomic import (BernoulliGame, MixedProfile, MonteCarlo, WeightedGame,
-                          best_response_dynamics, conditional_expected_cost, esc,
+                          best_response_dynamics, conditional_cost_estimate, esc,
                           expected_loads, load_distribution, opt_and_poa, parse_game,
                           player_expected_cost, resource_choice_prob,
                           social_optimum_pure, strategy_flow_covariance,
@@ -87,21 +87,21 @@ class TestConditionalExpectedCost:
         n = 10
         game = wheatstone_bernoulli(n)
         prof = MixedProfile.pure(game, [UPPER] * n)
-        got = conditional_expected_cost(game, prof, 0, UPPER)
+        got = conditional_cost_estimate(game, prof, 0, UPPER).value
         assert got == pytest.approx(2.9, abs=1e-12)
 
     def test_single_weighted_player(self):
         s = parallel_structure()
         game = WeightedGame(s, (0.7,), (0,))
         prof = MixedProfile.pure(game, [0])
-        assert conditional_expected_cost(game, prof, 0, 0) == pytest.approx(0.7, abs=0)
-        assert conditional_expected_cost(game, prof, 0, 1) == pytest.approx(0.7, abs=0)
+        assert conditional_cost_estimate(game, prof, 0, 0).value == pytest.approx(0.7, abs=0)
+        assert conditional_cost_estimate(game, prof, 0, 1).value == pytest.approx(0.7, abs=0)
 
     def test_bernoulli_symmetric_mix_value(self):
         for n in (2, 5, 10):
             game = wheatstone_bernoulli(n)
             prof = wheatstone_symmetric_mix(game)
-            got = conditional_expected_cost(game, prof, 0, UPPER)
+            got = conditional_cost_estimate(game, prof, 0, UPPER).value
             assert got == pytest.approx((5 * n - 1) / (2 * n), abs=1e-12)
 
     def test_matches_outcome_enumeration(self):
@@ -116,7 +116,7 @@ class TestConditionalExpectedCost:
                 v[si] = 1.0
                 forced[i] = v
                 forced_prof = MixedProfile(tuple(forced))
-                cond = conditional_expected_cost(game, prof, i, si)
+                cond = conditional_cost_estimate(game, prof, i, si).value
                 # oracle: per-player cost when i deterministically plays si
                 oracle = 0.0
                 s = game.structure
@@ -483,11 +483,9 @@ class TestMonteCarloFallback:
         game = self.big_weighted_game()
         prof = MixedProfile.symmetric(game, [0.5, 0.5])
         with pytest.raises(ConfigError):
-            conditional_expected_cost(game, prof, 0, 0)
+            conditional_cost_estimate(game, prof, 0, 0).value
 
     def test_seeded_sampling_reproducible(self):
-        from cglab.atomic import conditional_cost_estimate
-
         game = self.big_weighted_game()
         prof = MixedProfile.symmetric(game, [0.5, 0.5])
         mc = MonteCarlo(seed=11, samples=50_000)
@@ -500,8 +498,6 @@ class TestMonteCarloFallback:
         assert a.value == pytest.approx(want, abs=4 * a.stderr)
 
     def test_exact_paths_report_zero_stderr(self):
-        from cglab.atomic import conditional_cost_estimate
-
         game = wheatstone_bernoulli(6)
         prof = wheatstone_symmetric_mix(game)
         est = conditional_cost_estimate(game, prof, 0, UPPER)

@@ -96,6 +96,16 @@ def test_bounds_command(pigou_instance, capsys):
     assert out["point_bound"] == pytest.approx(0.6477, abs=1e-4)
 
 
+@pytest.mark.parametrize("alpha", ["0", "0.5"])
+def test_bounds_rejects_a_bad_demand_cap(pigou_instance, alpha, capsys):
+    # a zero cap used to be replaced by the default, and a cap below the total
+    # demand of 1.0 used to be accepted; both exited 0
+    code = main(["bounds", str(pigou_instance), "--model", "bernoulli",
+                 "--param", "0.1", "--beta", "1.0", "--alpha", alpha])
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_converge_writes_report(tmp_path, capsys):
     spec = {"example": "pigou", "model": "bernoulli", "n_values": [5, 10, 20],
             "beta_override": 1.0}

@@ -113,6 +113,12 @@ class TestRunConvergence:
             assert row.l2_dist == pytest.approx(0.5 / np.sqrt(row.n), abs=1e-12)
             assert row.bound_ok
 
+    def test_cap_below_total_demand_rejected(self):
+        # the weighted model builds no limit game, and used to certify bounds
+        # computed with a cap of 0.5 under a total demand of 1.0
+        with pytest.raises(DomainError, match="cap on the total demand"):
+            run_convergence(SequenceSpec("parallel", "weighted", (4, 8), alpha=0.5))
+
 
 class TestOptConvergence:
     def test_weighted_wheatstone_values(self):

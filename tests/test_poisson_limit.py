@@ -10,10 +10,8 @@ from cglab.discrete_dist import bernoulli_sum_pmf, borisov_ruzankin_bound, tv_di
 from cglab.errors import ConfigError, DomainError, PrecisionError
 from cglab.instances import (pigou_structure, unit_demand, wheatstone_structure,
                              wheatstone_symmetric_mix)
-from cglab.poisson_limit import (AuxCost, aux_cost_derivative, aux_cost_eval,
-                                 build_limit_game, lambda_bound,
-                                 poa_polynomial_bound, rate_bounds,
-                                 regularity_constants)
+from cglab.poisson_limit import (AuxCost, build_limit_game, lambda_bound,
+                                 poa_polynomial_bound, rate_bounds, regularity_constants)
 from cglab.wardrop import solve_wardrop
 
 TAIL = 1e-12
@@ -30,7 +28,7 @@ class TestAuxCostValues:
     def test_identity_base_gives_one_plus_x(self):
         aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)
         for x in np.linspace(0.0, 3.0, 100):
-            assert abs(aux_cost_eval(aux, float(x)) - (1.0 + x)) <= TAIL
+            assert abs(aux.value(float(x)) - (1.0 + x)) <= TAIL
 
     def test_constant_base_stays_constant(self):
         aux = AuxCost(AffineCost(0.0, 2.0), tail_tol=TAIL)
@@ -104,13 +102,13 @@ class TestAuxCostDerivative:
     def test_identity_base_unit_slope(self):
         aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)
         for x in (0.0, 0.5, 2.0):
-            assert aux_cost_derivative(aux, x) == pytest.approx(1.0, abs=1e-10)
+            assert aux.derivative(x) == pytest.approx(1.0, abs=1e-10)
 
     def test_square_base_slope(self):
         aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)), tail_tol=TAIL)
-        assert aux_cost_derivative(aux, 0.0) == pytest.approx(3.0, abs=1e-10)
+        assert aux.derivative(0.0) == pytest.approx(3.0, abs=1e-10)
         for x in (0.3, 1.1):
-            assert aux_cost_derivative(aux, x) == pytest.approx(3.0 + 2.0 * x, abs=1e-9)
+            assert aux.derivative(x) == pytest.approx(3.0 + 2.0 * x, abs=1e-9)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(8)
@@ -120,13 +118,13 @@ class TestAuxCostDerivative:
             aux = AuxCost(base, tail_tol=TAIL)
             for x in np.linspace(0.05, 2.0, 50):
                 fd = (aux.value(float(x) + h) - aux.value(float(x) - h)) / (2 * h)
-                assert abs(aux_cost_derivative(aux, float(x)) - fd) <= 1e-6
+                assert abs(aux.derivative(float(x)) - fd) <= 1e-6
 
     def test_strictly_positive_when_base_varies_above_one(self):
         rng = np.random.default_rng(15)
         aux = AuxCost(random_monotone_table(rng), tail_tol=TAIL)
         for x in np.linspace(0.0, 2.0, 100):
-            assert aux_cost_derivative(aux, float(x)) > 0.0
+            assert aux.derivative(float(x)) > 0.0
 
     def test_derivative_bounded_by_zeta(self):
         structure = wheatstone_structure()
@@ -135,17 +133,17 @@ class TestAuxCostDerivative:
         for cost in structure.cost_fns:
             aux = AuxCost(cost, tail_tol=TAIL)
             for x in np.linspace(0.0, alpha, 50):
-                assert aux_cost_derivative(aux, float(x)) <= constants.zeta + 1e-9
+                assert aux.derivative(float(x)) <= constants.zeta + 1e-9
 
     def test_second_derivative_of_square_base(self):
         aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)), tail_tol=TAIL)
         # second difference of (1+k)^2 is constant 2
-        assert aux_cost_derivative(aux, 0.7, order=2) == pytest.approx(2.0, abs=1e-9)
+        assert aux.derivative(0.7, order=2) == pytest.approx(2.0, abs=1e-9)
 
     def test_unsupported_order(self):
         aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)
         with pytest.raises(DomainError):
-            aux_cost_derivative(aux, 0.5, order=3)
+            aux.derivative(0.5, 0)
 
 
 class TestAuxIntegral:

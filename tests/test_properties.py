@@ -4,8 +4,9 @@ Covers the leave-one-out load laws (deconvolution with its direct-convolution
 fallback), the divide-and-conquer Poisson-binomial pmf, the vectorised
 point-mass merge, the batched cost evaluator of the nonatomic solvers (whole
 load vectors and row subsets, with slopes), their Newton line search, the
-vector Poisson series behind the auxiliary costs, and the count-space search
-for the pure social optimum.
+vector Poisson series behind the auxiliary costs, the per-resource load laws
+behind ``esc`` and ``load_distribution``, and the count-space search for the
+pure social optimum.
 """
 
 import ast
@@ -19,23 +20,24 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cglab import atomic
-from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
-                          conditional_expected_cost, esc, social_optimum_pure,
-                          verify_equilibrium)
+from cglab.atomic import (BernoulliGame, MixedProfile, MonteCarlo, WeightedGame,
+                          conditional_cost_estimate, esc, load_distribution,
+                          social_optimum_pure, verify_equilibrium)
 from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
                         Structure, TableCost)
 from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf, poisson_expect,
                                  remove_bernoulli, weighted_sum_distribution)
-from cglab.errors import DomainError
-from cglab.instances import wheatstone_structure
+from cglab.errors import ConfigError, DomainError
+from cglab.instances import parallel_structure, wheatstone_structure
 from cglab.poisson_limit import AuxCost, build_limit_game
 from cglab.wardrop import (_segment_minimizer, solve_social_optimum, solve_wardrop,
                            wardrop_epsilon)
 
 from oracles import (aux_integral_mp, bisection_minimizer, enumerate_bernoulli_sum,
-                     esc_brute_force, linearization_gap, poisson_expect_mp,
-                     pure_optimum_by_assignment, random_homogeneous_game,
-                     sequential_bernoulli_sum, sequential_merge, state_from_counts)
+                     esc_brute_force, linearization_gap, load_law_brute_force,
+                     poisson_expect_mp, pure_optimum_by_assignment, random_homogeneous_game,
+                     random_small_game, sequential_bernoulli_sum, sequential_merge,
+                     state_from_counts)
 
 SPECIAL_P = (0.0, 1e-4, 0.5, 0.9, 1.0)
 
@@ -89,7 +91,7 @@ class TestLeaveOneOut:
         game = BernoulliGame(s, probs, (0,) * len(probs))
         first = np.array([1.0, 0.0]) if p > 0.0 else np.array([0.0, 1.0])
         profile = MixedProfile((first,) + tuple(np.array([m, 1.0 - m]) for m in mix))
-        got = conditional_expected_cost(game, profile, 0, 0)
+        got = conditional_cost_estimate(game, profile, 0, 0).value
         law = sequential_bernoulli_sum(np.asarray(others) * mix)
         want = float(law @ (slope * (1.0 + np.arange(law.size)) + icpt))
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
@@ -107,7 +109,7 @@ class TestLeaveOneOut:
         k = np.arange(law.size)
         # upper path: e1 (cost x) and e4 (cost 1); only the upper users load e1
         want = float(law @ (w + w * k)) + 1.0
-        got = conditional_expected_cost(game, profile, 0, 0)
+        got = conditional_cost_estimate(game, profile, 0, 0).value
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     def test_heterogeneous_wheatstone_matches_per_player_convolution(self):
@@ -507,6 +509,64 @@ class TestSolverCertificate:
         else:
             before = solve_social_optimum(s, d, target_gap=target, max_iters=iters - 1)
             assert opt.gap == linearization_gap(s, d, before.pair)
+
+
+def _mixed_game(seed, kind):
+    """A small random game and mixed profile; "equal" gives every weighted
+    player one weight, and odd seeds make player 0 certain of its strategy."""
+    rng = np.random.default_rng(seed)
+    game, profile = random_small_game(rng, "bernoulli" if kind == "bernoulli" else "weighted",
+                                      max_players=5)
+    if kind == "equal":
+        game = WeightedGame(game.structure, (game.weights[0],) * game.n_players,
+                            game.player_types)
+    if seed % 2:
+        pinned = np.eye(profile.probs[0].size)[0]
+        profile = MixedProfile((pinned,) + profile.probs[1:])
+    return game, profile
+
+
+class TestLoadLaw:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("bernoulli", "equal", "unequal")))
+    def test_mixed_esc_matches_brute_force(self, seed, kind):
+        game, profile = _mixed_game(seed, kind)
+        want = esc_brute_force(game, profile)
+        assert esc(game, profile) == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("bernoulli", "equal", "unequal")))
+    def test_load_distribution_matches_brute_force(self, seed, kind):
+        game, profile = _mixed_game(seed, kind)
+        for e in range(game.structure.n_resources):
+            want = load_law_brute_force(game, profile, e)
+            dist = load_distribution(game, profile, e)
+            if game.kind == "bernoulli":
+                got = {float(k): float(m) for k, m in enumerate(dist.probs)}
+            else:
+                got = {}
+                for v, m in zip(dist.values, dist.masses):
+                    got[round(float(v), 9)] = got.get(round(float(v), 9), 0.0) + float(m)
+            for key in set(got) | set(want):
+                assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-13)
+
+    def test_more_than_twenty_unequal_random_users_need_monte_carlo(self):
+        # exact enumeration stops at 20 random terms; the law of 21 is sampled
+        s = parallel_structure()
+        for n in (20, 21):
+            w = np.linspace(0.5, 1.5, n)
+            w /= w.sum()
+            game = WeightedGame(s, tuple(w), (0,) * n)
+            profile = MixedProfile.symmetric(game, [0.5, 0.5])
+            # c(x) = x on both edges: E[L c(L)] = Var L + (E L)^2 per edge
+            want = 2.0 * (float(w @ w) / 4.0 + 0.25)
+            if n == 20:
+                assert esc(game, profile) == pytest.approx(want, rel=1e-12)
+                continue
+            with pytest.raises(ConfigError, match="MonteCarlo"):
+                esc(game, profile)
+            mc = MonteCarlo(seed=5, samples=20_000)
+            got = esc(game, profile, mc=mc)
+            assert got == esc(game, profile, mc=mc)
+            assert got == pytest.approx(want, rel=1e-2)
 
 
 class TestCountSpaceOptimum:
