@@ -8,13 +8,15 @@ weighted, when the random terms share one weight) and weighted-sum
 enumeration (weighted, up to twenty random terms), with a seeded Monte Carlo
 fallback beyond that.
 
-The Poisson-binomial law of a resource's load is built once per distinct
-column of usage indicators; each player's conditional cost needs the law
-without that player, which is deconvolved out of the full law in O(n)
-(``remove_bernoulli``) instead of convolved afresh from the other n-1 terms.
-Every other law of a load comes from ``_PureEscEvaluator``: the whole load
-for ``esc`` and ``load_distribution``, and the other players' load when their
-random weights differ.
+Every load law of an evaluation comes from one store, ``_LoadLaws``, which
+keys each Poisson-binomial law by its sorted Bernoulli terms and convolves it
+once.  A resource's column of usage indicators is one such law; each
+player's conditional cost needs it without that player, which is
+deconvolved out of the full law in O(n) (``remove_bernoulli``) instead of
+convolved afresh from the other n-1 terms.  ``esc`` and ``load_distribution``
+read the same column laws, and ``opt_and_poa`` hands each profile's
+verification and ``esc`` one store.  Loads whose random weights differ are
+enumerated or sampled.
 
 The exact social optimum is searched over pure profiles.  When the players of
 each type share one magnitude, a profile is a vector of per-type strategy
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -38,13 +41,12 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DemandVector, Structure, _readonly, parse_instance
+from .core import USAGE_TOL, DemandVector, Structure, _readonly, parse_instance
 from .discrete_dist import (EXACT_TERMS, Pmf, ValueDist, bernoulli_sum_pmf,
                             remove_bernoulli, weighted_sum_distribution)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PrecisionError, StructureError)
 
-USAGE_TOL = 1e-10
 TIE_TOL = 1e-12
 
 
@@ -190,8 +192,7 @@ class MixedProfile:
         out = []
         for i, s in enumerate(strategies):
             m = len(game.structure.strategies[game.player_types[i]])
-            if not 0 <= s < m:
-                raise StructureError(f"player {i} has no strategy {s}")
+            _check_index(s, m, f"strategy of player {i}")
             v = np.zeros(m)
             v[s] = 1.0
             out.append(v)
@@ -215,6 +216,12 @@ def _check_profile(game: Game, profile: MixedProfile) -> None:
             raise StructureError(f"player {i} profile has wrong length")
 
 
+def _check_index(k: int, size: int, what: str) -> None:
+    """Reject an index outside 0 .. size - 1; a negative one would count from the end."""
+    if not 0 <= k < size:
+        raise StructureError(f"no {what} with index {k}")
+
+
 def choice_probabilities(game: Game, profile: MixedProfile) -> np.ndarray:
     """(n_players, n_resources) matrix of per-resource usage probabilities."""
     _check_profile(game, profile)
@@ -230,86 +237,117 @@ def resource_choice_prob(game: Game, profile: MixedProfile, i: int, e: int) -> f
     """Probability that player i's drawn strategy contains resource e."""
     _check_profile(game, profile)
     s = game.structure
-    if not 0 <= e < s.n_resources:
-        raise StructureError(f"no resource with index {e}")
+    _check_index(i, game.n_players, "player")
+    _check_index(e, s.n_resources, "resource")
     sl = s.type_slices[game.player_types[i]]
     return float(profile.probs[i] @ s.incidence[sl][:, e])
 
 
 # ---------------------------------------------------------------------------
-# exact conditional expected costs
+# load laws and exact conditional expected costs
 
 
-class _LoadLaw:
-    """The count law of one column of independent usage indicators.
+def _split_column(mags: Sequence[float],
+                  usage: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The certain users' fsum, and the uncertain users' magnitudes and usage."""
+    w = np.asarray(mags, dtype=float)
+    rand = (usage > 0.0) & (usage < 1.0)
+    return math.fsum(w[usage >= 1.0].tolist()), w[rand], usage[rand]
 
-    ``full`` is the Poisson-binomial pmf of the column's nonzero entries
-    (``terms``).  ``without(q)`` is the law of the others when the entry of
-    the asking player is q: ``full`` itself when q is 0, else q deconvolved
-    out of it; a deconvolution that fails its residual check is replaced by
-    the direct convolution of the other terms.  The last such law is kept,
-    because one player's resources often share a column.  ``values``
-    memoizes expectations under these laws; ``key`` is the column's bytes.
+
+def _random_load(weights: np.ndarray, probs: np.ndarray, mc: MonteCarlo | None,
+                 stream: int) -> ValueDist:
+    """Law of sum_j weights_j Bernoulli(probs_j) for unequal weights, sampled past
+    EXACT_TERMS terms."""
+    if weights.size <= EXACT_TERMS:
+        return weighted_sum_distribution(weights, probs)
+    if mc is None:
+        raise ConfigError(f"more than {EXACT_TERMS} unequal-weight random terms: "
+                          "supply MonteCarlo settings")
+    return weighted_sum_distribution(weights, probs, mode="monte_carlo", seed=mc.seed,
+                                     samples=mc.samples, stream=stream)
+
+
+class _LoadLaws:
+    """Every load law of one evaluation of a game, and the expectations read from them.
+
+    A count of independent usage indicators is keyed by its sorted Bernoulli
+    terms, and ``pmf`` convolves each key's Poisson-binomial law once.  With a
+    usage matrix (players x resources), resource e's column holds every
+    player's chance to put a random unit on it: participation times usage
+    probability for Bernoulli players, the usage probability below one for
+    weighted players, whose certain usage is a constant (``column`` sums it).
+    ``key(e)`` is the column's count and ``law(e)`` its pmf, so resources with
+    the same users share one.  A player's conditional cost needs the count
+    without its own entry q: ``without`` deconvolves q out of the full law in
+    O(n) (``remove_bernoulli``), falls back on convolving the other terms when
+    the residual check fails, and keeps the last such law, because one
+    player's resources often share a column.  ``conditional`` is the one
+    lookup of E c_e(base + weight Z) under that law, memoized per resource.
+
+    ``move`` replaces a player's row, as best-response dynamics does: it
+    forgets the changed columns' keys, laws, sums and memos and drops every
+    pmf no resource uses any more, so at most one law per resource is kept.
+
+    ``edge_value`` is E[L c_e(L)], for resource e's column or for a list of
+    certain users' magnitudes (the optimum search, which has no usage).  A
+    profile's cost is the fsum of its resources' values, which does not depend
+    on edge order, so every route that sums the same values (``esc``,
+    ``from_assignment``, the count-space optimum search) agrees bit for bit.
     """
 
-    def __init__(self, column: np.ndarray):
-        self.key = column.tobytes()
-        self.terms = column[column > 0.0]
-        self.full = bernoulli_sum_pmf(self.terms).probs
-        self.values: dict[tuple, object] = {}
-        self._last: tuple[float, np.ndarray] | None = None
-
-    def without(self, q: float) -> np.ndarray:
-        if q == 0.0:
-            return self.full
-        if self._last is not None and self._last[0] == q:
-            return self._last[1]
-        pmf = remove_bernoulli(self.full, q)
-        if pmf is None:
-            j = int(np.flatnonzero(self.terms == q)[0])
-            pmf = bernoulli_sum_pmf(np.delete(self.terms, j)).probs
-        self._last = (q, pmf)
-        return pmf
-
-
-class _CondCache:
-    """Conditional-cost memo for one usage matrix (players x resources).
-
-    A resource's column holds every player's chance to put a random unit on
-    it: participation times usage probability for Bernoulli players, the
-    usage probability below one for weighted players (certain usage is a
-    constant).  Each distinct column, keyed by its bytes, gets one
-    ``_LoadLaw``.  ``move`` replaces a player's row, as best-response
-    dynamics does, and forgets the laws (and column sums) of the resources
-    whose columns it changes, dropping each law no resource uses any more, so
-    at most one law per resource is kept.  ``equal_mags`` records whether
-    every player has the same magnitude; ``loads`` builds the other players'
-    load when their random weights differ.
-    """
-
-    def __init__(self, game: Game, usage: np.ndarray):
+    def __init__(self, game: Game, usage: np.ndarray | None = None):
         self.game = game
         self.usage = usage
         self.mags = np.asarray(game.magnitudes, dtype=float)
         self.equal_mags = bool(np.all(self.mags == self.mags[:1]))
-        self.edge_laws: list[_LoadLaw | None] = [None] * usage.shape[1]
-        self.columns: list[tuple[float, float, int] | None] = [None] * usage.shape[1]
-        self.laws: dict[bytes, _LoadLaw] = {}
-        self.values: dict[tuple, tuple[float, float]] = {}
-        self.cost_grids: dict[tuple[int, int], np.ndarray] = {}
-        self.loads = _PureEscEvaluator(game)
+        n_res = game.structure.n_resources
+        self.keys: list[tuple[float, ...] | None] = [None] * n_res
+        self.values: list[dict[tuple, object]] = [{} for _ in range(n_res)]
+        self._laws: list[np.ndarray | None] = [None] * n_res
+        self._sums: list[tuple[float, float, int] | None] = [None] * n_res
+        self._grids: list[np.ndarray | None] = [None] * n_res
+        self._pmfs: dict[tuple[float, ...], np.ndarray] = {(): np.ones(1)}  # nobody: 0
+        self._edge_values: dict[tuple, float] = {}
+        self._last: tuple[np.ndarray, float, np.ndarray] | None = None
 
-    def law(self, e: int) -> _LoadLaw:
-        law = self.edge_laws[e]
-        if law is None:
+    def pmf(self, key: tuple[float, ...]) -> np.ndarray:
+        """Pmf of the count with these sorted Bernoulli terms."""
+        pmf = self._pmfs.get(key)
+        if pmf is None:
+            pmf = self._pmfs[key] = bernoulli_sum_pmf(key).probs
+        return pmf
+
+    def key(self, e: int) -> tuple[float, ...]:
+        """Sorted Bernoulli terms of resource e's random count."""
+        key = self.keys[e]
+        if key is None:
             u = self.usage[:, e]
             col = self.mags * u if self.game.kind == "bernoulli" else u * (u < 1.0)
-            law = self.laws.get(col.tobytes())
-            if law is None:
-                law = _LoadLaw(col)
-                self.laws[law.key] = law
-            self.edge_laws[e] = law
+            key = self.keys[e] = tuple(sorted(col[col > 0.0].tolist()))
+        return key
+
+    def law(self, e: int) -> np.ndarray:
+        """Pmf of resource e's random count."""
+        law = self._laws[e]
+        if law is None:
+            law = self._laws[e] = self.pmf(self.key(e))
         return law
+
+    def without(self, e: int, q: float) -> np.ndarray:
+        """Law of resource e's count without the entry q (q = 0: the whole count)."""
+        full = self.law(e)
+        if q == 0.0:
+            return full
+        if self._last is not None and self._last[0] is full and self._last[1] == q:
+            return self._last[2]
+        pmf = remove_bernoulli(full, q)
+        if pmf is None:
+            key = self.keys[e]
+            j = key.index(q)
+            pmf = self.pmf(key[:j] + key[j + 1:])
+        self._last = (full, q, pmf)
+        return pmf
 
     def column(self, e: int) -> tuple[float, float, int]:
         """Resource e's certain weight (all of it, and all but one player's) and
@@ -318,101 +356,154 @@ class _CondCache:
         The sums add the same weights in the same order as a sum over the
         other certain players does, so they are bit for bit the same.
         """
-        col = self.columns[e]
+        col = self._sums[e]
         if col is None:
             u = self.usage[:, e]
             certain = self.mags[u >= 1.0]
-            col = self.columns[e] = (float(certain.sum()), float(certain[:-1].sum()),
-                                     int(np.count_nonzero((u > 0.0) & (u < 1.0))))
+            col = self._sums[e] = (float(certain.sum()), float(certain[:-1].sum()),
+                                   int(np.count_nonzero((u > 0.0) & (u < 1.0))))
         return col
+
+    def unit_costs(self, e: int) -> np.ndarray:
+        """c_e(1), ..., c_e(n + 1) for a Bernoulli game of n players."""
+        grid = self._grids[e]
+        if grid is None:
+            cost = self.game.structure.cost_fns[e]
+            ks = np.arange(self.game.n_players + 1) + 1
+            grid = self._grids[e] = np.asarray(cost.value_int(ks), dtype=float)
+        return grid
+
+    def conditional(self, e: int, q: float, base: float = 1.0, weight: float = 1.0) -> float:
+        """E[c_e(base + weight Z)], Z counting resource e's column without the entry q.
+
+        Bernoulli games read c_e through ``value_int`` (base and weight are 1),
+        weighted games through ``value``.
+        """
+        memo = self.values[e]
+        hit = memo.get((q, base, weight))
+        if hit is None:
+            pmf = self.without(e, q)
+            if self.game.kind == "bernoulli":
+                vals = self.unit_costs(e)[:pmf.size]
+            else:
+                cost = self.game.structure.cost_fns[e]
+                vals = np.asarray(cost.value(base + weight * np.arange(pmf.size)), dtype=float)
+            hit = memo[(q, base, weight)] = float(pmf @ vals)
+        return hit
 
     def move(self, i: int, row: np.ndarray) -> None:
         for e in np.flatnonzero(self.usage[i] != row):
-            self.columns[e] = None
-            law, self.edge_laws[e] = self.edge_laws[e], None
-            if law is not None and not any(other is law for other in self.edge_laws):
-                del self.laws[law.key]
+            self.keys[e] = self._laws[e] = self._sums[e] = None
+            self.values[e] = {}
         self.usage[i] = row
+        live = set(self.keys) | {()}
+        for key in self._pmfs.keys() - live:
+            del self._pmfs[key]
+        self._edge_values = {k: v for k, v in self._edge_values.items() if k[1] in live}
+        self._last = None
 
-    def unit_costs(self, e: int, size: int) -> np.ndarray:
-        """c_e(1), ..., c_e(size)."""
-        grid = self.cost_grids.get((e, size))
-        if grid is None:
-            cost = self.game.structure.cost_fns[e]
-            grid = np.asarray(cost.value_int(np.arange(size) + 1), dtype=float)
-            self.cost_grids[(e, size)] = grid
-        return grid
+    def weighted_law(self, e: int, mc: MonteCarlo | None) -> ValueDist:
+        """Law of resource e's weighted load: the certain weights' fsum plus the random rest."""
+        base, wf, pf = _split_column(self.mags, self.usage[:, e])
+        if wf.size == 0:
+            return ValueDist(np.array([base]), np.ones(1))
+        if np.all(wf == wf[0]):
+            rest = ValueDist.from_pmf(Pmf(self.law(e)), scale=float(wf[0]))
+        else:
+            rest = _random_load(wf, pf, mc, stream=e + 1)
+        return ValueDist(base + rest.values, rest.masses)
+
+    def edge_value(self, e: int, mags: Sequence[float] | None = None,
+                   mc: MonteCarlo | None = None) -> float:
+        """E[L c_e(L)] for resource e's load: its column's, or that of certain
+        users with magnitudes ``mags``."""
+        cost = self.game.structure.cost_fns[e]
+        if self.game.kind == "bernoulli":
+            key = self.key(e) if mags is None else tuple(sorted(mags))
+            if not key:
+                return 0.0
+            hit = self._edge_values.get((e, key))
+            if hit is None:
+                pmf = self.pmf(key)
+                ks = np.arange(pmf.size)
+                hit = self._edge_values[(e, key)] = float(
+                    pmf @ (ks * np.asarray(cost.value_int(ks), dtype=float)))
+            return hit
+        if mags is not None:
+            load = math.fsum(mags)
+            return load * float(cost.value(load))
+        law = self.weighted_law(e, mc)
+        return float(law.masses @ (law.values * np.asarray(cost.value(law.values), dtype=float)))
+
+    def from_assignment(self, state: Sequence[int]) -> float:
+        game = self.game
+        s = game.structure
+        per_edge: list[list[float]] = [[] for _ in range(s.n_resources)]
+        for i, si in enumerate(state):
+            for e in s.strategies[game.player_types[i]][si]:
+                per_edge[e].append(game.magnitudes[i])
+        return math.fsum(self.edge_value(e, ms) for e, ms in enumerate(per_edge))
 
 
-def _edge_cost_bernoulli(cache: _CondCache, i: int, e: int) -> float:
-    """E[c_e(1 + Z)] where Z counts the other active players on resource e."""
-    law = cache.law(e)
-    q = float(cache.mags[i] * cache.usage[i, e])
-    hit = law.values.get((e, q))
-    if hit is None:
-        pmf = law.without(q)
-        hit = law.values[(e, q)] = float(pmf @ cache.unit_costs(e, pmf.size))
-    return hit
+# opt_and_poa pins one store per profile here, so that the profile's
+# verify_equilibrium and esc calls read the same laws
+_PINNED: ContextVar[tuple[Game, MixedProfile, _LoadLaws] | None] = ContextVar(
+    "_PINNED", default=None)
 
 
-def _edge_cost_weighted(cache: _CondCache, i: int, e: int,
+def _laws_of(game: Game, profile: MixedProfile) -> _LoadLaws:
+    """The store pinned for this game and profile, else a new one."""
+    pinned = _PINNED.get()
+    if pinned is not None and pinned[0] is game and pinned[1] is profile:
+        return pinned[2]
+    return _LoadLaws(game, choice_probabilities(game, profile))
+
+
+def _edge_cost_weighted(laws: _LoadLaws, i: int, e: int,
                         mc: MonteCarlo | None) -> tuple[float, float]:
     """E[c_e(w_i + V)] where V sums the other players' weighted usage indicators.
 
     Returns (value, standard error); the error is zero on the exact branches.
     """
-    game = cache.game
+    game = laws.game
     cost = game.structure.cost_fns[e]
-    u = float(cache.usage[i, e])
-    if cache.equal_mags:
-        certain, certain_but_one, n_frac = cache.column(e)
+    u = float(laws.usage[i, e])
+    q = u if u < 1.0 else 0.0
+    if laws.equal_mags:
+        certain, certain_but_one, n_frac = laws.column(e)
         base = float(game.weights[i]) + (certain_but_one if u >= 1.0 else certain)
         if n_frac == (0.0 < u < 1.0):  # no other player is uncertain
             return float(cost.value(base)), 0.0
-        return _edge_cost_equal_weights(cache, e, base, float(cache.mags[0]), u)
-    others = cache.usage[:, e].copy()
+        return laws.conditional(e, q, base, float(laws.mags[0])), 0.0
+    others = laws.usage[:, e].copy()
     others[i] = 0.0
-    certain, wf, pf = _split_column(cache.mags, others)
+    certain, wf, pf = _split_column(laws.mags, others)
     base = float(game.weights[i]) + certain
     if wf.size == 0:
         return float(cost.value(base)), 0.0
     if np.unique(wf).size == 1:
-        return _edge_cost_equal_weights(cache, e, base, float(wf[0]), u)
-    key = ("w", e, base, tuple(sorted(zip(wf, pf))))
-    hit = cache.values.get(key)
+        return laws.conditional(e, q, base, float(wf[0])), 0.0
+    key = (base, tuple(sorted(zip(wf, pf))))
+    hit = laws.values[e].get(key)
     if hit is None:
-        dist = cache.loads.random_load(wf, pf, mc, stream=i * game.structure.n_resources + e + 1)
+        dist = _random_load(wf, pf, mc, stream=i * game.structure.n_resources + e + 1)
         cvals = np.asarray(cost.value(base + dist.values), dtype=float)
         mean = float(dist.masses @ cvals)
         sampled = wf.size > EXACT_TERMS
         var = float(dist.masses @ (cvals - mean) ** 2) / mc.samples if sampled else 0.0
-        hit = cache.values[key] = (mean, math.sqrt(max(var, 0.0)))
+        hit = laws.values[e][key] = (mean, math.sqrt(max(var, 0.0)))
     return hit
 
 
-def _edge_cost_equal_weights(cache: _CondCache, e: int, base: float, weight: float,
-                             u: float) -> tuple[float, float]:
-    """E[c_e(base + weight Z)], Z counting the other uncertain users of e (player's usage u)."""
-    law = cache.law(e)
-    q = u if u < 1.0 else 0.0
-    key = (e, base, weight, q)
-    hit = law.values.get(key)
-    if hit is None:
-        pmf = law.without(q)
-        vals = base + weight * np.arange(pmf.size)
-        cost = cache.game.structure.cost_fns[e]
-        hit = law.values[key] = (float(pmf @ np.asarray(cost.value(vals), dtype=float)), 0.0)
-    return hit
-
-
-def _strategy_cond_cost(cache: _CondCache, i: int, s: int,
+def _strategy_cond_cost(laws: _LoadLaws, i: int, s: int,
                         mc: MonteCarlo | None) -> tuple[float, float]:
     """(conditional cost, standard error) of strategy s for player i."""
-    game = cache.game
+    game = laws.game
     edges = game.structure.strategies[game.player_types[i]][s]
     if game.kind == "bernoulli":
-        return sum(_edge_cost_bernoulli(cache, i, e) for e in edges), 0.0
-    parts = [_edge_cost_weighted(cache, i, e, mc) for e in edges]
+        return sum(laws.conditional(e, float(laws.mags[i] * laws.usage[i, e]))
+                   for e in edges), 0.0
+    parts = [_edge_cost_weighted(laws, i, e, mc) for e in edges]
     return (sum(v for v, _ in parts),
             math.sqrt(sum(se * se for _, se in parts)))
 
@@ -432,20 +523,18 @@ def conditional_cost_estimate(game: Game, profile: MixedProfile, i: int, s: int,
     random terms share one weight or number at most twenty; otherwise seeded
     Monte Carlo settings are required.
     """
-    _check_profile(game, profile)
-    t = game.player_types[i]
-    if not 0 <= s < len(game.structure.strategies[t]):
-        raise StructureError(f"player {i} has no strategy {s}")
-    cache = _CondCache(game, choice_probabilities(game, profile))
-    return CostEstimate(*_strategy_cond_cost(cache, i, s, mc))
+    _check_index(i, game.n_players, "player")
+    _check_index(s, len(game.structure.strategies[game.player_types[i]]),
+                 f"strategy of player {i}")
+    return CostEstimate(*_strategy_cond_cost(_laws_of(game, profile), i, s, mc))
 
 
 def player_expected_cost(game: Game, profile: MixedProfile, i: int,
                          *, mc: MonteCarlo | None = None) -> float:
     """Unconditional expected cost of player i (inactive players pay nothing)."""
-    _check_profile(game, profile)
-    cache = _CondCache(game, choice_probabilities(game, profile))
-    total = sum(float(profile.probs[i][s]) * _strategy_cond_cost(cache, i, s, mc)[0]
+    _check_index(i, game.n_players, "player")
+    laws = _laws_of(game, profile)
+    total = sum(float(profile.probs[i][s]) * _strategy_cond_cost(laws, i, s, mc)[0]
                 for s in range(profile.probs[i].size) if profile.probs[i][s] > 0.0)
     if game.kind == "bernoulli":
         return game.probs[i] * total
@@ -483,13 +572,12 @@ def verify_equilibrium(game: Game, profile: MixedProfile, tol: float = 1e-9,
     A strategy counts as used when its probability exceeds ``usage_tol``.
     The profile is an (approximate) equilibrium iff the result is at most tol.
     """
-    _check_profile(game, profile)
-    cache = _CondCache(game, choice_probabilities(game, profile))
+    laws = _laws_of(game, profile)
     rows = []
     worst = 0.0
     for i in range(game.n_players):
         m = profile.probs[i].size
-        costs = [_strategy_cond_cost(cache, i, s, mc)[0] for s in range(m)]
+        costs = [_strategy_cond_cost(laws, i, s, mc)[0] for s in range(m)]
         best = min(costs)
         used = profile.probs[i] > usage_tol
         regret = max((c - best for s, c in enumerate(costs) if used[s]), default=0.0)
@@ -516,15 +604,6 @@ class BestResponseResult:
         return MixedProfile.pure(game, self.strategies)
 
 
-def _pure_usage(game: Game, state: Sequence[int]) -> np.ndarray:
-    s = game.structure
-    out = np.zeros((game.n_players, s.n_resources))
-    for i, si in enumerate(state):
-        sl = s.type_slices[game.player_types[i]]
-        out[i] = s.incidence[sl][si]
-    return out
-
-
 def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int = 500,
                            *, tie_tol: float = TIE_TOL,
                            mc: MonteCarlo | None = None) -> BestResponseResult:
@@ -537,7 +616,7 @@ def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int =
     state = list(initial)
     if len(state) != game.n_players:
         raise StructureError("initial profile does not cover every player")
-    cache = _CondCache(game, _pure_usage(game, state))
+    laws = _LoadLaws(game, choice_probabilities(game, MixedProfile.pure(game, state)))
     history = [tuple(state)]
     seen = {tuple(state): 0}
     for sweep in range(1, max_sweeps + 1):
@@ -545,12 +624,12 @@ def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int =
         for i in range(game.n_players):
             t = game.player_types[i]
             m = len(game.structure.strategies[t])
-            costs = [_strategy_cond_cost(cache, i, s, mc)[0] for s in range(m)]
+            costs = [_strategy_cond_cost(laws, i, s, mc)[0] for s in range(m)]
             best = int(np.argmin(costs))
             if costs[best] < costs[state[i]] - tie_tol:
                 state[i] = best
                 sl = game.structure.type_slices[t]
-                cache.move(i, game.structure.incidence[sl][best])
+                laws.move(i, game.structure.incidence[sl][best])
                 changed = True
         snap = tuple(state)
         if not changed:
@@ -601,9 +680,9 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = 1e-9, damping: float = 
         v = np.zeros(m)
         v[a], v[b] = q, 1.0 - q
         prof = MixedProfile.symmetric(game, v)
-        cache = _CondCache(game, choice_probabilities(game, prof))
-        return (_strategy_cond_cost(cache, 0, a, mc)[0]
-                - _strategy_cond_cost(cache, 0, b, mc)[0])
+        laws = _LoadLaws(game, choice_probabilities(game, prof))
+        return (_strategy_cond_cost(laws, 0, a, mc)[0]
+                - _strategy_cond_cost(laws, 0, b, mc)[0])
 
     for a, b in itertools.combinations(range(m), 2):
         lo_val, hi_val = pair_gap(a, b, 0.0), pair_gap(a, b, 1.0)
@@ -626,8 +705,8 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = 1e-9, damping: float = 
     sigma = np.full(m, 1.0 / m)
     for it in range(max_iters):
         prof = MixedProfile.symmetric(game, sigma)
-        cache = _CondCache(game, choice_probabilities(game, prof))
-        costs = np.array([_strategy_cond_cost(cache, 0, s, mc)[0] for s in range(m)])
+        laws = _LoadLaws(game, choice_probabilities(game, prof))
+        costs = np.array([_strategy_cond_cost(laws, 0, s, mc)[0] for s in range(m)])
         floor = costs.min()
         target = (costs <= floor + TIE_TOL).astype(float)
         target /= target.sum()
@@ -652,10 +731,8 @@ def esc(game: Game, profile: MixedProfile, *, mc: MonteCarlo | None = None) -> f
     which need ``mc``.  The optimum search sums the same per-resource values,
     so equal pure assignments give bitwise-equal costs.
     """
-    usage = choice_probabilities(game, profile)
-    evaluator = _PureEscEvaluator(game)
-    return math.fsum(evaluator.edge_value(e, game.magnitudes, usage[:, e], mc)
-                     for e in range(game.structure.n_resources))
+    laws = _laws_of(game, profile)
+    return math.fsum(laws.edge_value(e, mc=mc) for e in range(game.structure.n_resources))
 
 
 def expected_loads(game: Game, profile: MixedProfile) -> np.ndarray:
@@ -671,19 +748,20 @@ def load_distribution(game: Game, profile: MixedProfile, e: int,
     Bernoulli games yield a pmf on the integers; weighted games yield a
     value distribution (shifted, scaled counts when the random weights agree).
     """
-    if not 0 <= e < game.structure.n_resources:
-        raise StructureError(f"no resource with index {e}")
-    usage = choice_probabilities(game, profile)[:, e]
-    evaluator = _PureEscEvaluator(game)
+    _check_index(e, game.structure.n_resources, "resource")
+    laws = _laws_of(game, profile)
     if game.kind == "bernoulli":
-        return Pmf(evaluator.count_law(game.magnitudes, usage)[1])
-    return evaluator.weighted_law(game.magnitudes, usage, mc, stream=e + 1)
+        return Pmf(laws.law(e))
+    return laws.weighted_law(e, mc)
 
 
 def strategy_flow_covariance(game: Game, profile: MixedProfile, t: int,
                              s1: int, s2: int) -> float:
     """Covariance of the random flows on two strategies of one type (closed form)."""
     _check_profile(game, profile)
+    _check_index(t, game.structure.n_types, "type")
+    for k in (s1, s2):
+        _check_index(k, len(game.structure.strategies[t]), f"strategy of type {t}")
     total = 0.0
     for i in range(game.n_players):
         if game.player_types[i] != t:
@@ -719,99 +797,6 @@ def _compositions(n: int, k: int) -> np.ndarray:
     return np.diff(np.hstack([-np.ones_like(ends), bars, ends]), axis=1) - 1
 
 
-def _split_column(mags: Sequence[float],
-                  usage: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """The certain users' fsum, and the uncertain users' magnitudes and usage."""
-    w = np.asarray(mags, dtype=float)
-    rand = (usage > 0.0) & (usage < 1.0)
-    return math.fsum(w[usage >= 1.0].tolist()), w[rand], usage[rand]
-
-
-class _PureEscEvaluator:
-    """The law of a resource's load, and its expected social cost E[L c(L)].
-
-    A resource's users come as magnitudes with usage probabilities (None: all
-    certain, as in a pure profile).  A Bernoulli load is the Poisson-binomial
-    count of magnitude times usage.  A weighted load is the fsum of the
-    certain weights plus the random rest: a scaled Poisson-binomial count when
-    its weights agree, else enumerated (up to twenty terms) or sampled.  Pmfs
-    are memoized per sorted probabilities, so resources with the same users
-    share one, and Bernoulli values per (resource, sorted probabilities).  A
-    profile's cost is the fsum of its resources' values, which does not depend
-    on edge order, so every route that sums the same values (``esc``,
-    ``from_assignment``, the count-space optimum search) agrees bit for bit.
-    """
-
-    def __init__(self, game: Game):
-        self.game = game
-        self._pmfs: dict[tuple[float, ...], np.ndarray] = {(): np.ones(1)}  # nobody: 0
-        self._values: dict[tuple, float] = {}
-
-    def count_law(self, mags: Sequence[float],
-                  usage: np.ndarray | None = None) -> tuple[tuple[float, ...], np.ndarray]:
-        """Sorted Bernoulli terms of a count, and the count's pmf."""
-        if usage is not None:
-            p = np.asarray(mags, dtype=float) * usage
-            mags = p[p > 0.0].tolist()
-        key = tuple(sorted(mags))
-        pmf = self._pmfs.get(key)
-        if pmf is None:
-            pmf = self._pmfs[key] = bernoulli_sum_pmf(key).probs
-        return key, pmf
-
-    def random_load(self, weights: np.ndarray, probs: np.ndarray, mc: MonteCarlo | None,
-                    stream: int) -> ValueDist:
-        """Law of sum_j weights_j Bernoulli(probs_j), sampled past EXACT_TERMS unequal terms."""
-        if np.all(weights == weights[0]):
-            pmf = Pmf(self.count_law(probs.tolist())[1])
-            return ValueDist.from_pmf(pmf, scale=float(weights[0]))
-        if weights.size <= EXACT_TERMS:
-            return weighted_sum_distribution(weights, probs)
-        if mc is None:
-            raise ConfigError(f"more than {EXACT_TERMS} unequal-weight random terms: "
-                              "supply MonteCarlo settings")
-        return weighted_sum_distribution(weights, probs, mode="monte_carlo", seed=mc.seed,
-                                         samples=mc.samples, stream=stream)
-
-    def weighted_law(self, mags: Sequence[float], usage: np.ndarray, mc: MonteCarlo | None,
-                     stream: int) -> ValueDist:
-        """Law of a weighted load: the certain weights' fsum plus the random rest."""
-        base, wf, pf = _split_column(mags, usage)
-        if wf.size == 0:
-            return ValueDist(np.array([base]), np.ones(1))
-        rest = self.random_load(wf, pf, mc, stream)
-        return ValueDist(base + rest.values, rest.masses)
-
-    def edge_value(self, e: int, mags: Sequence[float], usage: np.ndarray | None = None,
-                   mc: MonteCarlo | None = None) -> float:
-        """E[L c_e(L)] for the load L these users put on resource e."""
-        cost = self.game.structure.cost_fns[e]
-        if self.game.kind == "bernoulli":
-            key, pmf = self.count_law(mags, usage)
-            if not key:
-                return 0.0
-            hit = self._values.get((e, key))
-            if hit is None:
-                ks = np.arange(pmf.size)
-                hit = self._values[(e, key)] = float(
-                    pmf @ (ks * np.asarray(cost.value_int(ks), dtype=float)))
-            return hit
-        if usage is None:
-            load = math.fsum(mags)
-            return load * float(cost.value(load))
-        law = self.weighted_law(mags, usage, mc, stream=e + 1)
-        return float(law.masses @ (law.values * np.asarray(cost.value(law.values), dtype=float)))
-
-    def from_assignment(self, state: Sequence[int]) -> float:
-        game = self.game
-        s = game.structure
-        per_edge: list[list[float]] = [[] for _ in range(s.n_resources)]
-        for i, si in enumerate(state):
-            for e in s.strategies[game.player_types[i]][si]:
-                per_edge[e].append(game.magnitudes[i])
-        return math.fsum(self.edge_value(e, ms) for e, ms in enumerate(per_edge))
-
-
 @dataclass(frozen=True)
 class OptResult:
     value: float
@@ -822,7 +807,7 @@ class OptResult:
 _COMBO_CHUNK = 1 << 14
 
 
-def _count_space_optimum(game: Game, evaluator: _PureEscEvaluator,
+def _count_space_optimum(game: Game, laws: _LoadLaws,
                          by_type: dict[int, list[int]]) -> OptResult:
     """Minimum over per-type strategy counts, each scored from per-resource tables.
 
@@ -830,7 +815,7 @@ def _count_space_optimum(game: Game, evaluator: _PureEscEvaluator,
     of one row per type is a profile, visited in ``itertools.product`` order.
     A resource's value depends only on how many players of each type use it,
     so each resource gets one table over the per-type counts that vary on it,
-    filled by ``evaluator.edge_value``; ``parts[j]`` holds, per composition of
+    filled by ``laws.edge_value``; ``parts[j]`` holds, per composition of
     type j and per resource, that type's share of the flat table index.
     """
     s = game.structure
@@ -851,7 +836,7 @@ def _count_space_optimum(game: Game, evaluator: _PureEscEvaluator,
                 parts[j][:, e] = users[j][:, e] * stride
                 stride *= len(ranges[j])
         parts[0][:, e] += len(table)
-        table.extend(evaluator.edge_value(e, [w for w, k in zip(mags, ks) for _ in range(k)])
+        table.extend(laws.edge_value(e, [w for w, k in zip(mags, ks) for _ in range(k)])
                      for ks in itertools.product(*ranges))
     values = np.array(table)
     shape = tuple(len(c) for c in comps)
@@ -882,7 +867,7 @@ def social_optimum_pure(game: Game, budget: int = 250_000) -> OptResult | None:
     games are enumerated profile by profile.  Returns None over budget.
     """
     s = game.structure
-    evaluator = _PureEscEvaluator(game)
+    laws = _LoadLaws(game)
     by_type: dict[int, list[int]] = {}
     for i, t in enumerate(game.player_types):
         by_type.setdefault(t, []).append(i)
@@ -894,7 +879,7 @@ def social_optimum_pure(game: Game, budget: int = 250_000) -> OptResult | None:
             m = len(s.strategies[t])
             combos *= math.comb(len(members) + m - 1, m - 1)
         if combos <= budget:
-            return _count_space_optimum(game, evaluator, by_type)
+            return _count_space_optimum(game, laws, by_type)
     total = 1
     for t in game.player_types:
         total *= len(s.strategies[t])
@@ -904,7 +889,7 @@ def social_optimum_pure(game: Game, budget: int = 250_000) -> OptResult | None:
     best_state = None
     for state in itertools.product(*[range(len(s.strategies[t]))
                                      for t in game.player_types]):
-        val = evaluator.from_assignment(state)
+        val = laws.from_assignment(state)
         if val < best - 1e-15:
             best = val
             best_state = state
@@ -929,15 +914,20 @@ def opt_and_poa(game: Game, equilibria: Sequence[MixedProfile], *,
 
     Profiles failing verification are reported in ``rejected`` and excluded.
     When exhaustive search is over budget the optimum falls back to the best
-    supplied equilibrium and is flagged as inexact.
+    supplied equilibrium and is flagged as inexact.  A profile's
+    verification and its ``esc`` read one store of load laws.
     """
     verified: list[float] = []
     rejected: list[int] = []
     for idx, prof in enumerate(equilibria):
-        if verify_equilibrium(game, prof, tol, mc=mc).ok:
-            verified.append(esc(game, prof, mc=mc))
-        else:
-            rejected.append(idx)
+        pin = _PINNED.set((game, prof, _LoadLaws(game, choice_probabilities(game, prof))))
+        try:
+            if verify_equilibrium(game, prof, tol, mc=mc).ok:
+                verified.append(esc(game, prof, mc=mc))
+            else:
+                rejected.append(idx)
+        finally:
+            _PINNED.reset(pin)
     if not verified:
         raise ConvergenceError("no supplied profile verified as an equilibrium")
     found = social_optimum_pure(game, budget)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, PrecisionError, StructureError
 
 FEASIBILITY_TOL = 1e-9
+USAGE_TOL = 1e-10  # a strategy counts as used above this probability
 ALL = slice(None)  # every row of a cost stack
 
 

@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import special
 
+from .core import _readonly
 from .errors import CapacityError, ConfigError, DomainError, PrecisionError
 
 _NORM_TOL = 1e-12
@@ -26,12 +27,6 @@ _SF_FLOOR = 1e-280  # Poisson tails below this are bounded, not evaluated
 _SERIES_LIMIT = 1_000_000  # largest truncation point of a certified Poisson series
 _BLOCK_ENTRIES = 1 << 18  # Poisson weights formed at once by poisson_expect
 EXACT_TERMS = 20  # most terms weighted_sum_distribution enumerates exactly
-
-
-def _readonly(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,11 +21,11 @@ from typing import Mapping
 import numpy as np
 
 from . import instances
-from .atomic import (BernoulliGame, Game, MixedProfile, WeightedGame,
-                     choice_probabilities, esc, load_distribution, opt_and_poa,
-                     player_expected_cost, social_optimum_pure, verify_equilibrium,
-                     best_response_dynamics)
-from .core import social_cost
+from .atomic import (BernoulliGame, MixedProfile, WeightedGame, best_response_dynamics,
+                     choice_probabilities, load_distribution, opt_and_poa,
+                     player_expected_cost, social_optimum_pure,
+                     symmetric_mixed_equilibrium, verify_equilibrium)
+from .core import all_strategy_costs, social_cost
 from .discrete_dist import poisson_pmf, tv_distance
 from .errors import ConfigError, DomainError
 from .poisson_limit import (build_limit_game, rate_bounds, regularity_constants,
@@ -379,8 +379,6 @@ def _wheatstone_bernoulli_report() -> ExampleReport:
     we = solve_wardrop(limit.structure, demand, target_eps=1e-10)
     checks.append(CheckResult("limit e1 load", float(we.pair.x[0]), 0.5, 1e-9))
     checks.append(CheckResult("limit e3 load", float(we.pair.x[2]), 0.0, 1e-9))
-    from .core import all_strategy_costs
-
     costs = all_strategy_costs(limit.structure, we.pair.x)
     checks.append(CheckResult("limit upper cost", float(costs[instances.UPPER]), 2.5, 1e-8))
     checks.append(CheckResult("limit zig-zag cost", float(costs[instances.ZIGZAG]), 3.0, 1e-8))
@@ -407,8 +405,6 @@ def _pigou_report() -> ExampleReport:
     all_upper = instances.two_strategy_all_first(game)
     checks.append(CheckResult("bernoulli all-upper regret",
                               verify_equilibrium(game, all_upper).max_regret, 0.0, 1e-9))
-    from .atomic import symmetric_mixed_equilibrium
-
     sym = symmetric_mixed_equilibrium(game)
     checks.append(CheckResult("bernoulli symmetric hits the boundary",
                               float(sym.probs[0][0]), 1.0, 1e-9))

@@ -10,18 +10,20 @@ that case as participation probabilities vanish.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import DemandVector, Structure, _readonly
+from .core import USAGE_TOL, DemandVector, Structure, _readonly, all_strategy_costs
 from .discrete_dist import Pmf, bernoulli_sum_pmf, poisson_pmf
 from .errors import DomainError, StructureError
-from .poisson_limit import build_limit_game
+from .poisson_limit import LimitGame, build_limit_game
 from .wardrop import wardrop_epsilon
 
-USAGE_TOL = 1e-10
+# wardrop_equivalence_check pins its limit game here for the regret check it runs
+_PINNED_LIMIT: ContextVar[LimitGame | None] = ContextVar("_PINNED_LIMIT", default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,11 +235,11 @@ def verify_poisson_game_equilibrium(structure: Structure, demand: DemandVector,
     the sum of auxiliary costs at the expected loads, so verification reduces
     to evaluating the limit game's strategy costs at flows demand * sigma.
     """
-    limit = build_limit_game(structure, demand, tail_tol=tail_tol, alpha=alpha)
+    limit = _PINNED_LIMIT.get()
+    if limit is None:
+        limit = build_limit_game(structure, demand, tail_tol=tail_tol, alpha=alpha)
     y = induced_flows(structure, demand, sigma)
     x = y @ structure.incidence
-    from .core import all_strategy_costs
-
     costs = all_strategy_costs(limit.structure, x)
     rows = []
     worst = 0.0
@@ -273,9 +275,13 @@ def wardrop_equivalence_check(structure: Structure, demand: DemandVector,
     """
     y = induced_flows(structure, demand, sigma)
     flow_gap = float(np.abs(y - pair.y).max())
-    report = verify_poisson_game_equilibrium(structure, demand, sigma,
-                                             tail_tol=tail_tol, alpha=alpha)
     limit = build_limit_game(structure, demand, tail_tol=tail_tol, alpha=alpha)
+    pin = _PINNED_LIMIT.set(limit)
+    try:
+        report = verify_poisson_game_equilibrium(structure, demand, sigma,
+                                                 tail_tol=tail_tol, alpha=alpha)
+    finally:
+        _PINNED_LIMIT.reset(pin)
     eps = wardrop_epsilon(limit.structure, demand, pair)
     equivalent = flow_gap <= tol and report.max_regret <= tol and eps <= tol
     return EquivalenceReport(flow_gap=flow_gap, flows_match=flow_gap <= tol,

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AffineCost, CostBatch, DemandVector, FlowLoadPair, PolynomialCost,
-                   Structure, all_strategy_costs, check_feasible, potential, social_cost)
+from .core import (USAGE_TOL, AffineCost, CostBatch, DemandVector, FlowLoadPair,
+                   PolynomialCost, Structure, all_strategy_costs, check_feasible, potential,
+                   social_cost)
 from .errors import DomainError, FeasibilityError, PrecisionError
-
-USAGE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cglab import atomic
 from cglab.atomic import (BernoulliGame, MixedProfile, MonteCarlo, WeightedGame,
                           best_response_dynamics, conditional_cost_estimate, esc,
                           expected_loads, load_distribution, opt_and_poa, parse_game,
@@ -80,6 +81,34 @@ class TestResourceChoiceProb:
         prof = MixedProfile.symmetric(game, [1 / 3, 1 / 3, 1 / 3])
         # upper and zig-zag both use e1
         assert resource_choice_prob(game, prof, 0, 0) == pytest.approx(2 / 3, abs=1e-15)
+
+
+class TestIndexChecks:
+    # a negative index would count from the end, and one past the end would
+    # raise a bare IndexError or answer for a type nobody has
+    @pytest.mark.parametrize("call", [
+        lambda g, p: resource_choice_prob(g, p, -1, 0),
+        lambda g, p: resource_choice_prob(g, p, 4, 0),
+        lambda g, p: player_expected_cost(g, p, -1),
+        lambda g, p: player_expected_cost(g, p, 7),
+        lambda g, p: conditional_cost_estimate(g, p, -1, 0),
+        lambda g, p: conditional_cost_estimate(g, p, 9, 0),
+        lambda g, p: conditional_cost_estimate(g, p, 0, -1),
+        lambda g, p: conditional_cost_estimate(g, p, 0, 3),
+        lambda g, p: strategy_flow_covariance(g, p, 0, -1, 0),
+        lambda g, p: strategy_flow_covariance(g, p, 0, 0, -1),
+        lambda g, p: strategy_flow_covariance(g, p, 0, 0, 5),
+        lambda g, p: strategy_flow_covariance(g, p, 5, 0, 0),
+        lambda g, p: strategy_flow_covariance(g, p, -1, 0, 0),
+        lambda g, p: load_distribution(g, p, -1),
+    ], ids=["choice-player-neg", "choice-player-past", "cost-player-neg", "cost-player-past",
+            "cond-player-neg", "cond-player-past", "cond-strategy-neg", "cond-strategy-past",
+            "cov-s1-neg", "cov-s2-neg", "cov-s2-past", "cov-type-past", "cov-type-neg",
+            "load-resource-neg"])
+    def test_out_of_range_index_rejected(self, call):
+        game = wheatstone_bernoulli(4)
+        with pytest.raises(StructureError):
+            call(game, wheatstone_symmetric_mix(game))
 
 
 class TestConditionalExpectedCost:
@@ -329,6 +358,22 @@ class TestOptAndPoa:
                                      wheatstone_split(game)])
             assert res.poa == pytest.approx(wheatstone_bernoulli_poa(n), abs=1e-9)
             assert res.pos == 1.0
+
+    def test_verification_and_esc_share_column_laws(self, monkeypatch):
+        # each distinct column's pmf is convolved once for the profile's
+        # verification and its esc together
+        game = wheatstone_bernoulli(16)
+        mix = wheatstone_symmetric_mix(game)
+        usage = atomic.choice_probabilities(game, mix)
+        columns = {tuple(sorted(c[c > 0.0].tolist()))
+                   for c in (np.asarray(game.probs)[:, None] * usage).T}
+        built = []
+        real = atomic.bernoulli_sum_pmf
+        monkeypatch.setattr(atomic, "bernoulli_sum_pmf",
+                            lambda probs: built.append(tuple(sorted(probs))) or real(probs))
+        opt_and_poa(game, [mix])
+        for key in columns - {()}:
+            assert built.count(key) == 1
 
     def test_single_player(self):
         game = wheatstone_bernoulli(1)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cglab import population
 from cglab.core import FlowLoadPair
 from cglab.discrete_dist import poisson_pmf, tv_distance
 from cglab.errors import DomainError, StructureError
@@ -172,6 +173,18 @@ class TestWardropEquivalence:
         report = wardrop_equivalence_check(s, d, sigma, pair)
         assert report.equivalent
         assert report.poisson_regret <= 1e-9 and report.wardrop_eps <= 1e-9
+
+    def test_limit_game_built_once(self, monkeypatch):
+        # the regret check reuses the limit game the equivalence check builds
+        s = wheatstone_structure()
+        d = unit_demand(s)
+        pair = self.solved_pair(s, d)
+        calls = []
+        monkeypatch.setattr(population, "build_limit_game",
+                            lambda *a, **k: calls.append(a) or build_limit_game(*a, **k))
+        report = wardrop_equivalence_check(s, d, TypeProfile((np.array([0.5, 0.0, 0.5]),)), pair)
+        assert report.equivalent
+        assert len(calls) == 1
 
     def test_pigou_boundary_equivalence(self):
         s = pigou_structure()

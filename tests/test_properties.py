@@ -137,31 +137,32 @@ class TestLeaveOneOut:
 
     def test_moves_keep_one_law_per_resource(self):
         # best-response moves replace columns; each replaced law is dropped
-        # once no resource uses it, and the costs match a fresh cache
+        # once no resource uses it, and the costs match a fresh store
         n = 30
         rng = np.random.default_rng(5)
         s = wheatstone_structure()
         game = BernoulliGame(s, tuple(rng.uniform(0.05, 1.0, n)), (0,) * n)
         state = list(rng.integers(0, 3, n))
-        cache = atomic._CondCache(game, atomic._pure_usage(game, state))
+        laws = atomic._LoadLaws(game, atomic.choice_probabilities(game, MixedProfile.pure(game, state)))
         for step in range(60):
             for e in range(s.n_resources):
-                cache.law(e)
+                laws.law(e)
             i, best = step % n, int(rng.integers(0, 3))
             state[i] = best
-            cache.move(i, s.incidence[s.type_slices[0]][best])
-            live = {id(law) for law in cache.edge_laws if law is not None}
-            assert {id(law) for law in cache.laws.values()} <= live
-        fresh = atomic._CondCache(game, atomic._pure_usage(game, state))
+            laws.move(i, s.incidence[s.type_slices[0]][best])
+            live = {key for key in laws.keys if key is not None}
+            assert set(laws._pmfs) - {()} <= live
+            assert len(live) <= s.n_resources
+        fresh = atomic._LoadLaws(game, atomic.choice_probabilities(game, MixedProfile.pure(game, state)))
         for i in range(n):
             for k in range(3):
-                got = atomic._strategy_cond_cost(cache, i, k, None)[0]
+                got = atomic._strategy_cond_cost(laws, i, k, None)[0]
                 assert got == pytest.approx(atomic._strategy_cond_cost(fresh, i, k, None)[0],
                                             rel=1e-13, abs=1e-13)
 
     def test_weighted_column_sums_follow_moves(self):
-        # equal weights: the cached certain-weight sums and fractional counts
-        # of each column are dropped on a move, so a moved cache answers bit
+        # equal weights: the stored certain-weight sums and fractional counts
+        # of each column are dropped on a move, so a moved store answers bit
         # for bit as a fresh one, and both match the enumerated law
         n, w = 9, 0.3
         rng = np.random.default_rng(11)
@@ -170,18 +171,18 @@ class TestLeaveOneOut:
         rows = s.incidence[s.type_slices[0]]
         choices = [rows[k] for k in range(3)] + [np.array([0.5, 0.5, 0.0, 0.5, 0.5])]
         usage = np.array([choices[int(rng.integers(0, 4))] for _ in range(n)])
-        cache = atomic._CondCache(game, usage.copy())
+        laws = atomic._LoadLaws(game, usage.copy())
         for step in range(40):
             for i in range(n):
-                atomic._strategy_cond_cost(cache, i, int(rng.integers(0, 3)), None)
+                atomic._strategy_cond_cost(laws, i, int(rng.integers(0, 3)), None)
             row = choices[int(rng.integers(0, 4))]
             usage[step % n] = row
-            cache.move(step % n, row)
-        fresh = atomic._CondCache(game, usage.copy())
+            laws.move(step % n, row)
+        fresh = atomic._LoadLaws(game, usage.copy())
         for i in range(n):
             others = np.delete(usage, i, axis=0)
             for k in range(3):
-                got = atomic._strategy_cond_cost(cache, i, k, None)[0]
+                got = atomic._strategy_cond_cost(laws, i, k, None)[0]
                 assert got == atomic._strategy_cond_cost(fresh, i, k, None)[0]
                 want = 0.0
                 for e in s.strategies[0][k]:
