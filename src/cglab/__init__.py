@@ -14,7 +14,7 @@ from .core import (AffineCost, DemandVector, FlowLoadPair, GrowthEnvelope,
                    load_instance, loads_from_flows, parse_instance, social_cost,
                    strategy_cost)
 from .discrete_dist import (Pmf, ValueDist, barbour_hall_bound, bernoulli_sum_pmf,
-                            borisov_ruzankin_bound, expect_over, poisson_pmf,
+                            borisov_ruzankin_bound, poisson_pmf,
                             tv_distance, tv_poisson_bound, weighted_sum_distribution)
 from .harness import (ConvergenceReport, SequenceSpec, opt_convergence,
                       reproduce_example, run_convergence)

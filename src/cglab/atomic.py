@@ -18,14 +18,15 @@ read the same column laws, and ``opt_and_poa`` hands each profile's
 verification and ``esc`` one store.  Loads whose random weights differ are
 enumerated or sampled.
 
-The exact social optimum is searched over pure profiles.  When the players of
-each type share one magnitude, a profile is a vector of per-type strategy
-counts, and a resource's value depends only on how many players of each type
-use it.  The search therefore holds every count vector as one row of an
-integer array, gets each resource's per-type counts by one matrix product,
-builds one value table per resource, and scores each row as the ``fsum`` of
-its table entries; ``esc`` scores every profile as the ``fsum`` of the same
-per-resource values, so on pure profiles the two agree bit for bit.
+The exact social optimum is searched over pure profiles.  Players of one type
+and one magnitude form a class and are interchangeable, so a profile is a
+vector of per-class strategy counts, and a resource's value depends only on
+how many players of each class use it.  The search therefore holds every
+count vector as one row of an integer array, gets each resource's per-class
+counts by one matrix product, builds one value table per resource, and
+scores each row as the ``fsum`` of its table entries; ``esc`` scores every
+profile as the ``fsum`` of the same per-resource values, so on pure profiles
+the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -292,8 +294,8 @@ class _LoadLaws:
     ``edge_value`` is E[L c_e(L)], for resource e's column or for a list of
     certain users' magnitudes (the optimum search, which has no usage).  A
     profile's cost is the fsum of its resources' values, which does not depend
-    on edge order, so every route that sums the same values (``esc``,
-    ``from_assignment``, the count-space optimum search) agrees bit for bit.
+    on edge order, so ``esc`` and the count-space optimum search, which sum
+    the same values, agree bit for bit.
     """
 
     def __init__(self, game: Game, usage: np.ndarray | None = None):
@@ -434,15 +436,6 @@ class _LoadLaws:
             return load * float(cost.value(load))
         law = self.weighted_law(e, mc)
         return float(law.masses @ (law.values * np.asarray(cost.value(law.values), dtype=float)))
-
-    def from_assignment(self, state: Sequence[int]) -> float:
-        game = self.game
-        s = game.structure
-        per_edge: list[list[float]] = [[] for _ in range(s.n_resources)]
-        for i, si in enumerate(state):
-            for e in s.strategies[game.player_types[i]][si]:
-                per_edge[e].append(game.magnitudes[i])
-        return math.fsum(self.edge_value(e, ms) for e, ms in enumerate(per_edge))
 
 
 # opt_and_poa pins one store per profile here, so that the profile's
@@ -621,6 +614,7 @@ def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int =
     seen = {tuple(state): 0}
     for sweep in range(1, max_sweeps + 1):
         changed = False
+        regret = 0.0
         for i in range(game.n_players):
             t = game.player_types[i]
             m = len(game.structure.strategies[t])
@@ -631,10 +625,10 @@ def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int =
                 sl = game.structure.type_slices[t]
                 laws.move(i, game.structure.incidence[sl][best])
                 changed = True
+            regret = max(regret, costs[state[i]] - costs[best])
         snap = tuple(state)
         if not changed:
-            report = verify_equilibrium(game, MixedProfile.pure(game, snap), mc=mc)
-            return BestResponseResult(snap, True, sweep, None, report.max_regret)
+            return BestResponseResult(snap, True, sweep, None, regret)
         if snap in seen:
             cycle = tuple(history[seen[snap]:]) + (snap,)
             return BestResponseResult(None, False, sweep, cycle, None)
@@ -807,29 +801,32 @@ class OptResult:
 _COMBO_CHUNK = 1 << 14
 
 
-def _count_space_optimum(game: Game, laws: _LoadLaws,
-                         by_type: dict[int, list[int]]) -> OptResult:
-    """Minimum over per-type strategy counts, each scored from per-resource tables.
+def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
+    """Minimum over per-class strategy counts, each scored from per-resource tables.
 
-    The counts of type t are the rows of ``_compositions``; every combination
-    of one row per type is a profile, visited in ``itertools.product`` order.
-    A resource's value depends only on how many players of each type use it,
-    so each resource gets one table over the per-type counts that vary on it,
-    filled by ``laws.edge_value``; ``parts[j]`` holds, per composition of
-    type j and per resource, that type's share of the flat table index.
+    ``classes`` counts the players of each (type, magnitude).  The strategy
+    counts of a class are the rows of ``_compositions``; every combination of
+    one row per class, classes in key order, is a profile, visited in
+    ``itertools.product`` order.  A resource's value depends only on how many
+    players of each class use it, so each resource gets one table over the
+    per-class counts that vary on it, filled by ``laws.edge_value``;
+    ``parts[j]`` holds, per composition of class j and per resource, that
+    class's share of the flat table index.
     """
     s = game.structure
-    type_ids = sorted(by_type)
-    comps = [_compositions(len(by_type[t]), len(s.strategies[t])) for t in type_ids]
-    # users[j][r, e]: players of type j on resource e under composition r
+    laws = _LoadLaws(game)
+    keys = sorted(classes)
+    sizes = [classes[k] for k in keys]
+    comps = [_compositions(n, len(s.strategies[t])) for n, (t, _) in zip(sizes, keys)]
+    # users[j][r, e]: players of class j on resource e under composition r
     users = [c @ s.incidence[s.type_slices[t]].astype(np.int64)
-             for c, t in zip(comps, type_ids)]
-    mags = [game.magnitudes[by_type[t][0]] for t in type_ids]
+             for c, (t, _) in zip(comps, keys)]
+    mags = [w for _, w in keys]
     parts = [np.zeros_like(u) for u in users]
     table: list[float] = []
     for e in range(s.n_resources):
-        ranges = [range(len(by_type[t]) + 1) if np.ptp(u[:, e]) > 0 else (int(u[0, e]),)
-                  for t, u in zip(type_ids, users)]
+        ranges = [range(n + 1) if np.ptp(u[:, e]) > 0 else (int(u[0, e]),)
+                  for n, u in zip(sizes, users)]
         stride = 1
         for j in reversed(range(len(ranges))):
             if len(ranges[j]) > 1:
@@ -863,37 +860,17 @@ def social_optimum_pure(game: Game, budget: int = 250_000) -> OptResult | None:
 
     The expected social cost is multilinear in the players' mixed strategies,
     so its minimum over all mixed profiles is attained at a pure profile.
-    Per-type symmetric games are enumerated by strategy counts; small general
-    games are enumerated profile by profile.  Returns None over budget.
+    Players of one type and one magnitude are interchangeable, so profiles
+    are enumerated by per-class strategy counts.  Returns None when the
+    count vectors number more than ``budget``.
     """
     s = game.structure
-    laws = _LoadLaws(game)
-    by_type: dict[int, list[int]] = {}
-    for i, t in enumerate(game.player_types):
-        by_type.setdefault(t, []).append(i)
-    symmetric = all(len({game.magnitudes[i] for i in members}) == 1
-                    for members in by_type.values())
-    if symmetric:
-        combos = 1
-        for t, members in by_type.items():
-            m = len(s.strategies[t])
-            combos *= math.comb(len(members) + m - 1, m - 1)
-        if combos <= budget:
-            return _count_space_optimum(game, laws, by_type)
-    total = 1
-    for t in game.player_types:
-        total *= len(s.strategies[t])
-        if total > budget:
-            return None
-    best = math.inf
-    best_state = None
-    for state in itertools.product(*[range(len(s.strategies[t]))
-                                     for t in game.player_types]):
-        val = laws.from_assignment(state)
-        if val < best - 1e-15:
-            best = val
-            best_state = state
-    return OptResult(best, True, f"pure profile {best_state}")
+    classes = Counter(zip(game.player_types, game.magnitudes))
+    combos = math.prod(math.comb(n + len(s.strategies[t]) - 1, len(s.strategies[t]) - 1)
+                       for (t, _), n in classes.items())
+    if combos > budget:
+        return None
+    return _count_space_optimum(game, classes)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from .atomic import (best_response_dynamics, load_game, load_profile,
 from .core import instance_to_json, load_instance
 from .errors import CglabError
 from .harness import SequenceSpec, reproduce_example, run_convergence
-from .poisson_limit import (build_limit_game, rate_bounds, regularity_constants,
-                            resolve_alpha)
+from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
+                            regularity_constants, resolve_alpha)
 from .wardrop import solution_to_json, solve_wardrop
 
 
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("limit", help="emit the Poisson limit instance and constants")
     p.add_argument("instance")
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--tail-tol", type=float, default=1e-10, dest="tail_tol")
+    p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL, dest="tail_tol")
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_limit)
 

@@ -603,9 +603,10 @@ def parse_cost(obj: Mapping) -> Cost:
         return TableCost(tuple(obj["values"]), _parse_envelope(env) if env else None)
     if kind == "aux":
         _reject_unknown(obj, {"kind", "base", "tail_tol"}, "aux cost")
-        from .poisson_limit import AuxCost  # deferred to avoid an import cycle
+        from .poisson_limit import DEFAULT_TAIL_TOL, AuxCost  # deferred to avoid an import cycle
 
-        return AuxCost(parse_cost(obj["base"]), tail_tol=float(obj.get("tail_tol", 1e-10)))
+        return AuxCost(parse_cost(obj["base"]),
+                       tail_tol=float(obj.get("tail_tol", DEFAULT_TAIL_TOL)))
     raise StructureError(f"unknown cost kind {kind!r}")
 
 

@@ -23,6 +23,7 @@ _NORM_TOL = 1e-12
 _MERGE_TOL = 1e-12
 _DECONV_TOL = 1e-14
 _LOG_HUGE = 709.0  # log of the largest tail bound reported as finite; larger ones are inf
+_LOG_ROUND_UP = 16 * np.finfo(float).eps  # relative slack on a log-space tail bound
 _SF_FLOOR = 1e-280  # Poisson tails below this are bounded, not evaluated
 _SERIES_LIMIT = 1_000_000  # largest truncation point of a certified Poisson series
 _BLOCK_ENTRIES = 1 << 18  # Poisson weights formed at once by poisson_expect
@@ -35,14 +36,11 @@ class Pmf:
 
     ``tail_mass`` is certified probability mass beyond the stored range; it is
     zero for exact constructions and positive only for truncations.
-    ``poisson_mean`` records the parameter when the pmf is a truncated Poisson,
-    which lets :func:`expect_over` certify tail contributions.
     """
 
     probs: np.ndarray
     offset: int = 0
     tail_mass: float = 0.0
-    poisson_mean: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _readonly(self.probs))
@@ -83,11 +81,8 @@ class Pmf:
         return float(np.dot((self.support() - m) ** 2, self.probs))
 
     def expect(self, h) -> float:
-        """Plain truncated expectation of ``h``; see expect_over for certified tails."""
+        """Expectation of ``h`` over the stored range; see poisson_expect for certified tails."""
         return float(np.dot(_eval_on(h, self.support()), self.probs))
-
-    def shifted(self, delta: int) -> "Pmf":
-        return Pmf(self.probs, self.offset + delta, self.tail_mass, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,24 +173,18 @@ class BarbourHallBound(NamedTuple):
 def poisson_pmf(mean: float, tail_tol: float = 1e-12) -> Pmf:
     """Truncated Poisson pmf with certified tail mass below ``tail_tol``.
 
-    The cutoff is the smallest K whose exact remainder falls under tail_tol.
+    The cutoff K is the smallest one whose tail bound (``exp_weighted_poisson_tail``
+    at rate 0) falls under tail_tol; that bound is the reported ``tail_mass``.
     """
     if mean < 0:
         raise DomainError("Poisson mean must be nonnegative")
     if not 0.0 < tail_tol < 1.0:
         raise DomainError("tail_tol must lie in (0, 1)")
-    if mean == 0.0:
-        return Pmf(np.array([1.0]), poisson_mean=0.0)
-    if mean > 700.0:
-        raise PrecisionError("Poisson mean too large for direct pmf recurrence")
-    terms = [math.exp(-mean)]
-    cum = terms[0]
-    k = 0
-    while 1.0 - cum >= tail_tol:
-        k += 1
-        terms.append(terms[-1] * mean / k)
-        cum += terms[-1]
-    return Pmf(np.array(terms), tail_mass=max(0.0, 1.0 - cum), poisson_mean=float(mean))
+    means = np.array([mean], dtype=float)
+    ks = np.arange(_truncation(means, 0.0, 1.0, tail_tol)[0] + 1)
+    tails = exp_weighted_poisson_tail(means[0], ks, 0.0, 1.0)
+    k_max = int(np.argmax(tails < tail_tol))
+    return Pmf(_poisson_weights(means, ks[:k_max + 1])[0], tail_mass=float(tails[k_max]))
 
 
 def bernoulli_sum_pmf(probs: Sequence[float]) -> Pmf:
@@ -496,7 +485,12 @@ def exp_weighted_poisson_tail(mean, k_max, rate, scale):
         raise DomainError("mean, rate and scale must be finite and nonnegative")
     if rate.max() > 50:
         raise PrecisionError("growth-envelope rate too large to certify tails")
-    log_bound = _log(scale) + mean * np.expm1(rate) + _log_poisson_sf(k_max, mean * np.exp(rate))
+    terms = (_log(scale), mean * np.expm1(rate), _log_poisson_sf(k_max, mean * np.exp(rate)))
+    log_bound = terms[0] + terms[1] + terms[2]
+    # the round trip through log space costs a few ulps of the terms: round up by them
+    finite = np.isfinite(log_bound)
+    slack = _LOG_ROUND_UP * (1.0 + sum(np.abs(np.where(finite, t, 0.0)) for t in terms))
+    log_bound = np.where(finite, log_bound + slack, log_bound)
     bound = np.where(log_bound < _LOG_HUGE, np.exp(np.minimum(log_bound, _LOG_HUGE)), np.inf)
     return float(bound) if bound.ndim == 0 else bound
 
@@ -520,6 +514,26 @@ def _poisson_weights(means: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return w
 
 
+def _truncation(means: np.ndarray, rate, scale, tol: float) -> tuple[int, np.ndarray]:
+    """One truncation point K for every mean, and each mean's certified tail bound there.
+
+    K starts a few standard deviations above the largest mean and doubles
+    until every envelope-weighted tail (``exp_weighted_poisson_tail``) drops
+    below ``tol``; past ``_SERIES_LIMIT`` the series is not certified.
+    """
+    top = float(means.max(initial=0.0))
+    if not (top < np.inf and means.min(initial=0.0) >= 0.0):
+        raise DomainError("Poisson mean must be finite and nonnegative")
+    k_max = int(top + 10.0 * math.sqrt(top + 1.0) + 20.0)
+    while True:
+        err = exp_weighted_poisson_tail(means, k_max, rate, scale)
+        if err.max(initial=0.0) < tol:
+            return k_max, err
+        k_max *= 2
+        if k_max > _SERIES_LIMIT:
+            raise PrecisionError("cannot certify Poisson expectation under this envelope")
+
+
 def poisson_expect(mean, h, rate, scale, tol: float = 1e-12) -> Expectation:
     """Certified ``E[h(X)]`` for ``X ~ Poisson(mean)``, with ``|h(k)| <= scale e^{rate k}``.
 
@@ -536,17 +550,7 @@ def poisson_expect(mean, h, rate, scale, tol: float = 1e-12) -> Expectation:
         raise DomainError("Poisson means must form a scalar or a vector")
     scalar = means.ndim == 0
     means = means.reshape(-1)
-    top = float(means.max(initial=0.0))
-    if not (top < np.inf and means.min(initial=0.0) >= 0.0):
-        raise DomainError("Poisson mean must be finite and nonnegative")
-    k_max = int(top + 10.0 * math.sqrt(top + 1.0) + 20.0)
-    while True:
-        err = exp_weighted_poisson_tail(means, k_max, rate, scale)
-        if err.max(initial=0.0) < tol:
-            break
-        k_max *= 2
-        if k_max > _SERIES_LIMIT:
-            raise PrecisionError("cannot certify Poisson expectation under this envelope")
+    k_max, err = _truncation(means, rate, scale, tol)
     ks = np.arange(k_max + 1)
     hv = _eval_on(h, ks, rows=means.size)
     overflow = ~np.isfinite(hv)
@@ -568,21 +572,3 @@ def poisson_expect(mean, h, rate, scale, tol: float = 1e-12) -> Expectation:
         return Expectation(float(value[0]), float(err[0]))
     return Expectation(value, err)
 
-
-def expect_over(pmf: Pmf, h, exp_envelope: tuple[float, float] | None = None) -> Expectation:
-    """``sum h(k) p(k)`` with a certified error interval for truncated tails.
-
-    For pmfs with positive tail mass the tail contribution is bounded through
-    an exponential envelope ``|h(k)| <= scale * e^{rate k}`` (given as
-    ``(rate, scale)``); this requires the pmf to be a Poisson truncation.
-    """
-    value = float(np.dot(_eval_on(h, pmf.support()), pmf.probs))
-    if pmf.tail_mass <= 0.0:
-        return Expectation(value, 0.0)
-    if exp_envelope is None:
-        raise PrecisionError("pmf has tail mass but no growth envelope was supplied")
-    if pmf.poisson_mean is None:
-        raise PrecisionError("tail certification is only available for Poisson truncations")
-    rate, scale = exp_envelope
-    err = exp_weighted_poisson_tail(pmf.poisson_mean, pmf.k_max, rate, scale)
-    return Expectation(value, err)

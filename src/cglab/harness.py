@@ -28,8 +28,8 @@ from .atomic import (BernoulliGame, MixedProfile, WeightedGame, best_response_dy
 from .core import all_strategy_costs, social_cost
 from .discrete_dist import poisson_pmf, tv_distance
 from .errors import ConfigError, DomainError
-from .poisson_limit import (build_limit_game, rate_bounds, regularity_constants,
-                            resolve_alpha)
+from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
+                            regularity_constants, resolve_alpha)
 from .wardrop import poa_nonatomic, solve_social_optimum, solve_wardrop
 
 REPORT_SCHEMA = 1
@@ -47,7 +47,7 @@ class SequenceSpec:
     n_values: tuple[int, ...]
     alpha: float | None = None
     beta_override: float | None = None
-    tail_tol: float = 1e-10
+    tail_tol: float = DEFAULT_TAIL_TOL
     target_eps: float = 1e-10
     seed: int = 0
     equilibria: tuple[str, ...] = ()  # empty means the example's full family
@@ -76,7 +76,7 @@ class SequenceSpec:
         return cls(example=data["example"], model=data["model"],
                    n_values=tuple(data["n_values"]),
                    alpha=data.get("alpha"), beta_override=data.get("beta_override"),
-                   tail_tol=float(data.get("tail_tol", 1e-10)),
+                   tail_tol=float(data.get("tail_tol", DEFAULT_TAIL_TOL)),
                    target_eps=float(data.get("target_eps", 1e-10)),
                    seed=int(data.get("seed", 0)),
                    equilibria=tuple(data.get("equilibria", ())))
@@ -194,9 +194,7 @@ def _bernoulli_tv(game: BernoulliGame, profile: MixedProfile, limit_loads,
     worst = (0.0, 0.0)
     for e in range(game.structure.n_resources):
         pmf = load_distribution(game, profile, e)
-        target = poisson_pmf(float(limit_loads[e]), tail_tol) \
-            if limit_loads[e] > 0 else poisson_pmf(0.0, 0.5)
-        interval = tv_distance(pmf, target)
+        interval = tv_distance(pmf, poisson_pmf(float(limit_loads[e]), tail_tol))
         if interval.upper > worst[1]:
             worst = (interval.lower, interval.upper)
     return worst

@@ -84,18 +84,20 @@ class _AuxSeries:
         value = poisson_expect(x, h, rate, scale, self.tail_tol).value
         return float(value) if x.ndim == 0 else value
 
-    def _stacked(self, x, idx, orders) -> np.ndarray:
+    def _stacked(self, x, idx, orders, absolute: bool = False) -> np.ndarray:
         """``E Δ^j c_i(1 + X_i)`` for each order j in ``orders``: one row per order.
 
         ``X_i ~ Poisson(x_i)``, one load per row ``idx`` selects.  Since
         d/dx E f(1 + X) = E Δf(1 + X), order j is the j-th load-derivative of
         the value.  Every order shares one series and its certified tails.
+        With ``absolute`` set, ``E |Δ^j c_i(1 + X_i)|`` instead.
         """
         top = max(orders)
 
         def differences(ks):
             table = self._rows(ks.size + top, idx)
-            return np.concatenate([np.diff(table, n=j)[:, :ks.size] for j in orders])
+            rows = np.concatenate([np.diff(table, n=j)[:, :ks.size] for j in orders])
+            return np.abs(rows) if absolute else rows
 
         rate = np.tile(self._rate[idx], len(orders))
         scale = np.concatenate([self._order_scale(j)[idx] for j in orders])
@@ -182,7 +184,7 @@ class AuxCost:
     def value_int(self, k):
         if np.isscalar(k):
             return self.value(float(k))
-        return np.array([self.value(float(v)) for v in np.asarray(k).ravel()])
+        return self.values_on_grid(k)
 
     def values_on_grid(self, xs) -> np.ndarray:
         """Vectorized evaluation on a grid, sharing one certified truncation."""
@@ -331,35 +333,20 @@ def regularity_constants(structure: Structure, alpha: float, *,
     costs = structure.cost_fns
     kappa = structure.max_strategy_size
 
-    nu = zeta = c_cap_aux = None
-    delta1_min = None
-    integer_ok = all(getattr(c, "has_integer_eval", False) for c in costs)
-    if integer_ok:
-        try:
-            nu = 0.0
-            delta1 = []
-            for c in costs:
-                rate, scale = c.growth_envelope().exp_majorant()
-                env_rate = rate
-                env_scale = 4.0 * scale * math.exp(rate * 3.0)
-
-                def second_diff(k, cost=c):
-                    ks = np.asarray(k) + 1
-                    return np.abs(np.asarray(cost.value_int(ks + 2), dtype=float)
-                                  - 2.0 * np.asarray(cost.value_int(ks + 1), dtype=float)
-                                  + np.asarray(cost.value_int(ks), dtype=float))
-
-                nu = max(nu, poisson_expect(alpha, second_diff, env_rate, env_scale,
-                                            tail_tol).value)
-                delta1.append(float(c.value_int(2)) - float(c.value_int(1)))
-            zeta = _lipschitz_bound(alpha, nu, max(delta1))
-            delta1_min = min(delta1)
-            aux = [AuxCost(c, tail_tol=max(tail_tol, 1e-14)) for c in costs]
-            x = np.array([a.value(alpha) for a in aux])
-            c_cap_aux = float((structure.incidence @ x).max())
-        except PrecisionError:
-            nu = zeta = c_cap_aux = delta1_min = None
-            integer_ok = False
+    try:
+        series = _AuxSeries(costs, tail_tol)
+        rows = np.arange(len(costs))
+        at_alpha = np.full(len(costs), float(alpha))
+        curvature = series._stacked(at_alpha, rows, (2,), absolute=True)[0]
+        value = series.values(at_alpha, rows)
+    except PrecisionError:
+        nu = zeta = c_cap_aux = delta1_min = None
+    else:
+        nu = float(curvature.max())
+        delta1 = np.diff(series._rows(2, rows), axis=1)[:, 0]
+        zeta = _lipschitz_bound(alpha, nu, float(delta1.max()))
+        delta1_min = float(delta1.min())
+        c_cap_aux = float((structure.incidence @ value).max())
 
     slope_min = slope_max = gamma = c_cap = None
     smooth = all(isinstance(c, (AffineCost, PolynomialCost)) for c in costs)

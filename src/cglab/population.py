@@ -19,7 +19,7 @@ import numpy as np
 from .core import USAGE_TOL, DemandVector, Structure, _readonly, all_strategy_costs
 from .discrete_dist import Pmf, bernoulli_sum_pmf, poisson_pmf
 from .errors import DomainError, StructureError
-from .poisson_limit import LimitGame, build_limit_game
+from .poisson_limit import DEFAULT_TAIL_TOL, LimitGame, build_limit_game
 from .wardrop import wardrop_epsilon
 
 # wardrop_equivalence_check pins its limit game here for the regret check it runs
@@ -191,19 +191,17 @@ def posterior_count_pmf(model: PopulationModel, t: int,
     """Marginal posterior pmf of the number of *other* type-t players.
 
     Other types are unaffected (independence), so total-variation comparisons
-    of prior versus posterior reduce to this marginal.
+    of prior versus posterior reduce to this marginal.  A Poisson count's
+    posterior is its prior, certified tail included; a Bernoulli count's is
+    the exact size-biased law ``k P(N_t = k) / E[N_t]``, shifted down by one.
     """
     mean = model.expected_count(t)
     if mean <= 0:
         raise DomainError("posterior undefined for a type with zero expected count")
     prior = model.count_pmf(t, tail_tol)
-    if len(prior) < 2:
-        return Pmf(np.array([1.0]))
-    ks = np.arange(1, len(prior))
-    shifted = ks * prior.probs[1:] / mean
-    leftover = max(0.0, 1.0 - float(shifted.sum()))
-    return Pmf(shifted, tail_mass=leftover,
-               poisson_mean=mean if model.kind == "independent_poisson" else None)
+    if model.kind == "independent_poisson":
+        return prior
+    return Pmf(np.arange(1, len(prior)) * prior.probs[1:] / mean)
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ class PoissonGameReport:
 
 def verify_poisson_game_equilibrium(structure: Structure, demand: DemandVector,
                                     sigma: TypeProfile, *,
-                                    tail_tol: float = 1e-10,
+                                    tail_tol: float = DEFAULT_TAIL_TOL,
                                     alpha: float | None = None,
                                     usage_tol: float = USAGE_TOL) -> PoissonGameReport:
     """Regret of a type profile in the Poisson game over this structure.
@@ -265,7 +263,7 @@ class EquivalenceReport:
 
 def wardrop_equivalence_check(structure: Structure, demand: DemandVector,
                               sigma: TypeProfile, pair, tol: float = 1e-9, *,
-                              tail_tol: float = 1e-10,
+                              tail_tol: float = DEFAULT_TAIL_TOL,
                               alpha: float | None = None) -> EquivalenceReport:
     """Cross-check a type profile against a flow-load pair of the limit game.
 

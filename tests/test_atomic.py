@@ -276,6 +276,30 @@ class TestBestResponseDynamics:
         assert res.cycle[0] == res.cycle[-1]
         assert len(res.cycle) >= 3
 
+    def test_regret_read_from_the_last_sweep(self, monkeypatch):
+        # heterogeneous Bernoulli players: the regret of the sweep that moves
+        # nobody equals a fresh verification bit for bit, and reading it from
+        # that sweep convolves no column law a second time
+        built = []
+        real = atomic.bernoulli_sum_pmf
+        monkeypatch.setattr(atomic, "bernoulli_sum_pmf",
+                            lambda probs: built.append(1) or real(probs))
+        s = wheatstone_structure()
+        n = 64
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            game = BernoulliGame(s, tuple(rng.uniform(1e-4, 1.9 / n, n)), (0,) * n)
+            res = best_response_dynamics(game, [UPPER] * n)
+            assert res.converged
+            built.clear()
+            report = verify_equilibrium(game, res.profile(game))
+            fresh = len(built)
+            assert res.regret == report.max_regret
+            built.clear()
+            again = best_response_dynamics(game, list(res.strategies))
+            assert again.sweeps == 1 and again.regret == report.max_regret
+            assert 0 < len(built) == fresh
+
 
 class TestSymmetricMixedEquilibrium:
     def test_wheatstone_bernoulli_half_mix(self):
@@ -422,10 +446,8 @@ class TestOptAndPoa:
             assert found.value == pytest.approx(best, abs=1e-12)
 
     def test_budget_edge(self):
-        # the count search runs when its combo count equals the budget; one
-        # below, the search falls through to the profile walk (over budget
-        # here, since a homogeneous game has at least as many profiles as
-        # count vectors), exactly as the assignment oracle does
+        # the count search runs when its combo count equals the budget and
+        # returns None one below, exactly as the assignment oracle does
         s = Structure(("a", "b", "c"),
                       (AffineCost(1.0), AffineCost(1.0, 0.2), AffineCost(1.0)),
                       ("t1", "t2"), (((0,), (1,)), ((1,), (2,))))
@@ -438,12 +460,25 @@ class TestOptAndPoa:
             assert found.exact and found.description.startswith("pure counts")
             assert social_optimum_pure(game, budget=combos - 1) is None
             assert pure_optimum_by_assignment(game, budget=combos - 1) is None
-        # unequal weights take the profile walk: 3^3 profiles
+        # unequal weights: one class per (type, weight), here 3^3 count vectors
         game = WeightedGame(wheatstone_structure(), (0.2, 0.3, 0.5), (0, 0, 0))
         found = social_optimum_pure(game, budget=27)
-        assert (found.value, found.description) == pure_optimum_by_assignment(game, 27)
-        assert found.description.startswith("pure profile")
+        assert found.value == pure_optimum_by_assignment(game, 27)[0]
+        assert found.description.startswith("pure counts")
         assert social_optimum_pure(game, budget=26) is None
+
+    def test_two_magnitudes_in_one_type(self):
+        # 3^6 profiles, but two classes of three interchangeable players:
+        # 10 x 10 count vectors fit a budget far below the profile count
+        s = wheatstone_structure()
+        for game in (WeightedGame(s, (0.1, 0.2) * 3, (0,) * 6),
+                     BernoulliGame(s, (0.3, 0.6) * 3, (0,) * 6)):
+            found = social_optimum_pure(game, budget=100)
+            assert found is not None and found.description.startswith("pure counts")
+            best = min(esc_brute_force(game, MixedProfile.pure(game, list(state)))
+                       for state in itertools.product(range(3), repeat=6))
+            assert found.value == pytest.approx(best, abs=1e-12)
+            assert social_optimum_pure(game, budget=99) is None
 
 
 class TestLoadDistribution:

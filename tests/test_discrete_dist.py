@@ -3,15 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from cglab.discrete_dist import (Pmf, ValueDist, barbour_hall_bound,
                                  bernoulli_sum_pmf, borisov_ruzankin_bound,
-                                 exp_weighted_poisson_tail, expect_over,
+                                 exp_weighted_poisson_tail,
                                  poisson_expect, poisson_pmf,
                                  tv_distance, tv_poisson_bound,
                                  weighted_sum_distribution)
-from cglab.errors import (CapacityError, ConfigError, DomainError, PrecisionError)
+from cglab.errors import CapacityError, ConfigError, DomainError
 
 
 def enumerate_bernoulli_sum(probs):
@@ -67,6 +67,20 @@ class TestPoissonPmf:
     def test_negative_mean_rejected(self):
         with pytest.raises(DomainError):
             poisson_pmf(-0.1)
+
+    def test_tail_mass_bounds_the_true_tail(self):
+        # the tail mass is a bound on P(X > K), never the rounded 1 - sum
+        for tol in (1e-10, 1e-12, 1e-14):
+            for mean in np.linspace(0.01, 60.0, 300):
+                p = poisson_pmf(mean, tol)
+                assert special.pdtrc(p.k_max, mean) <= p.tail_mass < tol
+
+    def test_large_mean_is_normalised(self):
+        p = poisson_pmf(800.0)
+        assert abs(float(p.probs.sum()) + p.tail_mass - 1.0) <= 1e-12
+        assert p.tail_mass < 1e-12
+        assert p.mean() == pytest.approx(800.0 * stats.poisson.cdf(p.k_max - 1, 800.0),
+                                         rel=1e-12)
 
 
 class TestBernoulliSum:
@@ -267,38 +281,25 @@ class TestBorisovRuzankin:
 
 class TestExpectations:
     def test_normalization(self):
-        p = poisson_pmf(2.0, 1e-13)
-        got = expect_over(p, lambda k: np.ones_like(k, dtype=float), (0.0, 1.0))
+        got = poisson_expect(2.0, lambda k: np.ones_like(k, dtype=float), 0.0, 1.0, 1e-13)
         assert got.value + got.error >= 1.0 - 1e-12
         assert got.value == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_identity(self):
-        p = poisson_pmf(3.2, 1e-13)
-        got = expect_over(p, lambda k: k.astype(float), (0.1, 10.0))
+        got = poisson_expect(3.2, lambda k: k.astype(float), 0.1, 10.0, 1e-13)
         assert got.value == pytest.approx(3.2, abs=1e-10)
 
     def test_factorial_moment(self):
         # E[X(X-1)] = mean^2 for a Poisson variable; oracle via a huge truncation
         mean = 2.0
-        p = poisson_pmf(mean, 1e-15)
         term = math.exp(-mean)
         oracle = 0.0
         for k in range(120):
             oracle += k * (k - 1) * term
             term *= mean / (k + 1)
-        got = expect_over(p, lambda k: (k * (k - 1)).astype(float), (0.5, 10.0))
+        got = poisson_expect(mean, lambda k: (k * (k - 1)).astype(float), 0.5, 10.0, 1e-15)
         assert oracle == pytest.approx(mean ** 2, abs=1e-12)
         assert got.value == pytest.approx(4.0, abs=1e-9)
-
-    def test_tail_without_envelope_rejected(self):
-        p = poisson_pmf(2.0, 1e-6)
-        with pytest.raises(PrecisionError):
-            expect_over(p, lambda k: k.astype(float) ** 3)
-
-    def test_exact_pmf_has_zero_error(self):
-        p = bernoulli_sum_pmf([0.4, 0.9])
-        got = expect_over(p, lambda k: k.astype(float))
-        assert got.error == 0.0
 
     def test_poisson_expect_certified(self):
         got = poisson_expect(1.5, lambda k: k.astype(float) ** 2, 0.5, 5.0, tol=1e-12)

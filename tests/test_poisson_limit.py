@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cglab import poisson_limit
 from cglab.atomic import BernoulliGame, choice_probabilities, expected_loads
 from cglab.core import (AffineCost, DemandVector, GrowthEnvelope, PolynomialCost,
                         Structure, TableCost)
@@ -88,6 +89,18 @@ class TestAuxCostLargeLoads:
             lambda_bound(c, 0.1)
         # the first-difference beta, 3 e^{-800}, underflows: no derivable beta
         assert c.beta is None
+
+    def test_vector_value_int_is_one_series(self, monkeypatch):
+        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)), tail_tol=TAIL)
+        ks = np.arange(6)
+        calls = []
+        real = poisson_limit.poisson_expect
+        monkeypatch.setattr(poisson_limit, "poisson_expect",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        got = aux.value_int(ks)
+        assert len(calls) == 1 and got.shape == (6,)
+        for k, v in zip(ks, got):
+            assert v == pytest.approx(aux.value(float(k)), abs=2 * TAIL)
 
     def test_vector_derivative_matches_scalar_calls(self):
         aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)), tail_tol=TAIL)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cglab import population
 from cglab.core import FlowLoadPair
@@ -115,6 +116,7 @@ class TestPosterior:
     def test_marginal_pmf_matches_pointwise(self):
         model = PopulationModel.bernoulli([[0.2, 0.4, 0.7]])
         pmf = posterior_count_pmf(model, 0)
+        assert pmf.tail_mass == 0.0 and pmf.k_max == 2
         for k in range(3):
             assert pmf.prob(k) == pytest.approx(posterior(model, 0, (k,)), abs=1e-12)
 
@@ -124,6 +126,15 @@ class TestPosterior:
         post = posterior_count_pmf(model, 0, 1e-12)
         n = min(len(prior), len(post))
         assert np.abs(prior.probs[:n] - post.probs[:n]).max() <= 1e-12
+
+    def test_poisson_posterior_tail_is_the_prior_tail(self):
+        # the posterior carries the prior's certified tail bound, not 1 - sum
+        for mean in (0.4, 1.3, 5.0, 17.0):
+            model = PopulationModel.poisson([mean])
+            prior = poisson_pmf(mean, 1e-12)
+            post = posterior_count_pmf(model, 0, 1e-12)
+            assert post.k_max == prior.k_max and post.tail_mass == prior.tail_mass
+            assert special.pdtrc(post.k_max, mean) <= post.tail_mass < 1e-12
 
     def test_bernoulli_posterior_approaches_poisson(self):
         d = 1.0
