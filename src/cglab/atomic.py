@@ -43,13 +43,17 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import USAGE_TOL, DemandVector, Structure, _readonly, parse_instance
+from .core import (USAGE_TOL, DemandVector, Structure, _field, _strategy_distributions,
+                   parse_instance)
 from .discrete_dist import (EXACT_TERMS, Pmf, ValueDist, bernoulli_sum_pmf,
                             remove_bernoulli, weighted_sum_distribution)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PrecisionError, StructureError)
 
 TIE_TOL = 1e-12
+VERIFY_TOL = 1e-9  # default regret tolerance of an equilibrium check
+OPT_BUDGET = 250_000  # count vectors the exact optimum search may score
+MAX_SWEEPS = 500  # best-response sweeps before the dynamics give up
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,14 @@ class MonteCarlo:
 
     seed: int
     samples: int = 1_000_000
+
+
+def _type_demands(game) -> DemandVector:
+    """Per-type sums of the players' weights or participation probabilities."""
+    d = np.zeros(game.structure.n_types)
+    for m, t in zip(game.magnitudes, game.player_types):
+        d[t] += m
+    return DemandVector(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +103,7 @@ class WeightedGame:
     def magnitudes(self) -> tuple[float, ...]:
         return self.weights
 
-    @cached_property
-    def demand(self) -> DemandVector:
-        d = np.zeros(self.structure.n_types)
-        for w, t in zip(self.weights, self.player_types):
-            d[t] += w
-        return DemandVector(d)
+    demand = cached_property(_type_demands)
 
     @classmethod
     def homogeneous(cls, structure: Structure, demand: DemandVector, n: int) -> "WeightedGame":
@@ -145,12 +152,7 @@ class BernoulliGame:
     def magnitudes(self) -> tuple[float, ...]:
         return self.probs
 
-    @cached_property
-    def demand(self) -> DemandVector:
-        d = np.zeros(self.structure.n_types)
-        for r, t in zip(self.probs, self.player_types):
-            d[t] += r
-        return DemandVector(d)
+    demand = cached_property(_type_demands)
 
     @classmethod
     def homogeneous(cls, structure: Structure, demand: DemandVector, n: int) -> "BernoulliGame":
@@ -176,15 +178,7 @@ class MixedProfile:
     probs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        arrs = tuple(_readonly(p) for p in self.probs)
-        object.__setattr__(self, "probs", arrs)
-        for i, p in enumerate(arrs):
-            if p.ndim != 1 or p.size == 0:
-                raise DomainError(f"player {i} has an invalid strategy distribution")
-            if float(p.min()) < -1e-15:
-                raise DomainError(f"player {i} has negative strategy probability")
-            if abs(float(p.sum()) - 1.0) > 1e-12:
-                raise DomainError(f"player {i}'s strategy distribution is not normalized")
+        object.__setattr__(self, "probs", _strategy_distributions(self.probs, "player"))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -557,12 +551,11 @@ class EquilibriumReport:
         return self.max_regret <= self.tol
 
 
-def verify_equilibrium(game: Game, profile: MixedProfile, tol: float = 1e-9,
-                       *, usage_tol: float = USAGE_TOL,
-                       mc: MonteCarlo | None = None) -> EquilibriumReport:
+def verify_equilibrium(game: Game, profile: MixedProfile, tol: float = VERIFY_TOL,
+                       *, mc: MonteCarlo | None = None) -> EquilibriumReport:
     """Largest amount any player can save by deviating from a used strategy.
 
-    A strategy counts as used when its probability exceeds ``usage_tol``.
+    A strategy counts as used when its probability exceeds ``USAGE_TOL``.
     The profile is an (approximate) equilibrium iff the result is at most tol.
     """
     laws = _laws_of(game, profile)
@@ -572,7 +565,7 @@ def verify_equilibrium(game: Game, profile: MixedProfile, tol: float = 1e-9,
         m = profile.probs[i].size
         costs = [_strategy_cond_cost(laws, i, s, mc)[0] for s in range(m)]
         best = min(costs)
-        used = profile.probs[i] > usage_tol
+        used = profile.probs[i] > USAGE_TOL
         regret = max((c - best for s, c in enumerate(costs) if used[s]), default=0.0)
         rows.append(PlayerRegret(i, tuple(costs), best, regret))
         worst = max(worst, regret)
@@ -597,12 +590,11 @@ class BestResponseResult:
         return MixedProfile.pure(game, self.strategies)
 
 
-def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int = 500,
-                           *, tie_tol: float = TIE_TOL,
+def best_response_dynamics(game: Game, initial: Sequence[int], *,
                            mc: MonteCarlo | None = None) -> BestResponseResult:
-    """Round-robin exact best responses from a pure profile.
+    """Round-robin exact best responses from a pure profile, for up to ``MAX_SWEEPS`` sweeps.
 
-    Players keep their current strategy when it is within ``tie_tol`` of the
+    Players keep their current strategy when it is within ``TIE_TOL`` of the
     optimum; otherwise they move to the lowest-index best response.  A revisit
     of an earlier state is returned as a cycle report rather than an error.
     """
@@ -612,7 +604,7 @@ def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int =
     laws = _LoadLaws(game, choice_probabilities(game, MixedProfile.pure(game, state)))
     history = [tuple(state)]
     seen = {tuple(state): 0}
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         changed = False
         regret = 0.0
         for i in range(game.n_players):
@@ -620,7 +612,7 @@ def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int =
             m = len(game.structure.strategies[t])
             costs = [_strategy_cond_cost(laws, i, s, mc)[0] for s in range(m)]
             best = int(np.argmin(costs))
-            if costs[best] < costs[state[i]] - tie_tol:
+            if costs[best] < costs[state[i]] - TIE_TOL:
                 state[i] = best
                 sl = game.structure.type_slices[t]
                 laws.move(i, game.structure.incidence[sl][best])
@@ -634,7 +626,7 @@ def best_response_dynamics(game: Game, initial: Sequence[int], max_sweeps: int =
             return BestResponseResult(None, False, sweep, cycle, None)
         seen[snap] = len(history)
         history.append(snap)
-    return BestResponseResult(None, False, max_sweeps, None, None)
+    return BestResponseResult(None, False, MAX_SWEEPS, None, None)
 
 
 def _require_symmetric(game: Game) -> None:
@@ -644,14 +636,14 @@ def _require_symmetric(game: Game) -> None:
         raise ConfigError("symmetric solver needs identical weights/probabilities")
 
 
-def symmetric_mixed_equilibrium(game: Game, tol: float = 1e-9, damping: float = 0.5,
-                                *, max_iters: int = 2000,
-                                mc: MonteCarlo | None = None) -> MixedProfile:
+def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL,
+                                *, mc: MonteCarlo | None = None) -> MixedProfile:
     """Shared mixed strategy making every identical player indifferent.
 
     Scans pure symmetric profiles, then solves two-strategy indifference by
-    bisection, then falls back to a damped best-response fixed point over the
-    full simplex.  The result is returned only if it verifies under ``tol``.
+    bisection, then falls back to a best-response fixed point over the full
+    simplex, damped by one half, for up to 2000 iterations.  The result is
+    returned only if it verifies under ``tol``.
     """
     _require_symmetric(game)
     t = game.player_types[0]
@@ -697,17 +689,17 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = 1e-9, damping: float = 
             return found
 
     sigma = np.full(m, 1.0 / m)
-    for it in range(max_iters):
+    for it in range(2000):
         prof = MixedProfile.symmetric(game, sigma)
         laws = _LoadLaws(game, choice_probabilities(game, prof))
         costs = np.array([_strategy_cond_cost(laws, 0, s, mc)[0] for s in range(m)])
         floor = costs.min()
         target = (costs <= floor + TIE_TOL).astype(float)
         target /= target.sum()
-        sigma = (1.0 - damping) * sigma + damping * target
+        sigma = 0.5 * sigma + 0.5 * target
         sigma = np.maximum(sigma, 0.0)
         sigma /= sigma.sum()
-        if it % 10 == 9 or it == max_iters - 1:
+        if it % 10 == 9:  # the last iteration, 1999, is one of these
             found = attempt(sigma)
             if found is not None:
                 return found
@@ -855,7 +847,7 @@ def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
     return OptResult(best, True, f"pure counts {best_counts}")
 
 
-def social_optimum_pure(game: Game, budget: int = 250_000) -> OptResult | None:
+def social_optimum_pure(game: Game, budget: int = OPT_BUDGET) -> OptResult | None:
     """Exact minimum expected social cost over pure profiles, when enumerable.
 
     The expected social cost is multilinear in the players' mixed strategies,
@@ -885,7 +877,7 @@ class OptPoaResult:
 
 
 def opt_and_poa(game: Game, equilibria: Sequence[MixedProfile], *,
-                budget: int = 250_000, tol: float = 1e-9,
+                budget: int = OPT_BUDGET, tol: float = VERIFY_TOL,
                 mc: MonteCarlo | None = None) -> OptPoaResult:
     """Optimum cost plus anarchy/stability ratios over a verified equilibrium family.
 
@@ -927,23 +919,26 @@ def parse_game(obj: Mapping) -> Game:
     extra = set(obj) - {"resources", "types", "demands", "players"}
     if extra:
         raise StructureError(f"unknown keys in game file: {sorted(extra)}")
-    structure, demand = parse_instance({k: obj[k] for k in ("resources", "types", "demands")})
+    structure, demand = parse_instance({k: obj[k] for k in ("resources", "types", "demands")
+                                        if k in obj})
     weights: list[float] = []
     probs: list[float] = []
     types: list[int] = []
 
     def magnitude(entry: Mapping, field: str, count: int, t: int) -> float:
-        raw = entry[field]
-        if raw == "d/n":
+        if entry[field] == "d/n":
             return demand[t] / count
-        return float(raw)
+        return _field(entry, field, "player entry", float)
 
-    for entry in obj["players"]:
+    for entry in _field(obj, "players", "game file"):
         keys = set(entry)
         if not keys <= {"type", "weight", "prob", "count"}:
             raise StructureError(f"unknown keys in player entry: {sorted(keys)}")
-        t = structure.type_index[str(entry["type"])]
-        count = int(entry.get("count", 1))
+        tid = _field(entry, "type", "player entry", str)
+        if tid not in structure.type_index:
+            raise StructureError(f"player entry names the unknown type {tid!r}")
+        t = structure.type_index[tid]
+        count = _field(entry, "count", "player entry", int, 1)
         if "weight" in entry and "prob" in entry:
             raise StructureError("player entry mixes weight and prob")
         if "weight" in entry:

@@ -16,14 +16,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .atomic import (best_response_dynamics, load_game, load_profile,
+from .atomic import (VERIFY_TOL, best_response_dynamics, load_game, load_profile,
                      symmetric_mixed_equilibrium, verify_equilibrium)
 from .core import instance_to_json, load_instance
 from .errors import CglabError
 from .harness import SequenceSpec, reproduce_example, run_convergence
 from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
                             regularity_constants, resolve_alpha)
-from .wardrop import solution_to_json, solve_wardrop
+from .wardrop import TARGET_EPS, solution_to_json, solve_wardrop
 
 
 def _write_or_print(payload: dict, out: str | None) -> None:
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("wardrop", help="solve a nonatomic instance")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=TARGET_EPS)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_wardrop)
 
@@ -142,7 +142,7 @@ def main(argv=None) -> int:
     p.add_argument("game")
     p.add_argument("--profile", default=None)
     p.add_argument("--solve", choices=("pure", "symmetric"), default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=VERIFY_TOL)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_atomic)
 

@@ -78,18 +78,17 @@ class GrowthEnvelope:
 
 
 class _PolynomialStack:
-    """Affine and polynomial costs stacked into zero-padded coefficient arrays.
+    """Polynomial costs (affine ones included) stacked into zero-padded coefficient arrays.
 
-    Horner's rule on a padded row performs the very operations of ``polyval``
-    and of the affine formulas, so values, derivatives and marginals equal the
-    scalar methods bit for bit.  Each cost supplies its rows through
-    ``_coefficient_rows``: value, direct marginal part, slope, integral, and
-    the load-derivatives of value and marginal.  Every method takes the loads
-    of the rows ``idx`` selects.
+    Horner's rule on a padded row performs the very operations of ``polyval``,
+    so values, derivatives and marginals equal the scalar methods bit for bit.
+    Each cost supplies its rows through ``_coefficient_rows``: value, direct
+    marginal part, slope, integral, and the load-derivatives of value and
+    marginal.  Every method takes the loads of the rows ``idx`` selects.
     """
 
-    def __init__(self, costs):
-        rows = [c._coefficient_rows() for c in costs]
+    def __init__(self, cost_fns):
+        rows = [c._coefficient_rows() for c in cost_fns]
         (self._value, self._direct, self._slope, self._integral, self._value_slope,
          self._marginal_slope) = (_pad_rows([r[i] for r in rows]) for i in range(6))
 
@@ -122,55 +121,6 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     for j in range(coeffs.shape[1] - 2, -1, -1):
         acc = coeffs[:, j] + acc * x
     return acc
-
-
-@dataclass(frozen=True)
-class AffineCost:
-    """c(x) = slope * x + intercept with nonnegative coefficients."""
-
-    slope: float
-    intercept: float = 0.0
-
-    is_continuous = True
-    has_integer_eval = True
-    stack = _PolynomialStack
-
-    def __post_init__(self):
-        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
-            raise DomainError("affine cost needs finite slope and intercept")
-        if self.slope < 0 or self.intercept < 0:
-            raise DomainError("affine cost needs nonnegative slope and intercept")
-
-    def value(self, x):
-        return self.slope * x + self.intercept
-
-    def value_int(self, k):
-        return self.value(np.asarray(k, dtype=float)) if not np.isscalar(k) else self.value(float(k))
-
-    def derivative(self, x):
-        return self.slope
-
-    def integral(self, x):
-        return 0.5 * self.slope * x * x + self.intercept * x
-
-    def marginal(self, x):
-        return 2.0 * self.slope * x + self.intercept
-
-    def slope_range(self, hi: float) -> tuple[float, float]:
-        return (self.slope, self.slope)
-
-    def curvature_max(self, hi: float) -> float:
-        return 0.0
-
-    def _coefficient_rows(self):
-        a, b = float(self.slope), float(self.intercept)
-        return (b, a), (b, 2.0 * a), (0.0,), (0.0, b, 0.5 * a), (a,), (2.0 * a,)
-
-    def growth_envelope(self) -> GrowthEnvelope:
-        return GrowthEnvelope("poly", degree=1, scale=self.slope + self.intercept)
-
-    def to_json(self) -> dict:
-        return {"kind": "affine", "a": self.slope, "b": self.intercept}
 
 
 @dataclass(frozen=True)
@@ -234,6 +184,28 @@ class PolynomialCost:
 
     def to_json(self) -> dict:
         return {"kind": "polynomial", "coeffs": list(self.coeffs)}
+
+
+class AffineCost(PolynomialCost):
+    """c(x) = slope * x + intercept: the degree-one polynomial cost ``(intercept, slope)``."""
+
+    def __init__(self, slope: float, intercept: float = 0.0):
+        super().__init__((intercept, slope))
+
+    @property
+    def slope(self) -> float:
+        return self.coeffs[1]
+
+    @property
+    def intercept(self) -> float:
+        return self.coeffs[0]
+
+    def value(self, x):
+        intercept, slope = self.coeffs  # Horner's two operations, without polyval's overhead
+        return slope * x + intercept
+
+    def to_json(self) -> dict:
+        return {"kind": "affine", "a": self.slope, "b": self.intercept}
 
 
 @dataclass(frozen=True)
@@ -301,14 +273,7 @@ class TableCost:
         return out
 
 
-Cost = AffineCost | PolynomialCost | TableCost  # plus poisson_limit.AuxCost, duck-typed
-
-
-def monotone_on_grid(cost, hi: float, points: int = 1000, tol: float = 1e-12) -> bool:
-    """Check weak monotonicity of a continuous cost on a grid over [0, hi]."""
-    xs = np.linspace(0.0, hi, points)
-    vals = np.array([float(cost.value(x)) for x in xs])
-    return bool(np.all(np.diff(vals) >= -tol))
+Cost = PolynomialCost | TableCost  # plus poisson_limit.AuxCost, duck-typed
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +427,19 @@ class FlowLoadPair:
         return cls(y, loads_from_flows(structure, y))
 
 
+def _strategy_distributions(probs, owner: str) -> tuple[np.ndarray, ...]:
+    """Read-only copies of one strategy distribution per ``owner`` (player or type)."""
+    arrs = tuple(_readonly(p) for p in probs)
+    for i, p in enumerate(arrs):
+        if p.ndim != 1 or p.size == 0:
+            raise DomainError(f"{owner} {i} has an invalid strategy distribution")
+        if float(p.min()) < -1e-15:
+            raise DomainError(f"{owner} {i} has negative strategy probability")
+        if abs(float(p.sum()) - 1.0) > 1e-12:
+            raise DomainError(f"{owner} {i}'s strategy distribution is not normalized")
+    return arrs
+
+
 # ---------------------------------------------------------------------------
 # flow/load/cost operations
 
@@ -496,22 +474,20 @@ def check_feasible(structure: Structure, demand: DemandVector, pair: FlowLoadPai
     return worst
 
 
-def strategy_cost(structure: Structure, x, t: int, s: int, costs=None) -> float:
+def strategy_cost(structure: Structure, x, t: int, s: int) -> float:
     """Total cost of strategy ``s`` of type ``t`` at loads ``x``."""
     if not 0 <= t < structure.n_types:
         raise StructureError(f"no type with index {t}")
     if not 0 <= s < len(structure.strategies[t]):
         raise StructureError(f"type {structure.types[t]!r} has no strategy {s}")
-    costs = structure.cost_fns if costs is None else costs
     x = np.asarray(x, dtype=float)
-    return float(sum(costs[e].value(float(x[e])) for e in structure.strategies[t][s]))
+    return float(sum(structure.cost_fns[e].value(float(x[e])) for e in structure.strategies[t][s]))
 
 
-def all_strategy_costs(structure: Structure, x, costs=None) -> np.ndarray:
+def all_strategy_costs(structure: Structure, x) -> np.ndarray:
     """Costs of every strategy (flat flow layout) at loads ``x``."""
-    costs = structure.cost_fns if costs is None else costs
     x = np.asarray(x, dtype=float)
-    ce = np.array([float(costs[e].value(float(x[e]))) for e in range(structure.n_resources)])
+    ce = np.array([float(c.value(float(x[e]))) for e, c in enumerate(structure.cost_fns)])
     return structure.incidence @ ce
 
 
@@ -526,15 +502,15 @@ class CostBatch:
     the load.
     """
 
-    def __init__(self, costs):
+    def __init__(self, cost_fns):
         families: dict = {}
-        for e, c in enumerate(costs):
+        for e, c in enumerate(cost_fns):
             stack = getattr(type(c), "stack", None)
             if stack is None:
                 raise PrecisionError(f"{type(c).__name__} costs have no vector evaluation")
             families.setdefault(stack, []).append(e)
-        self._size = len(costs)
-        self._families = [(np.array(rows), make([costs[e] for e in rows]))
+        self._size = len(cost_fns)
+        self._families = [(np.array(rows), make([cost_fns[e] for e in rows]))
                           for make, rows in families.items()]
         self._family = np.empty(self._size, dtype=int)
         self._local = np.empty(self._size, dtype=int)  # position within its family
@@ -570,17 +546,15 @@ class CostBatch:
         return self._eval("integrals", x)
 
 
-def social_cost(structure: Structure, pair: FlowLoadPair, costs=None) -> float:
+def social_cost(structure: Structure, pair: FlowLoadPair) -> float:
     """Deterministic social cost: sum over resources of load times unit cost."""
-    costs = structure.cost_fns if costs is None else costs
-    return float(sum(float(pair.x[e]) * float(costs[e].value(float(pair.x[e])))
-                     for e in range(structure.n_resources)))
+    return float(sum(float(pair.x[e]) * float(c.value(float(pair.x[e])))
+                     for e, c in enumerate(structure.cost_fns)))
 
 
-def potential(structure: Structure, x, costs=None) -> float:
+def potential(structure: Structure, x) -> float:
     """Beckmann potential: sum over resources of the cost integrated up to the load."""
-    costs = structure.cost_fns if costs is None else costs
-    return float(sum(costs[e].integral(float(x[e])) for e in range(structure.n_resources)))
+    return float(sum(c.integral(float(x[e])) for e, c in enumerate(structure.cost_fns)))
 
 
 # ---------------------------------------------------------------------------
@@ -593,20 +567,22 @@ def parse_cost(obj: Mapping) -> Cost:
     kind = obj["kind"]
     if kind == "affine":
         _reject_unknown(obj, {"kind", "a", "b"}, "affine cost")
-        return AffineCost(float(obj.get("a", 0.0)), float(obj.get("b", 0.0)))
+        return AffineCost(_field(obj, "a", "affine cost", float, 0.0),
+                          _field(obj, "b", "affine cost", float, 0.0))
     if kind == "polynomial":
         _reject_unknown(obj, {"kind", "coeffs"}, "polynomial cost")
-        return PolynomialCost(tuple(obj["coeffs"]))
+        return PolynomialCost(_field(obj, "coeffs", "polynomial cost", _floats))
     if kind == "table":
         _reject_unknown(obj, {"kind", "values", "envelope"}, "table cost")
         env = obj.get("envelope")
-        return TableCost(tuple(obj["values"]), _parse_envelope(env) if env else None)
+        return TableCost(_field(obj, "values", "table cost", _floats),
+                         _parse_envelope(env) if env else None)
     if kind == "aux":
         _reject_unknown(obj, {"kind", "base", "tail_tol"}, "aux cost")
         from .poisson_limit import DEFAULT_TAIL_TOL, AuxCost  # deferred to avoid an import cycle
 
-        return AuxCost(parse_cost(obj["base"]),
-                       tail_tol=float(obj.get("tail_tol", DEFAULT_TAIL_TOL)))
+        return AuxCost(parse_cost(_field(obj, "base", "aux cost")),
+                       tail_tol=_field(obj, "tail_tol", "aux cost", float, DEFAULT_TAIL_TOL))
     raise StructureError(f"unknown cost kind {kind!r}")
 
 
@@ -614,10 +590,12 @@ def _parse_envelope(obj: Mapping) -> GrowthEnvelope:
     kind = obj.get("kind")
     if kind == "exp":
         _reject_unknown(obj, {"kind", "rate", "scale"}, "exp envelope")
-        return GrowthEnvelope("exp", rate=float(obj["rate"]), scale=float(obj["scale"]))
+        return GrowthEnvelope("exp", rate=_field(obj, "rate", "exp envelope", float),
+                              scale=_field(obj, "scale", "exp envelope", float))
     if kind == "poly":
         _reject_unknown(obj, {"kind", "degree", "scale"}, "poly envelope")
-        return GrowthEnvelope("poly", degree=int(obj["degree"]), scale=float(obj["scale"]))
+        return GrowthEnvelope("poly", degree=_field(obj, "degree", "poly envelope", int),
+                              scale=_field(obj, "scale", "poly envelope", float))
     raise StructureError(f"unknown envelope kind {kind!r}")
 
 
@@ -627,30 +605,54 @@ def _reject_unknown(obj: Mapping, allowed: set[str], what: str) -> None:
         raise StructureError(f"unknown keys in {what}: {sorted(unknown)}")
 
 
+_REQUIRED = object()
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _field(obj: Mapping, key: str, what: str, kind=None, default=_REQUIRED):
+    """``obj[key]`` of an input file, through ``kind`` when given; a missing key without
+    a default raises ``StructureError``, a value ``kind`` rejects ``DomainError``."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise StructureError(f"{what} needs the key {key!r}")
+        return default
+    if kind is None:
+        return obj[key]
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} key {key!r} has the invalid value {obj[key]!r}") from None
+
+
 def parse_instance(obj: Mapping) -> tuple[Structure, DemandVector]:
     """Parse an instance object: resources with costs, types with strategies, demands."""
     _reject_unknown(obj, {"resources", "types", "demands"}, "instance")
     resources = []
     costs = []
-    for r in obj["resources"]:
+    for r in _field(obj, "resources", "instance"):
         _reject_unknown(r, {"id", "cost"}, "resource")
-        resources.append(str(r["id"]))
-        costs.append(parse_cost(r["cost"]))
+        resources.append(_field(r, "id", "resource", str))
+        costs.append(parse_cost(_field(r, "cost", "resource")))
     rid_to_idx = {rid: i for i, rid in enumerate(resources)}
     types = []
     strategies = []
-    for t in obj["types"]:
+    for t in _field(obj, "types", "instance"):
         _reject_unknown(t, {"id", "strategies"}, "type")
-        types.append(str(t["id"]))
+        types.append(_field(t, "id", "type", str))
         per_t = []
-        for strat in t["strategies"]:
+        for strat in _field(t, "strategies", "type"):
             try:
                 per_t.append(tuple(rid_to_idx[str(e)] for e in strat))
             except KeyError as exc:
                 raise StructureError(f"strategy references unknown resource {exc}") from None
         strategies.append(tuple(per_t))
     structure = Structure(tuple(resources), tuple(costs), tuple(types), tuple(strategies))
-    demand = DemandVector.of(structure, {str(k): float(v) for k, v in obj["demands"].items()})
+    demands = _field(obj, "demands", "instance")
+    demand = DemandVector.of(structure, {str(k): _field(demands, k, "demands", float)
+                                         for k in demands})
     return structure, demand
 
 

@@ -118,16 +118,12 @@ class ValueDist:
         return float(np.dot(_eval_on(h, self.values), self.masses))
 
     @classmethod
-    def from_pmf(cls, pmf: Pmf, scale: float = 1.0, shift: float = 0.0) -> "ValueDist":
+    def from_pmf(cls, pmf: Pmf, scale: float = 1.0) -> "ValueDist":
+        """The law of ``scale * K`` for K ~ pmf; a negative scale fails the sort check."""
         if pmf.tail_mass > _NORM_TOL:
             raise PrecisionError("cannot convert a truncated pmf to an exact value distribution")
-        vals = shift + scale * pmf.support().astype(float)
         keep = pmf.probs > 0.0
-        vals, masses = vals[keep], pmf.probs[keep]
-        if scale < 0:
-            order = np.argsort(vals, kind="stable")
-            return cls(vals[order], masses[order])
-        return cls(vals, masses)
+        return cls(scale * pmf.support().astype(float)[keep], pmf.probs[keep])
 
 
 def _eval_on(h, ks: np.ndarray, rows: int | None = None) -> np.ndarray:

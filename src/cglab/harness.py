@@ -14,18 +14,18 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from . import instances
-from .atomic import (BernoulliGame, MixedProfile, WeightedGame, best_response_dynamics,
-                     choice_probabilities, load_distribution, opt_and_poa,
-                     player_expected_cost, social_optimum_pure,
-                     symmetric_mixed_equilibrium, verify_equilibrium)
-from .core import all_strategy_costs, social_cost
+from .atomic import (OPT_BUDGET, BernoulliGame, MixedProfile, WeightedGame,
+                     best_response_dynamics, choice_probabilities, expected_loads,
+                     load_distribution, opt_and_poa, player_expected_cost,
+                     social_optimum_pure, symmetric_mixed_equilibrium, verify_equilibrium)
+from .core import _field, all_strategy_costs, social_cost
 from .discrete_dist import poisson_pmf, tv_distance
 from .errors import ConfigError, DomainError
 from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
@@ -35,7 +35,6 @@ from .wardrop import poa_nonatomic, solve_social_optimum, solve_wardrop
 REPORT_SCHEMA = 1
 REPORT_COLUMNS = ("n", "model", "max_w_or_r", "loads", "l2_dist", "tv_lo", "tv_hi",
                   "bound", "bound_ok", "esc", "poa", "pos")
-VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,10 @@ class SequenceSpec:
             raise DomainError(f"unknown example {self.example!r}")
         if self.model not in ("weighted", "bernoulli"):
             raise DomainError(f"unknown model {self.model!r}")
-        ns = tuple(int(n) for n in self.n_values)
+        try:
+            ns = tuple(int(n) for n in self.n_values)
+        except (TypeError, ValueError):
+            raise DomainError(f"n_values must be integers, not {self.n_values!r}") from None
         object.__setattr__(self, "n_values", ns)
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise DomainError("n values must be strictly increasing")
@@ -68,18 +70,13 @@ class SequenceSpec:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SequenceSpec":
-        known = {"example", "model", "n_values", "alpha", "beta_override",
-                 "tail_tol", "target_eps", "seed", "equilibria"}
-        extra = set(data) - known
+        """A spec from its JSON object; absent optional keys take the field defaults."""
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise DomainError(f"unknown keys in sequence spec: {sorted(extra)}")
-        return cls(example=data["example"], model=data["model"],
-                   n_values=tuple(data["n_values"]),
-                   alpha=data.get("alpha"), beta_override=data.get("beta_override"),
-                   tail_tol=float(data.get("tail_tol", DEFAULT_TAIL_TOL)),
-                   target_eps=float(data.get("target_eps", 1e-10)),
-                   seed=int(data.get("seed", 0)),
-                   equilibria=tuple(data.get("equilibria", ())))
+        kinds = {"tail_tol": float, "target_eps": float, "seed": int, "equilibria": tuple}
+        return cls(**{f.name: _field(data, f.name, "sequence spec", kinds.get(f.name))
+                      for f in fields(cls) if f.name in data or f.default is MISSING})
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,7 @@ def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
         param = max(game.magnitudes)
         gap = float(np.abs(game.demand.values - demand.values).sum())
         profiles = [(lbl, builder(game)) for lbl, builder in family]
-        ratios = opt_and_poa(game, [p for _, p in profiles], tol=VERIFY_TOL)
+        ratios = opt_and_poa(game, [p for _, p in profiles])
         bound = rate_bounds(constants, spec.model, param, gap)
         if spec.model == "weighted":
             dist = max(_weighted_l2(game, p, limit_loads) for _, p in profiles)
@@ -229,7 +226,7 @@ def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
                     lo, hi = plo, phi
             l2, tv_lo, tv_hi = None, lo, hi
             ok = hi <= bound.sequence
-        lead_loads = np.asarray(game.magnitudes) @ choice_probabilities(game, profiles[0][1])
+        lead_loads = expected_loads(game, profiles[0][1])
         rows.append(Row(
             n=n, model=spec.model, max_w_or_r=param,
             loads={rid: float(lead_loads[e]) for e, rid in enumerate(structure.resources)},
@@ -255,7 +252,7 @@ class OptConvergence:
     monotone: bool
 
 
-def opt_convergence(spec: SequenceSpec, budget: int = 250_000) -> OptConvergence:
+def opt_convergence(spec: SequenceSpec, budget: int = OPT_BUDGET) -> OptConvergence:
     """Optimal social cost of each finite game against its nonatomic limit."""
     ex, structure, demand, _constants, _loads, summary = _limit_environment(spec)
     rows = []

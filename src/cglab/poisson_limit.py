@@ -18,6 +18,7 @@ import numpy as np
 from .core import ALL, AffineCost, DemandVector, PolynomialCost, Structure
 from .discrete_dist import poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
+from .wardrop import strategy_cost_cap
 
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_ALPHA_HEADROOM = 1.5  # demand cap defaults to this multiple of the total demand
@@ -174,17 +175,16 @@ class AuxCost:
                 raise PrecisionError("auxiliary cost fails monotonicity on the check grid")
 
     @staticmethod
-    def stack(costs) -> _AuxSeries:
+    def stack(cost_fns) -> _AuxSeries:
         """All the given auxiliary costs as one series, certified to the smallest tail_tol."""
-        return _AuxSeries(tuple(c.base for c in costs), min(c.tail_tol for c in costs))
+        return _AuxSeries(tuple(c.base for c in cost_fns), min(c.tail_tol for c in cost_fns))
 
-    def value(self, x: float) -> float:
-        return self._series.values(float(x))
+    def value(self, x):
+        """At a load, or elementwise at an array of loads."""
+        return self._series.values(x)
 
     def value_int(self, k):
-        if np.isscalar(k):
-            return self.value(float(k))
-        return self.values_on_grid(k)
+        return self.value(float(k)) if np.isscalar(k) else self.values_on_grid(k)
 
     def values_on_grid(self, xs) -> np.ndarray:
         """Vectorized evaluation on a grid, sharing one certified truncation."""
@@ -201,9 +201,9 @@ class AuxCost:
         """Integral of the auxiliary cost from 0 to x (for potential values)."""
         return self._series.integrals(float(x))
 
-    def social_cost_convex_on(self, hi: float, points: int = 65) -> bool:
-        """Grid check that x * value(x) is convex on [0, hi]."""
-        xs = np.linspace(0.0, float(hi), points)
+    def social_cost_convex_on(self, hi: float) -> bool:
+        """Grid check, on 65 points, that x * value(x) is convex on [0, hi]."""
+        xs = np.linspace(0.0, float(hi), 65)
         return bool(np.all(2.0 * self.derivative(xs) + xs * self.derivative(xs, 2) >= -1e-9))
 
     def to_json(self) -> dict:
@@ -349,14 +349,12 @@ def regularity_constants(structure: Structure, alpha: float, *,
         c_cap_aux = float((structure.incidence @ value).max())
 
     slope_min = slope_max = gamma = c_cap = None
-    smooth = all(isinstance(c, (AffineCost, PolynomialCost)) for c in costs)
-    if smooth:
+    if all(isinstance(c, PolynomialCost) for c in costs):
         ranges = [c.slope_range(alpha) for c in costs]
         slope_min = min(r[0] for r in ranges)
         slope_max = max(r[1] for r in ranges)
         gamma = max(c.curvature_max(alpha) for c in costs)
-        xa = np.array([float(c.value(alpha)) for c in costs])
-        c_cap = float((structure.incidence @ xa).max())
+        c_cap = strategy_cost_cap(structure, alpha)
 
     if beta_override is not None:
         if beta_override <= 0:

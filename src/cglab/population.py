@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import USAGE_TOL, DemandVector, Structure, _readonly, all_strategy_costs
+from .core import (USAGE_TOL, DemandVector, Structure, _strategy_distributions,
+                   all_strategy_costs)
 from .discrete_dist import Pmf, bernoulli_sum_pmf, poisson_pmf
 from .errors import DomainError, StructureError
 from .poisson_limit import DEFAULT_TAIL_TOL, LimitGame, build_limit_game
@@ -91,15 +92,7 @@ class TypeProfile:
     probs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        arrs = tuple(_readonly(p) for p in self.probs)
-        object.__setattr__(self, "probs", arrs)
-        for t, p in enumerate(arrs):
-            if p.ndim != 1 or p.size == 0:
-                raise DomainError(f"type {t} has an invalid strategy distribution")
-            if float(p.min()) < -1e-15:
-                raise DomainError(f"type {t} has negative strategy probability")
-            if abs(float(p.sum()) - 1.0) > 1e-12:
-                raise DomainError(f"type {t}'s strategy distribution is not normalized")
+        object.__setattr__(self, "probs", _strategy_distributions(self.probs, "type"))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -225,8 +218,7 @@ class PoissonGameReport:
 def verify_poisson_game_equilibrium(structure: Structure, demand: DemandVector,
                                     sigma: TypeProfile, *,
                                     tail_tol: float = DEFAULT_TAIL_TOL,
-                                    alpha: float | None = None,
-                                    usage_tol: float = USAGE_TOL) -> PoissonGameReport:
+                                    alpha: float | None = None) -> PoissonGameReport:
     """Regret of a type profile in the Poisson game over this structure.
 
     With independent Poisson populations the expected cost of a strategy is
@@ -244,7 +236,7 @@ def verify_poisson_game_equilibrium(structure: Structure, demand: DemandVector,
     for t, sl in enumerate(structure.type_slices):
         cvec = costs[sl]
         best = float(cvec.min())
-        used = sigma.probs[t] > usage_tol
+        used = sigma.probs[t] > USAGE_TOL
         regret = max((float(c) - best for s, c in enumerate(cvec) if used[s]), default=0.0)
         rows.append(TypeRegret(structure.types[t], tuple(float(c) for c in cvec),
                                best, regret))

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (USAGE_TOL, AffineCost, CostBatch, DemandVector, FlowLoadPair,
-                   PolynomialCost, Structure, all_strategy_costs, check_feasible, potential,
-                   social_cost)
+from .core import (USAGE_TOL, CostBatch, DemandVector, FlowLoadPair, PolynomialCost,
+                   Structure, all_strategy_costs, check_feasible, potential, social_cost)
 from .errors import DomainError, FeasibilityError, PrecisionError
 
 
@@ -85,13 +84,13 @@ def _aon_flows(structure: Structure, demand: DemandVector,
 
 
 def _epsilon_from_costs(structure: Structure, demand: DemandVector, y: np.ndarray,
-                        strat_costs: np.ndarray, usage_tol: float) -> float:
+                        strat_costs: np.ndarray) -> float:
     eps = 0.0
     for t, sl in enumerate(structure.type_slices):
         d_t = demand[t]
         if d_t <= 0.0:
             continue
-        used = y[sl] > usage_tol * d_t
+        used = y[sl] > USAGE_TOL * d_t
         if not used.any():
             continue
         best = float(strat_costs[sl].min())
@@ -99,22 +98,21 @@ def _epsilon_from_costs(structure: Structure, demand: DemandVector, y: np.ndarra
     return eps
 
 
-def wardrop_epsilon(structure: Structure, demand: DemandVector, pair: FlowLoadPair,
-                    costs=None, usage_tol: float = USAGE_TOL,
-                    feas_tol: float = 1e-7) -> float:
+def wardrop_epsilon(structure: Structure, demand: DemandVector, pair: FlowLoadPair) -> float:
     """Smallest additive slack that makes the pair an approximate equilibrium.
 
-    Every strategy carrying more than ``usage_tol`` times its type's demand
+    Every strategy carrying more than ``USAGE_TOL`` times its type's demand
     must cost at most the type's cheapest alternative plus the returned value.
     """
     violation = check_feasible(structure, demand, pair)
-    if violation > feas_tol:
+    if violation > 1e-7:
         raise FeasibilityError(f"pair is infeasible (violation {violation:.3e})")
-    strat_costs = all_strategy_costs(structure, pair.x, costs)
-    return _epsilon_from_costs(structure, demand, pair.y, strat_costs, usage_tol)
+    strat_costs = all_strategy_costs(structure, pair.x)
+    return _epsilon_from_costs(structure, demand, pair.y, strat_costs)
 
 
 SEGMENT_XTOL = 1e-14  # width at which the line search stops
+TARGET_EPS = 1e-8  # default equilibrium gap solve_wardrop certifies
 
 
 def _segment_minimizer(slope, s0: float, ds0: float) -> float:
@@ -226,26 +224,25 @@ def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarra
     return _Descent(y, best, cert, iterations, stop_reason, loads)
 
 
-def _setup(structure: Structure, demand: DemandVector, costs, y0, solver: str) -> tuple:
-    """Costs, their ``CostBatch``, and the start: ``y0`` once checked feasible, or
-    all-or-nothing flows on the zero-load costs."""
-    costs = structure.cost_fns if costs is None else tuple(costs)
-    if not all(getattr(c, "is_continuous", False) for c in costs):
+def _setup(structure: Structure, demand: DemandVector, y0, solver: str) -> tuple:
+    """The structure's ``CostBatch`` and the start: ``y0`` once checked feasible,
+    or all-or-nothing flows on the zero-load costs."""
+    if not all(getattr(c, "is_continuous", False) for c in structure.cost_fns):
         raise PrecisionError(f"the {solver} needs continuous cost functions")
-    batch = CostBatch(costs)
+    batch = CostBatch(structure.cost_fns)
     if y0 is None:
         zero = batch.values(np.zeros(structure.n_resources))
-        return costs, batch, _aon_flows(structure, demand, structure.incidence @ zero)
+        return batch, _aon_flows(structure, demand, structure.incidence @ zero)
     y = np.array(y0, dtype=float)
     violation = check_feasible(structure, demand, FlowLoadPair.from_flows(structure, y))
     if violation > 1e-9 * max(1.0, demand.total):
         raise FeasibilityError(f"starting flows are infeasible (violation {violation:.3e})")
-    return costs, batch, y
+    return batch, y
 
 
-def solve_wardrop(structure: Structure, demand: DemandVector, *, costs=None,
-                  target_eps: float = 1e-8, max_iters: int = 1000, y0=None,
-                  usage_tol: float = USAGE_TOL) -> WardropSolution:
+def solve_wardrop(structure: Structure, demand: DemandVector, *,
+                  target_eps: float = TARGET_EPS, max_iters: int = 1000,
+                  y0=None) -> WardropSolution:
     """Find an approximate Wardrop equilibrium by path equilibration on the potential.
 
     Stops once the certified additive gap drops to ``target_eps``; if the
@@ -256,15 +253,15 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *, costs=None,
     """
     if target_eps <= 0:
         raise DomainError("target_eps must be positive")
-    costs, batch, y = _setup(structure, demand, costs, y0, "nonatomic solver")
+    batch, y = _setup(structure, demand, y0, "nonatomic solver")
     run = _path_equilibration(
         structure, demand, y, batch.values,
-        lambda y, strat, _d, _dx: _epsilon_from_costs(structure, demand, y, strat, usage_tol),
+        lambda y, strat, _d, _dx: _epsilon_from_costs(structure, demand, y, strat),
         target_eps, max_iters)
     pair = FlowLoadPair.from_flows(structure, run.best)
-    eps = wardrop_epsilon(structure, demand, pair, costs, usage_tol)
+    eps = wardrop_epsilon(structure, demand, pair)
     return WardropSolution(pair=pair, epsilon=eps, iterations=run.iterations,
-                           potential_value=potential(structure, pair.x, costs),
+                           potential_value=potential(structure, pair.x),
                            converged=eps <= target_eps,
                            potential_history=tuple(float(batch.integrals(x).sum())
                                                    for x in run.loads),
@@ -280,15 +277,15 @@ def _assert_sc_convex(costs, hi: float) -> None:
                     "x*c(x) is not convex for some resource; the certified solver "
                     "does not apply (a grid search is not provided)")
             continue
-        # affine and polynomial costs with nonnegative coefficients always
-        # give a convex x*c(x); anything else must certify itself
-        if not isinstance(c, (AffineCost, PolynomialCost)):
+        # polynomial costs (affine ones included) with nonnegative coefficients
+        # always give a convex x*c(x); anything else must certify itself
+        if not isinstance(c, PolynomialCost):
             raise DomainError(
                 "cannot assert convexity of x*c(x) for this cost; the certified "
                 "solver does not apply (a grid search is not provided)")
 
 
-def solve_social_optimum(structure: Structure, demand: DemandVector, *, costs=None,
+def solve_social_optimum(structure: Structure, demand: DemandVector, *,
                          target_gap: float = 1e-9, max_iters: int = 1000,
                          y0=None) -> SocialOptimum:
     """Minimize the social cost over feasible flows with a certified duality gap.
@@ -297,19 +294,19 @@ def solve_social_optimum(structure: Structure, demand: DemandVector, *, costs=No
     equilibration on the marginal costs then certifies optimality via the
     linearization gap.  The last iterate is returned.
     """
-    costs, batch, y = _setup(structure, demand, costs, y0, "social optimum solver")
-    _assert_sc_convex(costs, demand.total)
+    batch, y = _setup(structure, demand, y0, "social optimum solver")
+    _assert_sc_convex(structure.cost_fns, demand.total)
     run = _path_equilibration(structure, demand, y, batch.marginals,
                               lambda _y, _strat, marg, dx: float(-(marg @ dx)),
                               target_gap, max_iters)
     pair = FlowLoadPair.from_flows(structure, run.last)
-    return SocialOptimum(pair=pair, value=social_cost(structure, pair, costs),
+    return SocialOptimum(pair=pair, value=social_cost(structure, pair),
                          gap=max(run.certificate, 0.0), iterations=run.iterations,
                          converged=run.certificate <= target_gap,
                          stop_reason=run.stop_reason)
 
 
-def poa_nonatomic(structure: Structure, demand: DemandVector, *, costs=None,
+def poa_nonatomic(structure: Structure, demand: DemandVector, *,
                   target_eps: float = 1e-10, target_gap: float = 1e-10,
                   max_iters: int = 2000) -> NonatomicPoA:
     """Equilibrium cost, optimal cost, and their ratio for a nonatomic game.
@@ -317,11 +314,9 @@ def poa_nonatomic(structure: Structure, demand: DemandVector, *, costs=None,
     Weakly increasing costs make the equilibrium social cost unique, so any
     solved equilibrium determines the numerator.
     """
-    we = solve_wardrop(structure, demand, costs=costs, target_eps=target_eps,
-                       max_iters=max_iters)
-    opt = solve_social_optimum(structure, demand, costs=costs, target_gap=target_gap,
-                               max_iters=max_iters)
-    eq_cost = social_cost(structure, we.pair, costs)
+    we = solve_wardrop(structure, demand, target_eps=target_eps, max_iters=max_iters)
+    opt = solve_social_optimum(structure, demand, target_gap=target_gap, max_iters=max_iters)
+    eq_cost = social_cost(structure, we.pair)
     if opt.value <= 0.0:
         raise DomainError("optimal social cost is zero; the anarchy ratio is undefined")
     return NonatomicPoA(eq_cost=eq_cost, opt_cost=opt.value, poa=eq_cost / opt.value,
@@ -350,11 +345,10 @@ def demand_perturbation_bound(c_cap: float, beta: float, l1_demand_gap: float) -
     return math.sqrt(2.0 * c_cap / beta) * math.sqrt(l1_demand_gap)
 
 
-def strategy_cost_cap(structure: Structure, alpha: float, costs=None) -> float:
+def strategy_cost_cap(structure: Structure, alpha: float) -> float:
     """Largest total strategy cost when every load is pushed to ``alpha``."""
-    costs = structure.cost_fns if costs is None else costs
     x = np.full(structure.n_resources, float(alpha))
-    return float(all_strategy_costs(structure, x, costs).max())
+    return float(all_strategy_costs(structure, x).max())
 
 
 def solution_to_json(structure: Structure, sol: WardropSolution) -> dict:

@@ -14,6 +14,7 @@ from cglab.atomic import (BernoulliGame, MixedProfile, MonteCarlo, WeightedGame,
 from cglab.core import AffineCost, Structure
 from cglab.discrete_dist import ValueDist, bernoulli_sum_pmf
 from cglab.errors import ConfigError, ConvergenceError, DomainError, StructureError
+from cglab.poisson_limit import build_limit_game
 from cglab.instances import (UPPER, ZIGZAG, LOWER, parallel_structure,
                              pigou_structure, unit_demand, wheatstone_all_zigzag,
                              wheatstone_partial_mix, wheatstone_split,
@@ -348,6 +349,16 @@ class TestEsc:
                 game, prof = random_small_game(rng, kind)
                 assert esc(game, prof) == pytest.approx(
                     esc_brute_force(game, prof), abs=1e-10)
+
+    def test_weighted_game_over_aux_costs(self):
+        # the weighted path evaluates a cost on a whole array of loads, which
+        # AuxCost.value used to reject with a TypeError
+        s = parallel_structure()
+        d = unit_demand(s)
+        game = WeightedGame.homogeneous(build_limit_game(s, d).structure, d, 4)
+        prof = MixedProfile.symmetric(game, [0.5, 0.5])
+        assert verify_equilibrium(game, prof).max_regret == 0.0
+        assert esc(game, prof) == pytest.approx(esc_brute_force(game, prof), rel=0, abs=1e-12)
 
     def test_mixed_profile_gives_python_float(self):
         # reports write repr(esc); a numpy scalar would print as np.float64(...)

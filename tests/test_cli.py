@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from cglab.atomic import parse_game
 from cglab.cli import main
-from cglab.core import DemandVector, instance_to_json, load_instance
+from cglab.core import DemandVector, instance_to_json, load_instance, parse_cost, parse_instance
+from cglab.errors import CglabError
+from cglab.harness import SequenceSpec
 from cglab.instances import pigou_structure, unit_demand, wheatstone_structure
 
 
@@ -153,3 +156,40 @@ def test_missing_file_gives_clean_error(tmp_path, capsys):
     missing = tmp_path / "nothing.json"
     with pytest.raises(FileNotFoundError):
         main(["wardrop", str(missing)])
+
+
+def _pigou_obj():
+    s = pigou_structure()
+    return instance_to_json(s, unit_demand(s))
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+SPEC = {"example": "pigou", "model": "bernoulli", "n_values": [5, 10]}
+MALFORMED = {
+    "instance without types": (parse_instance, _without(_pigou_obj(), "types"), "types"),
+    "polynomial without coeffs": (parse_cost, {"kind": "polynomial"}, "coeffs"),
+    "affine slope not a number": (parse_cost, {"kind": "affine", "a": "x"}, "'a'"),
+    "game without players": (parse_game, _pigou_obj(), "players"),
+    "spec without model": (SequenceSpec.from_json, _without(SPEC, "model"), "model"),
+    "spec tail_tol not a number": (SequenceSpec.from_json, dict(SPEC, tail_tol="x"),
+                                   "tail_tol"),
+    "spec n_values not integers": (SequenceSpec.from_json, dict(SPEC, n_values="ab"),
+                                   "n_values"),
+}
+
+
+@pytest.mark.parametrize("parse, obj, key", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_raises_a_cglab_error_naming_the_key(parse, obj, key):
+    with pytest.raises(CglabError, match=key):
+        parse(obj)
+
+
+def test_converge_on_a_spec_without_model_fails_cleanly(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_without(SPEC, "model")))
+    assert main(["converge", str(spec_path), "--out", str(tmp_path / "report.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model" in err

@@ -5,8 +5,8 @@ import pytest
 
 from cglab.core import (AffineCost, DemandVector, FlowLoadPair, GrowthEnvelope,
                         PolynomialCost, Structure, TableCost, check_feasible,
-                        instance_to_json, loads_from_flows, monotone_on_grid,
-                        parse_instance, social_cost, strategy_cost)
+                        instance_to_json, loads_from_flows, parse_cost, parse_instance,
+                        social_cost, strategy_cost)
 from cglab.errors import DomainError, PrecisionError, StructureError
 from cglab.instances import pigou_structure, unit_demand, wheatstone_structure
 
@@ -163,9 +163,11 @@ class TestCostFunctions:
         assert c.integral(1.0) == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-15)
         assert c.marginal(1.0) == pytest.approx(3.0 + 4.0, abs=1e-15)
 
-    def test_monotone_on_grid_for_all_variants(self):
-        for c in (AffineCost(2.0, 0.5), PolynomialCost((0.1, 1.0, 0.3))):
-            assert monotone_on_grid(c, 5.0, points=1000)
+    @pytest.mark.parametrize("cost", [AffineCost(2.0, 0.5), AffineCost(0.0),
+                                      PolynomialCost((0.1, 1.0, 0.3))])
+    def test_json_round_trip(self, cost):
+        again = parse_cost(cost.to_json())
+        assert again == cost and type(again) is type(cost)
 
     def test_table_monotonicity_enforced(self):
         with pytest.raises(DomainError):

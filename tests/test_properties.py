@@ -262,6 +262,31 @@ def _subset(picks, n: int) -> np.ndarray:
     return np.array(list(dict.fromkeys(i % n for i in picks)))
 
 
+class TestAffineIsPolynomial:
+    @given(coefficients, coefficients, loads)
+    @example(0.0, 0.0, 0.0)
+    @example(0.1, 0.7, 3.3)
+    def test_affine_equals_degree_one_polynomial_bitwise(self, a, b, x):
+        affine, poly = AffineCost(a, b), PolynomialCost((b, a))
+
+        def bits(v):
+            return np.asarray(v, dtype=float).tobytes()
+
+        xs = np.array([0.0, x, 0.5 * x])
+        for method in ("value", "value_int", "derivative", "integral", "marginal"):
+            for at in (x, xs):
+                assert bits(getattr(affine, method)(at)) == bits(getattr(poly, method)(at))
+        assert bits(affine.value(xs)) == bits(P.polyval(xs, (b, a)))
+        assert affine.slope_range(x) == poly.slope_range(x)
+        assert affine.curvature_max(x) == poly.curvature_max(x)
+        assert affine.growth_envelope() == poly.growth_envelope()
+        batch = CostBatch([affine, poly])
+        at = np.array([x, x])
+        for got in (batch.values(at, slopes=True), batch.marginals(at, slopes=True),
+                    batch.integrals(at)):
+            assert bits(got[..., 0]) == bits(got[..., 1])
+
+
 class TestCostBatch:
     @given(st.lists(st.tuples(smooth_costs, loads), min_size=1, max_size=12))
     @example([(AffineCost(1.0), 0.0), (PolynomialCost((0.3,)), 2.5),
@@ -308,8 +333,7 @@ class TestCostBatch:
 
 def _marginal_slope(cost, x: float) -> float:
     """Second derivative of x c(x), from the coefficients by ``numpy.polynomial``."""
-    coeffs = ((cost.intercept, cost.slope) if isinstance(cost, AffineCost) else cost.coeffs)
-    return float(P.polyval(x, P.polyder((0.0,) + tuple(coeffs), 2)))
+    return float(P.polyval(x, P.polyder((0.0,) + cost.coeffs, 2)))
 
 
 def _table_base(seed: int, rate: float) -> TableCost:

@@ -84,17 +84,6 @@ class TestSolveWardrop:
             again = wardrop_epsilon(s, d, sol.pair)
             assert abs(sol.epsilon - again) <= 1e-12
 
-    def test_cost_override_replaces_structure_costs(self):
-        # solving the base structure under substituted costs must match the
-        # dedicated structure carrying those costs
-        s = pigou_structure()
-        override = (AffineCost(1.0, 1.0), AffineCost(0.0, 2.0))
-        d = unit_demand(s)
-        a = solve_wardrop(s, d, costs=override, target_eps=1e-10)
-        b = solve_wardrop(pigou_limit_structure(), d, target_eps=1e-10)
-        assert np.allclose(a.pair.x, b.pair.x, atol=1e-12)
-        assert wardrop_epsilon(s, d, a.pair, costs=override) <= 1e-10
-
     def test_load_uniqueness_across_starts(self):
         target = 1e-10
         beta = 1.0
