@@ -5,10 +5,9 @@ congestion games, constructs the Poisson limit game with auxiliary costs,
 and checks the quantitative convergence bounds connecting them.
 """
 
-from .atomic import (BernoulliGame, CostEstimate, MixedProfile, MonteCarlo,
-                     WeightedGame, best_response_dynamics, conditional_cost_estimate,
-                     esc, load_distribution, opt_and_poa, resource_choice_prob,
-                     symmetric_mixed_equilibrium, verify_equilibrium)
+from .atomic import (BernoulliGame, MixedProfile, WeightedGame, best_response_dynamics,
+                     conditional_cost_estimate, esc, load_distribution, opt_and_poa,
+                     resource_choice_prob, symmetric_mixed_equilibrium, verify_equilibrium)
 from .core import (AffineCost, DemandVector, FlowLoadPair, GrowthEnvelope,
                    PolynomialCost, Structure, TableCost, check_feasible,
                    load_instance, loads_from_flows, parse_instance, social_cost,

@@ -5,8 +5,9 @@ players have unit weight but participate only with an individual probability,
 drawn independently of everyone's mixed strategies.  Expected conditional
 costs are computed exactly through Poisson-binomial laws (Bernoulli, always;
 weighted, when the random terms share one weight) and weighted-sum
-enumeration (weighted, up to twenty random terms), with a seeded Monte Carlo
-fallback beyond that.
+enumeration (weighted, up to ``discrete_dist.EXACT_TERMS`` = 20 random terms
+of unequal weight; ``weighted_sum_distribution`` raises ``CapacityError``
+beyond that).
 
 Every load law of an evaluation comes from one store, ``_LoadLaws``, which
 keys each Poisson-binomial law by its sorted Bernoulli terms and convolves it
@@ -16,7 +17,7 @@ deconvolved out of the full law in O(n) (``remove_bernoulli``) instead of
 convolved afresh from the other n-1 terms.  ``esc`` and ``load_distribution``
 read the same column laws, and ``opt_and_poa`` hands each profile's
 verification and ``esc`` one store.  Loads whose random weights differ are
-enumerated or sampled.
+enumerated.
 
 The exact social optimum is searched over pure profiles.  Players of one type
 and one magnitude form a class and are interchangeable, so a profile is a
@@ -39,14 +40,14 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (USAGE_TOL, DemandVector, Structure, _field, _strategy_distributions,
-                   parse_instance)
-from .discrete_dist import (EXACT_TERMS, Pmf, ValueDist, bernoulli_sum_pmf,
-                            remove_bernoulli, weighted_sum_distribution)
+from .core import (USAGE_TOL, DemandVector, Structure, _as_list, _field, _reject_unknown,
+                   _strategy_distributions, parse_instance)
+from .discrete_dist import (Pmf, ValueDist, bernoulli_sum_pmf, remove_bernoulli,
+                            weighted_sum_distribution)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PrecisionError, StructureError)
 
@@ -54,14 +55,6 @@ TIE_TOL = 1e-12
 VERIFY_TOL = 1e-9  # default regret tolerance of an equilibrium check
 OPT_BUDGET = 250_000  # count vectors the exact optimum search may score
 MAX_SWEEPS = 500  # best-response sweeps before the dynamics give up
-
-
-@dataclass(frozen=True)
-class MonteCarlo:
-    """Settings for the sampling fallback; the seed keys a counter-based generator."""
-
-    seed: int
-    samples: int = 1_000_000
 
 
 def _type_demands(game) -> DemandVector:
@@ -251,19 +244,6 @@ def _split_column(mags: Sequence[float],
     return math.fsum(w[usage >= 1.0].tolist()), w[rand], usage[rand]
 
 
-def _random_load(weights: np.ndarray, probs: np.ndarray, mc: MonteCarlo | None,
-                 stream: int) -> ValueDist:
-    """Law of sum_j weights_j Bernoulli(probs_j) for unequal weights, sampled past
-    EXACT_TERMS terms."""
-    if weights.size <= EXACT_TERMS:
-        return weighted_sum_distribution(weights, probs)
-    if mc is None:
-        raise ConfigError(f"more than {EXACT_TERMS} unequal-weight random terms: "
-                          "supply MonteCarlo settings")
-    return weighted_sum_distribution(weights, probs, mode="monte_carlo", seed=mc.seed,
-                                     samples=mc.samples, stream=stream)
-
-
 class _LoadLaws:
     """Every load law of one evaluation of a game, and the expectations read from them.
 
@@ -398,7 +378,7 @@ class _LoadLaws:
         self._edge_values = {k: v for k, v in self._edge_values.items() if k[1] in live}
         self._last = None
 
-    def weighted_law(self, e: int, mc: MonteCarlo | None) -> ValueDist:
+    def weighted_law(self, e: int) -> ValueDist:
         """Law of resource e's weighted load: the certain weights' fsum plus the random rest."""
         base, wf, pf = _split_column(self.mags, self.usage[:, e])
         if wf.size == 0:
@@ -406,11 +386,10 @@ class _LoadLaws:
         if np.all(wf == wf[0]):
             rest = ValueDist.from_pmf(Pmf(self.law(e)), scale=float(wf[0]))
         else:
-            rest = _random_load(wf, pf, mc, stream=e + 1)
+            rest = weighted_sum_distribution(wf, pf)
         return ValueDist(base + rest.values, rest.masses)
 
-    def edge_value(self, e: int, mags: Sequence[float] | None = None,
-                   mc: MonteCarlo | None = None) -> float:
+    def edge_value(self, e: int, mags: Sequence[float] | None = None) -> float:
         """E[L c_e(L)] for resource e's load: its column's, or that of certain
         users with magnitudes ``mags``."""
         cost = self.game.structure.cost_fns[e]
@@ -428,7 +407,7 @@ class _LoadLaws:
         if mags is not None:
             load = math.fsum(mags)
             return load * float(cost.value(load))
-        law = self.weighted_law(e, mc)
+        law = self.weighted_law(e)
         return float(law.masses @ (law.values * np.asarray(cost.value(law.values), dtype=float)))
 
 
@@ -446,12 +425,8 @@ def _laws_of(game: Game, profile: MixedProfile) -> _LoadLaws:
     return _LoadLaws(game, choice_probabilities(game, profile))
 
 
-def _edge_cost_weighted(laws: _LoadLaws, i: int, e: int,
-                        mc: MonteCarlo | None) -> tuple[float, float]:
-    """E[c_e(w_i + V)] where V sums the other players' weighted usage indicators.
-
-    Returns (value, standard error); the error is zero on the exact branches.
-    """
+def _edge_cost_weighted(laws: _LoadLaws, i: int, e: int) -> float:
+    """E[c_e(w_i + V)] where V sums the other players' weighted usage indicators."""
     game = laws.game
     cost = game.structure.cost_fns[e]
     u = float(laws.usage[i, e])
@@ -460,68 +435,55 @@ def _edge_cost_weighted(laws: _LoadLaws, i: int, e: int,
         certain, certain_but_one, n_frac = laws.column(e)
         base = float(game.weights[i]) + (certain_but_one if u >= 1.0 else certain)
         if n_frac == (0.0 < u < 1.0):  # no other player is uncertain
-            return float(cost.value(base)), 0.0
-        return laws.conditional(e, q, base, float(laws.mags[0])), 0.0
+            return float(cost.value(base))
+        return laws.conditional(e, q, base, float(laws.mags[0]))
     others = laws.usage[:, e].copy()
     others[i] = 0.0
     certain, wf, pf = _split_column(laws.mags, others)
     base = float(game.weights[i]) + certain
     if wf.size == 0:
-        return float(cost.value(base)), 0.0
+        return float(cost.value(base))
     if np.unique(wf).size == 1:
-        return laws.conditional(e, q, base, float(wf[0])), 0.0
+        return laws.conditional(e, q, base, float(wf[0]))
     key = (base, tuple(sorted(zip(wf, pf))))
     hit = laws.values[e].get(key)
     if hit is None:
-        dist = _random_load(wf, pf, mc, stream=i * game.structure.n_resources + e + 1)
-        cvals = np.asarray(cost.value(base + dist.values), dtype=float)
-        mean = float(dist.masses @ cvals)
-        sampled = wf.size > EXACT_TERMS
-        var = float(dist.masses @ (cvals - mean) ** 2) / mc.samples if sampled else 0.0
-        hit = laws.values[e][key] = (mean, math.sqrt(max(var, 0.0)))
+        dist = weighted_sum_distribution(wf, pf)
+        hit = laws.values[e][key] = float(
+            dist.masses @ np.asarray(cost.value(base + dist.values), dtype=float))
     return hit
 
 
-def _strategy_cond_cost(laws: _LoadLaws, i: int, s: int,
-                        mc: MonteCarlo | None) -> tuple[float, float]:
-    """(conditional cost, standard error) of strategy s for player i."""
+def _strategy_cond_cost(laws: _LoadLaws, i: int, s: int) -> float:
+    """Conditional cost of strategy s for player i."""
     game = laws.game
     edges = game.structure.strategies[game.player_types[i]][s]
     if game.kind == "bernoulli":
         return sum(laws.conditional(e, float(laws.mags[i] * laws.usage[i, e]))
-                   for e in edges), 0.0
-    parts = [_edge_cost_weighted(laws, i, e, mc) for e in edges]
-    return (sum(v for v, _ in parts),
-            math.sqrt(sum(se * se for _, se in parts)))
+                   for e in edges)
+    return sum(_edge_cost_weighted(laws, i, e) for e in edges)
 
 
-class CostEstimate(NamedTuple):
-    value: float
-    stderr: float  # zero whenever every edge took an exact branch
+def conditional_cost_estimate(game: Game, profile: MixedProfile, i: int, s: int) -> float:
+    """Expected cost of strategy s for player i, conditional on i playing it.
 
-
-def conditional_cost_estimate(game: Game, profile: MixedProfile, i: int, s: int,
-                              *, mc: MonteCarlo | None = None) -> CostEstimate:
-    """Expected cost of strategy s for player i, conditional on i playing it,
-    with its sampling standard error (zero when exact).
-
-    Bernoulli games are always exact (Poisson-binomial over the other players'
-    active-and-using probabilities).  Weighted games are exact whenever the
-    random terms share one weight or number at most twenty; otherwise seeded
-    Monte Carlo settings are required.
+    Exact: Bernoulli games through the Poisson-binomial law of the other
+    players' active-and-using probabilities; weighted games through that law
+    when the other players' random terms share one weight, else through
+    ``weighted_sum_distribution``, which enumerates at most ``EXACT_TERMS``
+    (20) terms and raises ``CapacityError`` beyond that.
     """
     _check_index(i, game.n_players, "player")
     _check_index(s, len(game.structure.strategies[game.player_types[i]]),
                  f"strategy of player {i}")
-    return CostEstimate(*_strategy_cond_cost(_laws_of(game, profile), i, s, mc))
+    return _strategy_cond_cost(_laws_of(game, profile), i, s)
 
 
-def player_expected_cost(game: Game, profile: MixedProfile, i: int,
-                         *, mc: MonteCarlo | None = None) -> float:
+def player_expected_cost(game: Game, profile: MixedProfile, i: int) -> float:
     """Unconditional expected cost of player i (inactive players pay nothing)."""
     _check_index(i, game.n_players, "player")
     laws = _laws_of(game, profile)
-    total = sum(float(profile.probs[i][s]) * _strategy_cond_cost(laws, i, s, mc)[0]
+    total = sum(float(profile.probs[i][s]) * _strategy_cond_cost(laws, i, s)
                 for s in range(profile.probs[i].size) if profile.probs[i][s] > 0.0)
     if game.kind == "bernoulli":
         return game.probs[i] * total
@@ -551,8 +513,8 @@ class EquilibriumReport:
         return self.max_regret <= self.tol
 
 
-def verify_equilibrium(game: Game, profile: MixedProfile, tol: float = VERIFY_TOL,
-                       *, mc: MonteCarlo | None = None) -> EquilibriumReport:
+def verify_equilibrium(game: Game, profile: MixedProfile,
+                       tol: float = VERIFY_TOL) -> EquilibriumReport:
     """Largest amount any player can save by deviating from a used strategy.
 
     A strategy counts as used when its probability exceeds ``USAGE_TOL``.
@@ -563,7 +525,7 @@ def verify_equilibrium(game: Game, profile: MixedProfile, tol: float = VERIFY_TO
     worst = 0.0
     for i in range(game.n_players):
         m = profile.probs[i].size
-        costs = [_strategy_cond_cost(laws, i, s, mc)[0] for s in range(m)]
+        costs = [_strategy_cond_cost(laws, i, s) for s in range(m)]
         best = min(costs)
         used = profile.probs[i] > USAGE_TOL
         regret = max((c - best for s, c in enumerate(costs) if used[s]), default=0.0)
@@ -590,8 +552,7 @@ class BestResponseResult:
         return MixedProfile.pure(game, self.strategies)
 
 
-def best_response_dynamics(game: Game, initial: Sequence[int], *,
-                           mc: MonteCarlo | None = None) -> BestResponseResult:
+def best_response_dynamics(game: Game, initial: Sequence[int]) -> BestResponseResult:
     """Round-robin exact best responses from a pure profile, for up to ``MAX_SWEEPS`` sweeps.
 
     Players keep their current strategy when it is within ``TIE_TOL`` of the
@@ -610,7 +571,7 @@ def best_response_dynamics(game: Game, initial: Sequence[int], *,
         for i in range(game.n_players):
             t = game.player_types[i]
             m = len(game.structure.strategies[t])
-            costs = [_strategy_cond_cost(laws, i, s, mc)[0] for s in range(m)]
+            costs = [_strategy_cond_cost(laws, i, s) for s in range(m)]
             best = int(np.argmin(costs))
             if costs[best] < costs[state[i]] - TIE_TOL:
                 state[i] = best
@@ -636,8 +597,7 @@ def _require_symmetric(game: Game) -> None:
         raise ConfigError("symmetric solver needs identical weights/probabilities")
 
 
-def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL,
-                                *, mc: MonteCarlo | None = None) -> MixedProfile:
+def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL) -> MixedProfile:
     """Shared mixed strategy making every identical player indifferent.
 
     Scans pure symmetric profiles, then solves two-strategy indifference by
@@ -651,7 +611,7 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL,
 
     def attempt(sigma: np.ndarray) -> MixedProfile | None:
         prof = MixedProfile.symmetric(game, sigma)
-        if verify_equilibrium(game, prof, tol, mc=mc).ok:
+        if verify_equilibrium(game, prof, tol).ok:
             return prof
         return None
 
@@ -667,8 +627,7 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL,
         v[a], v[b] = q, 1.0 - q
         prof = MixedProfile.symmetric(game, v)
         laws = _LoadLaws(game, choice_probabilities(game, prof))
-        return (_strategy_cond_cost(laws, 0, a, mc)[0]
-                - _strategy_cond_cost(laws, 0, b, mc)[0])
+        return _strategy_cond_cost(laws, 0, a) - _strategy_cond_cost(laws, 0, b)
 
     for a, b in itertools.combinations(range(m), 2):
         lo_val, hi_val = pair_gap(a, b, 0.0), pair_gap(a, b, 1.0)
@@ -692,7 +651,7 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL,
     for it in range(2000):
         prof = MixedProfile.symmetric(game, sigma)
         laws = _LoadLaws(game, choice_probabilities(game, prof))
-        costs = np.array([_strategy_cond_cost(laws, 0, s, mc)[0] for s in range(m)])
+        costs = np.array([_strategy_cond_cost(laws, 0, s) for s in range(m)])
         floor = costs.min()
         target = (costs <= floor + TIE_TOL).astype(float)
         target /= target.sum()
@@ -710,15 +669,15 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL,
 # social cost, optimum, anarchy
 
 
-def esc(game: Game, profile: MixedProfile, *, mc: MonteCarlo | None = None) -> float:
+def esc(game: Game, profile: MixedProfile) -> float:
     """Expected social cost: the fsum over resources of E[L_e c_e(L_e)].
 
-    Exact unless a resource has more than twenty unequal-weight random users,
-    which need ``mc``.  The optimum search sums the same per-resource values,
-    so equal pure assignments give bitwise-equal costs.
+    Exact; a resource with more than ``EXACT_TERMS`` (20) random users of
+    unequal weight raises ``CapacityError``.  The optimum search sums the same
+    per-resource values, so equal pure assignments give bitwise-equal costs.
     """
     laws = _laws_of(game, profile)
-    return math.fsum(laws.edge_value(e, mc=mc) for e in range(game.structure.n_resources))
+    return math.fsum(laws.edge_value(e) for e in range(game.structure.n_resources))
 
 
 def expected_loads(game: Game, profile: MixedProfile) -> np.ndarray:
@@ -727,8 +686,7 @@ def expected_loads(game: Game, profile: MixedProfile) -> np.ndarray:
     return np.asarray(game.magnitudes) @ usage
 
 
-def load_distribution(game: Game, profile: MixedProfile, e: int,
-                      *, mc: MonteCarlo | None = None):
+def load_distribution(game: Game, profile: MixedProfile, e: int):
     """Distribution of the random load on resource e, the law ``esc`` reads.
 
     Bernoulli games yield a pmf on the integers; weighted games yield a
@@ -738,7 +696,7 @@ def load_distribution(game: Game, profile: MixedProfile, e: int,
     laws = _laws_of(game, profile)
     if game.kind == "bernoulli":
         return Pmf(laws.law(e))
-    return laws.weighted_law(e, mc)
+    return laws.weighted_law(e)
 
 
 def strategy_flow_covariance(game: Game, profile: MixedProfile, t: int,
@@ -877,8 +835,7 @@ class OptPoaResult:
 
 
 def opt_and_poa(game: Game, equilibria: Sequence[MixedProfile], *,
-                budget: int = OPT_BUDGET, tol: float = VERIFY_TOL,
-                mc: MonteCarlo | None = None) -> OptPoaResult:
+                budget: int = OPT_BUDGET, tol: float = VERIFY_TOL) -> OptPoaResult:
     """Optimum cost plus anarchy/stability ratios over a verified equilibrium family.
 
     Profiles failing verification are reported in ``rejected`` and excluded.
@@ -891,8 +848,8 @@ def opt_and_poa(game: Game, equilibria: Sequence[MixedProfile], *,
     for idx, prof in enumerate(equilibria):
         pin = _PINNED.set((game, prof, _LoadLaws(game, choice_probabilities(game, prof))))
         try:
-            if verify_equilibrium(game, prof, tol, mc=mc).ok:
-                verified.append(esc(game, prof, mc=mc))
+            if verify_equilibrium(game, prof, tol).ok:
+                verified.append(esc(game, prof))
             else:
                 rejected.append(idx)
         finally:
@@ -930,15 +887,15 @@ def parse_game(obj: Mapping) -> Game:
             return demand[t] / count
         return _field(entry, field, "player entry", float)
 
-    for entry in _field(obj, "players", "game file"):
-        keys = set(entry)
-        if not keys <= {"type", "weight", "prob", "count"}:
-            raise StructureError(f"unknown keys in player entry: {sorted(keys)}")
+    for entry in _field(obj, "players", "game file", _as_list):
+        _reject_unknown(entry, {"type", "weight", "prob", "count"}, "player entry")
         tid = _field(entry, "type", "player entry", str)
         if tid not in structure.type_index:
             raise StructureError(f"player entry names the unknown type {tid!r}")
         t = structure.type_index[tid]
         count = _field(entry, "count", "player entry", int, 1)
+        if count < 1:
+            raise DomainError(f"player entry key 'count' must be positive, not {count}")
         if "weight" in entry and "prob" in entry:
             raise StructureError("player entry mixes weight and prob")
         if "weight" in entry:

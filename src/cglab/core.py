@@ -600,6 +600,8 @@ def _parse_envelope(obj: Mapping) -> GrowthEnvelope:
 
 
 def _reject_unknown(obj: Mapping, allowed: set[str], what: str) -> None:
+    if not isinstance(obj, Mapping):
+        raise StructureError(f"{what} must be an object, not {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise StructureError(f"unknown keys in {what}: {sorted(unknown)}")
@@ -610,6 +612,18 @@ _REQUIRED = object()
 
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
+
+
+def _as_list(value) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError
+    return value
+
+
+def _as_mapping(value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise TypeError
+    return value
 
 
 def _field(obj: Mapping, key: str, what: str, kind=None, default=_REQUIRED):
@@ -632,25 +646,27 @@ def parse_instance(obj: Mapping) -> tuple[Structure, DemandVector]:
     _reject_unknown(obj, {"resources", "types", "demands"}, "instance")
     resources = []
     costs = []
-    for r in _field(obj, "resources", "instance"):
+    for r in _field(obj, "resources", "instance", _as_list):
         _reject_unknown(r, {"id", "cost"}, "resource")
         resources.append(_field(r, "id", "resource", str))
         costs.append(parse_cost(_field(r, "cost", "resource")))
     rid_to_idx = {rid: i for i, rid in enumerate(resources)}
     types = []
     strategies = []
-    for t in _field(obj, "types", "instance"):
+    for t in _field(obj, "types", "instance", _as_list):
         _reject_unknown(t, {"id", "strategies"}, "type")
         types.append(_field(t, "id", "type", str))
         per_t = []
-        for strat in _field(t, "strategies", "type"):
+        for strat in _field(t, "strategies", "type", _as_list):
+            if not isinstance(strat, (list, tuple)):
+                raise StructureError(f"type key 'strategies' holds {strat!r}, not a list")
             try:
                 per_t.append(tuple(rid_to_idx[str(e)] for e in strat))
             except KeyError as exc:
                 raise StructureError(f"strategy references unknown resource {exc}") from None
         strategies.append(tuple(per_t))
     structure = Structure(tuple(resources), tuple(costs), tuple(types), tuple(strategies))
-    demands = _field(obj, "demands", "instance")
+    demands = _field(obj, "demands", "instance", _as_mapping)
     demand = DemandVector.of(structure, {str(k): _field(demands, k, "demands", float)
                                          for k in demands})
     return structure, demand

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .core import _readonly
-from .errors import CapacityError, ConfigError, DomainError, PrecisionError
+from .errors import CapacityError, DomainError, PrecisionError
 
 _NORM_TOL = 1e-12
 _MERGE_TOL = 1e-12
@@ -99,7 +99,7 @@ class ValueDist:
             raise DomainError("values and masses must be matching one-dimensional arrays")
         if float(self.masses.min()) < -1e-15:
             raise DomainError("negative mass")
-        if abs(float(self.masses.sum()) - 1.0) > 1e-9:
+        if abs(float(self.masses.sum()) - 1.0) > _NORM_TOL:
             raise DomainError("value distribution is not normalized")
         if np.any(np.diff(self.values) < 0):
             raise DomainError("values must be sorted ascending")
@@ -316,15 +316,11 @@ def _anchor_merge(v: np.ndarray, m: np.ndarray, tol: float) -> tuple[np.ndarray,
     return np.array(out_v), np.array(out_m)
 
 
-def weighted_sum_distribution(weights: Sequence[float], probs: Sequence[float],
-                              mode: str = "exact", *, seed: int | None = None,
-                              samples: int = 1_000_000, stream: int = 0) -> ValueDist:
-    """Distribution of ``sum_i w_i * Bernoulli(p_i)`` with independent terms.
+def weighted_sum_distribution(weights: Sequence[float], probs: Sequence[float]) -> ValueDist:
+    """Exact distribution of ``sum_i w_i * Bernoulli(p_i)`` with independent terms.
 
-    Exact mode enumerates all outcomes by sequential branching (requires
-    n <= 20); monte_carlo mode draws ``samples`` realizations from a
-    counter-based generator keyed by ``seed`` (and the optional stream id),
-    so results are bit-reproducible.
+    Enumerates every outcome by sequential branching, pooling values within
+    ``_MERGE_TOL``; more than ``EXACT_TERMS`` (20) terms raise ``CapacityError``.
     """
     w = np.asarray(list(weights), dtype=float)
     p = np.asarray(list(probs), dtype=float)
@@ -334,47 +330,21 @@ def weighted_sum_distribution(weights: Sequence[float], probs: Sequence[float],
         raise DomainError("weights must be nonnegative")
     if w.size and (float(p.min()) < -1e-15 or float(p.max()) > 1.0 + 1e-15):
         raise DomainError("probabilities must lie in [0, 1]")
-
-    if mode == "exact":
-        if w.size > EXACT_TERMS:
-            raise CapacityError(
-                f"exact enumeration limited to {EXACT_TERMS} terms (got {w.size}); "
-                "use mode='monte_carlo' with an explicit seed")
-        vals = np.array([0.0])
-        mass = np.array([1.0])
-        for wi, pi in zip(w, p):
-            if pi <= 0.0:
-                continue
-            if pi >= 1.0:
-                vals = vals + wi
-                continue
-            vals2 = np.concatenate([vals, vals + wi])
-            mass2 = np.concatenate([mass * (1.0 - pi), mass * pi])
-            vals, mass = _merge_point_masses(vals2, mass2)
-        return ValueDist(vals, mass)
-
-    if mode == "monte_carlo":
-        if seed is None:
-            raise ConfigError("monte_carlo mode requires an explicit seed")
-        bitgen = np.random.Philox(seed)
-        if stream:
-            bitgen = bitgen.jumped(stream)
-        rng = np.random.Generator(bitgen)
-        chunks: list[np.ndarray] = []
-        remaining = int(samples)
-        if remaining <= 0:
-            raise DomainError("samples must be positive")
-        while remaining > 0:
-            m = min(remaining, 1 << 16)
-            u = rng.random((m, w.size))
-            chunks.append((u < p) @ w)
-            remaining -= m
-        draws = np.concatenate(chunks) if chunks else np.zeros(0)
-        vals, counts = np.unique(draws, return_counts=True)
-        vals, mass = _merge_point_masses(vals, counts / float(samples))
-        return ValueDist(vals, mass)
-
-    raise DomainError(f"unknown mode {mode!r}")
+    if w.size > EXACT_TERMS:
+        raise CapacityError(f"exact enumeration is limited to {EXACT_TERMS} weighted "
+                            f"Bernoulli terms (got {w.size})")
+    vals = np.array([0.0])
+    mass = np.array([1.0])
+    for wi, pi in zip(w, p):
+        if pi <= 0.0:
+            continue
+        if pi >= 1.0:
+            vals = vals + wi
+            continue
+        vals2 = np.concatenate([vals, vals + wi])
+        mass2 = np.concatenate([mass * (1.0 - pi), mass * pi])
+        vals, mass = _merge_point_masses(vals2, mass2)
+    return ValueDist(vals, mass)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ REPORT_COLUMNS = ("n", "model", "max_w_or_r", "loads", "l2_dist", "tv_lo", "tv_h
                   "bound", "bound_ok", "esc", "poa", "pos")
 
 
+def _float_or_none(value) -> float | None:
+    return None if value is None else float(value)
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """Declarative description of one convergence run."""
@@ -74,7 +78,8 @@ class SequenceSpec:
         extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise DomainError(f"unknown keys in sequence spec: {sorted(extra)}")
-        kinds = {"tail_tol": float, "target_eps": float, "seed": int, "equilibria": tuple}
+        kinds = {"alpha": _float_or_none, "beta_override": _float_or_none, "tail_tol": float,
+                 "target_eps": float, "seed": int, "equilibria": tuple}
         return cls(**{f.name: _field(data, f.name, "sequence spec", kinds.get(f.name))
                       for f in fields(cls) if f.name in data or f.default is MISSING})
 

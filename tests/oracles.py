@@ -73,6 +73,41 @@ def esc_brute_force(game, profile):
     return total
 
 
+def conditional_cost_brute_force(game, profile, i, s):
+    """Expected cost of strategy s for player i, given that i plays it (and, in
+    a Bernoulli game, takes part), over every outcome of the other players'
+    strategies and participations."""
+    st = game.structure
+    n = game.n_players
+    mags = game.magnitudes
+    choices = [(s,) if j == i else range(len(st.strategies[t]))
+               for j, t in enumerate(game.player_types)]
+    if game.kind == "bernoulli":
+        actives = [act for act in itertools.product((0, 1), repeat=n) if act[i]]
+    else:
+        actives = [(1,) * n]
+    terms = []
+    for outcome in itertools.product(*choices):
+        p_strat = math.prod(float(profile.probs[j][sj]) for j, sj in enumerate(outcome)
+                            if j != i)
+        if p_strat == 0.0:
+            continue
+        for act in actives:
+            chance = p_strat
+            if game.kind == "bernoulli":
+                chance *= math.prod(r if a else 1.0 - r
+                                    for j, (a, r) in enumerate(zip(act, mags)) if j != i)
+            for e in st.strategies[game.player_types[i]][s]:
+                users = [j for j, sj in enumerate(outcome)
+                         if act[j] and e in st.strategies[game.player_types[j]][sj]]
+                if game.kind == "bernoulli":
+                    cost = float(st.cost_fns[e].value_int(len(users)))
+                else:
+                    cost = float(st.cost_fns[e].value(math.fsum(mags[j] for j in users)))
+                terms.append(chance * cost)
+    return math.fsum(terms)
+
+
 def load_law_brute_force(game, profile, e):
     """Law of the load on resource e over the full outcome space, as {load: mass}.
 

@@ -1,19 +1,22 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cglab import atomic
-from cglab.atomic import (BernoulliGame, MixedProfile, MonteCarlo, WeightedGame,
+from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           best_response_dynamics, conditional_cost_estimate, esc,
                           expected_loads, load_distribution, opt_and_poa, parse_game,
                           player_expected_cost, resource_choice_prob,
                           social_optimum_pure, strategy_flow_covariance,
                           symmetric_mixed_equilibrium, verify_equilibrium)
-from cglab.core import AffineCost, Structure
+from cglab.cli import main
+from cglab.core import AffineCost, Structure, instance_to_json
 from cglab.discrete_dist import ValueDist, bernoulli_sum_pmf
-from cglab.errors import ConfigError, ConvergenceError, DomainError, StructureError
+from cglab.errors import (CapacityError, ConfigError, ConvergenceError, DomainError,
+                          StructureError)
 from cglab.poisson_limit import build_limit_game
 from cglab.instances import (UPPER, ZIGZAG, LOWER, parallel_structure,
                              pigou_structure, unit_demand, wheatstone_all_zigzag,
@@ -21,8 +24,8 @@ from cglab.instances import (UPPER, ZIGZAG, LOWER, parallel_structure,
                              wheatstone_structure, wheatstone_symmetric_mix)
 
 
-from oracles import (esc_brute_force, outcome_probability, pure_optimum_by_assignment,
-                     random_small_game)
+from oracles import (conditional_cost_brute_force, esc_brute_force, outcome_probability,
+                     pure_optimum_by_assignment, random_small_game)
 
 
 def wheatstone_bernoulli(n):
@@ -117,70 +120,31 @@ class TestConditionalExpectedCost:
         n = 10
         game = wheatstone_bernoulli(n)
         prof = MixedProfile.pure(game, [UPPER] * n)
-        got = conditional_cost_estimate(game, prof, 0, UPPER).value
+        got = conditional_cost_estimate(game, prof, 0, UPPER)
         assert got == pytest.approx(2.9, abs=1e-12)
 
     def test_single_weighted_player(self):
         s = parallel_structure()
         game = WeightedGame(s, (0.7,), (0,))
         prof = MixedProfile.pure(game, [0])
-        assert conditional_cost_estimate(game, prof, 0, 0).value == pytest.approx(0.7, abs=0)
-        assert conditional_cost_estimate(game, prof, 0, 1).value == pytest.approx(0.7, abs=0)
+        assert conditional_cost_estimate(game, prof, 0, 0) == pytest.approx(0.7, abs=0)
+        assert conditional_cost_estimate(game, prof, 0, 1) == pytest.approx(0.7, abs=0)
 
     def test_bernoulli_symmetric_mix_value(self):
         for n in (2, 5, 10):
             game = wheatstone_bernoulli(n)
             prof = wheatstone_symmetric_mix(game)
-            got = conditional_cost_estimate(game, prof, 0, UPPER).value
+            got = conditional_cost_estimate(game, prof, 0, UPPER)
             assert got == pytest.approx((5 * n - 1) / (2 * n), abs=1e-12)
 
     def test_matches_outcome_enumeration(self):
         rng = np.random.default_rng(77)
         for kind in ("weighted", "bernoulli"):
             game, prof = random_small_game(rng, kind)
-            i = 0
-            t = game.player_types[i]
-            for si in range(len(game.structure.strategies[t])):
-                forced = list(prof.probs)
-                v = np.zeros(len(game.structure.strategies[t]))
-                v[si] = 1.0
-                forced[i] = v
-                forced_prof = MixedProfile(tuple(forced))
-                cond = conditional_cost_estimate(game, prof, i, si).value
-                # oracle: per-player cost when i deterministically plays si
-                oracle = 0.0
-                s = game.structure
-                n = game.n_players
-                strat_ranges = [range(len(s.strategies[tt])) for tt in game.player_types]
-                part_space = (list(itertools.product((0, 1), repeat=n - 1))
-                              if game.kind == "bernoulli" else [(1,) * (n - 1)])
-                for outcome in itertools.product(*strat_ranges):
-                    if outcome[i] != si:
-                        continue
-                    p_strat = outcome_probability(forced_prof, outcome)
-                    if p_strat == 0.0:
-                        continue
-                    for active in part_space:
-                        act = list(active[:i]) + [1] + list(active[i:])
-                        if game.kind == "bernoulli":
-                            p = p_strat * math.prod(
-                                game.probs[j] if a else 1.0 - game.probs[j]
-                                for j, a in enumerate(act) if j != i)
-                        else:
-                            p = p_strat
-                        cost = 0.0
-                        for e in s.strategies[t][si]:
-                            if game.kind == "bernoulli":
-                                load = sum(act[j] for j, sj in enumerate(outcome)
-                                           if e in s.strategies[game.player_types[j]][sj])
-                                cost += float(s.cost_fns[e].value_int(int(load)))
-                            else:
-                                load = sum(game.magnitudes[j] * act[j]
-                                           for j, sj in enumerate(outcome)
-                                           if e in s.strategies[game.player_types[j]][sj])
-                                cost += float(s.cost_fns[e].value(load))
-                        oracle += p * cost
-                assert cond == pytest.approx(oracle, abs=1e-10)
+            for si in range(len(game.structure.strategies[game.player_types[0]])):
+                cond = conditional_cost_estimate(game, prof, 0, si)
+                assert cond == pytest.approx(conditional_cost_brute_force(game, prof, 0, si),
+                                             abs=1e-10)
 
 
 class TestVerifyEquilibrium:
@@ -565,34 +529,27 @@ class TestFlowCovariance:
 
 
 class TestMonteCarloFallback:
+    """There is no sampling fallback: past 20 random terms of unequal weight
+    an expected cost raises ``CapacityError`` before it enumerates anything."""
+
     def big_weighted_game(self):
         s = parallel_structure()
         weights = tuple(1.0 + 0.01 * i for i in range(22))
         return WeightedGame(s, weights, (0,) * 22)
 
-    def test_exact_path_unavailable(self):
+    def test_exact_path_unavailable(self, tmp_path, capsys):
+        # each player's cost on a link sees the other 21 players' random weights
         game = self.big_weighted_game()
         prof = MixedProfile.symmetric(game, [0.5, 0.5])
-        with pytest.raises(ConfigError):
-            conditional_cost_estimate(game, prof, 0, 0).value
-
-    def test_seeded_sampling_reproducible(self):
-        game = self.big_weighted_game()
-        prof = MixedProfile.symmetric(game, [0.5, 0.5])
-        mc = MonteCarlo(seed=11, samples=50_000)
-        a = conditional_cost_estimate(game, prof, 0, 0, mc=mc)
-        b = conditional_cost_estimate(game, prof, 0, 0, mc=mc)
-        assert a == b
-        assert a.stderr > 0.0
-        # affine costs: E c(w0 + V) = w0 + sum_j w_j / 2, a useful cross-check
-        want = 1.0 + sum(game.weights[1:]) / 2
-        assert a.value == pytest.approx(want, abs=4 * a.stderr)
-
-    def test_exact_paths_report_zero_stderr(self):
-        game = wheatstone_bernoulli(6)
-        prof = wheatstone_symmetric_mix(game)
-        est = conditional_cost_estimate(game, prof, 0, UPPER)
-        assert est.stderr == 0.0
+        with pytest.raises(CapacityError, match="limited to 20"):
+            verify_equilibrium(game, prof)
+        obj = instance_to_json(game.structure, game.demand)
+        obj["players"] = [{"type": "od", "weight": w} for w in game.weights]
+        game_path, profile_path = tmp_path / "game.json", tmp_path / "profile.json"
+        game_path.write_text(json.dumps(obj))
+        profile_path.write_text(json.dumps(prof.to_json()))
+        assert main(["atomic", str(game_path), "--profile", str(profile_path)]) == 2
+        assert "limited to 20" in capsys.readouterr().err
 
 
 class TestGameFiles:

@@ -133,6 +133,9 @@ def test_converge_env_seed_override(tmp_path, monkeypatch, capsys):
     assert main(["converge", str(spec_path), "--out", str(out), "--json", str(js)]) == 0
     payload = json.loads(js.read_text())
     assert payload["spec"]["seed"] == 42
+    monkeypatch.setenv("CGLAB_SEED", "x")
+    assert main(["converge", str(spec_path), "--out", str(out)]) == 2
+    assert "CGLAB_SEED" in capsys.readouterr().err
 
 
 def test_converge_reports_plain_floats(tmp_path, capsys):
@@ -178,6 +181,23 @@ MALFORMED = {
                                    "tail_tol"),
     "spec n_values not integers": (SequenceSpec.from_json, dict(SPEC, n_values="ab"),
                                    "n_values"),
+    "spec alpha not a number": (SequenceSpec.from_json, dict(SPEC, alpha="x"), "alpha"),
+    "spec beta_override not a number": (SequenceSpec.from_json, dict(SPEC, beta_override="x"),
+                                        "beta_override"),
+    "resources not a list": (parse_instance, dict(_pigou_obj(), resources=5), "resources"),
+    "resource not an object": (parse_instance, dict(_pigou_obj(), resources=[5]), "resource"),
+    "types not a list": (parse_instance, dict(_pigou_obj(), types="od"), "types"),
+    "strategies not a list": (parse_instance,
+                              dict(_pigou_obj(), types=[{"id": "od", "strategies": 5}]),
+                              "strategies"),
+    "strategy not a list": (parse_instance,
+                            dict(_pigou_obj(), types=[{"id": "od", "strategies": [5]}]),
+                            "strategies"),
+    "demands not an object": (parse_instance, dict(_pigou_obj(), demands=[1.0]), "demands"),
+    "players not a list": (parse_game, dict(_pigou_obj(), players=5), "players"),
+    "player entry not an object": (parse_game, dict(_pigou_obj(), players=[5]), "player entry"),
+    "zero players sharing d/n": (parse_game, dict(_pigou_obj(), players=[
+        {"type": "od", "count": 0, "weight": "d/n"}]), "count"),
 }
 
 

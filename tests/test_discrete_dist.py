@@ -11,7 +11,7 @@ from cglab.discrete_dist import (Pmf, ValueDist, barbour_hall_bound,
                                  poisson_expect, poisson_pmf,
                                  tv_distance, tv_poisson_bound,
                                  weighted_sum_distribution)
-from cglab.errors import CapacityError, ConfigError, DomainError
+from cglab.errors import CapacityError, DomainError
 
 
 def enumerate_bernoulli_sum(probs):
@@ -153,31 +153,13 @@ class TestWeightedSum:
             assert d.var() <= (w * w).sum() + 1e-12
 
     def test_capacity_error_beyond_20(self):
-        with pytest.raises(CapacityError, match="monte_carlo"):
+        with pytest.raises(CapacityError, match="limited to 20"):
             weighted_sum_distribution([1.0] * 21, [0.5] * 21)
 
-    def test_monte_carlo_reproducible(self):
-        w = list(np.linspace(0.1, 1.0, 8))
-        p = [0.3] * 8
-        d1 = weighted_sum_distribution(w, p, mode="monte_carlo", seed=77, samples=20_000)
-        d2 = weighted_sum_distribution(w, p, mode="monte_carlo", seed=77, samples=20_000)
-        assert np.array_equal(d1.values, d2.values)
-        assert np.array_equal(d1.masses, d2.masses)
-        d3 = weighted_sum_distribution(w, p, mode="monte_carlo", seed=78, samples=20_000)
-        assert not (np.array_equal(d1.values, d3.values)
-                    and np.array_equal(d1.masses, d3.masses))
-
-    def test_monte_carlo_requires_seed(self):
-        with pytest.raises(ConfigError):
-            weighted_sum_distribution([1.0], [0.5], mode="monte_carlo")
-
-    def test_monte_carlo_close_to_exact(self):
-        w = [0.5, 1.0, 1.5]
-        p = [0.25, 0.5, 0.75]
-        exact = weighted_sum_distribution(w, p)
-        mc = weighted_sum_distribution(w, p, mode="monte_carlo", seed=5, samples=200_000)
-        assert mc.mean() == pytest.approx(exact.mean(), abs=0.01)
-        assert mc.var() == pytest.approx(exact.var(), abs=0.02)
+    def test_masses_must_sum_to_one_within_the_pmf_tolerance(self):
+        # the 1e-12 that Pmf allows; a mass deficit of 1e-10 is not rounding
+        with pytest.raises(DomainError, match="not normalized"):
+            ValueDist(np.array([0.0, 1.0]), np.array([0.5, 0.5 - 1e-10]))
 
 
 class TestTvDistance:

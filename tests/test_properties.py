@@ -5,8 +5,8 @@ fallback), the divide-and-conquer Poisson-binomial pmf, the vectorised
 point-mass merge, the batched cost evaluator of the nonatomic solvers (whole
 load vectors and row subsets, with slopes), their Newton line search, the
 vector Poisson series behind the auxiliary costs, the per-resource load laws
-behind ``esc`` and ``load_distribution``, and the count-space search for the
-pure social optimum.
+behind ``esc`` and ``load_distribution``, the conditional costs behind
+``verify_equilibrium``, and the count-space search for the pure social optimum.
 """
 
 import ast
@@ -20,21 +20,21 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cglab import atomic
-from cglab.atomic import (BernoulliGame, MixedProfile, MonteCarlo, WeightedGame,
+from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           conditional_cost_estimate, esc, load_distribution,
                           social_optimum_pure, verify_equilibrium)
 from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
                         Structure, TableCost)
 from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf, poisson_expect,
                                  remove_bernoulli, weighted_sum_distribution)
-from cglab.errors import ConfigError, DomainError
+from cglab.errors import CapacityError, DomainError
 from cglab.instances import parallel_structure, wheatstone_structure
 from cglab.poisson_limit import AuxCost, build_limit_game
 from cglab.wardrop import (_segment_minimizer, solve_social_optimum, solve_wardrop,
                            wardrop_epsilon)
 
-from oracles import (aux_integral_mp, bisection_minimizer, enumerate_bernoulli_sum,
-                     esc_brute_force, linearization_gap, load_law_brute_force,
+from oracles import (aux_integral_mp, bisection_minimizer, conditional_cost_brute_force,
+                     enumerate_bernoulli_sum, esc_brute_force, linearization_gap, load_law_brute_force,
                      poisson_expect_mp, pure_optimum_by_assignment, random_homogeneous_game,
                      random_small_game, sequential_bernoulli_sum, sequential_merge,
                      state_from_counts)
@@ -91,7 +91,7 @@ class TestLeaveOneOut:
         game = BernoulliGame(s, probs, (0,) * len(probs))
         first = np.array([1.0, 0.0]) if p > 0.0 else np.array([0.0, 1.0])
         profile = MixedProfile((first,) + tuple(np.array([m, 1.0 - m]) for m in mix))
-        got = conditional_cost_estimate(game, profile, 0, 0).value
+        got = conditional_cost_estimate(game, profile, 0, 0)
         law = sequential_bernoulli_sum(np.asarray(others) * mix)
         want = float(law @ (slope * (1.0 + np.arange(law.size)) + icpt))
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
@@ -109,7 +109,7 @@ class TestLeaveOneOut:
         k = np.arange(law.size)
         # upper path: e1 (cost x) and e4 (cost 1); only the upper users load e1
         want = float(law @ (w + w * k)) + 1.0
-        got = conditional_cost_estimate(game, profile, 0, 0).value
+        got = conditional_cost_estimate(game, profile, 0, 0)
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     def test_heterogeneous_wheatstone_matches_per_player_convolution(self):
@@ -156,8 +156,8 @@ class TestLeaveOneOut:
         fresh = atomic._LoadLaws(game, atomic.choice_probabilities(game, MixedProfile.pure(game, state)))
         for i in range(n):
             for k in range(3):
-                got = atomic._strategy_cond_cost(laws, i, k, None)[0]
-                assert got == pytest.approx(atomic._strategy_cond_cost(fresh, i, k, None)[0],
+                got = atomic._strategy_cond_cost(laws, i, k)
+                assert got == pytest.approx(atomic._strategy_cond_cost(fresh, i, k),
                                             rel=1e-13, abs=1e-13)
 
     def test_weighted_column_sums_follow_moves(self):
@@ -174,7 +174,7 @@ class TestLeaveOneOut:
         laws = atomic._LoadLaws(game, usage.copy())
         for step in range(40):
             for i in range(n):
-                atomic._strategy_cond_cost(laws, i, int(rng.integers(0, 3)), None)
+                atomic._strategy_cond_cost(laws, i, int(rng.integers(0, 3)))
             row = choices[int(rng.integers(0, 4))]
             usage[step % n] = row
             laws.move(step % n, row)
@@ -182,8 +182,8 @@ class TestLeaveOneOut:
         for i in range(n):
             others = np.delete(usage, i, axis=0)
             for k in range(3):
-                got = atomic._strategy_cond_cost(laws, i, k, None)[0]
-                assert got == atomic._strategy_cond_cost(fresh, i, k, None)[0]
+                got = atomic._strategy_cond_cost(laws, i, k)
+                assert got == atomic._strategy_cond_cost(fresh, i, k)
                 want = 0.0
                 for e in s.strategies[0][k]:
                     col = others[:, e]
@@ -559,6 +559,14 @@ class TestLoadLaw:
         assert esc(game, profile) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(("bernoulli", "equal", "unequal")))
+    def test_conditional_costs_match_brute_force(self, seed, kind):
+        game, profile = _mixed_game(seed, kind)
+        for i, row in enumerate(verify_equilibrium(game, profile).players):
+            for s, got in enumerate(row.costs):
+                want = conditional_cost_brute_force(game, profile, i, s)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("bernoulli", "equal", "unequal")))
     def test_load_distribution_matches_brute_force(self, seed, kind):
         game, profile = _mixed_game(seed, kind)
         for e in range(game.structure.n_resources):
@@ -574,24 +582,24 @@ class TestLoadLaw:
                 assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-13)
 
     def test_more_than_twenty_unequal_random_users_need_monte_carlo(self):
-        # exact enumeration stops at 20 random terms; the law of 21 is sampled
+        # exact enumeration stops at 20 random terms; past it there is no
+        # sampled law, and every expectation that needs one raises
         s = parallel_structure()
-        for n in (20, 21):
-            w = np.linspace(0.5, 1.5, n)
-            w /= w.sum()
-            game = WeightedGame(s, tuple(w), (0,) * n)
-            profile = MixedProfile.symmetric(game, [0.5, 0.5])
-            # c(x) = x on both edges: E[L c(L)] = Var L + (E L)^2 per edge
-            want = 2.0 * (float(w @ w) / 4.0 + 0.25)
-            if n == 20:
-                assert esc(game, profile) == pytest.approx(want, rel=1e-12)
-                continue
-            with pytest.raises(ConfigError, match="MonteCarlo"):
-                esc(game, profile)
-            mc = MonteCarlo(seed=5, samples=20_000)
-            got = esc(game, profile, mc=mc)
-            assert got == esc(game, profile, mc=mc)
-            assert got == pytest.approx(want, rel=1e-2)
+        w = np.linspace(0.5, 1.5, 20)
+        w /= w.sum()
+        game = WeightedGame(s, tuple(w), (0,) * 20)
+        profile = MixedProfile.symmetric(game, [0.5, 0.5])
+        # c(x) = x on both edges: E[L c(L)] = Var L + (E L)^2 per edge
+        assert esc(game, profile) == pytest.approx(2.0 * (float(w @ w) / 4.0 + 0.25),
+                                                   rel=1e-12)
+        # 21 random users on link 0, and player 0 certain to be there with them
+        w = np.linspace(0.5, 1.5, 22)
+        game = WeightedGame(s, tuple(w / w.sum()), (0,) * 22)
+        profile = MixedProfile((np.array([1.0, 0.0]),) + profile.probs[:1] * 21)
+        for call in (verify_equilibrium, esc, lambda g, p: load_distribution(g, p, 0),
+                     lambda g, p: conditional_cost_estimate(g, p, 0, 0)):
+            with pytest.raises(CapacityError, match="limited to 20"):
+                call(game, profile)
 
 
 class TestCountSpaceOptimum:
