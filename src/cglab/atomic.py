@@ -2,22 +2,33 @@
 
 Weighted players contribute their full weight when using a resource; Bernoulli
 players have unit weight but participate only with an individual probability,
-drawn independently of everyone's mixed strategies.  Expected conditional
-costs are computed exactly through Poisson-binomial laws (Bernoulli, always;
-weighted, when the random terms share one weight) and weighted-sum
-enumeration (weighted, up to ``discrete_dist.EXACT_TERMS`` = 20 random terms
-of unequal weight; ``weighted_sum_distribution`` raises ``CapacityError``
-beyond that).
+drawn independently of everyone's mixed strategies.  Every expected cost is
+exact:
+
+- Bernoulli games, and weighted games whose players share one weight, read
+  Poisson-binomial laws of the random users' count.
+- In other weighted games, the conditional cost of a polynomial cost of
+  degree d needs only the first d raw moments of the other players' random
+  weight; ``leave_one_out_moments`` gives them for every player in one pass
+  per resource, for any number of players.  Other costs read the
+  Poisson-binomial count when the other random users share one weight, and
+  else enumerate their subset sums (``weighted_sum_distribution``).
+- ``esc`` and ``load_distribution`` read the law of a resource's whole load,
+  which is enumerated when its random weights differ.
+
+An enumeration takes at most ``discrete_dist.EXACT_TERMS`` = 20 random terms
+of unequal weight and raises ``CapacityError`` beyond that.
 
 Every load law of an evaluation comes from one store, ``_LoadLaws``, which
 keys each Poisson-binomial law by its sorted Bernoulli terms and convolves it
 once.  A resource's column of usage indicators is one such law; each
 player's conditional cost needs it without that player, which is
 deconvolved out of the full law in O(n) (``remove_bernoulli``) instead of
-convolved afresh from the other n-1 terms.  ``esc`` and ``load_distribution``
-read the same column laws, and ``opt_and_poa`` hands each profile's
-verification and ``esc`` one store.  Loads whose random weights differ are
-enumerated.
+convolved afresh from the other n-1 terms.  A best-response move updates a
+column's law the same way: the mover's old term is deconvolved out and its
+new one convolved in.  ``esc`` and ``load_distribution`` read the same column
+laws, and ``opt_and_poa`` hands each profile's verification and ``esc`` one
+store.
 
 The exact social optimum is searched over pure profiles.  Players of one type
 and one magnitude form a class and are interchangeable, so a profile is a
@@ -32,6 +43,7 @@ the two agree bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -44,10 +56,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (USAGE_TOL, DemandVector, Structure, _as_list, _field, _reject_unknown,
-                   _strategy_distributions, parse_instance)
-from .discrete_dist import (Pmf, ValueDist, bernoulli_sum_pmf, remove_bernoulli,
-                            weighted_sum_distribution)
+from .core import (USAGE_TOL, DemandVector, PolynomialCost, Structure, _as_list, _field,
+                   _integer, _reject_unknown, _strategy_distributions, parse_instance)
+from .discrete_dist import (Pmf, ValueDist, bernoulli_sum_pmf, leave_one_out_moments,
+                            remove_bernoulli, weighted_sum_distribution)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PrecisionError, StructureError)
 
@@ -261,12 +273,25 @@ class _LoadLaws:
     player's resources often share a column.  ``conditional`` is the one
     lookup of E c_e(base + weight Z) under that law, memoized per resource.
 
-    ``move`` replaces a player's row, as best-response dynamics does: it
-    forgets the changed columns' keys, laws, sums and memos and drops every
-    pmf no resource uses any more, so at most one law per resource is kept.
+    With unequal weights, ``spread`` holds resource e's certain weights, and
+    ``moments`` every player's leave-one-out raw moments of the random rest,
+    computed once per resource for a polynomial cost; each player's
+    conditional cost is then one polynomial evaluation.  Other costs read
+    ``conditional`` when the other random weights agree, else an enumeration
+    of the other players' subset sums, memoized per resource.
+
+    ``move`` replaces a player's row, as best-response dynamics does.  On each
+    changed column it swaps the mover's term in the key and, when the law is
+    held, derives the new law in O(n): the old term is deconvolved out
+    (``remove_bernoulli``, or a fresh convolution when its residual check
+    fails) and the new one convolved in.  It forgets the changed columns'
+    sums, moments and memos and drops every pmf no resource uses any more, so
+    at most one law per resource is kept.
 
     ``edge_value`` is E[L c_e(L)], for resource e's column or for a list of
-    certain users' magnitudes (the optimum search, which has no usage).  A
+    certain users' magnitudes (the optimum search, which has no usage).  With
+    weights it reads ``weighted_law``, which enumerates a column whose random
+    weights differ and raises ``CapacityError`` past ``EXACT_TERMS`` of them.  A
     profile's cost is the fsum of its resources' values, which does not depend
     on edge order, so ``esc`` and the count-space optimum search, which sum
     the same values, agree bit for bit.
@@ -284,8 +309,16 @@ class _LoadLaws:
         self._sums: list[tuple[float, float, int] | None] = [None] * n_res
         self._grids: list[np.ndarray | None] = [None] * n_res
         self._pmfs: dict[tuple[float, ...], np.ndarray] = {(): np.ones(1)}  # nobody: 0
+        self._spreads: list[tuple[list[float], float, int] | None] = [None] * n_res
+        self._moments: list[tuple[dict[int, int], list[list[float]]] | None] = [None] * n_res
         self._edge_values: dict[tuple, float] = {}
         self._last: tuple[np.ndarray, float, np.ndarray] | None = None
+
+    def _term(self, i: int, u: float) -> float:
+        """Player i's entry in a column where its usage is u."""
+        if self.game.kind == "bernoulli":
+            return float(self.mags[i] * u)
+        return u if u < 1.0 else 0.0
 
     def pmf(self, key: tuple[float, ...]) -> np.ndarray:
         """Pmf of the count with these sorted Bernoulli terms."""
@@ -340,6 +373,30 @@ class _LoadLaws:
                                    int(np.count_nonzero((u > 0.0) & (u < 1.0))))
         return col
 
+    def spread(self, e: int) -> tuple[list[float], float, int]:
+        """Resource e's certain users' weights and their fsum, and its count of
+        fractional users, for unequal weights."""
+        col = self._spreads[e]
+        if col is None:
+            u = self.usage[:, e]
+            certain = self.mags[u >= 1.0].tolist()
+            col = self._spreads[e] = (certain, math.fsum(certain),
+                                      int(np.count_nonzero((u > 0.0) & (u < 1.0))))
+        return col
+
+    def moments(self, e: int, i: int) -> list[float]:
+        """E S^0 .. E S^d, S the weight that the players other than i put on
+        resource e at random and d the degree of its polynomial cost."""
+        held = self._moments[e]
+        if held is None:
+            u = self.usage[:, e]
+            rand = np.flatnonzero((u > 0.0) & (u < 1.0))
+            degree = self.game.structure.cost_fns[e].degree
+            rows = leave_one_out_moments(self.mags[rand], u[rand], degree).tolist()
+            held = self._moments[e] = (dict(zip(rand.tolist(), range(rand.size))), rows)
+        index, rows = held
+        return rows[index.get(i, len(rows) - 1)]
+
     def unit_costs(self, e: int) -> np.ndarray:
         """c_e(1), ..., c_e(n + 1) for a Bernoulli game of n players."""
         grid = self._grids[e]
@@ -369,7 +426,10 @@ class _LoadLaws:
 
     def move(self, i: int, row: np.ndarray) -> None:
         for e in np.flatnonzero(self.usage[i] != row):
-            self.keys[e] = self._laws[e] = self._sums[e] = None
+            old, new = self._term(i, float(self.usage[i, e])), self._term(i, float(row[e]))
+            if old != new:
+                self._swap(e, old, new)
+            self._sums[e] = self._spreads[e] = self._moments[e] = None
             self.values[e] = {}
         self.usage[i] = row
         live = set(self.keys) | {()}
@@ -377,6 +437,31 @@ class _LoadLaws:
             del self._pmfs[key]
         self._edge_values = {k: v for k, v in self._edge_values.items() if k[1] in live}
         self._last = None
+
+    def _swap(self, e: int, old: float, new: float) -> None:
+        """Replace the entry old of resource e's column by new (0: no entry), and
+        its held law by that law with old deconvolved out and new convolved in."""
+        key, law = self.keys[e], self._laws[e]
+        self.keys[e] = self._laws[e] = None
+        if key is None:
+            return
+        terms = list(key)
+        if old > 0.0:
+            terms.remove(old)
+        if new > 0.0:
+            bisect.insort(terms, new)
+        key = self.keys[e] = tuple(terms)
+        if law is None:
+            return
+        pmf = self._pmfs.get(key)
+        if pmf is None:
+            if old > 0.0:
+                law = remove_bernoulli(law, old)
+            if law is None:
+                pmf = self.pmf(key)
+            else:
+                pmf = self._pmfs[key] = np.convolve(law, [1.0 - new, new]) if new > 0.0 else law
+        self._laws[e] = pmf
 
     def weighted_law(self, e: int) -> ValueDist:
         """Law of resource e's weighted load: the certain weights' fsum plus the random rest."""
@@ -437,12 +522,20 @@ def _edge_cost_weighted(laws: _LoadLaws, i: int, e: int) -> float:
         if n_frac == (0.0 < u < 1.0):  # no other player is uncertain
             return float(cost.value(base))
         return laws.conditional(e, q, base, float(laws.mags[0]))
+    certain, total, n_frac = laws.spread(e)
+    w = float(game.weights[i])
+    # fsum is correctly rounded, so this is the fsum of the other certain weights
+    base = w + (math.fsum(certain + [-w]) if u >= 1.0 else total)
+    if n_frac == (0.0 < u < 1.0):
+        return float(cost.value(base))
+    if isinstance(cost, PolynomialCost):
+        # c(base + S) = sum_k a_k sum_j C(k, j) base^(k-j) S^j, every term nonnegative
+        mu = laws.moments(e, i)
+        return math.fsum(a * math.comb(k, j) * base ** (k - j) * mu[j]
+                         for k, a in enumerate(cost.coeffs) for j in range(k + 1))
     others = laws.usage[:, e].copy()
     others[i] = 0.0
-    certain, wf, pf = _split_column(laws.mags, others)
-    base = float(game.weights[i]) + certain
-    if wf.size == 0:
-        return float(cost.value(base))
+    _, wf, pf = _split_column(laws.mags, others)
     if np.unique(wf).size == 1:
         return laws.conditional(e, q, base, float(wf[0]))
     key = (base, tuple(sorted(zip(wf, pf))))
@@ -467,11 +560,14 @@ def _strategy_cond_cost(laws: _LoadLaws, i: int, s: int) -> float:
 def conditional_cost_estimate(game: Game, profile: MixedProfile, i: int, s: int) -> float:
     """Expected cost of strategy s for player i, conditional on i playing it.
 
-    Exact: Bernoulli games through the Poisson-binomial law of the other
-    players' active-and-using probabilities; weighted games through that law
-    when the other players' random terms share one weight, else through
-    ``weighted_sum_distribution``, which enumerates at most ``EXACT_TERMS``
-    (20) terms and raises ``CapacityError`` beyond that.
+    Exact: Bernoulli games, and weighted games of one weight, through the
+    Poisson-binomial law of the other players' using probabilities.  Other
+    weighted games take a polynomial cost's expectation from the leave-one-out
+    raw moments of the other players' random weight, for any number of
+    players; a non-polynomial cost reads the Poisson-binomial law when the
+    other random weights agree and else ``weighted_sum_distribution``, which
+    enumerates at most ``EXACT_TERMS`` (20) terms and raises
+    ``CapacityError`` beyond that.
     """
     _check_index(i, game.n_players, "player")
     _check_index(s, len(game.structure.strategies[game.player_types[i]]),
@@ -672,9 +768,12 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL) -> MixedPro
 def esc(game: Game, profile: MixedProfile) -> float:
     """Expected social cost: the fsum over resources of E[L_e c_e(L_e)].
 
-    Exact; a resource with more than ``EXACT_TERMS`` (20) random users of
-    unequal weight raises ``CapacityError``.  The optimum search sums the same
-    per-resource values, so equal pure assignments give bitwise-equal costs.
+    Exact.  A weighted resource's value reads the law of its whole load: the
+    Poisson-binomial count when its random users share one weight, else an
+    enumeration, so a resource with more than ``EXACT_TERMS`` (20) random
+    users of unequal weight raises ``CapacityError``, polynomial costs
+    included.  The optimum search sums the same per-resource values, so
+    equal pure assignments give bitwise-equal costs.
     """
     laws = _laws_of(game, profile)
     return math.fsum(laws.edge_value(e) for e in range(game.structure.n_resources))
@@ -893,7 +992,7 @@ def parse_game(obj: Mapping) -> Game:
         if tid not in structure.type_index:
             raise StructureError(f"player entry names the unknown type {tid!r}")
         t = structure.type_index[tid]
-        count = _field(entry, "count", "player entry", int, 1)
+        count = _field(entry, "count", "player entry", _integer, 1)
         if count < 1:
             raise DomainError(f"player entry key 'count' must be positive, not {count}")
         if "weight" in entry and "prob" in entry:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .atomic import (VERIFY_TOL, best_response_dynamics, load_game, load_profile,
                      symmetric_mixed_equilibrium, verify_equilibrium)
-from .core import _field, instance_to_json, load_instance
+from .core import _field, _integer, instance_to_json, load_instance
 from .errors import CglabError
 from .harness import SequenceSpec, reproduce_example, run_convergence
 from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
@@ -106,7 +106,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_converge(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = SequenceSpec.from_json(json.load(fh))
-    env_seed = _field(os.environ, "CGLAB_SEED", "environment", int, None)
+    env_seed = _field(os.environ, "CGLAB_SEED", "environment", _integer, None)
     if env_seed is not None:
         spec = replace(spec, seed=env_seed)
     report = run_convergence(spec)

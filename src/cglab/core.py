@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -594,7 +595,7 @@ def _parse_envelope(obj: Mapping) -> GrowthEnvelope:
                               scale=_field(obj, "scale", "exp envelope", float))
     if kind == "poly":
         _reject_unknown(obj, {"kind", "degree", "scale"}, "poly envelope")
-        return GrowthEnvelope("poly", degree=_field(obj, "degree", "poly envelope", int),
+        return GrowthEnvelope("poly", degree=_field(obj, "degree", "poly envelope", _integer),
                               scale=_field(obj, "scale", "poly envelope", float))
     raise StructureError(f"unknown envelope kind {kind!r}")
 
@@ -612,6 +613,18 @@ _REQUIRED = object()
 
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
+
+
+def _integer(value) -> int:
+    """An integral number, or a string of decimal digits (as environment variables
+    arrive); a fraction, a bool or anything else raises ValueError or TypeError."""
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (str, float, bool)):
+        raise ValueError
+    return operator.index(value)
 
 
 def _as_list(value) -> list | tuple:

@@ -1,8 +1,9 @@
 """Exact discrete distributions on the nonnegative integers.
 
 Poisson truncation with certified tail mass, Poisson-binomial convolution,
-value-weighted Bernoulli sums, total-variation distances, and the classical
-Poisson-approximation inequalities (Barbour-Hall, Borisov-Ruzankin).
+value-weighted Bernoulli sums and their leave-one-out raw moments,
+total-variation distances, and the classical Poisson-approximation
+inequalities (Barbour-Hall, Borisov-Ruzankin).
 Everything is either exact or carries an explicit error bound so that
 downstream inequality checks can be made truncation-safe.
 """
@@ -345,6 +346,54 @@ def weighted_sum_distribution(weights: Sequence[float], probs: Sequence[float]) 
         mass2 = np.concatenate([mass * (1.0 - pi), mass * pi])
         vals, mass = _merge_point_masses(vals2, mass2)
     return ValueDist(vals, mass)
+
+
+def _prefix_products(terms: np.ndarray) -> np.ndarray:
+    """Coefficients of t^0..t^d of every prefix product of the factors
+    ``1 + sum_a terms[j, a-1] t^a``, truncated after t^d; row k multiplies
+    factors 0..k-1, so row 0 is the empty product."""
+    n, d = terms.shape
+    out = np.zeros((n + 1, d + 1))
+    out[:, 0] = 1.0
+    for m in range(1, d + 1):
+        step = sum(terms[:, a - 1] * out[:n, m - a] for a in range(1, m + 1))
+        out[1:, m] = np.cumsum(step)
+    return out
+
+
+def leave_one_out_moments(weights: Sequence[float], probs: Sequence[float],
+                          degree: int) -> np.ndarray:
+    """Raw moments E S^0 .. E S^degree of ``S = sum_j w_j * Bernoulli(p_j)``, each
+    term left out in turn.
+
+    Row j (j < n) holds the moments of S without term j, and row n those of S.
+    The moment generating function of S is the product of the terms'
+    ``1 + p_j (e^{w_j t} - 1)``; truncated after t^degree a factor is
+    ``1 + p_j sum_{m <= degree} (w_j t)^m / m!``, and E S^m is m! times the
+    product's coefficient of t^m.  Row j multiplies the product of the factors
+    before j by that of the factors after it, so nothing is divided, and
+    every coefficient is a sum of nonnegative products, so nothing cancels.
+    """
+    w = np.asarray(list(weights), dtype=float)
+    p = np.asarray(list(probs), dtype=float)
+    if w.shape != p.shape or w.ndim != 1:
+        raise DomainError("weights and probs must be matching one-dimensional sequences")
+    if w.size and not (float(w.min()) >= 0.0 and float(w.max()) < np.inf):
+        raise DomainError("weights must be finite and nonnegative")
+    if w.size and not (float(p.min()) >= 0.0 and float(p.max()) <= 1.0):
+        raise DomainError("probabilities must lie in [0, 1]")
+    if degree < 0:
+        raise DomainError("moment degree must be nonnegative")
+    n = w.size
+    m = np.arange(1, degree + 1)
+    terms = p[:, None] * w[:, None] ** m / special.factorial(m)
+    before = _prefix_products(terms)
+    after = _prefix_products(terms[::-1])[n - 1::-1] if n else before[:0]
+    out = np.empty((n + 1, degree + 1))
+    for k in range(degree + 1):
+        out[:n, k] = sum(before[:n, a] * after[:, k - a] for a in range(k + 1))
+    out[n] = before[n]
+    return out * special.factorial(np.arange(degree + 1))
 
 
 # ---------------------------------------------------------------------------

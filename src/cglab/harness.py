@@ -25,7 +25,7 @@ from .atomic import (OPT_BUDGET, BernoulliGame, MixedProfile, WeightedGame,
                      best_response_dynamics, choice_probabilities, expected_loads,
                      load_distribution, opt_and_poa, player_expected_cost,
                      social_optimum_pure, symmetric_mixed_equilibrium, verify_equilibrium)
-from .core import _field, all_strategy_costs, social_cost
+from .core import _as_list, _field, _integer, all_strategy_costs, social_cost
 from .discrete_dist import poisson_pmf, tv_distance
 from .errors import ConfigError, DomainError
 from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
@@ -61,7 +61,7 @@ class SequenceSpec:
         if self.model not in ("weighted", "bernoulli"):
             raise DomainError(f"unknown model {self.model!r}")
         try:
-            ns = tuple(int(n) for n in self.n_values)
+            ns = tuple(_integer(n) for n in _as_list(self.n_values))
         except (TypeError, ValueError):
             raise DomainError(f"n_values must be integers, not {self.n_values!r}") from None
         object.__setattr__(self, "n_values", ns)
@@ -79,7 +79,7 @@ class SequenceSpec:
         if extra:
             raise DomainError(f"unknown keys in sequence spec: {sorted(extra)}")
         kinds = {"alpha": _float_or_none, "beta_override": _float_or_none, "tail_tol": float,
-                 "target_eps": float, "seed": int, "equilibria": tuple}
+                 "target_eps": float, "seed": _integer, "equilibria": tuple}
         return cls(**{f.name: _field(data, f.name, "sequence spec", kinds.get(f.name))
                       for f in fields(cls) if f.name in data or f.default is MISSING})
 

@@ -6,6 +6,7 @@ ignorant of the library's decompositions, so agreement is meaningful.
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -137,12 +138,18 @@ def load_law_brute_force(game, profile, e):
     return law
 
 
-def random_small_game(rng, kind, max_players=7):
-    """Seeded random congestion game with affine costs plus a mixed profile."""
+def random_small_game(rng, kind, max_players=7, degree=None):
+    """Seeded random congestion game plus a mixed profile; the costs are affine,
+    or polynomials of the given degree with nonnegative coefficients."""
     n_res = int(rng.integers(2, 4))
-    costs = tuple(AffineCost(round(float(rng.uniform(0, 2)), 3),
-                             round(float(rng.uniform(0, 1)), 3))
-                  for _ in range(n_res))
+    if degree is None:
+        costs = tuple(AffineCost(round(float(rng.uniform(0, 2)), 3),
+                                 round(float(rng.uniform(0, 1)), 3))
+                      for _ in range(n_res))
+    else:
+        costs = tuple(PolynomialCost(tuple(round(float(rng.uniform(0, 1)), 3)
+                                           for _ in range(degree + 1)))
+                      for _ in range(n_res))
     all_subsets = [tuple(c) for k in range(1, n_res + 1)
                    for c in itertools.combinations(range(n_res), k)]
     n_types = int(rng.integers(1, 3))
@@ -388,3 +395,31 @@ def bisection_minimizer(costs, x, dx, width: float = 1e-15) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def weighted_poly_expect_exact(coeffs, base, weights, probs):
+    """E c(base + sum_j w_j B_j) in exact rational arithmetic, B_j ~ Bernoulli(p_j)
+    independent and c(x) = sum_k coeffs[k] x^k.
+
+    Adds the terms one at a time to the moments E (base + S)^k, k <= degree,
+    by the binomial theorem, and rounds only the final ``Fraction``.  Every
+    float is a multiple of 2^-L for one L, so E (base + S)^k is held exactly
+    as the integer N_k = 2^(2kL) E (base + S)^k.
+    """
+    d = len(coeffs) - 1
+    values = [float(base), *map(float, weights), *map(float, probs)]
+    scale = max(v.as_integer_ratio()[1] for v in values)  # 2^L
+
+    def ints(vs):
+        return [n * (scale // m) for n, m in (float(v).as_integer_ratio() for v in vs)]
+
+    (b,), ws, ps = ints([base]), ints(weights), ints(probs)
+    moments = [b ** k * scale ** k for k in range(d + 1)]  # N_k
+    for w, p in zip(ws, ps):
+        # E (w B)^j = p w^j / 2^((j+1)L) adds 2^((j-1)L) p w^j times N_(k-j) to N_k
+        term = [0] + [p * w ** j * scale ** (j - 1) for j in range(1, d + 1)]
+        moments = [moments[k] + sum(math.comb(k, j) * moments[k - j] * term[j]
+                                    for j in range(1, k + 1))
+                   for k in range(d + 1)]
+    return float(sum(Fraction(a) * Fraction(n, scale ** (2 * k))
+                     for k, (a, n) in enumerate(zip(coeffs, moments))))

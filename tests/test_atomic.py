@@ -13,11 +13,11 @@ from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           social_optimum_pure, strategy_flow_covariance,
                           symmetric_mixed_equilibrium, verify_equilibrium)
 from cglab.cli import main
-from cglab.core import AffineCost, Structure, instance_to_json
+from cglab.core import AffineCost, GrowthEnvelope, Structure, TableCost, instance_to_json
 from cglab.discrete_dist import ValueDist, bernoulli_sum_pmf
 from cglab.errors import (CapacityError, ConfigError, ConvergenceError, DomainError,
                           StructureError)
-from cglab.poisson_limit import build_limit_game
+from cglab.poisson_limit import AuxCost, build_limit_game
 from cglab.instances import (UPPER, ZIGZAG, LOWER, parallel_structure,
                              pigou_structure, unit_demand, wheatstone_all_zigzag,
                              wheatstone_partial_mix, wheatstone_split,
@@ -528,27 +528,54 @@ class TestFlowCovariance:
         assert abs(got) <= r * 1.0
 
 
-class TestMonteCarloFallback:
-    """There is no sampling fallback: past 20 random terms of unequal weight
-    an expected cost raises ``CapacityError`` before it enumerates anything."""
+class TestWeightedCapacity:
+    """Past 20 random terms of unequal weight, polynomial costs are exact by
+    moments; the laws ``esc`` and ``load_distribution`` enumerate, and the
+    conditional costs of any other cost, raise ``CapacityError``."""
 
-    def big_weighted_game(self):
+    def big_weighted_game(self, cost=None):
         s = parallel_structure()
+        if cost is not None:
+            s = s.with_costs((cost, cost))
         weights = tuple(1.0 + 0.01 * i for i in range(22))
         return WeightedGame(s, weights, (0,) * 22)
 
-    def test_exact_path_unavailable(self, tmp_path, capsys):
-        # each player's cost on a link sees the other 21 players' random weights
-        game = self.big_weighted_game()
-        prof = MixedProfile.symmetric(game, [0.5, 0.5])
-        with pytest.raises(CapacityError, match="limited to 20"):
-            verify_equilibrium(game, prof)
+    def write_files(self, tmp_path, game, prof):
         obj = instance_to_json(game.structure, game.demand)
         obj["players"] = [{"type": "od", "weight": w} for w in game.weights]
         game_path, profile_path = tmp_path / "game.json", tmp_path / "profile.json"
         game_path.write_text(json.dumps(obj))
         profile_path.write_text(json.dumps(prof.to_json()))
-        assert main(["atomic", str(game_path), "--profile", str(profile_path)]) == 2
+        return ["atomic", str(game_path), "--profile", str(profile_path)]
+
+    def test_polynomial_costs_past_twenty_weights_are_exact(self, tmp_path, capsys):
+        # each player's cost on a link sees the other 21 players' random weights
+        game = self.big_weighted_game()
+        w = np.asarray(game.weights)
+        prof = MixedProfile((np.array([1.0, 0.0]), np.array([0.3, 0.7]))
+                            + MixedProfile.symmetric(game, [0.5, 0.5]).probs[2:])
+        usage = np.stack(prof.probs)  # u_je: the links are the strategies
+        for i, row in enumerate(verify_equilibrium(game, prof).players):
+            for e in range(2):
+                # c(x) = x: w_i + sum_{j != i} w_j u_je
+                want = w[i] + math.fsum(w[j] * usage[j, e] for j in range(22) if j != i)
+                assert abs(row.costs[e] - want) <= 1e-12
+                assert abs(conditional_cost_estimate(game, prof, i, e) - want) <= 1e-12
+        for call in (esc, lambda g, p: load_distribution(g, p, 0)):
+            with pytest.raises(CapacityError, match="limited to 20"):
+                call(game, prof)
+        symmetric = MixedProfile.symmetric(game, [0.5, 0.5])
+        assert main(self.write_files(tmp_path, game, symmetric)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["equilibrium"] and report["max_regret"] <= 1e-12
+
+    def test_other_costs_past_twenty_weights_raise(self, tmp_path, capsys):
+        table = TableCost((0.0, 1.0, 2.0), GrowthEnvelope("poly", degree=1, scale=1.0))
+        game = self.big_weighted_game(AuxCost(table))
+        prof = MixedProfile.symmetric(game, [0.5, 0.5])
+        with pytest.raises(CapacityError, match="limited to 20"):
+            verify_equilibrium(game, prof)
+        assert main(self.write_files(tmp_path, game, prof)) == 2
         assert "limited to 20" in capsys.readouterr().err
 
 

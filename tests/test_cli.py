@@ -5,7 +5,8 @@ import pytest
 
 from cglab.atomic import parse_game
 from cglab.cli import main
-from cglab.core import DemandVector, instance_to_json, load_instance, parse_cost, parse_instance
+from cglab.core import (DemandVector, _field, _integer, instance_to_json, load_instance,
+                        parse_cost, parse_instance)
 from cglab.errors import CglabError
 from cglab.harness import SequenceSpec
 from cglab.instances import pigou_structure, unit_demand, wheatstone_structure
@@ -198,6 +199,18 @@ MALFORMED = {
     "player entry not an object": (parse_game, dict(_pigou_obj(), players=[5]), "player entry"),
     "zero players sharing d/n": (parse_game, dict(_pigou_obj(), players=[
         {"type": "od", "count": 0, "weight": "d/n"}]), "count"),
+    "count not integral": (parse_game, dict(_pigou_obj(), players=[
+        {"type": "od", "count": 2.7, "prob": "d/n"}]), "count"),
+    "count a bool": (parse_game, dict(_pigou_obj(), players=[
+        {"type": "od", "count": True, "prob": "d/n"}]), "count"),
+    "poly envelope degree not integral": (parse_cost, {
+        "kind": "table", "values": [0.0, 1.0],
+        "envelope": {"kind": "poly", "degree": 1.5, "scale": 2.0}}, "degree"),
+    "spec n_values not integral": (SequenceSpec.from_json, dict(SPEC, n_values=[4.5, 10]),
+                                   "n_values"),
+    "spec seed not integral": (SequenceSpec.from_json, dict(SPEC, seed=3.9), "seed"),
+    "CGLAB_SEED not integral": (lambda env: _field(env, "CGLAB_SEED", "environment", _integer),
+                                {"CGLAB_SEED": "3.9"}, "CGLAB_SEED"),
 }
 
 
@@ -205,6 +218,14 @@ MALFORMED = {
 def test_malformed_input_raises_a_cglab_error_naming_the_key(parse, obj, key):
     with pytest.raises(CglabError, match=key):
         parse(obj)
+
+
+def test_integer_fields_accept_integral_numbers_and_digit_strings():
+    game = parse_game(dict(_pigou_obj(), players=[{"type": "od", "count": 2.0, "prob": "d/n"}]))
+    assert game.probs == (0.5, 0.5)
+    spec = SequenceSpec.from_json(dict(SPEC, n_values=[4.0, 10], seed=3.0))
+    assert spec.n_values == (4, 10) and spec.seed == 3
+    assert _field({"CGLAB_SEED": "17"}, "CGLAB_SEED", "environment", _integer) == 17
 
 
 def test_converge_on_a_spec_without_model_fails_cleanly(tmp_path, capsys):

@@ -25,8 +25,9 @@ from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           social_optimum_pure, verify_equilibrium)
 from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
                         Structure, TableCost)
-from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf, poisson_expect,
-                                 remove_bernoulli, weighted_sum_distribution)
+from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf,
+                                 leave_one_out_moments, poisson_expect, remove_bernoulli,
+                                 weighted_sum_distribution)
 from cglab.errors import CapacityError, DomainError
 from cglab.instances import parallel_structure, wheatstone_structure
 from cglab.poisson_limit import AuxCost, build_limit_game
@@ -37,7 +38,7 @@ from oracles import (aux_integral_mp, bisection_minimizer, conditional_cost_brut
                      enumerate_bernoulli_sum, esc_brute_force, linearization_gap, load_law_brute_force,
                      poisson_expect_mp, pure_optimum_by_assignment, random_homogeneous_game,
                      random_small_game, sequential_bernoulli_sum, sequential_merge,
-                     state_from_counts)
+                     state_from_counts, weighted_poly_expect_exact)
 
 SPECIAL_P = (0.0, 1e-4, 0.5, 0.9, 1.0)
 
@@ -536,12 +537,12 @@ class TestSolverCertificate:
             assert opt.gap == linearization_gap(s, d, before.pair)
 
 
-def _mixed_game(seed, kind):
+def _mixed_game(seed, kind, degree=None):
     """A small random game and mixed profile; "equal" gives every weighted
     player one weight, and odd seeds make player 0 certain of its strategy."""
     rng = np.random.default_rng(seed)
     game, profile = random_small_game(rng, "bernoulli" if kind == "bernoulli" else "weighted",
-                                      max_players=5)
+                                      max_players=5, degree=degree)
     if kind == "equal":
         game = WeightedGame(game.structure, (game.weights[0],) * game.n_players,
                             game.player_types)
@@ -558,9 +559,10 @@ class TestLoadLaw:
         want = esc_brute_force(game, profile)
         assert esc(game, profile) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(("bernoulli", "equal", "unequal")))
-    def test_conditional_costs_match_brute_force(self, seed, kind):
-        game, profile = _mixed_game(seed, kind)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("bernoulli", "equal", "unequal")),
+           st.sampled_from((None, 3)))
+    def test_conditional_costs_match_brute_force(self, seed, kind, degree):
+        game, profile = _mixed_game(seed, kind, degree)
         for i, row in enumerate(verify_equilibrium(game, profile).players):
             for s, got in enumerate(row.costs):
                 want = conditional_cost_brute_force(game, profile, i, s)
@@ -581,9 +583,9 @@ class TestLoadLaw:
             for key in set(got) | set(want):
                 assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-13)
 
-    def test_more_than_twenty_unequal_random_users_need_monte_carlo(self):
-        # exact enumeration stops at 20 random terms; past it there is no
-        # sampled law, and every expectation that needs one raises
+    def test_more_than_twenty_unequal_random_users_stay_exact(self):
+        # the laws of whole loads are enumerated up to 20 random terms; the
+        # conditional costs of polynomial costs need only moments, past 20 too
         s = parallel_structure()
         w = np.linspace(0.5, 1.5, 20)
         w /= w.sum()
@@ -594,12 +596,88 @@ class TestLoadLaw:
                                                    rel=1e-12)
         # 21 random users on link 0, and player 0 certain to be there with them
         w = np.linspace(0.5, 1.5, 22)
-        game = WeightedGame(s, tuple(w / w.sum()), (0,) * 22)
+        w /= w.sum()
+        game = WeightedGame(s, tuple(w), (0,) * 22)
         profile = MixedProfile((np.array([1.0, 0.0]),) + profile.probs[:1] * 21)
-        for call in (verify_equilibrium, esc, lambda g, p: load_distribution(g, p, 0),
-                     lambda g, p: conditional_cost_estimate(g, p, 0, 0)):
+        usage = np.stack(profile.probs)
+        rows = verify_equilibrium(game, profile).players
+        for i in (0, 1, 21):
+            for e in range(2):
+                want = w[i] + math.fsum(w[j] * usage[j, e] for j in range(22) if j != i)
+                assert abs(rows[i].costs[e] - want) <= 1e-12
+                assert abs(conditional_cost_estimate(game, profile, i, e) - want) <= 1e-12
+        for call in (esc, lambda g, p: load_distribution(g, p, 0)):
             with pytest.raises(CapacityError, match="limited to 20"):
                 call(game, profile)
+
+
+class TestWeightedMoments:
+    """Conditional costs of polynomial costs under unequal weights come from
+    leave-one-out raw moments; other costs still enumerate."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_leave_one_out_moments_are_exact(self, seed, degree):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 8))
+        w, p = rng.uniform(0.0, 2.0, n), rng.choice(SPECIAL_P + (0.3,), n)
+        rows = leave_one_out_moments(w, p, degree)
+        assert rows.shape == (n + 1, degree + 1)
+        for j in range(n + 1):
+            keep = np.arange(n) != j
+            for k in range(degree + 1):
+                want = weighted_poly_expect_exact((0.0,) * k + (1.0,), 0.0, w[keep], p[keep])
+                assert rows[j, k] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_two_thousand_weight_cubic_wheatstone_is_exact(self):
+        rng = np.random.default_rng(7)
+        s = wheatstone_structure()
+        s = s.with_costs(tuple(PolynomialCost(tuple(rng.uniform(0.0, 1.0, 4)))
+                               for _ in range(s.n_resources)))
+        n = 2000
+        w = rng.uniform(0.5, 1.5, n)
+        w /= w.sum()
+        game = WeightedGame(s, tuple(w), (0,) * n)
+        # the first 50 players surely take the upper path, the rest mix
+        profile = MixedProfile(tuple(np.array([1.0, 0.0, 0.0]) if i < 50
+                                     else np.array([0.4, 0.2, 0.4]) for i in range(n)))
+        usage = atomic.choice_probabilities(game, profile)
+        rows = verify_equilibrium(game, profile).players
+        for i in (0, 50, n - 1):
+            for k, edges in enumerate(s.strategies[0]):
+                want = 0.0
+                for e in edges:
+                    others = np.arange(n) != i
+                    certain = others & (usage[:, e] >= 1.0)
+                    rand = others & (usage[:, e] < 1.0)
+                    want += weighted_poly_expect_exact(
+                        s.cost_fns[e].coeffs, w[i] + math.fsum(w[certain]),
+                        w[rand], usage[rand, e])
+                assert rows[i].costs[k] == pytest.approx(want, rel=1e-12, abs=0.0)
+        for call in (esc, lambda g, p: load_distribution(g, p, 0)):
+            with pytest.raises(CapacityError, match="limited to 20"):
+                call(game, profile)
+
+    def test_table_costs_still_enumerate(self, monkeypatch):
+        calls = []
+
+        def spy(weights, probs):
+            calls.append(len(weights))
+            return weighted_sum_distribution(weights, probs)
+
+        monkeypatch.setattr(atomic, "weighted_sum_distribution", spy)
+        env = GrowthEnvelope("poly", degree=2, scale=2.0)
+        for seed in range(6):
+            game, profile = _mixed_game(seed, "unequal")
+            tables = tuple(AuxCost(TableCost(tuple(np.cumsum(rng_row)), env))
+                           for rng_row in np.random.default_rng(seed).uniform(
+                               0.0, 0.5, (game.structure.n_resources, 3)))
+            game = WeightedGame(game.structure.with_costs(tables), game.weights,
+                                game.player_types)
+            for i, row in enumerate(verify_equilibrium(game, profile).players):
+                for k, got in enumerate(row.costs):
+                    want = conditional_cost_brute_force(game, profile, i, k)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert calls
 
 
 class TestCountSpaceOptimum:
