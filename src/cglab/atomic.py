@@ -3,32 +3,31 @@
 Weighted players contribute their full weight when using a resource; Bernoulli
 players have unit weight but participate only with an individual probability,
 drawn independently of everyone's mixed strategies.  Every expected cost is
-exact:
+exact.
 
-- Bernoulli games, and weighted games whose players share one weight, read
-  Poisson-binomial laws of the random users' count.
-- In other weighted games, the conditional cost of a polynomial cost of
-  degree d needs only the first d raw moments of the other players' random
-  weight; ``leave_one_out_moments`` gives them for every player in one pass
-  per resource, for any number of players.  Other costs read the
-  Poisson-binomial count when the other random users share one weight, and
-  else enumerate their subset sums (``weighted_sum_distribution``).
-- ``esc`` and ``load_distribution`` read the law of a resource's whole load,
-  which is enumerated when its random weights differ.
+Every load law of an evaluation comes from one store, ``_LoadLaws``.  It
+splits each resource's column of usage probabilities once into a record
+(``_Column``): the certain users' weights and their fsum, and the random
+users' Bernoulli terms, whose sorted tuple keys one Poisson-binomial law that
+the store convolves once.  A player's conditional cost needs that law
+without the player, which is deconvolved out in O(n) (``remove_bernoulli``);
+a best-response move derives a changed column's law the same way, the
+mover's old term out and its new one in.  Bernoulli games read every
+conditional cost from these count laws.  A weighted player's cost on a
+resource takes the first route that applies:
 
-An enumeration takes at most ``discrete_dist.EXACT_TERMS`` = 20 random terms
-of unequal weight and raises ``CapacityError`` beyond that.
+1. no other random user: the cost at the certain load;
+2. the other random users share one weight: their count law;
+3. a polynomial cost of degree d: the first d raw moments of the other
+   players' random weight (``leave_one_out_moments``, every player's in one
+   pass per resource, for any number of players);
+4. otherwise an enumeration of their subset sums (``weighted_sum_distribution``).
 
-Every load law of an evaluation comes from one store, ``_LoadLaws``, which
-keys each Poisson-binomial law by its sorted Bernoulli terms and convolves it
-once.  A resource's column of usage indicators is one such law; each
-player's conditional cost needs it without that player, which is
-deconvolved out of the full law in O(n) (``remove_bernoulli``) instead of
-convolved afresh from the other n-1 terms.  A best-response move updates a
-column's law the same way: the mover's old term is deconvolved out and its
-new one convolved in.  ``esc`` and ``load_distribution`` read the same column
-laws, and ``opt_and_poa`` hands each profile's verification and ``esc`` one
-store.
+``esc`` and ``load_distribution`` read the law of a resource's whole load,
+which is enumerated when its random weights differ.  An enumeration takes at
+most ``discrete_dist.EXACT_TERMS`` = 20 random terms of unequal weight and
+raises ``CapacityError`` beyond that.  ``opt_and_poa`` hands each profile's
+verification and ``esc`` one store.
 
 The exact social optimum is searched over pure profiles.  Players of one type
 and one magnitude form a class and are interchangeable, so a profile is a
@@ -43,13 +42,13 @@ the two agree bit for bit.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -77,6 +76,18 @@ def _type_demands(game) -> DemandVector:
     return DemandVector(d)
 
 
+def _require_finite(evaluate, load) -> None:
+    """Reject a cost, given by its ``evaluate`` method, that is not finite at the
+    largest load a game can put on it."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = float(evaluate(load))
+    except PrecisionError as exc:
+        raise StructureError(f"cost not evaluable up to {load}: {exc}") from None
+    if not math.isfinite(top):
+        raise StructureError(f"cost is not finite at the largest load {load}")
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGame:
     structure: Structure
@@ -90,15 +101,17 @@ class WeightedGame:
         object.__setattr__(self, "player_types", tuple(int(t) for t in self.player_types))
         if len(self.weights) != len(self.player_types):
             raise StructureError("one weight per player is required")
-        if not all(math.isfinite(w) for w in self.weights):
-            raise DomainError("player weights must be finite")
+        if not math.isfinite(sum(self.weights)):
+            raise DomainError("player weights and their total must be finite")
         if any(w <= 0 for w in self.weights):
             raise StructureError("player weights must be positive")
         if any(t < 0 or t >= self.structure.n_types for t in self.player_types):
             raise StructureError("player type out of range")
+        total = math.fsum(self.weights)
         for c in self.structure.cost_fns:
             if not getattr(c, "is_continuous", False):
                 raise StructureError("weighted games need continuous cost functions")
+            _require_finite(c.value, total)
 
     @property
     def n_players(self) -> int:
@@ -143,11 +156,7 @@ class BernoulliGame:
         for c in self.structure.cost_fns:
             if not getattr(c, "has_integer_eval", False):
                 raise StructureError("Bernoulli games need integer-domain cost functions")
-            try:
-                c.value_int(n + 1)
-            except PrecisionError as exc:
-                raise StructureError(
-                    f"cost not evaluable up to {n + 1}: {exc}") from None
+            _require_finite(c.value_int, n + 1)
 
     @property
     def n_players(self) -> int:
@@ -248,77 +257,100 @@ def resource_choice_prob(game: Game, profile: MixedProfile, i: int, e: int) -> f
 # load laws and exact conditional expected costs
 
 
-def _split_column(mags: Sequence[float],
-                  usage: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """The certain users' fsum, and the uncertain users' magnitudes and usage."""
-    w = np.asarray(mags, dtype=float)
-    rand = (usage > 0.0) & (usage < 1.0)
-    return math.fsum(w[usage >= 1.0].tolist()), w[rand], usage[rand]
+@dataclass(eq=False)
+class _Column:
+    """One resource's users, split once into certain weights and random terms.
+
+    ``certain`` maps each weighted player sure to use the resource to its
+    weight, and ``total`` is their fsum.  ``own`` holds every player's
+    Bernoulli term: usage probability (times participation, in a Bernoulli
+    game) for the players whose use is random, 0 for the rest.  ``rand``
+    lists the random users, ``terms`` and ``weights`` their terms and
+    weights, and ``key`` the sorted terms.  ``law`` (the key's pmf) and
+    ``moments`` (leave-one-out raw moment rows, the whole sum's last) fill in
+    on first use, and ``values`` memoizes conditional costs by the asking
+    player's own entry: its term, and in a weighted game its weight and
+    whether it is certain, which fix the other players' load.
+    """
+
+    certain: dict[int, float]
+    total: float
+    own: list[float]
+    rand: np.ndarray
+    terms: np.ndarray
+    weights: np.ndarray
+    key: tuple[float, ...]
+    law: np.ndarray | None = None
+    moments: list[list[float]] | None = None
+    values: dict = field(default_factory=dict)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Each random user's position in ``rand``."""
+        return dict(zip(self.rand.tolist(), range(self.rand.size)))
+
+    @cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self.weights, return_counts=True)
+
+    def shared_weight(self, i: int | None = None) -> float | None:
+        """The one weight of the random users other than player i, if they share one."""
+        vals, counts = self._distinct
+        if vals.size == 1:
+            return float(vals[0])
+        j = self.index.get(i)
+        if vals.size == 2 and j is not None:
+            mine = int(vals[1] == self.weights[j])
+            if counts[mine] == 1:
+                return float(vals[1 - mine])
+        return None
 
 
 class _LoadLaws:
     """Every load law of one evaluation of a game, and the expectations read from them.
 
-    A count of independent usage indicators is keyed by its sorted Bernoulli
-    terms, and ``pmf`` convolves each key's Poisson-binomial law once.  With a
-    usage matrix (players x resources), resource e's column holds every
-    player's chance to put a random unit on it: participation times usage
-    probability for Bernoulli players, the usage probability below one for
-    weighted players, whose certain usage is a constant (``column`` sums it).
-    ``key(e)`` is the column's count and ``law(e)`` its pmf, so resources with
-    the same users share one.  A player's conditional cost needs the count
-    without its own entry q: ``without`` deconvolves q out of the full law in
-    O(n) (``remove_bernoulli``), falls back on convolving the other terms when
-    the residual check fails, and keeps the last such law, because one
-    player's resources often share a column.  ``conditional`` is the one
-    lookup of E c_e(base + weight Z) under that law, memoized per resource.
+    ``record(e)`` splits resource e's column of the usage matrix (players x
+    resources) once into a ``_Column``, which every expectation on e reads.
+    ``pmf`` convolves the Poisson-binomial law of each key (sorted Bernoulli
+    terms) once, so resources with the same random users share one law.  A
+    conditional cost needs the count without the player's own term q:
+    ``without`` deconvolves q out of the full law in O(n)
+    (``remove_bernoulli``), convolves the other terms when the residual check
+    fails, and keeps the last such law, since one player's resources often
+    share a column.  ``conditional`` reads E c_e(base + weight Z) under it.
 
-    With unequal weights, ``spread`` holds resource e's certain weights, and
-    ``moments`` every player's leave-one-out raw moments of the random rest,
-    computed once per resource for a polynomial cost; each player's
-    conditional cost is then one polynomial evaluation.  Other costs read
-    ``conditional`` when the other random weights agree, else an enumeration
-    of the other players' subset sums, memoized per resource.
+    A Bernoulli player's cost on e is ``conditional`` at its term.  A weighted
+    player's cost (``_edge_cost``) takes the first route that
+    applies: (1) no other random user: c_e at the certain load; (2) the other
+    random users share one weight: ``conditional``; (3) a ``PolynomialCost``:
+    the record's leave-one-out raw moments; (4) else an enumeration of the
+    other random weights' sums, at most ``EXACT_TERMS`` of them.
 
-    ``move`` replaces a player's row, as best-response dynamics does.  On each
-    changed column it swaps the mover's term in the key and, when the law is
-    held, derives the new law in O(n): the old term is deconvolved out
-    (``remove_bernoulli``, or a fresh convolution when its residual check
-    fails) and the new one convolved in.  It forgets the changed columns'
-    sums, moments and memos and drops every pmf no resource uses any more, so
-    at most one law per resource is kept.
+    ``move`` replaces a player's row, as best-response dynamics does, and drops
+    each changed column's record.  A record that held its law passes it on in
+    O(n): the mover's old term deconvolved out (or the law convolved afresh
+    when the residual check fails) and its new one convolved in.  Pmfs that
+    no record uses are dropped, so at most one law per resource is kept.
 
     ``edge_value`` is E[L c_e(L)], for resource e's column or for a list of
     certain users' magnitudes (the optimum search, which has no usage).  With
     weights it reads ``weighted_law``, which enumerates a column whose random
-    weights differ and raises ``CapacityError`` past ``EXACT_TERMS`` of them.  A
-    profile's cost is the fsum of its resources' values, which does not depend
-    on edge order, so ``esc`` and the count-space optimum search, which sum
-    the same values, agree bit for bit.
+    weights differ.  A profile's cost is the fsum of its resources' values,
+    which does not depend on edge order, so ``esc`` and the count-space
+    optimum search, which sum the same values, agree bit for bit.
     """
 
     def __init__(self, game: Game, usage: np.ndarray | None = None):
         self.game = game
         self.usage = usage
         self.mags = np.asarray(game.magnitudes, dtype=float)
-        self.equal_mags = bool(np.all(self.mags == self.mags[:1]))
+        self.top = math.frexp(math.fsum(game.magnitudes))[1]  # every load is below 2^top
         n_res = game.structure.n_resources
-        self.keys: list[tuple[float, ...] | None] = [None] * n_res
-        self.values: list[dict[tuple, object]] = [{} for _ in range(n_res)]
-        self._laws: list[np.ndarray | None] = [None] * n_res
-        self._sums: list[tuple[float, float, int] | None] = [None] * n_res
+        self.records: list[_Column | None] = [None] * n_res
         self._grids: list[np.ndarray | None] = [None] * n_res
         self._pmfs: dict[tuple[float, ...], np.ndarray] = {(): np.ones(1)}  # nobody: 0
-        self._spreads: list[tuple[list[float], float, int] | None] = [None] * n_res
-        self._moments: list[tuple[dict[int, int], list[list[float]]] | None] = [None] * n_res
         self._edge_values: dict[tuple, float] = {}
         self._last: tuple[np.ndarray, float, np.ndarray] | None = None
-
-    def _term(self, i: int, u: float) -> float:
-        """Player i's entry in a column where its usage is u."""
-        if self.game.kind == "bernoulli":
-            return float(self.mags[i] * u)
-        return u if u < 1.0 else 0.0
 
     def pmf(self, key: tuple[float, ...]) -> np.ndarray:
         """Pmf of the count with these sorted Bernoulli terms."""
@@ -327,24 +359,32 @@ class _LoadLaws:
             pmf = self._pmfs[key] = bernoulli_sum_pmf(key).probs
         return pmf
 
-    def key(self, e: int) -> tuple[float, ...]:
-        """Sorted Bernoulli terms of resource e's random count."""
-        key = self.keys[e]
-        if key is None:
+    def record(self, e: int) -> _Column:
+        """Resource e's users, split into certain weights and random terms."""
+        col = self.records[e]
+        if col is None:
             u = self.usage[:, e]
-            col = self.mags * u if self.game.kind == "bernoulli" else u * (u < 1.0)
-            key = self.keys[e] = tuple(sorted(col[col > 0.0].tolist()))
-        return key
+            if self.game.kind == "bernoulli":
+                own, sure = self.mags * u, []
+            else:
+                own, sure = u * (u < 1.0), np.flatnonzero(u >= 1.0).tolist()
+            rand = np.flatnonzero(own > 0.0)
+            terms = own[rand]
+            certain = {i: self.game.magnitudes[i] for i in sure}
+            col = self.records[e] = _Column(
+                certain, math.fsum(certain.values()), own.tolist(), rand, terms,
+                self.mags[rand], tuple(np.sort(terms).tolist()))
+        return col
 
     def law(self, e: int) -> np.ndarray:
         """Pmf of resource e's random count."""
-        law = self._laws[e]
-        if law is None:
-            law = self._laws[e] = self.pmf(self.key(e))
-        return law
+        col = self.record(e)
+        if col.law is None:
+            col.law = self.pmf(col.key)
+        return col.law
 
     def without(self, e: int, q: float) -> np.ndarray:
-        """Law of resource e's count without the entry q (q = 0: the whole count)."""
+        """Law of resource e's count without the term q (q = 0: the whole count)."""
         full = self.law(e)
         if q == 0.0:
             return full
@@ -352,50 +392,11 @@ class _LoadLaws:
             return self._last[2]
         pmf = remove_bernoulli(full, q)
         if pmf is None:
-            key = self.keys[e]
+            key = self.records[e].key
             j = key.index(q)
             pmf = self.pmf(key[:j] + key[j + 1:])
         self._last = (full, q, pmf)
         return pmf
-
-    def column(self, e: int) -> tuple[float, float, int]:
-        """Resource e's certain weight (all of it, and all but one player's) and
-        its count of fractional users, for equal magnitudes.
-
-        The sums add the same weights in the same order as a sum over the
-        other certain players does, so they are bit for bit the same.
-        """
-        col = self._sums[e]
-        if col is None:
-            u = self.usage[:, e]
-            certain = self.mags[u >= 1.0]
-            col = self._sums[e] = (float(certain.sum()), float(certain[:-1].sum()),
-                                   int(np.count_nonzero((u > 0.0) & (u < 1.0))))
-        return col
-
-    def spread(self, e: int) -> tuple[list[float], float, int]:
-        """Resource e's certain users' weights and their fsum, and its count of
-        fractional users, for unequal weights."""
-        col = self._spreads[e]
-        if col is None:
-            u = self.usage[:, e]
-            certain = self.mags[u >= 1.0].tolist()
-            col = self._spreads[e] = (certain, math.fsum(certain),
-                                      int(np.count_nonzero((u > 0.0) & (u < 1.0))))
-        return col
-
-    def moments(self, e: int, i: int) -> list[float]:
-        """E S^0 .. E S^d, S the weight that the players other than i put on
-        resource e at random and d the degree of its polynomial cost."""
-        held = self._moments[e]
-        if held is None:
-            u = self.usage[:, e]
-            rand = np.flatnonzero((u > 0.0) & (u < 1.0))
-            degree = self.game.structure.cost_fns[e].degree
-            rows = leave_one_out_moments(self.mags[rand], u[rand], degree).tolist()
-            held = self._moments[e] = (dict(zip(rand.tolist(), range(rand.size))), rows)
-        index, rows = held
-        return rows[index.get(i, len(rows) - 1)]
 
     def unit_costs(self, e: int) -> np.ndarray:
         """c_e(1), ..., c_e(n + 1) for a Bernoulli game of n players."""
@@ -407,79 +408,65 @@ class _LoadLaws:
         return grid
 
     def conditional(self, e: int, q: float, base: float = 1.0, weight: float = 1.0) -> float:
-        """E[c_e(base + weight Z)], Z counting resource e's column without the entry q.
+        """E[c_e(base + weight Z)], Z counting resource e's random users without the term q.
 
         Bernoulli games read c_e through ``value_int`` (base and weight are 1),
         weighted games through ``value``.
         """
-        memo = self.values[e]
-        hit = memo.get((q, base, weight))
-        if hit is None:
-            pmf = self.without(e, q)
-            if self.game.kind == "bernoulli":
-                vals = self.unit_costs(e)[:pmf.size]
-            else:
-                cost = self.game.structure.cost_fns[e]
-                vals = np.asarray(cost.value(base + weight * np.arange(pmf.size)), dtype=float)
-            hit = memo[(q, base, weight)] = float(pmf @ vals)
-        return hit
+        pmf = self.without(e, q)
+        if self.game.kind == "bernoulli":
+            vals = self.unit_costs(e)[:pmf.size]
+        else:
+            cost = self.game.structure.cost_fns[e]
+            vals = np.asarray(cost.value(base + weight * np.arange(pmf.size)), dtype=float)
+        return float(pmf @ vals)
 
     def move(self, i: int, row: np.ndarray) -> None:
-        for e in np.flatnonzero(self.usage[i] != row):
-            old, new = self._term(i, float(self.usage[i, e])), self._term(i, float(row[e]))
-            if old != new:
-                self._swap(e, old, new)
-            self._sums[e] = self._spreads[e] = self._moments[e] = None
-            self.values[e] = {}
+        changed = np.flatnonzero(self.usage[i] != row)
+        held = [self.records[e] for e in changed]
         self.usage[i] = row
-        live = set(self.keys) | {()}
+        for e, was in zip(changed, held):
+            self.records[e] = None
+            if was is not None and was.law is not None:
+                self._carry(e, was, i)
+        live = {col.key for col in self.records if col is not None} | {()}
         for key in self._pmfs.keys() - live:
             del self._pmfs[key]
         self._edge_values = {k: v for k, v in self._edge_values.items() if k[1] in live}
         self._last = None
 
-    def _swap(self, e: int, old: float, new: float) -> None:
-        """Replace the entry old of resource e's column by new (0: no entry), and
-        its held law by that law with old deconvolved out and new convolved in."""
-        key, law = self.keys[e], self._laws[e]
-        self.keys[e] = self._laws[e] = None
-        if key is None:
-            return
-        terms = list(key)
-        if old > 0.0:
-            terms.remove(old)
-        if new > 0.0:
-            bisect.insort(terms, new)
-        key = self.keys[e] = tuple(terms)
+    def _carry(self, e: int, was: _Column, i: int) -> None:
+        """Give resource e's rebuilt record the law of ``was``, its record before
+        player i moved, with i's old term deconvolved out and its new one convolved in."""
+        col = self.record(e)
+        law = self._pmfs.get(col.key)
         if law is None:
-            return
-        pmf = self._pmfs.get(key)
-        if pmf is None:
-            if old > 0.0:
-                law = remove_bernoulli(law, old)
+            old, new = was.own[i], col.own[i]
+            law = remove_bernoulli(was.law, old) if old > 0.0 else was.law
             if law is None:
-                pmf = self.pmf(key)
+                law = self.pmf(col.key)
             else:
-                pmf = self._pmfs[key] = np.convolve(law, [1.0 - new, new]) if new > 0.0 else law
-        self._laws[e] = pmf
+                law = self._pmfs[col.key] = np.convolve(law, [1.0 - new, new]) if new > 0.0 else law
+        col.law = law
 
     def weighted_law(self, e: int) -> ValueDist:
         """Law of resource e's weighted load: the certain weights' fsum plus the random rest."""
-        base, wf, pf = _split_column(self.mags, self.usage[:, e])
-        if wf.size == 0:
-            return ValueDist(np.array([base]), np.ones(1))
-        if np.all(wf == wf[0]):
-            rest = ValueDist.from_pmf(Pmf(self.law(e)), scale=float(wf[0]))
+        col = self.record(e)
+        if not col.rand.size:
+            return ValueDist(np.array([col.total]), np.ones(1))
+        weight = col.shared_weight()
+        if weight is not None:
+            rest = ValueDist.from_pmf(Pmf(self.law(e)), scale=weight)
         else:
-            rest = weighted_sum_distribution(wf, pf)
-        return ValueDist(base + rest.values, rest.masses)
+            rest = weighted_sum_distribution(col.weights, col.terms)
+        return ValueDist(col.total + rest.values, rest.masses)
 
     def edge_value(self, e: int, mags: Sequence[float] | None = None) -> float:
         """E[L c_e(L)] for resource e's load: its column's, or that of certain
         users with magnitudes ``mags``."""
         cost = self.game.structure.cost_fns[e]
         if self.game.kind == "bernoulli":
-            key = self.key(e) if mags is None else tuple(sorted(mags))
+            key = self.record(e).key if mags is None else tuple(sorted(mags))
             if not key:
                 return 0.0
             hit = self._edge_values.get((e, key))
@@ -510,64 +497,67 @@ def _laws_of(game: Game, profile: MixedProfile) -> _LoadLaws:
     return _LoadLaws(game, choice_probabilities(game, profile))
 
 
-def _edge_cost_weighted(laws: _LoadLaws, i: int, e: int) -> float:
-    """E[c_e(w_i + V)] where V sums the other players' weighted usage indicators."""
-    game = laws.game
-    cost = game.structure.cost_fns[e]
-    u = float(laws.usage[i, e])
-    q = u if u < 1.0 else 0.0
-    if laws.equal_mags:
-        certain, certain_but_one, n_frac = laws.column(e)
-        base = float(game.weights[i]) + (certain_but_one if u >= 1.0 else certain)
-        if n_frac == (0.0 < u < 1.0):  # no other player is uncertain
-            return float(cost.value(base))
-        return laws.conditional(e, q, base, float(laws.mags[0]))
-    certain, total, n_frac = laws.spread(e)
-    w = float(game.weights[i])
+def _edge_cost(laws: _LoadLaws, i: int, e: int) -> float:
+    """Player i's expected cost on resource e, conditional on its using e.
+
+    A Bernoulli player's is E[c_e(1 + Z)], Z counting the other players that
+    take part on e.  A weighted player's is E[c_e(b + V)] by the first route
+    that applies (``_LoadLaws``): b is w_i plus the fsum of the other certain
+    users' weights on e, and V the weight the other players put on e at random.
+    """
+    col = laws.records[e] or laws.record(e)
+    q = col.own[i]
+    bernoulli = laws.game.kind == "bernoulli"
+    w, sure = 1.0 if bernoulli else laws.game.weights[i], i in col.certain
+    hit = col.values.get((q, w, sure))
+    if hit is not None:
+        return hit
+    cost = laws.game.structure.cost_fns[e]
     # fsum is correctly rounded, so this is the fsum of the other certain weights
-    base = w + (math.fsum(certain + [-w]) if u >= 1.0 else total)
-    if n_frac == (0.0 < u < 1.0):
-        return float(cost.value(base))
-    if isinstance(cost, PolynomialCost):
-        # c(base + S) = sum_k a_k sum_j C(k, j) base^(k-j) S^j, every term nonnegative
-        mu = laws.moments(e, i)
-        return math.fsum(a * math.comb(k, j) * base ** (k - j) * mu[j]
-                         for k, a in enumerate(cost.coeffs) for j in range(k + 1))
-    others = laws.usage[:, e].copy()
-    others[i] = 0.0
-    _, wf, pf = _split_column(laws.mags, others)
-    if np.unique(wf).size == 1:
-        return laws.conditional(e, q, base, float(wf[0]))
-    key = (base, tuple(sorted(zip(wf, pf))))
-    hit = laws.values[e].get(key)
-    if hit is None:
-        dist = weighted_sum_distribution(wf, pf)
-        hit = laws.values[e][key] = float(
-            dist.masses @ np.asarray(cost.value(base + dist.values), dtype=float))
+    base = w + (math.fsum([*col.certain.values(), -w]) if sure else col.total)
+    if bernoulli:
+        hit = laws.conditional(e, q)
+    elif col.rand.size == (q > 0.0):
+        hit = float(cost.value(base))
+    elif (shared := col.shared_weight(i)) is not None:
+        hit = laws.conditional(e, q, base, shared)
+    elif isinstance(cost, PolynomialCost):
+        # c(b + V) = sum_k a_k sum_m C(k, m) b^(k-m) V^m, every term nonnegative.
+        # When a power of the load could overflow, loads are scaled by 2^-top,
+        # which is exact, and each term is scaled back; else nothing is scaled
+        shift = laws.top if cost.degree * (laws.top + 1) >= sys.float_info.max_exp else 0
+        if col.moments is None:
+            col.moments = leave_one_out_moments(np.ldexp(col.weights, -shift), col.terms,
+                                                cost.degree).tolist()
+        mu = col.moments[col.index.get(i, col.rand.size)]
+        b = math.ldexp(base, -shift)
+        hit = math.fsum(math.ldexp(a * math.comb(k, m) * b ** (k - m) * mu[m], shift * k)
+                        for k, a in enumerate(cost.coeffs) for m in range(k + 1))
+    else:
+        others = np.arange(col.rand.size) != col.index.get(i, -1)
+        dist = weighted_sum_distribution(col.weights[others], col.terms[others])
+        hit = float(dist.masses @ np.asarray(cost.value(base + dist.values), dtype=float))
+    col.values[(q, w, sure)] = hit
     return hit
 
 
 def _strategy_cond_cost(laws: _LoadLaws, i: int, s: int) -> float:
     """Conditional cost of strategy s for player i."""
     game = laws.game
-    edges = game.structure.strategies[game.player_types[i]][s]
-    if game.kind == "bernoulli":
-        return sum(laws.conditional(e, float(laws.mags[i] * laws.usage[i, e]))
-                   for e in edges)
-    return sum(_edge_cost_weighted(laws, i, e) for e in edges)
+    return sum(_edge_cost(laws, i, e) for e in game.structure.strategies[game.player_types[i]][s])
 
 
 def conditional_cost_estimate(game: Game, profile: MixedProfile, i: int, s: int) -> float:
     """Expected cost of strategy s for player i, conditional on i playing it.
 
-    Exact: Bernoulli games, and weighted games of one weight, through the
-    Poisson-binomial law of the other players' using probabilities.  Other
-    weighted games take a polynomial cost's expectation from the leave-one-out
-    raw moments of the other players' random weight, for any number of
-    players; a non-polynomial cost reads the Poisson-binomial law when the
-    other random weights agree and else ``weighted_sum_distribution``, which
-    enumerates at most ``EXACT_TERMS`` (20) terms and raises
-    ``CapacityError`` beyond that.
+    Exact.  Bernoulli games read the Poisson-binomial law of the other
+    players' using probabilities.  In a weighted game each resource takes
+    the first route that applies: no other random user; other random users
+    of one weight (their Poisson-binomial count); a ``PolynomialCost`` (the
+    leave-one-out raw moments of the other random weight, for any number of
+    players); else an enumeration of the other random weights' sums, which
+    takes at most ``EXACT_TERMS`` (20) terms and raises ``CapacityError``
+    beyond that.
     """
     _check_index(i, game.n_players, "player")
     _check_index(s, len(game.structure.strategies[game.player_types[i]]),

@@ -225,9 +225,11 @@ def remove_bernoulli(full: np.ndarray, p: float) -> np.ndarray | None:
     k and each recurrence stays where it loses at most half of f[k] to the
     subtraction: every mass keeps a small relative error, tails included.
     p <= 1/2 runs mostly forward and p > 1/2 mostly backward; p = 0 and
-    p = 1 are exact.  Returns None when the result, convolved back, misses
-    ``full`` by more than ``_DECONV_TOL`` anywhere; the caller then
-    convolves the other terms directly.
+    p = 1 are exact.  Masses that come out below zero by at most
+    ``_DECONV_TOL`` (cancellation in an underflowing tail) are returned as
+    zero.  Returns None when a mass is further below zero or the result,
+    convolved back, misses ``full`` by more than ``_DECONV_TOL`` anywhere;
+    the caller then convolves the other terms directly.
     """
     f = np.asarray(full, dtype=float)
     n = f.size - 1
@@ -256,10 +258,15 @@ def remove_bernoulli(full: np.ndarray, p: float) -> np.ndarray | None:
     for j in range(hi - lo, split - 1, -1):
         prev = g[j] = (fl[j + 1] - q * prev) / p
     gw = np.array(g)
+    if float(gw.min()) < -_DECONV_TOL:
+        return None
+    # masses that cancel to within the tolerance below zero (underflow at the
+    # top of the window) are zero; the residual check reads the masses returned
+    np.maximum(gw, 0.0, out=gw)
     back = np.zeros(fw.size)
     back[:-1] += q * gw
     back[1:] += p * gw
-    if float(np.abs(back - fw).max()) > _DECONV_TOL or float(gw.min()) < 0.0:
+    if float(np.abs(back - fw).max()) > _DECONV_TOL:
         return None
     out = np.zeros(n)
     out[lo:hi + 1] = gw

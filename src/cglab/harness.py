@@ -21,12 +21,12 @@ from typing import Mapping
 import numpy as np
 
 from . import instances
-from .atomic import (OPT_BUDGET, BernoulliGame, MixedProfile, WeightedGame,
+from .atomic import (OPT_BUDGET, BernoulliGame, MixedProfile, WeightedGame, _laws_of,
                      best_response_dynamics, choice_probabilities, expected_loads,
                      load_distribution, opt_and_poa, player_expected_cost,
                      social_optimum_pure, symmetric_mixed_equilibrium, verify_equilibrium)
 from .core import _as_list, _field, _integer, all_strategy_costs, social_cost
-from .discrete_dist import poisson_pmf, tv_distance
+from .discrete_dist import Pmf, poisson_pmf, tv_distance
 from .errors import ConfigError, DomainError
 from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
                             regularity_constants, resolve_alpha)
@@ -193,10 +193,10 @@ def _weighted_l2(game: WeightedGame, profile: MixedProfile, limit_loads) -> floa
 def _bernoulli_tv(game: BernoulliGame, profile: MixedProfile, limit_loads,
                   tail_tol: float) -> tuple[float, float]:
     """(lower, upper) of the worst per-edge TV distance to the Poisson limit."""
+    laws = _laws_of(game, profile)  # one store: resources with the same users share a law
     worst = (0.0, 0.0)
     for e in range(game.structure.n_resources):
-        pmf = load_distribution(game, profile, e)
-        interval = tv_distance(pmf, poisson_pmf(float(limit_loads[e]), tail_tol))
+        interval = tv_distance(Pmf(laws.law(e)), poisson_pmf(float(limit_loads[e]), tail_tol))
         if interval.upper > worst[1]:
             worst = (interval.lower, interval.upper)
     return worst

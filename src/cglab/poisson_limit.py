@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 from .core import ALL, AffineCost, DemandVector, PolynomialCost, Structure
-from .discrete_dist import poisson_expect
+from .discrete_dist import borisov_ruzankin_bound, poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
 from .wardrop import strategy_cost_cap
 
@@ -387,8 +387,9 @@ def _lipschitz_bound(alpha: float, nu: float, delta1_max: float) -> float | None
 def lambda_bound(constants: BoundConstants, r: float) -> float:
     """Gap between exact conditional costs and the auxiliary cost at max prob ``r``.
 
-    Evaluates (alpha nu / 2) r e^r / (1-r)^2 + zeta r; zero participation is
-    allowed as the continuous limit.
+    Evaluates the Borisov-Ruzankin term (alpha nu / 2) r e^r / (1-r)^2
+    (``borisov_ruzankin_bound``) plus zeta r; zero participation is allowed as
+    the continuous limit.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError("r must lie in [0, 1)")
@@ -396,8 +397,7 @@ def lambda_bound(constants: BoundConstants, r: float) -> float:
         raise ConfigError("lambda bound needs nu and zeta (integer-domain costs)")
     if r == 0.0:
         return 0.0
-    return (0.5 * constants.alpha * constants.nu * r * math.exp(r) / (1.0 - r) ** 2
-            + constants.zeta * r)
+    return borisov_ruzankin_bound(constants.alpha, constants.nu, r) + constants.zeta * r
 
 
 def rate_bounds(constants: BoundConstants, model: str, param: float,

@@ -13,7 +13,8 @@ from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           social_optimum_pure, strategy_flow_covariance,
                           symmetric_mixed_equilibrium, verify_equilibrium)
 from cglab.cli import main
-from cglab.core import AffineCost, GrowthEnvelope, Structure, TableCost, instance_to_json
+from cglab.core import (AffineCost, GrowthEnvelope, PolynomialCost, Structure, TableCost,
+                        instance_to_json)
 from cglab.discrete_dist import ValueDist, bernoulli_sum_pmf
 from cglab.errors import (CapacityError, ConfigError, ConvergenceError, DomainError,
                           StructureError)
@@ -25,7 +26,7 @@ from cglab.instances import (UPPER, ZIGZAG, LOWER, parallel_structure,
 
 
 from oracles import (conditional_cost_brute_force, esc_brute_force, outcome_probability,
-                     pure_optimum_by_assignment, random_small_game)
+                     pure_optimum_by_assignment, random_small_game, weighted_poly_expect_exact)
 
 
 def wheatstone_bernoulli(n):
@@ -241,14 +242,11 @@ class TestBestResponseDynamics:
         assert res.cycle[0] == res.cycle[-1]
         assert len(res.cycle) >= 3
 
-    def test_regret_read_from_the_last_sweep(self, monkeypatch):
+    def test_regret_read_from_the_last_sweep(self, pmf_builds):
         # heterogeneous Bernoulli players: the regret of the sweep that moves
         # nobody equals a fresh verification bit for bit, and reading it from
         # that sweep convolves no column law a second time
-        built = []
-        real = atomic.bernoulli_sum_pmf
-        monkeypatch.setattr(atomic, "bernoulli_sum_pmf",
-                            lambda probs: built.append(1) or real(probs))
+        built = pmf_builds
         s = wheatstone_structure()
         n = 64
         for seed in (1, 2, 3):
@@ -358,7 +356,7 @@ class TestOptAndPoa:
             assert res.poa == pytest.approx(wheatstone_bernoulli_poa(n), abs=1e-9)
             assert res.pos == 1.0
 
-    def test_verification_and_esc_share_column_laws(self, monkeypatch):
+    def test_verification_and_esc_share_column_laws(self, pmf_builds):
         # each distinct column's pmf is convolved once for the profile's
         # verification and its esc together
         game = wheatstone_bernoulli(16)
@@ -366,13 +364,9 @@ class TestOptAndPoa:
         usage = atomic.choice_probabilities(game, mix)
         columns = {tuple(sorted(c[c > 0.0].tolist()))
                    for c in (np.asarray(game.probs)[:, None] * usage).T}
-        built = []
-        real = atomic.bernoulli_sum_pmf
-        monkeypatch.setattr(atomic, "bernoulli_sum_pmf",
-                            lambda probs: built.append(tuple(sorted(probs))) or real(probs))
         opt_and_poa(game, [mix])
         for key in columns - {()}:
-            assert built.count(key) == 1
+            assert pmf_builds.count(key) == 1
 
     def test_single_player(self):
         game = wheatstone_bernoulli(1)
@@ -633,3 +627,54 @@ class TestWeightValidation:
         s = wheatstone_structure()
         with pytest.raises(StructureError):
             WeightedGame(s, (0.5, 0.0), (0, 0))
+
+
+class TestLoadsNearOverflow:
+    """A cost finite at the largest load evaluates without overflow; a cost
+    that is not is rejected when the game is built."""
+
+    def test_quartic_of_huge_weights_is_exact(self):
+        # c(x) = 1e-300 x^4 at total weight 1e100 is 1e100, but the fourth
+        # powers of the loads themselves overflow
+        s = parallel_structure().with_costs((PolynomialCost((0, 0, 0, 0, 1e-300)),) * 2)
+        w = (2e99, 3e99, 5e99)
+        game = WeightedGame(s, w, (0, 0, 0))
+        profile = MixedProfile.symmetric(game, [0.5, 0.5])
+        report = verify_equilibrium(game, profile)
+        assert report.ok
+        for i, row in enumerate(report.players):
+            others = [w[j] for j in range(3) if j != i]
+            want = weighted_poly_expect_exact(s.cost_fns[0].coeffs, w[i], others, [0.5, 0.5])
+            assert row.costs == pytest.approx((want, want), rel=1e-12, abs=0.0)
+        assert esc(game, profile) == pytest.approx(esc_brute_force(game, profile), rel=1e-12)
+
+    @pytest.mark.parametrize("weights", [(1e120, 2e120, 3e120), (2e120,) * 3])
+    def test_cubic_past_the_float_range_is_rejected(self, weights):
+        s = parallel_structure().with_costs((PolynomialCost((0, 0, 0, 1)),) * 2)
+        with pytest.raises(StructureError, match="not finite"):
+            WeightedGame(s, weights, (0, 0, 0))
+
+    def test_total_weight_past_the_float_range_is_rejected(self):
+        with pytest.raises(DomainError, match="total"):
+            WeightedGame(parallel_structure(), (1e308, 1e308), (0, 0))
+
+    def test_bernoulli_cost_past_the_float_range_is_rejected(self):
+        s = parallel_structure().with_costs((PolynomialCost((0,) * 400 + (1,)),) * 2)
+        with pytest.raises(StructureError, match="not finite"):
+            BernoulliGame(s, (0.5,) * 10, (0,) * 10)
+
+    @pytest.mark.parametrize("magnitude, players", [
+        ("weight", [1e120, 2e120, 3e120]), ("prob", [0.5] * 10)])
+    def test_cli_exits_two(self, magnitude, players, tmp_path, capsys):
+        degree = 3 if magnitude == "weight" else 400
+        s = parallel_structure().with_costs((PolynomialCost((0,) * degree + (1,)),) * 2)
+        demand = 0.0
+        for m in players:  # the order in which a game sums its players' demand
+            demand += m
+        obj = instance_to_json(s, unit_demand(s))
+        obj["demands"] = {obj["types"][0]["id"]: demand}
+        obj["players"] = [{"type": obj["types"][0]["id"], magnitude: m} for m in players]
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(obj))
+        assert main(["atomic", str(path), "--solve", "pure"]) == 2
+        assert "not finite" in capsys.readouterr().err

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from cglab.atomic import expected_loads, load_distribution
+from cglab.discrete_dist import poisson_pmf, tv_distance
 from cglab.errors import DomainError
-from cglab.harness import (REPORT_COLUMNS, SequenceSpec, opt_convergence,
+from cglab.harness import (REPORT_COLUMNS, SequenceSpec, _bernoulli_tv, opt_convergence,
                            reproduce_example, run_convergence)
-from cglab.instances import (wheatstone_bernoulli_opt, wheatstone_bernoulli_poa,
-                             wheatstone_weighted_opt, wheatstone_weighted_poa,
-                             wheatstone_weighted_pos)
+from cglab.instances import (EXAMPLES, wheatstone_bernoulli_opt, wheatstone_bernoulli_poa,
+                             wheatstone_symmetric_mix, wheatstone_weighted_opt,
+                             wheatstone_weighted_poa, wheatstone_weighted_pos)
 
 
 def weighted_spec(**kw):
@@ -68,6 +70,18 @@ class TestRunConvergence:
             assert row.tv_hi is not None and row.tv_hi <= row.bound
         tvs = [r.tv_hi for r in report.rows]
         assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
+
+    def test_tv_reads_one_store_per_profile(self, pmf_builds):
+        # the symmetric mix puts one column of 64 terms on e1, e2, e4 and e5
+        game = EXAMPLES["wheatstone-bernoulli"].game("bernoulli", 64)
+        mix = wheatstone_symmetric_mix(game)
+        loads = expected_loads(game, mix)
+        got = _bernoulli_tv(game, mix, loads, 1e-12)
+        assert len(pmf_builds) == 1
+        want = max((tv_distance(load_distribution(game, mix, e),
+                                poisson_pmf(float(loads[e]), 1e-12))
+                    for e in range(game.structure.n_resources)), key=lambda iv: iv.upper)
+        assert got == (want.lower, want.upper)
 
     def test_esc_column_converges_to_limit(self):
         report = run_convergence(bernoulli_spec(n_values=(10, 20, 40, 80)))

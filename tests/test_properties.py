@@ -29,7 +29,7 @@ from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf,
                                  leave_one_out_moments, poisson_expect, remove_bernoulli,
                                  weighted_sum_distribution)
 from cglab.errors import CapacityError, DomainError
-from cglab.instances import parallel_structure, wheatstone_structure
+from cglab.instances import UPPER, parallel_structure, wheatstone_structure
 from cglab.poisson_limit import AuxCost, build_limit_game
 from cglab.wardrop import (_segment_minimizer, solve_social_optimum, solve_wardrop,
                            wardrop_epsilon)
@@ -62,6 +62,32 @@ class TestLeaveOneOut:
         # tails too: every mass clear of underflow keeps a small relative error
         big = want > 1e-250
         assert np.all(np.abs(got[big] - want[big]) <= 1e-13 * want[big])
+
+    def test_deconvolving_a_deconvolved_law(self):
+        # a law that is itself a deconvolution, as a best-response move leaves a
+        # column's law, carries rounding in its far tail; the masses there that
+        # cancel to just below zero are returned as zero instead of rejected
+        terms = np.random.default_rng(1).uniform(1e-4, 1.9 / 256, 256).tolist()
+        once = remove_bernoulli(bernoulli_sum_pmf(terms).probs, terms[0])
+        for j in range(1, 256, 5):
+            got = remove_bernoulli(once, terms[j])
+            assert got is not None and got.min() >= 0.0
+            want = sequential_bernoulli_sum(terms[1:j] + terms[j + 1:])
+            assert np.abs(got - want).max() <= 1e-13
+
+    def test_best_response_moves_rarely_fall_back(self, pmf_builds):
+        # the W2 game: 256 Bernoulli players of probability uniform(1e-4, 1.9/n),
+        # drawn after those of a 1,024-player game, all starting on the upper
+        # path.  Its first build is the upper column; every later one is a
+        # deconvolution that fell back on direct convolution
+        rng = np.random.default_rng(1)
+        rng.uniform(1e-4, 1.9 / 1024, 1024)
+        n = 256
+        game = BernoulliGame(wheatstone_structure(), tuple(rng.uniform(1e-4, 1.9 / n, n)),
+                             (0,) * n)
+        assert atomic.best_response_dynamics(game, [UPPER] * n).converged
+        assert len(pmf_builds[0]) == n
+        assert len(pmf_builds) - 1 <= 1
 
     def test_failed_residual_check_returns_none(self):
         # [0.3, 0.7] is not of the form (1-p) g + p shift(g) for p = 0.5 and a pmf g
@@ -100,7 +126,7 @@ class TestLeaveOneOut:
     @given(st.floats(0.05, 1.0), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
     def test_equal_weight_branch_matches_enumeration(self, w, mixes):
         # every player has weight w, so the other players' load is w times a
-        # Poisson-binomial count: the equal-weight branch of the weighted kernel
+        # Poisson-binomial count: the count-law route of the weighted kernel
         s = wheatstone_structure()
         n = len(mixes)
         game = WeightedGame(s, (w,) * n, (0,) * n)
@@ -151,8 +177,10 @@ class TestLeaveOneOut:
             i, best = step % n, int(rng.integers(0, 3))
             state[i] = best
             laws.move(i, s.incidence[s.type_slices[0]][best])
-            live = {key for key in laws.keys if key is not None}
+            live = {col.key for col in laws.records if col is not None}
             assert set(laws._pmfs) - {()} <= live
+            for col in laws.records:  # a rebuilt record reads its key's law
+                assert col is None or col.law is None or col.law is laws._pmfs[col.key]
             assert len(live) <= s.n_resources
         fresh = atomic._LoadLaws(game, atomic.choice_probabilities(game, MixedProfile.pure(game, state)))
         for i in range(n):
@@ -162,9 +190,10 @@ class TestLeaveOneOut:
                                             rel=1e-13, abs=1e-13)
 
     def test_weighted_column_sums_follow_moves(self):
-        # equal weights: the stored certain-weight sums and fractional counts
-        # of each column are dropped on a move, so a moved store answers bit
-        # for bit as a fresh one, and both match the enumerated law
+        # equal weights: a move drops the record of each changed column, with
+        # its certain-weight sum and its random users, so every record a moved
+        # store holds is a fresh store's, the moved store answers bit for bit
+        # as a fresh one, and both match the enumerated law
         n, w = 9, 0.3
         rng = np.random.default_rng(11)
         s = wheatstone_structure()
@@ -179,6 +208,13 @@ class TestLeaveOneOut:
             row = choices[int(rng.integers(0, 4))]
             usage[step % n] = row
             laws.move(step % n, row)
+            fresh = atomic._LoadLaws(game, usage.copy())
+            for e, col in enumerate(laws.records):
+                if col is not None:
+                    want = fresh.record(e)
+                    assert (col.certain, col.total, col.key) == (want.certain, want.total,
+                                                                want.key)
+                    assert col.index == want.index
         fresh = atomic._LoadLaws(game, usage.copy())
         for i in range(n):
             others = np.delete(usage, i, axis=0)
@@ -537,15 +573,29 @@ class TestSolverCertificate:
             assert opt.gap == linearization_gap(s, d, before.pair)
 
 
-def _mixed_game(seed, kind, degree=None):
-    """A small random game and mixed profile; "equal" gives every weighted
-    player one weight, and odd seeds make player 0 certain of its strategy."""
+def _mixed_game(seed, kind, costs=None):
+    """A small random game and mixed profile.
+
+    "equal" gives every weighted player one weight, and "apart" every player
+    but player 0.  ``costs`` is None (affine), a polynomial degree, or "aux"
+    (``AuxCost`` over random tables).  Odd seeds make player 0 certain of its
+    strategy.
+    """
     rng = np.random.default_rng(seed)
     game, profile = random_small_game(rng, "bernoulli" if kind == "bernoulli" else "weighted",
-                                      max_players=5, degree=degree)
-    if kind == "equal":
-        game = WeightedGame(game.structure, (game.weights[0],) * game.n_players,
+                                      max_players=5, degree=None if costs == "aux" else costs)
+    if kind in ("equal", "apart"):
+        w = game.weights
+        rest = w[1] if kind == "apart" else w[0]
+        game = WeightedGame(game.structure, (w[0],) + (rest,) * (game.n_players - 1),
                             game.player_types)
+    if costs == "aux":
+        env = GrowthEnvelope("poly", degree=2, scale=2.0)
+        tables = tuple(AuxCost(TableCost(tuple(np.cumsum(row)), env))
+                       for row in np.random.default_rng(seed).uniform(
+                           0.0, 0.5, (game.structure.n_resources, 3)))
+        game = type(game)(game.structure.with_costs(tables), game.magnitudes,
+                          game.player_types)
     if seed % 2:
         pinned = np.eye(profile.probs[0].size)[0]
         profile = MixedProfile((pinned,) + profile.probs[1:])
@@ -559,10 +609,13 @@ class TestLoadLaw:
         want = esc_brute_force(game, profile)
         assert esc(game, profile) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(("bernoulli", "equal", "unequal")),
-           st.sampled_from((None, 3)))
-    def test_conditional_costs_match_brute_force(self, seed, kind, degree):
-        game, profile = _mixed_game(seed, kind, degree)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(("bernoulli", "equal", "unequal", "apart")),
+           st.sampled_from((None, 3, "aux")))
+    @example(2, "apart", 3)  # the other random users of one weight: a count law
+    @example(2, "apart", "aux")
+    def test_conditional_costs_match_brute_force(self, seed, kind, costs):
+        game, profile = _mixed_game(seed, kind, costs)
         for i, row in enumerate(verify_equilibrium(game, profile).players):
             for s, got in enumerate(row.costs):
                 want = conditional_cost_brute_force(game, profile, i, s)
@@ -665,14 +718,8 @@ class TestWeightedMoments:
             return weighted_sum_distribution(weights, probs)
 
         monkeypatch.setattr(atomic, "weighted_sum_distribution", spy)
-        env = GrowthEnvelope("poly", degree=2, scale=2.0)
         for seed in range(6):
-            game, profile = _mixed_game(seed, "unequal")
-            tables = tuple(AuxCost(TableCost(tuple(np.cumsum(rng_row)), env))
-                           for rng_row in np.random.default_rng(seed).uniform(
-                               0.0, 0.5, (game.structure.n_resources, 3)))
-            game = WeightedGame(game.structure.with_costs(tables), game.weights,
-                                game.player_types)
+            game, profile = _mixed_game(seed, "unequal", "aux")
             for i, row in enumerate(verify_equilibrium(game, profile).players):
                 for k, got in enumerate(row.costs):
                     want = conditional_cost_brute_force(game, profile, i, k)
