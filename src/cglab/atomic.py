@@ -27,7 +27,8 @@ resource takes the first route that applies:
 which is enumerated when its random weights differ.  An enumeration takes at
 most ``discrete_dist.EXACT_TERMS`` = 20 random terms of unequal weight and
 raises ``CapacityError`` beyond that.  ``opt_and_poa`` hands each profile's
-verification and ``esc`` one store.
+verification and ``esc`` one store, and ``verify_equilibrium`` evaluates one
+cost row per class of players (type, magnitude and probability row).
 
 The exact social optimum is searched over pure profiles.  Players of one type
 and one magnitude form a class and are interchangeable, so a profile is a
@@ -76,9 +77,9 @@ def _type_demands(game) -> DemandVector:
     return DemandVector(d)
 
 
-def _require_finite(evaluate, load) -> None:
-    """Reject a cost, given by its ``evaluate`` method, that is not finite at the
-    largest load a game can put on it."""
+def _require_finite(evaluate, load) -> float:
+    """A cost, given by its ``evaluate`` method, at the largest load a game can
+    put on it; a cost that is not finite there is rejected."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             top = float(evaluate(load))
@@ -86,6 +87,22 @@ def _require_finite(evaluate, load) -> None:
         raise StructureError(f"cost not evaluable up to {load}: {exc}") from None
     if not math.isfinite(top):
         raise StructureError(f"cost is not finite at the largest load {load}")
+    return top
+
+
+def _require_finite_social_cost(load: float, tops: list[float]) -> None:
+    """Reject a game whose social cost could overflow.
+
+    Costs are nondecreasing, so when no load exceeds ``load`` and ``tops``
+    bound each resource's cost there, each resource's E[L c(L)] is at most
+    ``load * max(tops)`` and their sum at most ``len(tops)`` times that.  A
+    finite bound keeps every value ``esc`` and the optimum search add, and
+    their sum, finite.
+    """
+    bound = len(tops) * load * max(tops, default=0.0)
+    if not math.isfinite(bound):
+        raise StructureError(f"the social cost bound {len(tops)} * {load} * {max(tops)} "
+                             "overflows")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +125,12 @@ class WeightedGame:
         if any(t < 0 or t >= self.structure.n_types for t in self.player_types):
             raise StructureError("player type out of range")
         total = math.fsum(self.weights)
+        tops = []
         for c in self.structure.cost_fns:
             if not getattr(c, "is_continuous", False):
                 raise StructureError("weighted games need continuous cost functions")
-            _require_finite(c.value, total)
+            tops.append(_require_finite(c.value, total))
+        _require_finite_social_cost(total, tops)
 
     @property
     def n_players(self) -> int:
@@ -153,10 +172,12 @@ class BernoulliGame:
         if any(t < 0 or t >= self.structure.n_types for t in self.player_types):
             raise StructureError("player type out of range")
         n = len(self.probs)
+        tops = []
         for c in self.structure.cost_fns:
             if not getattr(c, "has_integer_eval", False):
                 raise StructureError("Bernoulli games need integer-domain cost functions")
-            _require_finite(c.value_int, n + 1)
+            tops.append(_require_finite(c.value_int, n + 1))
+        _require_finite_social_cost(n, tops)
 
     @property
     def n_players(self) -> int:
@@ -335,7 +356,8 @@ class _LoadLaws:
     ``edge_value`` is E[L c_e(L)], for resource e's column or for a list of
     certain users' magnitudes (the optimum search, which has no usage).  With
     weights it reads ``weighted_law``, which enumerates a column whose random
-    weights differ.  A profile's cost is the fsum of its resources' values,
+    weights differ; with probabilities, the key's pmf against the grid
+    ``load_costs(e)``.  A profile's cost is the fsum of its resources' values,
     which does not depend on edge order, so ``esc`` and the count-space
     optimum search, which sum the same values, agree bit for bit.
     """
@@ -348,6 +370,7 @@ class _LoadLaws:
         n_res = game.structure.n_resources
         self.records: list[_Column | None] = [None] * n_res
         self._grids: list[np.ndarray | None] = [None] * n_res
+        self._load_grids: list[np.ndarray | None] = [None] * n_res
         self._pmfs: dict[tuple[float, ...], np.ndarray] = {(): np.ones(1)}  # nobody: 0
         self._edge_values: dict[tuple, float] = {}
         self._last: tuple[np.ndarray, float, np.ndarray] | None = None
@@ -407,6 +430,16 @@ class _LoadLaws:
             grid = self._grids[e] = np.asarray(cost.value_int(ks), dtype=float)
         return grid
 
+    def load_costs(self, e: int) -> np.ndarray:
+        """k c_e(k) for k = 0, ..., n in a Bernoulli game of n players, read off
+        ``unit_costs``."""
+        grid = self._load_grids[e]
+        if grid is None:
+            n = self.game.n_players
+            grid = self._load_grids[e] = np.concatenate(
+                ([0.0], np.arange(1, n + 1) * self.unit_costs(e)[:n]))
+        return grid
+
     def conditional(self, e: int, q: float, base: float = 1.0, weight: float = 1.0) -> float:
         """E[c_e(base + weight Z)], Z counting resource e's random users without the term q.
 
@@ -463,8 +496,12 @@ class _LoadLaws:
 
     def edge_value(self, e: int, mags: Sequence[float] | None = None) -> float:
         """E[L c_e(L)] for resource e's load: its column's, or that of certain
-        users with magnitudes ``mags``."""
-        cost = self.game.structure.cost_fns[e]
+        users with magnitudes ``mags``.
+
+        A Bernoulli load's value is its key's pmf against resource e's grid of
+        k c_e(k), k = 0..n, derived once per resource from the costs that the
+        conditional costs read; it is memoized by (resource, key).
+        """
         if self.game.kind == "bernoulli":
             key = self.record(e).key if mags is None else tuple(sorted(mags))
             if not key:
@@ -472,10 +509,9 @@ class _LoadLaws:
             hit = self._edge_values.get((e, key))
             if hit is None:
                 pmf = self.pmf(key)
-                ks = np.arange(pmf.size)
-                hit = self._edge_values[(e, key)] = float(
-                    pmf @ (ks * np.asarray(cost.value_int(ks), dtype=float)))
+                hit = self._edge_values[(e, key)] = float(pmf @ self.load_costs(e)[:pmf.size])
             return hit
+        cost = self.game.structure.cost_fns[e]
         if mags is not None:
             load = math.fsum(mags)
             return load * float(cost.value(load))
@@ -605,18 +641,30 @@ def verify_equilibrium(game: Game, profile: MixedProfile,
 
     A strategy counts as used when its probability exceeds ``USAGE_TOL``.
     The profile is an (approximate) equilibrium iff the result is at most tol.
+
+    Players of one class (type, magnitude and probability row) see the same
+    other players' load on every resource, and ``_edge_cost`` memoizes by
+    exactly what fixes that load, so the first player of a class computes
+    the class's costs and the others copy them.  A cost that is not finite
+    raises ``PrecisionError``: no comparison with NaN could certify anything.
     """
     laws = _laws_of(game, profile)
     rows = []
     worst = 0.0
+    classes: dict[tuple, tuple] = {}
     for i in range(game.n_players):
-        m = profile.probs[i].size
-        costs = [_strategy_cond_cost(laws, i, s) for s in range(m)]
-        best = min(costs)
-        used = profile.probs[i] > USAGE_TOL
-        regret = max((c - best for s, c in enumerate(costs) if used[s]), default=0.0)
-        rows.append(PlayerRegret(i, tuple(costs), best, regret))
-        worst = max(worst, regret)
+        key = (game.player_types[i], game.magnitudes[i], profile.probs[i].tobytes())
+        row = classes.get(key)
+        if row is None:
+            costs = [_strategy_cond_cost(laws, i, s) for s in range(profile.probs[i].size)]
+            if not all(map(math.isfinite, costs)):
+                raise PrecisionError(f"player {i} has a conditional cost that is not finite")
+            best = min(costs)
+            used = profile.probs[i] > USAGE_TOL
+            regret = max((c - best for s, c in enumerate(costs) if used[s]), default=0.0)
+            row = classes[key] = (tuple(costs), best, regret)
+            worst = max(worst, regret)
+        rows.append(PlayerRegret(i, *row))
     return EquilibriumReport(worst, tuple(rows), tol)
 
 

@@ -191,11 +191,25 @@ def bernoulli_sum_pmf(probs: Sequence[float]) -> Pmf:
     level convolves neighbouring pmfs pairwise, so every mass is a sum of
     nonnegative products (no FFT, no cancellation).  A level of many short
     pmfs takes one vector operation per coefficient instead of one
-    ``np.convolve`` per pair.  The empty sum is a point mass at zero.
+    ``np.convolve`` per pair.  When every term is the same p, the sum is
+    binomial, and its pmf is ``[1-p, p]`` raised to the k-th power by
+    repeated squaring, high bit first: one squaring per bit of k and one
+    more term per set bit, again sums of nonnegative products.  The empty
+    sum is a point mass at zero.
     """
     p = np.asarray(probs if isinstance(probs, np.ndarray) else list(probs), dtype=float)
-    if p.size and not (float(p.min()) >= -1e-15 and float(p.max()) <= 1.0 + 1e-15):
-        raise DomainError("Bernoulli probabilities must lie in [0, 1]")  # NaN fails too
+    if p.size:
+        lo, hi = float(p.min()), float(p.max())
+        if not (lo >= -1e-15 and hi <= 1.0 + 1e-15):
+            raise DomainError("Bernoulli probabilities must lie in [0, 1]")  # NaN fails too
+        if lo == hi:
+            term = np.array([1.0 - lo, lo])
+            out = term
+            for bit in bin(p.size)[3:]:
+                out = np.convolve(out, out)
+                if bit == "1":
+                    out = np.convolve(out, term)
+            return Pmf(out)
     level = np.stack([1.0 - p, p], axis=1) if p.size else np.ones((1, 1))
     while level.shape[0] > 1:
         if level.shape[0] % 2:  # a point mass at zero multiplies exactly
@@ -355,15 +369,16 @@ def weighted_sum_distribution(weights: Sequence[float], probs: Sequence[float]) 
     return ValueDist(vals, mass)
 
 
-def _prefix_products(terms: np.ndarray) -> np.ndarray:
-    """Coefficients of t^0..t^d of every prefix product of the factors
-    ``1 + sum_a terms[j, a-1] t^a``, truncated after t^d; row k multiplies
-    factors 0..k-1, so row 0 is the empty product."""
+def _prefix_products(terms: np.ndarray, binom: list[list[float]]) -> np.ndarray:
+    """Raw moments 0..d of every prefix sum of independent terms whose own raw
+    moments 1..d are the rows of ``terms`` (moment 0 is 1); row k sums terms
+    0..k-1, so row 0 is the empty sum.  Adding a term X to a sum S gives
+    ``E (S + X)^m = sum_a C(m, a) E X^a E S^(m-a)``, with ``binom[m][a] = C(m, a)``."""
     n, d = terms.shape
     out = np.zeros((n + 1, d + 1))
     out[:, 0] = 1.0
     for m in range(1, d + 1):
-        step = sum(terms[:, a - 1] * out[:n, m - a] for a in range(1, m + 1))
+        step = sum(binom[m][a] * terms[:, a - 1] * out[:n, m - a] for a in range(1, m + 1))
         out[1:, m] = np.cumsum(step)
     return out
 
@@ -374,12 +389,12 @@ def leave_one_out_moments(weights: Sequence[float], probs: Sequence[float],
     term left out in turn.
 
     Row j (j < n) holds the moments of S without term j, and row n those of S.
-    The moment generating function of S is the product of the terms'
-    ``1 + p_j (e^{w_j t} - 1)``; truncated after t^degree a factor is
-    ``1 + p_j sum_{m <= degree} (w_j t)^m / m!``, and E S^m is m! times the
-    product's coefficient of t^m.  Row j multiplies the product of the factors
-    before j by that of the factors after it, so nothing is divided, and
-    every coefficient is a sum of nonnegative products, so nothing cancels.
+    Term j's raw moments are ``E (w_j B_j)^a = p_j w_j^a`` for a >= 1, and the
+    moments of a sum of independent parts are the binomial convolution of
+    theirs.  Row j convolves the moments of the terms before j with those of
+    the terms after it, so nothing is divided, and every moment is a sum of
+    nonnegative products, so nothing cancels.  No factorial is formed, so no
+    degree overflows or underflows through one.
     """
     w = np.asarray(list(weights), dtype=float)
     p = np.asarray(list(probs), dtype=float)
@@ -392,15 +407,15 @@ def leave_one_out_moments(weights: Sequence[float], probs: Sequence[float],
     if degree < 0:
         raise DomainError("moment degree must be nonnegative")
     n = w.size
-    m = np.arange(1, degree + 1)
-    terms = p[:, None] * w[:, None] ** m / special.factorial(m)
-    before = _prefix_products(terms)
-    after = _prefix_products(terms[::-1])[n - 1::-1] if n else before[:0]
+    binom = [[float(math.comb(m, a)) for a in range(m + 1)] for m in range(degree + 1)]
+    terms = p[:, None] * w[:, None] ** np.arange(1, degree + 1)
+    before = _prefix_products(terms, binom)
+    after = _prefix_products(terms[::-1], binom)[n - 1::-1] if n else before[:0]
     out = np.empty((n + 1, degree + 1))
     for k in range(degree + 1):
-        out[:n, k] = sum(before[:n, a] * after[:, k - a] for a in range(k + 1))
+        out[:n, k] = sum(binom[k][a] * before[:n, a] * after[:, k - a] for a in range(k + 1))
     out[n] = before[n]
-    return out * special.factorial(np.arange(degree + 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

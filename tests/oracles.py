@@ -304,6 +304,52 @@ def sequential_bernoulli_sum(probs):
     return out
 
 
+def binomial_pmf_exact(k, p):
+    """Binomial(k, p) masses in exact rational arithmetic, each rounded once.
+
+    The failure probability is ``1.0 - p`` as rounded to a float, the one a
+    Bernoulli(p) term carries.  p and q are multiples of 2^-L for one L, so
+    the mass at j is the integer C(k, j) p^j q^(k-j) 2^(kL) over 2^(kL); the
+    one true division of the two integers rounds it correctly.
+    """
+    (pn, pd), (qn, qd) = float(p).as_integer_ratio(), (1.0 - float(p)).as_integer_ratio()
+    scale = max(pd, qd)
+    pn, qn = pn * (scale // pd), qn * (scale // qd)
+    q_powers = [1]
+    for _ in range(k):
+        q_powers.append(q_powers[-1] * qn)
+    out, p_power = [], 1
+    for j in range(k + 1):
+        out.append(math.comb(k, j) * p_power * q_powers[k - j] / scale ** k)
+        p_power *= pn
+    return np.array(out)
+
+
+def pairwise_tree_pmf(probs):
+    """Poisson-binomial pmf by the divide-and-conquer product of terms that differ.
+
+    Step for step the route ``bernoulli_sum_pmf`` takes when its terms are
+    not all equal: neighbouring pmfs convolved pairwise, an odd level padded
+    with a point mass at zero, and a level of more pmfs than each has masses
+    convolved by one vector operation per coefficient.
+    """
+    p = np.asarray(probs, dtype=float)
+    level = np.stack([1.0 - p, p], axis=1)
+    while level.shape[0] > 1:
+        if level.shape[0] % 2:
+            level = np.vstack([level, np.eye(1, level.shape[1])])
+        a, b = level[0::2], level[1::2]
+        width = level.shape[1]
+        if a.shape[0] > width:
+            nxt = np.zeros((a.shape[0], 2 * width - 1))
+            for j in range(width):
+                nxt[:, j:j + width] += a[:, j:j + 1] * b
+        else:
+            nxt = np.array([np.convolve(x, y) for x, y in zip(a, b)])
+        level = nxt
+    return level[0, :p.size + 1]
+
+
 def sequential_merge(values, masses, tol):
     """Point-mass pooling, one sorted point at a time.
 
@@ -422,4 +468,4 @@ def weighted_poly_expect_exact(coeffs, base, weights, probs):
                                     for j in range(1, k + 1))
                    for k in range(d + 1)]
     return float(sum(Fraction(a) * Fraction(n, scale ** (2 * k))
-                     for k, (a, n) in enumerate(zip(coeffs, moments))))
+                     for k, (a, n) in enumerate(zip(coeffs, moments)) if a))

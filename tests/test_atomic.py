@@ -17,7 +17,7 @@ from cglab.core import (AffineCost, GrowthEnvelope, PolynomialCost, Structure, T
                         instance_to_json)
 from cglab.discrete_dist import ValueDist, bernoulli_sum_pmf
 from cglab.errors import (CapacityError, ConfigError, ConvergenceError, DomainError,
-                          StructureError)
+                          PrecisionError, StructureError)
 from cglab.poisson_limit import AuxCost, build_limit_game
 from cglab.instances import (UPPER, ZIGZAG, LOWER, parallel_structure,
                              pigou_structure, unit_demand, wheatstone_all_zigzag,
@@ -661,6 +661,50 @@ class TestLoadsNearOverflow:
     def test_bernoulli_cost_past_the_float_range_is_rejected(self):
         s = parallel_structure().with_costs((PolynomialCost((0,) * 400 + (1,)),) * 2)
         with pytest.raises(StructureError, match="not finite"):
+            BernoulliGame(s, (0.5,) * 10, (0,) * 10)
+
+    @pytest.mark.parametrize("degree, weights", [
+        (171, (0.2, 0.3, 0.5)),  # past the largest finite factorial
+        (160, (0.1, 0.15, 0.25)),  # moments / 160! below the normal range
+        (170, (8.0, 12.0, 20.0)),  # loads scaled by 2^-6 first
+    ])
+    def test_high_degree_moments_are_exact(self, degree, weights):
+        coeffs = (0.0,) * degree + (1.0,)
+        s = parallel_structure().with_costs((PolynomialCost(coeffs),) * 2)
+        game = WeightedGame(s, weights, (0, 0, 0))
+        report = verify_equilibrium(game, MixedProfile.symmetric(game, [0.5, 0.5]))
+        for i, row in enumerate(report.players):
+            others = [weights[j] for j in range(3) if j != i]
+            want = weighted_poly_expect_exact(coeffs, weights[i], others, [0.5, 0.5])
+            assert math.isfinite(want)
+            assert row.costs == pytest.approx((want, want), rel=1e-12, abs=0.0)
+
+    def test_a_cost_that_is_not_finite_never_verifies(self, monkeypatch):
+        game = WeightedGame(parallel_structure(), (0.5, 0.5), (0, 0))
+        profile = MixedProfile.symmetric(game, [0.5, 0.5])
+        assert verify_equilibrium(game, profile).ok
+        monkeypatch.setattr(atomic, "_edge_cost", lambda laws, i, e: math.nan)
+        with pytest.raises(PrecisionError, match="not finite"):
+            verify_equilibrium(game, profile)
+
+    def test_social_cost_past_the_float_range_is_rejected(self):
+        # c(3e150) = 9e300 is finite, but L c(L) at L = 3e150 is not
+        s = parallel_structure().with_costs((PolynomialCost((0, 0, 1)),) * 2)
+        with pytest.raises(StructureError, match="social cost"):
+            WeightedGame(s, (1e150, 2e150), (0, 0))
+
+    def test_sum_over_resources_past_the_float_range_is_rejected(self):
+        # each resource's L c(L) = 1.44e308 is finite; their sum is not
+        s = Structure(("a", "b"), (PolynomialCost((0, 1)),) * 2, ("t",), (((0, 1),),))
+        with pytest.raises(StructureError, match="social cost"):
+            WeightedGame(s, (1.2e154,), (0,))
+        game = WeightedGame(s, (9e153,), (0,))
+        assert esc(game, MixedProfile.pure(game, [0])) == 2.0 * (9e153 * 9e153)
+
+    def test_bernoulli_social_cost_past_the_float_range_is_rejected(self):
+        # c(11) = 1.1e307 is finite, but 10 c(10) on two resources is not
+        s = parallel_structure().with_costs((PolynomialCost((0, 1e306)),) * 2)
+        with pytest.raises(StructureError, match="social cost"):
             BernoulliGame(s, (0.5,) * 10, (0,) * 10)
 
     @pytest.mark.parametrize("magnitude, players", [

@@ -1,17 +1,23 @@
 """Property-based checks of the fast kernels against brute-force oracles.
 
 Covers the leave-one-out load laws (deconvolution with its direct-convolution
-fallback), the divide-and-conquer Poisson-binomial pmf, the vectorised
+fallback), the divide-and-conquer Poisson-binomial pmf and its repeated
+squaring of equal terms, the vectorised
 point-mass merge, the batched cost evaluator of the nonatomic solvers (whole
 load vectors and row subsets, with slopes), their Newton line search, the
 vector Poisson series behind the auxiliary costs, the per-resource load laws
 behind ``esc`` and ``load_distribution``, the conditional costs behind
-``verify_equilibrium``, and the count-space search for the pure social optimum.
+``verify_equilibrium`` and its one row per class of players, and the
+count-space search for the pure social optimum; and that a falsified property
+is reported without ending the test session.
 """
 
 import ast
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -38,7 +44,8 @@ from oracles import (aux_integral_mp, bisection_minimizer, conditional_cost_brut
                      enumerate_bernoulli_sum, esc_brute_force, linearization_gap, load_law_brute_force,
                      poisson_expect_mp, pure_optimum_by_assignment, random_homogeneous_game,
                      random_small_game, sequential_bernoulli_sum, sequential_merge,
-                     state_from_counts, weighted_poly_expect_exact)
+                     state_from_counts, weighted_poly_expect_exact, binomial_pmf_exact,
+                     pairwise_tree_pmf)
 
 SPECIAL_P = (0.0, 1e-4, 0.5, 0.9, 1.0)
 
@@ -248,6 +255,41 @@ class TestTreeConvolution:
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             bernoulli_sum_pmf([0.5, math.nan])
+
+
+class TestEqualTerms:
+    """A key whose terms are all equal is binomial: its pmf is one term's
+    raised to the k-th power by repeated squaring."""
+
+    @given(st.integers(1, 2000), probabilities)
+    @example(2000, 0.3)
+    @example(2000, 1e-4)
+    def test_matches_sequential_convolution(self, k, p):
+        # a product tree's rounding error grows about in proportion to k (the
+        # pairwise tree it replaces misses the sequential sum by 2.4e-14 at
+        # k = 2000, p = 1e-4), so the tolerance is 1e-14 up to 256 terms and
+        # grows with k past that
+        got = bernoulli_sum_pmf([p] * k).probs
+        assert got.shape == (k + 1,)
+        tol = 1e-14 * max(1.0, k / 256)
+        assert np.abs(got - sequential_bernoulli_sum([p] * k)).max() <= tol
+        assert got.min() >= 0.0
+
+    @given(st.integers(1, 300), probabilities)
+    @example(300, 0.7)
+    def test_matches_exact_binomial(self, k, p):
+        got = bernoulli_sum_pmf([p] * k).probs
+        want = binomial_pmf_exact(k, p)
+        big = want > 1e-300
+        assert np.all(np.abs(got[big] - want[big]) <= 1e-13 * want[big])
+
+    @given(st.lists(probabilities, min_size=2, max_size=300))
+    @example([0.1] * 63 + [0.2])
+    def test_unequal_terms_keep_the_pairwise_tree(self, probs):
+        if min(probs) == max(probs):
+            probs = probs + [0.5 if probs[0] != 0.5 else 0.25]
+        got = bernoulli_sum_pmf(probs).probs
+        assert got.tobytes() == pairwise_tree_pmf(probs).tobytes()
 
 
 TOL = 1e-12
@@ -727,6 +769,44 @@ class TestWeightedMoments:
         assert calls
 
 
+class TestClassRows:
+    """``verify_equilibrium`` evaluates one row per class of players (type,
+    magnitude, probability row) and copies it to the class."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("weighted", "bernoulli")))
+    @example(1, "weighted")
+    def test_class_rows_match_per_player_costs(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        game = random_homogeneous_game(rng, kind, max_types=3, max_players=8)
+        s = game.structure
+        # two rows per type, mixed or pure, so classes both repeat and split
+        rows = [[rng.dirichlet(np.ones(len(s.strategies[t]))) if rng.random() < 0.7
+                 else np.eye(len(s.strategies[t]))[int(rng.integers(len(s.strategies[t])))]
+                 for _ in range(2)] for t in range(s.n_types)]
+        profile = MixedProfile(tuple(rows[t][int(rng.integers(2))] for t in game.player_types))
+        report = verify_equilibrium(game, profile)
+        # every player through one store, one after another: the costs before classes
+        laws = atomic._LoadLaws(game, atomic.choice_probabilities(game, profile))
+        worst = 0.0
+        for i, row in enumerate(report.players):
+            costs = tuple(atomic._strategy_cond_cost(laws, i, k)
+                          for k in range(profile.probs[i].size))
+            used = profile.probs[i] > atomic.USAGE_TOL
+            regret = max(c - min(costs) for c, u in zip(costs, used) if u)
+            assert (row.player, row.costs, row.best, row.regret) == (
+                i, costs, min(costs), regret)
+            worst = max(worst, regret)
+            for k, got in enumerate(row.costs):
+                want = conditional_cost_estimate(game, profile, i, k)
+                if kind == "bernoulli":
+                    assert got == want
+                else:
+                    # a fresh store reads player i's own leave-one-out moment
+                    # row, which rounds apart from its class mates' rows
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert report.max_regret == worst
+
+
 class TestCountSpaceOptimum:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(("weighted", "bernoulli")))
     def test_matches_brute_force_minimum(self, seed, kind):
@@ -750,3 +830,25 @@ class TestCountSpaceOptimum:
         counts = ast.literal_eval(description.removeprefix("pure counts "))
         profile = MixedProfile.pure(game, state_from_counts(game, counts))
         assert esc(game, profile).hex() == value.hex()
+
+
+class TestFailureReports:
+    def test_a_falsified_property_is_reported_and_the_run_goes_on(self, tmp_path):
+        # under filterwarnings = error, a deprecation warning raised while
+        # hypothesis writes its report used to end the whole session
+        (tmp_path / "test_falsified.py").write_text(
+            "from hypothesis import given, strategies as st\n\n\n"
+            "@given(st.integers())\n"
+            "def test_falsified(x):\n"
+            "    assert x < 5\n\n\n"
+            "def test_after():\n"
+            "    pass\n", encoding="utf-8")
+        config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+             "--rootdir", str(tmp_path), "test_falsified.py"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        out = proc.stdout + proc.stderr
+        assert "INTERNALERROR" not in out
+        assert "Falsifying example" in out
+        assert "1 failed, 1 passed" in out
