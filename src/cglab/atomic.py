@@ -35,10 +35,14 @@ and one magnitude form a class and are interchangeable, so a profile is a
 vector of per-class strategy counts, and a resource's value depends only on
 how many players of each class use it.  The search therefore holds every
 count vector as one row of an integer array, gets each resource's per-class
-counts by one matrix product, builds one value table per resource, and
-scores each row as the ``fsum`` of its table entries; ``esc`` scores every
-profile as the ``fsum`` of the same per-resource values, so on pure profiles
-the two agree bit for bit.
+counts by one matrix product, and builds one value table per resource from
+the counts alone: a resource that one class uses reads its Bernoulli values
+off one binomial ladder per class (``binomial_ladder``) or its weighted
+values at the loads k w.  Each row's score is the ``fsum`` of its table
+entries, taken only for the rows whose rounded sum could beat every earlier
+row, and a row replaces the best when it is lower by more than 1e-15 times
+the best.  ``esc`` scores every profile as the ``fsum`` of the same
+per-resource values, so on pure profiles the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from contextvars import ContextVar
@@ -58,8 +63,8 @@ import numpy as np
 
 from .core import (USAGE_TOL, DemandVector, PolynomialCost, Structure, _as_list, _field,
                    _integer, _reject_unknown, _strategy_distributions, parse_instance)
-from .discrete_dist import (Pmf, ValueDist, bernoulli_sum_pmf, leave_one_out_moments,
-                            remove_bernoulli, weighted_sum_distribution)
+from .discrete_dist import (Pmf, ValueDist, bernoulli_sum_pmf, binomial_ladder,
+                            leave_one_out_moments, remove_bernoulli, weighted_sum_distribution)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PrecisionError, StructureError)
 
@@ -353,13 +358,17 @@ class _LoadLaws:
     when the residual check fails) and its new one convolved in.  Pmfs that
     no record uses are dropped, so at most one law per resource is kept.
 
-    ``edge_value`` is E[L c_e(L)], for resource e's column or for a list of
-    certain users' magnitudes (the optimum search, which has no usage).  With
-    weights it reads ``weighted_law``, which enumerates a column whose random
-    weights differ; with probabilities, the key's pmf against the grid
-    ``load_costs(e)``.  A profile's cost is the fsum of its resources' values,
-    which does not depend on edge order, so ``esc`` and the count-space
-    optimum search, which sum the same values, agree bit for bit.
+    ``edge_value`` is E[L c_e(L)], for resource e's column or for the sorted
+    magnitudes of certain users (the optimum search, which has no usage and
+    builds the key from its counts).  With weights it reads ``weighted_law``,
+    which enumerates a column whose random weights differ, or c_e at the
+    magnitudes' fsum; with probabilities, the key's pmf against the grid
+    ``load_costs(e)``.  The optimum search fills a resource that one class
+    uses without it, by the same arithmetic: the binomial ladder's laws have
+    the bytes of the equal-term keys' pmfs, and k w is the fsum of k copies
+    of w.  A profile's cost is the fsum of its resources' values, which does
+    not depend on edge order, so ``esc`` and the count-space optimum search,
+    which sum the same values, agree bit for bit.
     """
 
     def __init__(self, game: Game, usage: np.ndarray | None = None):
@@ -494,16 +503,16 @@ class _LoadLaws:
             rest = weighted_sum_distribution(col.weights, col.terms)
         return ValueDist(col.total + rest.values, rest.masses)
 
-    def edge_value(self, e: int, mags: Sequence[float] | None = None) -> float:
+    def edge_value(self, e: int, key: tuple[float, ...] | None = None) -> float:
         """E[L c_e(L)] for resource e's load: its column's, or that of certain
-        users with magnitudes ``mags``.
+        users with the sorted magnitudes ``key``.
 
         A Bernoulli load's value is its key's pmf against resource e's grid of
         k c_e(k), k = 0..n, derived once per resource from the costs that the
         conditional costs read; it is memoized by (resource, key).
         """
         if self.game.kind == "bernoulli":
-            key = self.record(e).key if mags is None else tuple(sorted(mags))
+            key = self.record(e).key if key is None else key
             if not key:
                 return 0.0
             hit = self._edge_values.get((e, key))
@@ -512,8 +521,8 @@ class _LoadLaws:
                 hit = self._edge_values[(e, key)] = float(pmf @ self.load_costs(e)[:pmf.size])
             return hit
         cost = self.game.structure.cost_fns[e]
-        if mags is not None:
-            load = math.fsum(mags)
+        if key is not None:
+            load = math.fsum(key)
             return load * float(cost.value(load))
         law = self.weighted_law(e)
         return float(law.masses @ (law.values * np.asarray(cost.value(law.values), dtype=float)))
@@ -872,10 +881,11 @@ def _compositions(n: int, k: int) -> np.ndarray:
     Row r places k - 1 bars among n + k - 1 slots (the r-th combination of
     slot indices); the gaps between consecutive bars are the counts.
     """
-    rows = list(itertools.combinations(range(n + k - 1), k - 1))
-    bars = np.array(rows, dtype=np.int64).reshape(len(rows), k - 1)
-    ends = np.full((len(rows), 1), n + k - 1)
-    return np.diff(np.hstack([-np.ones_like(ends), bars, ends]), axis=1) - 1
+    rows = math.comb(n + k - 1, k - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n + k - 1), k - 1)), np.int64, rows * (k - 1))
+    ends = np.full((rows, 1), n + k - 1)
+    return np.diff(np.hstack([-np.ones_like(ends), bars.reshape(rows, k - 1), ends]), axis=1) - 1
 
 
 @dataclass(frozen=True)
@@ -888,6 +898,36 @@ class OptResult:
 _COMBO_CHUNK = 1 << 14
 
 
+def _first_minimum(blocks) -> tuple[float, int | None]:
+    """The row that a sequential scan keeps, and its fsum: blocks of rows in order.
+
+    The scan keeps the first row, then any row whose fsum is below the best
+    so far by more than 1e-15 times the best.  That threshold falls only as
+    the best does, and every earlier row was at or above it when scanned (or
+    set the best, which is above it), so a row that replaces the best is below
+    every earlier row's fsum.  Only rows that can be are summed with ``fsum``:
+    a block's ``sum(axis=1)`` is within ``err`` of each row's fsum (n terms
+    added in any order are off by at most n u times the sum of their
+    magnitudes, the fsum by u more; ``err`` doubles that, and the smallest
+    normal float covers underflow), so a row whose lower bound is not below
+    every earlier row's upper bound is skipped, and the skipped rows are
+    those that would not have changed the scan's state.
+    """
+    best, best_row, bound, start = math.inf, None, math.inf, 0
+    for block in blocks:
+        sums = block.sum(axis=1)
+        err = np.abs(block).sum(axis=1) * math.ldexp(block.shape[1] + 4, -52) + sys.float_info.min
+        upper = sums + err
+        prefix = np.minimum.accumulate(np.concatenate(([bound], upper[:-1])))
+        for r in np.flatnonzero(sums - err < prefix).tolist():
+            val = math.fsum(block[r].tolist())
+            if best_row is None or val < best - 1e-15 * best:
+                best, best_row = val, start + r
+        bound = min(float(prefix[-1]), float(upper[-1]))
+        start += block.shape[0]
+    return best, best_row
+
+
 def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
     """Minimum over per-class strategy counts, each scored from per-resource tables.
 
@@ -896,21 +936,33 @@ def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
     one row per class, classes in key order, is a profile, visited in
     ``itertools.product`` order.  A resource's value depends only on how many
     players of each class use it, so each resource gets one table over the
-    per-class counts that vary on it, filled by ``laws.edge_value``;
-    ``parts[j]`` holds, per composition of class j and per resource, that
-    class's share of the flat table index.
+    per-class counts that vary on it; ``parts[j]`` holds, per composition of
+    class j and per resource, that class's share of the flat index into
+    ``values``, where the tables lie one after another.
+
+    A resource that only one class uses, with a varying count, is filled from
+    the counts k = 0..n_j: in a Bernoulli game by one ``binomial_ladder`` per
+    class, each law dotted with the resource's ``load_costs`` as
+    ``edge_value`` dots the key's pmf (the ladder's k-th law has that pmf's
+    bytes); in a weighted game at the load k w, which equals the fsum of k
+    copies of w since both are correctly rounded.  Any other resource's
+    entries are ``edge_value`` at a key built from the counts: the distinct
+    magnitudes on it, sorted once, each repeated by its count.  The profiles
+    are scored by ``_first_minimum``, so equal values keep the first profile.
     """
     s = game.structure
     laws = _LoadLaws(game)
     keys = sorted(classes)
     sizes = [classes[k] for k in keys]
+    mags = [w for _, w in keys]
     comps = [_compositions(n, len(s.strategies[t])) for n, (t, _) in zip(sizes, keys)]
     # users[j][r, e]: players of class j on resource e under composition r
     users = [c @ s.incidence[s.type_slices[t]].astype(np.int64)
              for c, (t, _) in zip(comps, keys)]
-    mags = [w for _, w in keys]
     parts = [np.zeros_like(u) for u in users]
-    table: list[float] = []
+    solo: list[list[tuple[int, int]]] = [[] for _ in keys]  # (resource, offset) per class
+    generic: list[tuple[int, int, list]] = []
+    size = 0
     for e in range(s.n_resources):
         ranges = [range(n + 1) if np.ptp(u[:, e]) > 0 else (int(u[0, e]),)
                   for n, u in zip(sizes, users)]
@@ -919,26 +971,49 @@ def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
             if len(ranges[j]) > 1:
                 parts[j][:, e] = users[j][:, e] * stride
                 stride *= len(ranges[j])
-        parts[0][:, e] += len(table)
-        table.extend(laws.edge_value(e, [w for w, k in zip(mags, ks) for _ in range(k)])
-                     for ks in itertools.product(*ranges))
-    values = np.array(table)
+        parts[0][:, e] += size
+        present = [j for j, r in enumerate(ranges) if r != (0,)]
+        if len(present) == 1 and len(ranges[present[0]]) > 1:
+            solo[present[0]].append((e, size))
+        else:
+            generic.append((e, size, [(j, ranges[j]) for j in present]))
+        size += stride
+    values = np.empty(size)
+    bernoulli = game.kind == "bernoulli"
+    for j, (n, w) in enumerate(zip(sizes, mags)):
+        if not solo[j]:
+            continue
+        if bernoulli:
+            grids = [(laws.load_costs(e), at) for e, at in solo[j]]
+            for k, pmf in enumerate(binomial_ladder(w, n)):
+                for grid, at in grids:
+                    values[at + k] = float(pmf @ grid[:k + 1])
+        else:
+            for e, at in solo[j]:
+                cost = s.cost_fns[e]
+                for k in range(n + 1):
+                    load = k * w
+                    values[at + k] = load * float(cost.value(load))
+    for e, at, present in generic:
+        order = sorted({mags[j] for j, _ in present})
+        ones = [(v,) for v in order]
+        # counts[k, i]: users of magnitude order[i] in the k-th entry
+        member = np.equal.outer([mags[j] for j, _ in present], order).astype(np.int64)
+        counts = np.array(list(itertools.product(*(r for _, r in present))),
+                          dtype=np.int64) @ member
+        for k, row in enumerate(counts.tolist()):
+            values[at + k] = laws.edge_value(e, sum(map(operator.mul, ones, row), ()))
     shape = tuple(len(c) for c in comps)
     total = math.prod(shape)
-    best = math.inf
-    best_row = None
-    for start in range(0, total, _COMBO_CHUNK):
-        rows = np.unravel_index(np.arange(start, min(start + _COMBO_CHUNK, total)), shape)
-        index = sum(part[r] for part, r in zip(parts, rows))
-        for k, row in enumerate(values[index].tolist()):
-            val = math.fsum(row)
-            if val < best - 1e-15:
-                best = val
-                best_row = start + k
-    best_counts = None
-    if best_row is not None:
-        best_counts = tuple(tuple(int(v) for v in c[r])
-                            for c, r in zip(comps, np.unravel_index(best_row, shape)))
+
+    def blocks():
+        for start in range(0, total, _COMBO_CHUNK):
+            rows = np.unravel_index(np.arange(start, min(start + _COMBO_CHUNK, total)), shape)
+            yield values[sum(part[r] for part, r in zip(parts, rows))]
+
+    best, best_row = _first_minimum(blocks())
+    best_counts = tuple(tuple(int(v) for v in c[r])
+                        for c, r in zip(comps, np.unravel_index(best_row, shape)))
     return OptResult(best, True, f"pure counts {best_counts}")
 
 
@@ -948,8 +1023,9 @@ def social_optimum_pure(game: Game, budget: int = OPT_BUDGET) -> OptResult | Non
     The expected social cost is multilinear in the players' mixed strategies,
     so its minimum over all mixed profiles is attained at a pure profile.
     Players of one type and one magnitude are interchangeable, so profiles
-    are enumerated by per-class strategy counts.  Returns None when the
-    count vectors number more than ``budget``.
+    are enumerated by per-class strategy counts; a profile replaces the best
+    so far only when it is cheaper by more than 1e-15 times the best.
+    Returns None when the count vectors number more than ``budget``.
     """
     s = game.structure
     classes = Counter(zip(game.player_types, game.magnitudes))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -194,7 +194,8 @@ def bernoulli_sum_pmf(probs: Sequence[float]) -> Pmf:
     ``np.convolve`` per pair.  When every term is the same p, the sum is
     binomial, and its pmf is ``[1-p, p]`` raised to the k-th power by
     repeated squaring, high bit first: one squaring per bit of k and one
-    more term per set bit, again sums of nonnegative products.  The empty
+    more term per set bit (``_binomial_step``, which ``binomial_ladder``
+    shares), again sums of nonnegative products.  The empty
     sum is a point mass at zero.
     """
     p = np.asarray(probs if isinstance(probs, np.ndarray) else list(probs), dtype=float)
@@ -206,9 +207,7 @@ def bernoulli_sum_pmf(probs: Sequence[float]) -> Pmf:
             term = np.array([1.0 - lo, lo])
             out = term
             for bit in bin(p.size)[3:]:
-                out = np.convolve(out, out)
-                if bit == "1":
-                    out = np.convolve(out, term)
+                out = _binomial_step(out, term, bit == "1")
             return Pmf(out)
     level = np.stack([1.0 - p, p], axis=1) if p.size else np.ones((1, 1))
     while level.shape[0] > 1:
@@ -224,6 +223,30 @@ def bernoulli_sum_pmf(probs: Sequence[float]) -> Pmf:
             nxt = np.array([np.convolve(x, y) for x, y in zip(a, b)])
         level = nxt
     return Pmf(level[0, :p.size + 1])
+
+
+def _binomial_step(half: np.ndarray, term: np.ndarray, odd: bool) -> np.ndarray:
+    """Masses of Bin(2j + odd, p) from those of Bin(j, p), ``term`` being [1-p, p]."""
+    out = np.convolve(half, half)
+    return np.convolve(out, term) if odd else out
+
+
+def binomial_ladder(p: float, n: int) -> Iterator[np.ndarray]:
+    """Masses of Bin(k, p) for k = 0, 1, ..., n, in order.
+
+    Bin(k, p) is built from Bin(k >> 1, p) by ``_binomial_step``, the step
+    that ``bernoulli_sum_pmf`` takes per bit of k, so the k-th array has the
+    bytes of ``bernoulli_sum_pmf([p] * k).probs``.  Bin(j, p) is dropped once
+    Bin(2j + 1, p) is built, which needs it last.
+    """
+    term = np.array([1.0 - p, p])
+    held = {0: np.ones(1), 1: term}
+    for k in range(n + 1):
+        if k >= 2:
+            held[k] = _binomial_step(held[k >> 1], term, k & 1)
+            if k & 1:
+                del held[k >> 1]
+        yield held[k]
 
 
 def remove_bernoulli(full: np.ndarray, p: float) -> np.ndarray | None:

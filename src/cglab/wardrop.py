@@ -122,7 +122,9 @@ def _segment_minimizer(slope, s0: float, ds0: float) -> float:
     ``slope(gamma)`` returns both at ``gamma``.  Newton steps from 0 keep a
     bracket of the derivative's sign change; a step out of it tries 1 first,
     then bisects.  The search stops once the bracket or the step is narrower
-    than ``SEGMENT_XTOL``.
+    than ``SEGMENT_XTOL``; when it stops that close to 1 without having tried
+    1, the minimiser lies between it and 1, so it returns 1, which drains the
+    segment exactly instead of leaving a sliver of flow one ulp short of it.
     """
     if s0 >= 0.0:
         return 0.0
@@ -131,9 +133,9 @@ def _segment_minimizer(slope, s0: float, ds0: float) -> float:
     while hi - lo > SEGMENT_XTOL:
         step = g / dg if dg > 0.0 else math.inf
         if lo < gamma - step < hi:
-            if abs(step) <= SEGMENT_XTOL:
-                return gamma - step
             gamma -= step
+            if abs(step) <= SEGMENT_XTOL:
+                break
         else:  # only a step to the right can leave the bracket before 1 is tried
             gamma = 0.5 * (lo + hi) if hi_tried else 1.0
         g, dg = slope(gamma)
@@ -143,7 +145,7 @@ def _segment_minimizer(slope, s0: float, ds0: float) -> float:
             lo = gamma
         else:
             hi, hi_tried = gamma, True
-    return gamma
+    return 1.0 if not hi_tried and gamma > 1.0 - SEGMENT_XTOL else gamma
 
 
 def _equilibrate_type(inc: np.ndarray, y: np.ndarray, x: np.ndarray, d: np.ndarray,

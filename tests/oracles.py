@@ -240,6 +240,22 @@ def pure_esc_by_assignment(game, state):
     return math.fsum(values)
 
 
+def first_best(scored):
+    """(value, label) that the optimum's tie rule keeps from (value, label) pairs
+    in order: the first pair, then any pair whose value is below the best so
+    far by more than 1e-15 times the best."""
+    best, label = math.inf, None
+    for val, what in scored:
+        if label is None or val < best - 1e-15 * best:
+            best, label = val, what
+    return best, label
+
+
+def first_minimum_plain(rows):
+    """(fsum, index) of the row that a plain scan keeps: every row's fsum, in order."""
+    return first_best((math.fsum(row), r) for r, row in enumerate(rows))
+
+
 def pure_optimum_by_assignment(game, budget=250_000):
     """(value, description) of the cheapest pure profile, or None over budget.
 
@@ -247,8 +263,9 @@ def pure_optimum_by_assignment(game, budget=250_000):
     per-type strategy counts (compositions in lexicographic order, combined
     across types in ``itertools.product`` order), filling each type's
     players in index order; other games walk every profile.  Each profile
-    is scored by ``pure_esc_by_assignment``, and a profile replaces the best
-    so far only when it is cheaper by more than 1e-15.
+    is scored by ``pure_esc_by_assignment``, and ``first_best`` keeps the
+    first profile and then one that is cheaper by more than 1e-15 times the
+    best so far.
     """
     s = game.structure
     by_type = {}
@@ -259,22 +276,18 @@ def pure_optimum_by_assignment(game, budget=250_000):
                                      len(s.strategies[t]) - 1)
                            for t, members in by_type.items())
         if combos <= budget:
-            best, best_counts = math.inf, None
             type_ids = sorted(by_type)
             count_lists = [list(_compositions(len(by_type[t]), len(s.strategies[t])))
                            for t in type_ids]
-            for combo in itertools.product(*count_lists):
-                val = pure_esc_by_assignment(game, state_from_counts(game, combo))
-                if val < best - 1e-15:
-                    best, best_counts = val, combo
+            best, best_counts = first_best(
+                (pure_esc_by_assignment(game, state_from_counts(game, combo)), combo)
+                for combo in itertools.product(*count_lists))
             return best, f"pure counts {best_counts}"
     if math.prod(len(s.strategies[t]) for t in game.player_types) > budget:
         return None
-    best, best_state = math.inf, None
-    for state in itertools.product(*[range(len(s.strategies[t])) for t in game.player_types]):
-        val = pure_esc_by_assignment(game, state)
-        if val < best - 1e-15:
-            best, best_state = val, state
+    best, best_state = first_best(
+        (pure_esc_by_assignment(game, state), state)
+        for state in itertools.product(*[range(len(s.strategies[t])) for t in game.player_types]))
     return best, f"pure profile {best_state}"
 
 

@@ -436,6 +436,24 @@ class TestOptAndPoa:
         assert found.description.startswith("pure counts")
         assert social_optimum_pure(game, budget=26) is None
 
+    def test_tie_rule_is_relative_to_the_optimum(self):
+        # every cost scaled by 2^-60 scales every social cost by 2^-60 exactly;
+        # an absolute tie margin of 1e-15 swallowed every step below 2^-60 and
+        # kept the first profile, ((0, 0, 6),) at 2 * 2^-60
+        s = wheatstone_structure()
+        tiny = Structure(s.resources, tuple(AffineCost(math.ldexp(c.slope, -60),
+                                                       math.ldexp(c.intercept, -60))
+                                            for c in s.cost_fns), s.types, s.strategies)
+        results = []
+        for structure in (s, tiny):
+            game = WeightedGame.homogeneous(structure, unit_demand(structure), 6)
+            results.append((social_optimum_pure(game),
+                            opt_and_poa(game, [wheatstone_all_zigzag(game)])))
+        (plain, plain_poa), (scaled, scaled_poa) = results
+        assert scaled.description == plain.description == "pure counts ((3, 0, 3),)"
+        assert scaled.value == math.ldexp(plain.value, -60) == math.ldexp(1.5, -60)
+        assert scaled_poa.poa == plain_poa.poa == 4.0 / 3.0
+
     def test_two_magnitudes_in_one_type(self):
         # 3^6 profiles, but two classes of three interchangeable players:
         # 10 x 10 count vectors fit a budget far below the profile count

@@ -31,7 +31,7 @@ from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           social_optimum_pure, verify_equilibrium)
 from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
                         Structure, TableCost)
-from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf,
+from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf, binomial_ladder,
                                  leave_one_out_moments, poisson_expect, remove_bernoulli,
                                  weighted_sum_distribution)
 from cglab.errors import CapacityError, DomainError
@@ -45,7 +45,8 @@ from oracles import (aux_integral_mp, bisection_minimizer, conditional_cost_brut
                      poisson_expect_mp, pure_optimum_by_assignment, random_homogeneous_game,
                      random_small_game, sequential_bernoulli_sum, sequential_merge,
                      state_from_counts, weighted_poly_expect_exact, binomial_pmf_exact,
-                     pairwise_tree_pmf)
+                     pairwise_tree_pmf, first_minimum_plain)
+from oracles import _compositions as compositions_oracle
 
 SPECIAL_P = (0.0, 1e-4, 0.5, 0.9, 1.0)
 
@@ -290,6 +291,15 @@ class TestEqualTerms:
             probs = probs + [0.5 if probs[0] != 0.5 else 0.25]
         got = bernoulli_sum_pmf(probs).probs
         assert got.tobytes() == pairwise_tree_pmf(probs).tobytes()
+
+
+    @given(st.integers(0, 300), st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+    @example(300, 0.3)
+    def test_ladder_is_byte_equal_to_the_squaring(self, n, p):
+        ladder = list(binomial_ladder(p, n))
+        assert len(ladder) == n + 1
+        for k, got in enumerate(ladder):
+            assert got.tobytes() == bernoulli_sum_pmf([p] * k).probs.tobytes()
 
 
 TOL = 1e-12
@@ -552,6 +562,8 @@ class TestSegmentMinimizer:
     @example([(AffineCost(1.0), True, 0.5), (AffineCost(1.0), False, 2.0)], 1.0)  # gamma 0
     @example([(AffineCost(1.0, 0.1), False, 0.0), (AffineCost(0.5), True, 0.0)], 1.0)  # 1
     @example([(AffineCost(1.0), False, 0.0), (AffineCost(1.0), True, 0.0)], 1.0)  # 1/2
+    # 1: the first Newton step lands one ulp short of 1 and the bracket closes there
+    @example([(AffineCost(0.109375), False, 0.0)], 1.4432992398971733)
     def test_polynomial_segments_match_bisection(self, rows, flow):
         costs, x, dx = _segment(rows, flow)
         want = bisection_minimizer(costs, x, dx)
@@ -830,6 +842,50 @@ class TestCountSpaceOptimum:
         counts = ast.literal_eval(description.removeprefix("pure counts "))
         profile = MixedProfile.pure(game, state_from_counts(game, counts))
         assert esc(game, profile).hex() == value.hex()
+
+
+    @given(st.floats(0.0, 1e300), st.integers(0, 10_000))
+    @example(0.1, 10_000)
+    @example(1 / 3, 9_999)
+    def test_equal_weights_load_is_their_fsum(self, w, k):
+        # both are the correctly rounded value of the exact sum
+        assert k * w == math.fsum([w] * k)
+
+    def test_compositions_match_the_oracle(self):
+        for n in range(13):
+            for k in range(1, 6):
+                got = atomic._compositions(n, k)
+                want = list(compositions_oracle(n, k))
+                assert got.shape == (len(want), k)
+                assert list(map(tuple, got.tolist())) == want
+
+    @given(st.integers(0, 2**32 - 1))
+    @example(178)  # a plain row sum orders two rows wrongly: an unbounded filter fails
+    @example(346)
+    def test_filtered_scan_keeps_the_plain_scans_row(self, seed):
+        # up to 300 rows of up to 40 entries from 2^-30 to 1 times 2^exp, exp in
+        # -60..40, scanned in blocks of up to 64 rows: exact ties (an anchor row
+        # permuted, which leaves its fsum alone), near-ties (the anchor with its
+        # largest entry moved by 0-20 ulps of its fsum, permuted) and rows up to
+        # 1 % above the anchor
+        rng = np.random.default_rng(seed)
+        exp, cols = int(rng.integers(-60, 41)), int(rng.integers(1, 41))
+        rows, chunk = int(rng.integers(1, 301)), int(rng.integers(1, 65))
+        anchor = np.ldexp(rng.uniform(0.5, 1.0, cols), exp - rng.integers(0, 31, cols))
+        ulp = np.spacing(math.fsum(anchor))
+        table = np.empty((rows, cols))
+        for r in range(rows):
+            kind = rng.integers(0, 3)
+            if kind == 2:
+                table[r] = anchor * rng.uniform(1.0, 1.01, cols)
+            else:
+                row = anchor.copy()
+                if kind == 1:
+                    row[np.argmax(row)] += int(rng.integers(-20, 21)) * ulp
+                table[r] = rng.permutation(row)
+        got = atomic._first_minimum(table[i:i + chunk] for i in range(0, rows, chunk))
+        want = first_minimum_plain(table.tolist())
+        assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
 
 
 class TestFailureReports:
