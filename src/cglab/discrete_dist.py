@@ -1,9 +1,9 @@
 """Exact discrete distributions on the nonnegative integers.
 
 Poisson truncation with certified tail mass, Poisson-binomial convolution,
-value-weighted Bernoulli sums and their leave-one-out raw moments,
-total-variation distances, and the classical Poisson-approximation
-inequalities (Barbour-Hall, Borisov-Ruzankin).
+value-weighted Bernoulli sums (whose atoms are exact subset sums) and their
+leave-one-out raw moments, total-variation distances, and the classical
+Poisson-approximation inequalities (Barbour-Hall, Borisov-Ruzankin).
 Everything is either exact or carries an explicit error bound so that
 downstream inequality checks can be made truncation-safe.
 """
@@ -21,7 +21,6 @@ from .core import _readonly
 from .errors import CapacityError, DomainError, PrecisionError
 
 _NORM_TOL = 1e-12
-_MERGE_TOL = 1e-12
 _DECONV_TOL = 1e-14
 _LOG_HUGE = 709.0  # log of the largest tail bound reported as finite; larger ones are inf
 _LOG_ROUND_UP = 16 * np.finfo(float).eps  # relative slack on a log-space tail bound
@@ -47,12 +46,13 @@ class Pmf:
         object.__setattr__(self, "probs", _readonly(self.probs))
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise DomainError("pmf needs a one-dimensional, nonempty probability vector")
-        if float(self.probs.min()) < -1e-15:
-            raise DomainError("negative probability in pmf")
-        if self.tail_mass < 0.0:
-            raise DomainError("negative tail mass")
+        # every check is written so that NaN fails it
+        if not float(self.probs.min()) >= -1e-15:
+            raise DomainError("negative or NaN probability in pmf")
+        if not self.tail_mass >= 0.0:
+            raise DomainError("negative or NaN tail mass")
         total = float(self.probs.sum()) + self.tail_mass
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise DomainError(f"pmf is not normalized: total mass {total!r}")
 
     def __len__(self) -> int:
@@ -96,11 +96,14 @@ class ValueDist:
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
         object.__setattr__(self, "masses", _readonly(self.masses))
-        if self.values.shape != self.masses.shape or self.values.ndim != 1:
-            raise DomainError("values and masses must be matching one-dimensional arrays")
-        if float(self.masses.min()) < -1e-15:
-            raise DomainError("negative mass")
-        if abs(float(self.masses.sum()) - 1.0) > _NORM_TOL:
+        if self.values.shape != self.masses.shape or self.values.ndim != 1 or not self.values.size:
+            raise DomainError("values and masses must be matching nonempty 1-d arrays")
+        # every check is written so that NaN fails it
+        if not np.isfinite(self.values).all():
+            raise DomainError("values must be finite")
+        if not float(self.masses.min()) >= -1e-15:
+            raise DomainError("negative or NaN mass")
+        if not abs(float(self.masses.sum()) - 1.0) <= _NORM_TOL:
             raise DomainError("value distribution is not normalized")
         if np.any(np.diff(self.values) < 0):
             raise DomainError("values must be sorted ascending")
@@ -310,70 +313,22 @@ def remove_bernoulli(full: np.ndarray, p: float) -> np.ndarray | None:
     return out
 
 
-def _merge_point_masses(values: np.ndarray, masses: np.ndarray,
-                        tol: float = _MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-value sweep; points within tol of the group anchor are pooled.
-
-    The anchor is the smallest value of its group, so a chain of points each
-    within tol of the next can still split.  A point farther than tol from
-    both neighbours passes through as it is; only runs of close points go
-    through the sequential anchor rule.
-    """
-    order = np.argsort(values, kind="stable")
-    v = np.asarray(values, dtype=float)[order]
-    m = np.asarray(masses, dtype=float)[order]
-    cuts = np.flatnonzero(np.diff(v) > tol) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [v.size]))
-    runs = np.flatnonzero(ends - starts > 1)
-    if runs.size == 0:
-        return v, m
-    out_v: list[np.ndarray] = []
-    out_m: list[np.ndarray] = []
-    done = 0
-    for r in runs:
-        lo, hi = int(starts[r]), int(ends[r])
-        rv, rm = _anchor_merge(v[lo:hi], m[lo:hi], tol)
-        out_v += [v[done:lo], rv]
-        out_m += [m[done:lo], rm]
-        done = hi
-    out_v.append(v[done:])
-    out_m.append(m[done:])
-    return np.concatenate(out_v), np.concatenate(out_m)
-
-
-def _anchor_merge(v: np.ndarray, m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The sequential anchor rule on sorted points: mass-weighted group means."""
-    out_v: list[float] = []
-    out_m: list[float] = []
-    anchor = None
-    for vi, mi in zip(v, m):
-        if anchor is None or vi - anchor > tol:
-            out_v.append(float(vi))
-            out_m.append(float(mi))
-            anchor = float(vi)
-        else:
-            j = len(out_v) - 1
-            tot = out_m[j] + mi
-            if tot > 0:
-                out_v[j] = (out_v[j] * out_m[j] + vi * mi) / tot
-            out_m[j] = tot
-    return np.array(out_v), np.array(out_m)
-
-
 def weighted_sum_distribution(weights: Sequence[float], probs: Sequence[float]) -> ValueDist:
     """Exact distribution of ``sum_i w_i * Bernoulli(p_i)`` with independent terms.
 
-    Enumerates every outcome by sequential branching, pooling values within
-    ``_MERGE_TOL``; more than ``EXACT_TERMS`` (20) terms raise ``CapacityError``.
+    Enumerates every outcome by sequential branching.  Each atom is a subset
+    sum, formed left to right, and only equal sums merge (their masses add),
+    so no value is ever rewritten; sums that differ in the last bit stay
+    apart.  Weights must be finite and nonnegative and probabilities lie in
+    [0, 1]; more than ``EXACT_TERMS`` (20) terms raise ``CapacityError``.
     """
     w = np.asarray(list(weights), dtype=float)
     p = np.asarray(list(probs), dtype=float)
     if w.shape != p.shape:
         raise DomainError("weights and probs must have the same length")
-    if w.size and float(w.min()) < 0:
-        raise DomainError("weights must be nonnegative")
-    if w.size and (float(p.min()) < -1e-15 or float(p.max()) > 1.0 + 1e-15):
+    if w.size and not (float(w.min()) >= 0.0 and float(w.max()) < np.inf):
+        raise DomainError("weights must be finite and nonnegative")  # NaN fails too
+    if w.size and not (float(p.min()) >= -1e-15 and float(p.max()) <= 1.0 + 1e-15):
         raise DomainError("probabilities must lie in [0, 1]")
     if w.size > EXACT_TERMS:
         raise CapacityError(f"exact enumeration is limited to {EXACT_TERMS} weighted "
@@ -383,12 +338,16 @@ def weighted_sum_distribution(weights: Sequence[float], probs: Sequence[float]) 
     for wi, pi in zip(w, p):
         if pi <= 0.0:
             continue
-        if pi >= 1.0:
-            vals = vals + wi
-            continue
-        vals2 = np.concatenate([vals, vals + wi])
-        mass2 = np.concatenate([mass * (1.0 - pi), mass * pi])
-        vals, mass = _merge_point_masses(vals2, mass2)
+        if pi >= 1.0:  # a certain term can still make two sums equal
+            both, both_mass = vals + wi, mass
+        else:
+            both = np.concatenate([vals, vals + wi])
+            both_mass = np.concatenate([mass * (1.0 - pi), mass * pi])
+        order = np.argsort(both, kind="stable")
+        vals, mass = both[order], both_mass[order]
+        starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+        if starts.size < vals.size:  # skipped when all sums differ: reduceat is not free
+            vals, mass = vals[starts], np.add.reduceat(mass, starts)
     return ValueDist(vals, mass)
 
 

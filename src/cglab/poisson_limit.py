@@ -18,7 +18,7 @@ import numpy as np
 from .core import ALL, AffineCost, DemandVector, PolynomialCost, Structure
 from .discrete_dist import borisov_ruzankin_bound, poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
-from .wardrop import strategy_cost_cap
+from .wardrop import demand_perturbation_bound, strategy_cost_cap
 
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_ALPHA_HEADROOM = 1.5  # demand cap defaults to this multiple of the total demand
@@ -298,10 +298,11 @@ class BoundConstants:
 
     @property
     def xi(self) -> float | None:
+        """Weighted-model constant sqrt(2 c_cap / beta), the demand-gap factor."""
         beta = self.weighted_beta
         if beta is None or self.c_cap is None:
             return None
-        return math.sqrt(2.0 * self.c_cap / beta)
+        return demand_perturbation_bound(self.c_cap, beta, 1.0)
 
     @property
     def theta_hat(self) -> float | None:
@@ -312,9 +313,10 @@ class BoundConstants:
 
     @property
     def xi_hat(self) -> float | None:
+        """Bernoulli-model constant sqrt(2 c_cap_aux / beta), the demand-gap factor."""
         if self.beta is None or self.c_cap_aux is None:
             return None
-        return math.sqrt(2.0 * self.c_cap_aux / self.beta)
+        return demand_perturbation_bound(self.c_cap_aux, self.beta, 1.0)
 
 
 def regularity_constants(structure: Structure, alpha: float, *,

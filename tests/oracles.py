@@ -363,26 +363,24 @@ def pairwise_tree_pmf(probs):
     return level[0, :p.size + 1]
 
 
-def sequential_merge(values, masses, tol):
-    """Point-mass pooling, one sorted point at a time.
+def subset_sum_law(weights, probs):
+    """Sum and mass of every possible subset of weighted Bernoulli terms, sorted stably by sum.
 
-    A point joins the current group when it lies within tol of the group's
-    first (smallest) value; the group keeps the mass-weighted mean.
+    Each subset's sum and mass are formed term by term in index order.  A
+    subset that takes a term of probability 0 or leaves out one of
+    probability 1 is impossible and left out; equal sums stay separate entries.
     """
-    order = np.argsort(values, kind="stable")
-    out_v, out_m = [], []
-    anchor = None
-    for vi, mi in zip(values[order], masses[order]):
-        if anchor is None or vi - anchor > tol:
-            out_v.append(float(vi))
-            out_m.append(float(mi))
-            anchor = float(vi)
-        else:
-            tot = out_m[-1] + mi
-            if tot > 0:
-                out_v[-1] = (out_v[-1] * out_m[-1] + vi * mi) / tot
-            out_m[-1] = tot
-    return np.array(out_v), np.array(out_m)
+    sums, masses = [], []
+    for bits in itertools.product((0, 1), repeat=len(weights)):
+        if any(p == (0.0 if b else 1.0) for b, p in zip(bits, probs)):
+            continue
+        v, m = 0.0, 1.0
+        for b, w, p in zip(bits, weights, probs):
+            v, m = (v + w, m * p) if b else (v, m * (1.0 - p))
+        sums.append(v)
+        masses.append(m)
+    order = np.argsort(sums, kind="stable")
+    return np.array(sums)[order], np.array(masses)[order]
 
 
 def _poisson_terms_mp(mean, rate):

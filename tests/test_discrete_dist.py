@@ -27,7 +27,7 @@ def enumerate_bernoulli_sum(probs):
 
 
 def enumerate_weighted_sum(weights, probs):
-    """Brute-force oracle over subsets, returning {value: mass} merged exactly."""
+    """Brute-force oracle over subsets, returning {value: mass}; only equal sums merge."""
     acc = {}
     n = len(weights)
     for bits in itertools.product((0, 1), repeat=n):
@@ -35,7 +35,7 @@ def enumerate_weighted_sum(weights, probs):
         p = 1.0
         for b, q in zip(bits, probs):
             p *= q if b else (1.0 - q)
-        acc[round(v, 12)] = acc.get(round(v, 12), 0.0) + p
+        acc[v] = acc.get(v, 0.0) + p
     return acc
 
 
@@ -139,7 +139,7 @@ class TestWeightedSum:
         oracle = enumerate_weighted_sum([1.0, 2.0], [0.3, 0.6])
         assert np.allclose(d.values, sorted(oracle), atol=0)
         for v, m in zip(d.values, d.masses):
-            assert m == pytest.approx(oracle[round(float(v), 12)], abs=1e-15)
+            assert m == pytest.approx(oracle[float(v)], abs=1e-15)
         # the documented masses
         assert np.allclose(d.masses, [0.28, 0.12, 0.42, 0.18], atol=1e-15)
 
@@ -160,6 +160,33 @@ class TestWeightedSum:
         # the 1e-12 that Pmf allows; a mass deficit of 1e-10 is not rounding
         with pytest.raises(DomainError, match="not normalized"):
             ValueDist(np.array([0.0, 1.0]), np.array([0.5, 0.5 - 1e-10]))
+
+    def test_atoms_are_subset_sums(self):
+        # 0.1 + 0.1 is the only sum of two terms; no atom is moved off it
+        d = weighted_sum_distribution([0.1, 0.1], [0.25, 0.25])
+        assert d.values.tolist() == [0.0, 0.1, 0.2]
+        assert d.masses.tolist() == [0.5625, 0.375, 0.0625]
+
+    @pytest.mark.parametrize("weights, probs, match", [
+        ([math.nan], [0.5], "weights"),
+        ([math.inf], [0.5], "weights"),
+        ([1.0], [math.nan], "probabilities"),
+    ])
+    def test_non_finite_input_is_rejected(self, weights, probs, match):
+        with pytest.raises(DomainError, match=match):
+            weighted_sum_distribution(weights, probs)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Pmf(np.array([math.nan])),
+        lambda: Pmf(np.array([1.0]), tail_mass=math.nan),
+        lambda: ValueDist(np.array([0.0]), np.array([math.nan])),
+        lambda: ValueDist(np.array([math.nan, 1.0]), np.array([0.5, 0.5])),
+        lambda: ValueDist(np.array([0.0, math.inf]), np.array([0.5, 0.5])),
+        lambda: ValueDist(np.array([]), np.array([])),
+    ])
+    def test_malformed_laws_are_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
 
 
 class TestTvDistance:

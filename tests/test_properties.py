@@ -2,9 +2,9 @@
 
 Covers the leave-one-out load laws (deconvolution with its direct-convolution
 fallback), the divide-and-conquer Poisson-binomial pmf and its repeated
-squaring of equal terms, the vectorised
-point-mass merge, the batched cost evaluator of the nonatomic solvers (whole
-load vectors and row subsets, with slopes), their Newton line search, the
+squaring of equal terms, the exact subset-sum atoms of weighted Bernoulli
+sums, the batched cost evaluator of the nonatomic solvers (whole load
+vectors and row subsets, with slopes), their Newton line search, the
 vector Poisson series behind the auxiliary costs, the per-resource load laws
 behind ``esc`` and ``load_distribution``, the conditional costs behind
 ``verify_equilibrium`` and its one row per class of players, and the
@@ -31,7 +31,7 @@ from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           social_optimum_pure, verify_equilibrium)
 from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
                         Structure, TableCost)
-from cglab.discrete_dist import (_merge_point_masses, bernoulli_sum_pmf, binomial_ladder,
+from cglab.discrete_dist import (bernoulli_sum_pmf, binomial_ladder,
                                  leave_one_out_moments, poisson_expect, remove_bernoulli,
                                  weighted_sum_distribution)
 from cglab.errors import CapacityError, DomainError
@@ -43,7 +43,7 @@ from cglab.wardrop import (_segment_minimizer, solve_social_optimum, solve_wardr
 from oracles import (aux_integral_mp, bisection_minimizer, conditional_cost_brute_force,
                      enumerate_bernoulli_sum, esc_brute_force, linearization_gap, load_law_brute_force,
                      poisson_expect_mp, pure_optimum_by_assignment, random_homogeneous_game,
-                     random_small_game, sequential_bernoulli_sum, sequential_merge,
+                     random_small_game, sequential_bernoulli_sum, subset_sum_law,
                      state_from_counts, weighted_poly_expect_exact, binomial_pmf_exact,
                      pairwise_tree_pmf, first_minimum_plain)
 from oracles import _compositions as compositions_oracle
@@ -302,39 +302,31 @@ class TestEqualTerms:
             assert got.tobytes() == bernoulli_sum_pmf([p] * k).probs.tobytes()
 
 
-TOL = 1e-12
-gaps = st.sampled_from((0.0, 0.3 * TOL, 0.6 * TOL, 0.9 * TOL, 1.5 * TOL, 1e-3, 0.25))
+term_weights = st.one_of(st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.5, 1.0)), st.floats(0.0, 10.0))
 
 
 class TestVectorisedMerge:
-    @given(st.floats(-5.0, 5.0), st.lists(st.tuples(gaps, st.floats(0.0, 1.0)),
-                                          min_size=1, max_size=60),
-           st.randoms(use_true_random=False))
-    def test_bit_identical_to_sequential_rule(self, start, steps, random):
-        values = start + np.cumsum([g for g, _ in steps])
-        masses = np.array([m for _, m in steps])
-        order = list(range(values.size))
-        random.shuffle(order)
-        values, masses = values[order], masses[order]
-        got_v, got_m = _merge_point_masses(values, masses, TOL)
-        want_v, want_m = sequential_merge(values, masses, TOL)
-        assert got_v.tobytes() == want_v.tobytes()
-        assert got_m.tobytes() == want_m.tobytes()
-
-    def test_chain_longer_than_tol_splits_at_the_anchor(self):
-        # consecutive gaps are all below tol, but the chain spans 1.8 tol: a
-        # plain gap rule pools all four points, the anchor rule makes two groups
-        values = np.array([0.0, 0.6, 1.2, 1.8]) * TOL
-        masses = np.full(4, 0.25)
-        got_v, got_m = _merge_point_masses(values, masses, TOL)
-        want_v, want_m = sequential_merge(values, masses, TOL)
-        assert got_m.tolist() == [0.5, 0.5]
-        assert got_v.tobytes() == want_v.tobytes() and got_m.tobytes() == want_m.tobytes()
+    @given(st.lists(st.tuples(term_weights, probabilities), max_size=8))
+    @example([(0.1, 0.25), (0.1, 0.25)])
+    @example([(0.1, 0.5), (0.2, 0.4), (0.3, 0.2), (0.0, 1.0), (0.5, 0.0)])
+    @example([(5.422882411927112e-161, 0.0001), (0.1, 1.0)])  # a certain term merges sums
+    def test_atoms_are_the_distinct_subset_sums(self, terms):
+        weights, probs = [w for w, _ in terms], [p for _, p in terms]
+        got = weighted_sum_distribution(weights, probs)
+        sums, masses = subset_sum_law(weights, probs)
+        distinct, group = np.unique(sums, return_inverse=True)
+        assert got.values.tobytes() == distinct.tobytes()
+        if distinct.size == sums.size:
+            assert got.masses.tobytes() == masses.tobytes()
+        else:
+            want = [math.fsum(masses[group == g]) for g in range(distinct.size)]
+            assert float(np.abs(got.masses - want).max()) <= 1e-15
 
     def test_weighted_sum_with_colliding_subset_sums(self):
-        # equal weights make many subset sums coincide, so most points pool
+        # equal weights make some subset sums coincide; 0.1 + 0.2 and 0.3 are
+        # different sums, so they stay two atoms
         dist = weighted_sum_distribution([0.1, 0.2, 0.1, 0.3, 0.2], [0.5, 0.4, 0.3, 0.2, 0.6])
-        assert len(dist) == 10
+        assert len(dist) == 11
         assert abs(float(dist.masses.sum()) - 1.0) <= 1e-15
 
 
