@@ -381,7 +381,6 @@ class _LoadLaws:
         self._grids: list[np.ndarray | None] = [None] * n_res
         self._load_grids: list[np.ndarray | None] = [None] * n_res
         self._pmfs: dict[tuple[float, ...], np.ndarray] = {(): np.ones(1)}  # nobody: 0
-        self._edge_values: dict[tuple, float] = {}
         self._last: tuple[np.ndarray, float, np.ndarray] | None = None
 
     def pmf(self, key: tuple[float, ...]) -> np.ndarray:
@@ -474,7 +473,6 @@ class _LoadLaws:
         live = {col.key for col in self.records if col is not None} | {()}
         for key in self._pmfs.keys() - live:
             del self._pmfs[key]
-        self._edge_values = {k: v for k, v in self._edge_values.items() if k[1] in live}
         self._last = None
 
     def _carry(self, e: int, was: _Column, i: int) -> None:
@@ -509,17 +507,14 @@ class _LoadLaws:
 
         A Bernoulli load's value is its key's pmf against resource e's grid of
         k c_e(k), k = 0..n, derived once per resource from the costs that the
-        conditional costs read; it is memoized by (resource, key).
+        conditional costs read.
         """
         if self.game.kind == "bernoulli":
             key = self.record(e).key if key is None else key
             if not key:
                 return 0.0
-            hit = self._edge_values.get((e, key))
-            if hit is None:
-                pmf = self.pmf(key)
-                hit = self._edge_values[(e, key)] = float(pmf @ self.load_costs(e)[:pmf.size])
-            return hit
+            pmf = self.pmf(key)
+            return float(pmf @ self.load_costs(e)[:pmf.size])
         cost = self.game.structure.cost_fns[e]
         if key is not None:
             load = math.fsum(key)
@@ -1047,21 +1042,20 @@ class OptPoaResult:
     rejected: tuple[int, ...]
 
 
-def opt_and_poa(game: Game, equilibria: Sequence[MixedProfile], *,
-                budget: int = OPT_BUDGET, tol: float = VERIFY_TOL) -> OptPoaResult:
+def opt_and_poa(game: Game, equilibria: Sequence[MixedProfile]) -> OptPoaResult:
     """Optimum cost plus anarchy/stability ratios over a verified equilibrium family.
 
-    Profiles failing verification are reported in ``rejected`` and excluded.
-    When exhaustive search is over budget the optimum falls back to the best
-    supplied equilibrium and is flagged as inexact.  A profile's
-    verification and its ``esc`` read one store of load laws.
+    Profiles that fail verification at ``VERIFY_TOL`` are reported in
+    ``rejected`` and excluded.  When exhaustive search is over ``OPT_BUDGET``
+    the optimum falls back to the best supplied equilibrium and is flagged as
+    inexact.  A profile's verification and its ``esc`` read one store of load laws.
     """
     verified: list[float] = []
     rejected: list[int] = []
     for idx, prof in enumerate(equilibria):
         pin = _PINNED.set((game, prof, _LoadLaws(game, choice_probabilities(game, prof))))
         try:
-            if verify_equilibrium(game, prof, tol).ok:
+            if verify_equilibrium(game, prof).ok:
                 verified.append(esc(game, prof))
             else:
                 rejected.append(idx)
@@ -1069,7 +1063,7 @@ def opt_and_poa(game: Game, equilibria: Sequence[MixedProfile], *,
             _PINNED.reset(pin)
     if not verified:
         raise ConvergenceError("no supplied profile verified as an equilibrium")
-    found = social_optimum_pure(game, budget)
+    found = social_optimum_pure(game)
     if found is None:
         opt, exact, desc = min(verified), False, "best verified equilibrium (budget exceeded)"
     else:

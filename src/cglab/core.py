@@ -235,7 +235,7 @@ class TableCost:
             raise DomainError("table cost must be weakly increasing")
         if self.envelope is not None:
             ks = np.arange(len(self.values))
-            if np.any(np.asarray(self.envelope.bound(ks)) < np.asarray(self.values) - 1e-12):
+            if np.any(np.asarray(self.envelope.bound(ks)) < np.asarray(self.values)):
                 raise DomainError("growth envelope must dominate the table values")
 
     @property
@@ -382,7 +382,7 @@ class DemandVector:
     """Per-type demands with the cached total."""
 
     values: np.ndarray
-    total: float = field(default=None)  # type: ignore[assignment]
+    total: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
@@ -392,10 +392,7 @@ class DemandVector:
             raise DomainError("demands must be finite")
         if self.values.size and float(self.values.min()) < 0:
             raise DomainError("demands must be nonnegative")
-        if self.total is None:
-            object.__setattr__(self, "total", float(self.values.sum()))
-        elif abs(self.total - float(self.values.sum())) > 1e-12:
-            raise DomainError("cached total demand disagrees with the components")
+        object.__setattr__(self, "total", float(self.values.sum()))
 
     def __getitem__(self, t: int) -> float:
         return float(self.values[t])

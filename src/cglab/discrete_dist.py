@@ -32,14 +32,13 @@ EXACT_TERMS = 20  # most terms weighted_sum_distribution enumerates exactly
 
 @dataclass(frozen=True, eq=False)
 class Pmf:
-    """Finite distribution on the integers ``offset, offset+1, ...``.
+    """Finite distribution on the integers ``0, 1, ...``.
 
     ``tail_mass`` is certified probability mass beyond the stored range; it is
     zero for exact constructions and positive only for truncations.
     """
 
     probs: np.ndarray
-    offset: int = 0
     tail_mass: float = 0.0
 
     def __post_init__(self):
@@ -61,15 +60,14 @@ class Pmf:
     @property
     def k_max(self) -> int:
         """Largest integer carried explicitly."""
-        return self.offset + len(self) - 1
+        return len(self) - 1
 
     def support(self) -> np.ndarray:
-        return np.arange(self.offset, self.offset + len(self))
+        return np.arange(len(self))
 
     def prob(self, k: int) -> float:
-        j = k - self.offset
-        if 0 <= j < len(self):
-            return float(self.probs[j])
+        if 0 <= k < len(self):
+            return float(self.probs[k])
         return 0.0
 
     def mean(self) -> float:
@@ -411,13 +409,11 @@ def tv_distance(p: Pmf, q: Pmf) -> TvInterval:
     half the combined tail masses, so the true distance is certified to lie
     inside it.  Callers checking an upper bound should compare ``upper``.
     """
-    lo = min(p.offset, q.offset)
-    hi = max(p.k_max, q.k_max)
-    n = hi - lo + 1
+    n = max(len(p), len(q))
     pa = np.zeros(n)
     qa = np.zeros(n)
-    pa[p.offset - lo:p.offset - lo + len(p)] = p.probs
-    qa[q.offset - lo:q.offset - lo + len(q)] = q.probs
+    pa[:len(p)] = p.probs
+    qa[:len(q)] = q.probs
     d0 = 0.5 * float(np.abs(pa - qa).sum())
     slack = 0.5 * (p.tail_mass + q.tail_mass)
     return TvInterval(max(0.0, d0 - slack), min(1.0, d0 + slack))

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from . import instances
-from .atomic import (OPT_BUDGET, BernoulliGame, MixedProfile, WeightedGame, _laws_of,
+from .atomic import (BernoulliGame, MixedProfile, WeightedGame, _laws_of,
                      best_response_dynamics, choice_probabilities, expected_loads,
                      load_distribution, opt_and_poa, player_expected_cost,
                      social_optimum_pure, symmetric_mixed_equilibrium, verify_equilibrium)
@@ -257,13 +257,14 @@ class OptConvergence:
     monotone: bool
 
 
-def opt_convergence(spec: SequenceSpec, budget: int = OPT_BUDGET) -> OptConvergence:
-    """Optimal social cost of each finite game against its nonatomic limit."""
+def opt_convergence(spec: SequenceSpec) -> OptConvergence:
+    """Optimal social cost of each finite game against its nonatomic limit; a game
+    past ``atomic.OPT_BUDGET`` gets an inexact row."""
     ex, structure, demand, _constants, _loads, summary = _limit_environment(spec)
     rows = []
     for n in spec.n_values:
         game = ex.game(spec.model, n)
-        found = social_optimum_pure(game, budget)
+        found = social_optimum_pure(game)
         if found is None:
             rows.append(OptRow(n, math.nan, summary.opt_cost, math.nan, False))
             continue

@@ -10,7 +10,6 @@ that case as participation probabilities vanish.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,11 +19,10 @@ from .core import (USAGE_TOL, DemandVector, Structure, _strategy_distributions,
                    all_strategy_costs)
 from .discrete_dist import Pmf, bernoulli_sum_pmf, poisson_pmf
 from .errors import DomainError, StructureError
-from .poisson_limit import DEFAULT_TAIL_TOL, LimitGame, build_limit_game
+from .poisson_limit import AuxCost, build_limit_game
 from .wardrop import wardrop_epsilon
 
-# wardrop_equivalence_check pins its limit game here for the regret check it runs
-_PINNED_LIMIT: ContextVar[LimitGame | None] = ContextVar("_PINNED_LIMIT", default=None)
+EQUIVALENCE_TOL = 1e-9  # flow gap, Poisson-game regret and Wardrop gap of an equivalence
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +77,10 @@ class PopulationModel:
             return math.exp(n * math.log(m) - m - math.lgamma(n + 1))
         return bernoulli_sum_pmf(self.probs[t]).prob(n)
 
-    def count_pmf(self, t: int, tail_tol: float = 1e-12) -> Pmf:
+    def count_pmf(self, t: int) -> Pmf:
+        """Exact for Bernoulli counts; a Poisson count is truncated with tail mass below 1e-12."""
         if self.kind == "independent_poisson":
-            return poisson_pmf(self.means[t], tail_tol)
+            return poisson_pmf(self.means[t], 1e-12)
         return bernoulli_sum_pmf(self.probs[t])
 
 
@@ -179,8 +178,7 @@ def posterior(model: PopulationModel, t: int, nbar: Sequence[int]) -> float:
     return (nb[t] + 1) * joint / mean
 
 
-def posterior_count_pmf(model: PopulationModel, t: int,
-                        tail_tol: float = 1e-12) -> Pmf:
+def posterior_count_pmf(model: PopulationModel, t: int) -> Pmf:
     """Marginal posterior pmf of the number of *other* type-t players.
 
     Other types are unaffected (independence), so total-variation comparisons
@@ -191,7 +189,7 @@ def posterior_count_pmf(model: PopulationModel, t: int,
     mean = model.expected_count(t)
     if mean <= 0:
         raise DomainError("posterior undefined for a type with zero expected count")
-    prior = model.count_pmf(t, tail_tol)
+    prior = model.count_pmf(t)
     if model.kind == "independent_poisson":
         return prior
     return Pmf(np.arange(1, len(prior)) * prior.probs[1:] / mean)
@@ -211,26 +209,20 @@ class PoissonGameReport:
     per_type: tuple[TypeRegret, ...]
     strategy_costs: tuple[float, ...]
 
-    def ok(self, tol: float) -> bool:
-        return self.max_regret <= tol
-
 
 def verify_poisson_game_equilibrium(structure: Structure, demand: DemandVector,
-                                    sigma: TypeProfile, *,
-                                    tail_tol: float = DEFAULT_TAIL_TOL,
-                                    alpha: float | None = None) -> PoissonGameReport:
+                                    sigma: TypeProfile) -> PoissonGameReport:
     """Regret of a type profile in the Poisson game over this structure.
 
     With independent Poisson populations the expected cost of a strategy is
     the sum of auxiliary costs at the expected loads, so verification reduces
     to evaluating the limit game's strategy costs at flows demand * sigma.
+    The auxiliary costs are those ``build_limit_game`` builds, at the default
+    tail tolerance; no demand cap enters them.
     """
-    limit = _PINNED_LIMIT.get()
-    if limit is None:
-        limit = build_limit_game(structure, demand, tail_tol=tail_tol, alpha=alpha)
     y = induced_flows(structure, demand, sigma)
     x = y @ structure.incidence
-    costs = all_strategy_costs(limit.structure, x)
+    costs = all_strategy_costs(structure.with_costs([AuxCost(c) for c in structure.cost_fns]), x)
     rows = []
     worst = 0.0
     for t, sl in enumerate(structure.type_slices):
@@ -254,26 +246,20 @@ class EquivalenceReport:
 
 
 def wardrop_equivalence_check(structure: Structure, demand: DemandVector,
-                              sigma: TypeProfile, pair, tol: float = 1e-9, *,
-                              tail_tol: float = DEFAULT_TAIL_TOL,
-                              alpha: float | None = None) -> EquivalenceReport:
+                              sigma: TypeProfile, pair) -> EquivalenceReport:
     """Cross-check a type profile against a flow-load pair of the limit game.
 
     The profile and the pair describe the same object when the flows agree and
     the Poisson-game regret and the limit game's equilibrium gap are both
-    within tolerance; each side flags a genuine deviation on its own.
+    within ``EQUIVALENCE_TOL``; each side flags a genuine deviation on its own.
     """
     y = induced_flows(structure, demand, sigma)
     flow_gap = float(np.abs(y - pair.y).max())
-    limit = build_limit_game(structure, demand, tail_tol=tail_tol, alpha=alpha)
-    pin = _PINNED_LIMIT.set(limit)
-    try:
-        report = verify_poisson_game_equilibrium(structure, demand, sigma,
-                                                 tail_tol=tail_tol, alpha=alpha)
-    finally:
-        _PINNED_LIMIT.reset(pin)
-    eps = wardrop_epsilon(limit.structure, demand, pair)
-    equivalent = flow_gap <= tol and report.max_regret <= tol and eps <= tol
-    return EquivalenceReport(flow_gap=flow_gap, flows_match=flow_gap <= tol,
+    report = verify_poisson_game_equilibrium(structure, demand, sigma)
+    eps = wardrop_epsilon(build_limit_game(structure, demand).structure, demand, pair)
+    flows_match = flow_gap <= EQUIVALENCE_TOL
+    equivalent = (flows_match and report.max_regret <= EQUIVALENCE_TOL
+                  and eps <= EQUIVALENCE_TOL)
+    return EquivalenceReport(flow_gap=flow_gap, flows_match=flows_match,
                              poisson_regret=report.max_regret, wardrop_eps=eps,
                              equivalent=equivalent)

@@ -308,16 +308,15 @@ def solve_social_optimum(structure: Structure, demand: DemandVector, *,
                          stop_reason=run.stop_reason)
 
 
-def poa_nonatomic(structure: Structure, demand: DemandVector, *,
-                  target_eps: float = 1e-10, target_gap: float = 1e-10,
-                  max_iters: int = 2000) -> NonatomicPoA:
+def poa_nonatomic(structure: Structure, demand: DemandVector) -> NonatomicPoA:
     """Equilibrium cost, optimal cost, and their ratio for a nonatomic game.
 
     Weakly increasing costs make the equilibrium social cost unique, so any
-    solved equilibrium determines the numerator.
+    solved equilibrium determines the numerator.  Both solves target 1e-10
+    (the equilibrium gap and the linearization gap) within 2000 sweeps each.
     """
-    we = solve_wardrop(structure, demand, target_eps=target_eps, max_iters=max_iters)
-    opt = solve_social_optimum(structure, demand, target_gap=target_gap, max_iters=max_iters)
+    we = solve_wardrop(structure, demand, target_eps=1e-10, max_iters=2000)
+    opt = solve_social_optimum(structure, demand, target_gap=1e-10, max_iters=2000)
     eq_cost = social_cost(structure, we.pair)
     if opt.value <= 0.0:
         raise DomainError("optimal social cost is zero; the anarchy ratio is undefined")

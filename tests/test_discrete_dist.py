@@ -196,8 +196,8 @@ class TestTvDistance:
         assert d.lower == 0.0 and d.upper <= 2e-12
 
     def test_disjoint_point_masses(self):
-        p0 = Pmf(np.array([1.0]), offset=0)
-        p1 = Pmf(np.array([1.0]), offset=1)
+        p0 = Pmf(np.array([1.0]))
+        p1 = Pmf(np.array([0.0, 1.0]))
         d = tv_distance(p0, p1)
         assert d.lower == d.upper == 1.0
 

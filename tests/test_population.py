@@ -6,10 +6,11 @@ import pytest
 from scipy import special
 
 from cglab import population
-from cglab.core import FlowLoadPair
+from cglab.core import FlowLoadPair, all_strategy_costs
 from cglab.discrete_dist import poisson_pmf, tv_distance
 from cglab.errors import DomainError, StructureError
-from cglab.instances import pigou_structure, unit_demand, wheatstone_structure
+from cglab.instances import (pigou_structure, random_instance, unit_demand,
+                             wheatstone_structure)
 from cglab.poisson_limit import build_limit_game
 from cglab.population import (PopulationModel, TypeProfile,
                               flow_profile_probability, induced_flows, posterior,
@@ -122,8 +123,8 @@ class TestPosterior:
 
     def test_poisson_marginal_equals_prior(self):
         model = PopulationModel.poisson([1.3])
-        prior = model.count_pmf(0, 1e-12)
-        post = posterior_count_pmf(model, 0, 1e-12)
+        prior = model.count_pmf(0)
+        post = posterior_count_pmf(model, 0)
         n = min(len(prior), len(post))
         assert np.abs(prior.probs[:n] - post.probs[:n]).max() <= 1e-12
 
@@ -132,7 +133,7 @@ class TestPosterior:
         for mean in (0.4, 1.3, 5.0, 17.0):
             model = PopulationModel.poisson([mean])
             prior = poisson_pmf(mean, 1e-12)
-            post = posterior_count_pmf(model, 0, 1e-12)
+            post = posterior_count_pmf(model, 0)
             assert post.k_max == prior.k_max and post.tail_mass == prior.tail_mass
             assert special.pdtrc(post.k_max, mean) <= post.tail_mass < 1e-12
 
@@ -147,7 +148,27 @@ class TestPosterior:
         assert gaps[-1] < 0.02
 
 
+def _random_instance():
+    return random_instance(np.random.default_rng(3), 12, 2, 5)
+
+
 class TestPoissonGameEquilibrium:
+    @pytest.mark.parametrize("instance", [
+        lambda: (wheatstone_structure(), unit_demand(wheatstone_structure())),
+        lambda: (pigou_structure(), unit_demand(pigou_structure())),
+        _random_instance,
+    ], ids=["wheatstone", "pigou", "random"])
+    def test_costs_equal_the_limit_game(self, instance):
+        # the check builds its own auxiliary costs, with no demand cap, and
+        # must read the very costs of the limit game
+        s, d = instance()
+        weights = [np.arange(1.0, sl.stop - sl.start + 1) for sl in s.type_slices]
+        sigma = TypeProfile(tuple(w / w.sum() for w in weights))
+        x = induced_flows(s, d, sigma) @ s.incidence
+        want = all_strategy_costs(build_limit_game(s, d).structure, x)
+        got = verify_poisson_game_equilibrium(s, d, sigma).strategy_costs
+        assert np.array(got).tobytes() == want.tobytes()
+
     def test_wheatstone_half_split(self):
         s = wheatstone_structure()
         d = unit_demand(s)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cglab import atomic
@@ -479,6 +479,45 @@ class TestPoissonSeries:
         assert _close_to_oracle(aux.value(x), want)
         want = aux_integral_mp(x, lambda k: float(base.value_int(k)), rate)
         assert _close_to_oracle(aux.integral(x), want)
+
+
+def _envelope_at(values, kind: str, growth: float, below: float) -> GrowthEnvelope:
+    """An envelope of rate ``growth`` (exp) or degree ``round(3 growth)`` (poly)
+    whose bound at the table's top is the top value less ``below``."""
+    top, k_top = values[-1] - below, len(values) - 1
+    if kind == "exp":
+        return GrowthEnvelope("exp", rate=growth, scale=top * math.exp(-growth * k_top))
+    degree = round(3 * growth)
+    return GrowthEnvelope("poly", degree=degree, scale=top / (1.0 + k_top) ** degree)
+
+
+class TestAuxMonotone:
+    """aux'(x) = E Δc(1 + X) sums nonnegative terms when the base is
+    nondecreasing on the integers, so it is nonnegative exactly, with no
+    tolerance, on any grid of loads."""
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=10),
+           st.sampled_from(("exp", "poly")), st.floats(0.0, 1.0),
+           st.one_of(st.just(0.0), st.sampled_from((1e-13, 5e-13, 1e-12))),
+           st.floats(0.5, 60.0))
+    @example([0.0, 1e-13], "exp", 0.0, 1e-13, 3.0)
+    def test_table_bases(self, steps, kind, growth, below, alpha):
+        # the entries below the top are clipped to the envelope, so that only
+        # the top decides whether construction accepts it
+        sums = np.cumsum(steps)
+        try:
+            envelope = _envelope_at(sums, kind, growth, below)
+            clipped = np.minimum(sums, envelope.bound(np.arange(sums.size)))
+            base = TableCost(tuple(clipped[:-1]) + (sums[-1],), envelope)
+        except DomainError:
+            assume(False)
+        xs = np.linspace(0.0, alpha, 200)
+        assert np.all(AuxCost(base).derivative(xs) >= 0.0)
+
+    @given(st.lists(coefficients, min_size=1, max_size=5), st.floats(0.5, 60.0))
+    def test_polynomial_bases(self, coeffs, alpha):
+        xs = np.linspace(0.0, alpha, 200)
+        assert np.all(AuxCost(PolynomialCost(tuple(coeffs))).derivative(xs) >= 0.0)
 
 
 def _close_to(got, want, tol: float, size) -> bool:
