@@ -10,11 +10,13 @@ splits each resource's column of usage probabilities once into a record
 (``_Column``): the certain users' weights and their fsum, and the random
 users' Bernoulli terms, whose sorted tuple keys one Poisson-binomial law that
 the store convolves once.  A player's conditional cost needs that law
-without the player, which is deconvolved out in O(n) (``remove_bernoulli``);
-a best-response move derives a changed column's law the same way, the
-mover's old term out and its new one in.  Bernoulli games read every
-conditional cost from these count laws.  A weighted player's cost on a
-resource takes the first route that applies:
+without the player, which is deconvolved out over the law's nonzero window
+(``remove_bernoulli``); ``verify_equilibrium`` takes every distinct term of
+a key out at once (``remove_bernoulli_terms``, one vectorised sweep across
+the terms above a break-even count).  A best-response move derives a changed
+column's law the same way, the mover's old term out and its new one in.
+Bernoulli games read every conditional cost from these count laws.  A
+weighted player's cost on a resource takes the first route that applies:
 
 1. no other random user: the cost at the certain load;
 2. the other random users share one weight: their count law;
@@ -64,7 +66,8 @@ import numpy as np
 from .core import (USAGE_TOL, DemandVector, PolynomialCost, Structure, _as_list, _field,
                    _integer, _reject_unknown, _strategy_distributions, parse_instance)
 from .discrete_dist import (Pmf, ValueDist, bernoulli_sum_pmf, binomial_ladder,
-                            leave_one_out_moments, remove_bernoulli, weighted_sum_distribution)
+                            leave_one_out_moments, remove_bernoulli, remove_bernoulli_terms,
+                            weighted_sum_distribution)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PrecisionError, StructureError)
 
@@ -311,6 +314,12 @@ class _Column:
     values: dict = field(default_factory=dict)
 
     @cached_property
+    def signature(self) -> bytes:
+        """The random users' weights and terms, in player order: equal ones
+        enumerate to the same law."""
+        return self.weights.tobytes() + self.terms.tobytes()
+
+    @cached_property
     def index(self) -> dict[int, int]:
         """Each random user's position in ``rand``."""
         return dict(zip(self.rand.tolist(), range(self.rand.size)))
@@ -340,10 +349,15 @@ class _LoadLaws:
     ``pmf`` convolves the Poisson-binomial law of each key (sorted Bernoulli
     terms) once, so resources with the same random users share one law.  A
     conditional cost needs the count without the player's own term q:
-    ``without`` deconvolves q out of the full law in O(n)
+    ``without`` deconvolves q out of the full law over its nonzero window
     (``remove_bernoulli``), convolves the other terms when the residual check
     fails, and keeps the last such law, since one player's resources often
     share a column.  ``conditional`` reads E c_e(base + weight Z) under it.
+    A single query takes this path, since a best-response move changes a
+    column before the next player reads it; ``fill_conditionals`` memoizes
+    every Bernoulli player's costs at once for ``verify_equilibrium``, with
+    the same bytes: one ``remove_bernoulli_terms`` sweep per key, over the
+    key's distinct terms.
 
     A Bernoulli player's cost on e is ``conditional`` at its term.  A weighted
     player's cost (``_edge_cost``) takes the first route that
@@ -353,17 +367,19 @@ class _LoadLaws:
     other random weights' sums, at most ``EXACT_TERMS`` of them.
 
     ``move`` replaces a player's row, as best-response dynamics does, and drops
-    each changed column's record.  A record that held its law passes it on in
-    O(n): the mover's old term deconvolved out (or the law convolved afresh
-    when the residual check fails) and its new one convolved in.  Pmfs that
-    no record uses are dropped, so at most one law per resource is kept.
+    each changed column's record.  A record that held its law passes it on
+    over its window: the mover's old term deconvolved out (or the law
+    convolved afresh when the residual check fails) and its new one convolved
+    in.  Pmfs that no record uses are dropped, so at most one law per
+    resource is kept.
 
     ``edge_value`` is E[L c_e(L)], for resource e's column or for the sorted
     magnitudes of certain users (the optimum search, which has no usage and
     builds the key from its counts).  With weights it reads ``weighted_law``,
-    which enumerates a column whose random weights differ, or c_e at the
-    magnitudes' fsum; with probabilities, the key's pmf against the grid
-    ``load_costs(e)``.  The optimum search fills a resource that one class
+    which enumerates a column whose random weights differ (columns with the
+    same random users in a row share one enumeration, so ``esc`` visits them
+    together), or c_e at the magnitudes' fsum; with probabilities, the key's
+    pmf against the grid ``load_costs(e)``.  The optimum search fills a resource that one class
     uses without it, by the same arithmetic: the binomial ladder's laws have
     the bytes of the equal-term keys' pmfs, and k w is the fsum of k copies
     of w.  A profile's cost is the fsum of its resources' values, which does
@@ -382,6 +398,7 @@ class _LoadLaws:
         self._load_grids: list[np.ndarray | None] = [None] * n_res
         self._pmfs: dict[tuple[float, ...], np.ndarray] = {(): np.ones(1)}  # nobody: 0
         self._last: tuple[np.ndarray, float, np.ndarray] | None = None
+        self._enumerated: tuple[bytes, ValueDist] | None = None
 
     def pmf(self, key: tuple[float, ...]) -> np.ndarray:
         """Pmf of the count with these sorted Bernoulli terms."""
@@ -423,11 +440,39 @@ class _LoadLaws:
             return self._last[2]
         pmf = remove_bernoulli(full, q)
         if pmf is None:
-            key = self.records[e].key
-            j = key.index(q)
-            pmf = self.pmf(key[:j] + key[j + 1:])
+            pmf = self._convolved_without(self.records[e].key, q)
         self._last = (full, q, pmf)
         return pmf
+
+    def _convolved_without(self, key: tuple[float, ...], q: float) -> np.ndarray:
+        """The law of the terms of ``key`` but one q, convolved directly."""
+        j = key.index(q)
+        return self.pmf(key[:j] + key[j + 1:])
+
+    def fill_conditionals(self) -> None:
+        """Memoize every conditional cost of a Bernoulli game's players on the
+        resources they may use, as ``_edge_cost`` would compute it.
+
+        Resources whose random users have one key share one law, so each key's
+        distinct terms are taken out of it at once (``remove_bernoulli_terms``,
+        with ``remove_bernoulli``'s bytes), and each law is dotted with the
+        ``unit_costs`` as ``conditional`` does, once per distinct grid.
+        """
+        groups: dict[tuple[float, ...], dict[bytes, list[int]]] = {}
+        for e in range(self.game.structure.n_resources):
+            key = self.record(e).key
+            if key:
+                groups.setdefault(key, {}).setdefault(self.unit_costs(e).tobytes(), []).append(e)
+        for key, by_grid in groups.items():
+            terms = list(dict.fromkeys(key))
+            full = self.law(next(iter(by_grid.values()))[0])
+            for q, pmf in zip(terms, remove_bernoulli_terms(full, terms)):
+                if pmf is None:
+                    pmf = self._convolved_without(key, q)
+                for edges in by_grid.values():
+                    value = float(pmf @ self.unit_costs(edges[0])[:pmf.size])
+                    for e in edges:  # the memo key of a Bernoulli player's entry
+                        self.records[e].values[(q, 1.0, False)] = value
 
     def unit_costs(self, e: int) -> np.ndarray:
         """c_e(1), ..., c_e(n + 1) for a Bernoulli game of n players."""
@@ -498,7 +543,13 @@ class _LoadLaws:
         if weight is not None:
             rest = ValueDist.from_pmf(Pmf(self.law(e)), scale=weight)
         else:
-            rest = weighted_sum_distribution(col.weights, col.terms)
+            # columns with the same random users share the last enumeration; it is
+            # dropped before the next one is built, so at most one is alive
+            if self._enumerated is None or self._enumerated[0] != col.signature:
+                self._enumerated = None
+                self._enumerated = (col.signature,
+                                    weighted_sum_distribution(col.weights, col.terms))
+            rest = self._enumerated[1]
         return ValueDist(col.total + rest.values, rest.masses)
 
     def edge_value(self, e: int, key: tuple[float, ...] | None = None) -> float:
@@ -653,6 +704,8 @@ def verify_equilibrium(game: Game, profile: MixedProfile,
     raises ``PrecisionError``: no comparison with NaN could certify anything.
     """
     laws = _laws_of(game, profile)
+    if game.kind == "bernoulli":
+        laws.fill_conditionals()
     rows = []
     worst = 0.0
     classes: dict[tuple, tuple] = {}
@@ -818,7 +871,10 @@ def esc(game: Game, profile: MixedProfile) -> float:
     equal pure assignments give bitwise-equal costs.
     """
     laws = _laws_of(game, profile)
-    return math.fsum(laws.edge_value(e) for e in range(game.structure.n_resources))
+    # resources with the same random users come one after another, so that they
+    # share one enumeration; the fsum does not depend on the order
+    edges = sorted(range(game.structure.n_resources), key=lambda e: laws.record(e).signature)
+    return math.fsum(laws.edge_value(e) for e in edges)
 
 
 def expected_loads(game: Game, profile: MixedProfile) -> np.ndarray:
@@ -940,7 +996,9 @@ def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
     class, each law dotted with the resource's ``load_costs`` as
     ``edge_value`` dots the key's pmf (the ladder's k-th law has that pmf's
     bytes); in a weighted game at the load k w, which equals the fsum of k
-    copies of w since both are correctly rounded.  Any other resource's
+    copies of w since both are correctly rounded (a ``PolynomialCost`` takes
+    all k at once as one array, whose entries round as its scalar values
+    do).  Any other resource's
     entries are ``edge_value`` at a key built from the counts: the distinct
     magnitudes on it, sorted once, each repeated by its count.  The profiles
     are scored by ``_first_minimum``, so equal values keep the first profile.
@@ -986,9 +1044,13 @@ def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
         else:
             for e, at in solo[j]:
                 cost = s.cost_fns[e]
-                for k in range(n + 1):
-                    load = k * w
-                    values[at + k] = load * float(cost.value(load))
+                if isinstance(cost, PolynomialCost):
+                    loads = np.arange(n + 1) * w
+                    values[at:at + n + 1] = loads * np.asarray(cost.value(loads), dtype=float)
+                else:
+                    for k in range(n + 1):
+                        load = k * w
+                        values[at + k] = load * float(cost.value(load))
     for e, at, present in generic:
         order = sorted({mags[j] for j, _ in present})
         ones = [(v,) for v in order]

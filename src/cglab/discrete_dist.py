@@ -26,7 +26,8 @@ _LOG_HUGE = 709.0  # log of the largest tail bound reported as finite; larger on
 _LOG_ROUND_UP = 16 * np.finfo(float).eps  # relative slack on a log-space tail bound
 _SF_FLOOR = 1e-280  # Poisson tails below this are bounded, not evaluated
 _SERIES_LIMIT = 1_000_000  # largest truncation point of a certified Poisson series
-_BLOCK_ENTRIES = 1 << 18  # Poisson weights formed at once by poisson_expect
+_BLOCK_ENTRIES = 1 << 18  # Poisson weights, or deconvolved masses, formed at once
+_BATCH_TERMS = 24  # fewest terms that remove_bernoulli_terms takes out in one sweep
 EXACT_TERMS = 20  # most terms weighted_sum_distribution enumerates exactly
 
 
@@ -266,8 +267,10 @@ def remove_bernoulli(full: np.ndarray, p: float) -> np.ndarray | None:
     p = 1 are exact.  Masses that come out below zero by at most
     ``_DECONV_TOL`` (cancellation in an underflowing tail) are returned as
     zero.  Returns None when a mass is further below zero or the result,
-    convolved back, misses ``full`` by more than ``_DECONV_TOL`` anywhere;
-    the caller then convolves the other terms directly.
+    convolved back, misses ``full`` by more than ``_DECONV_TOL`` anywhere
+    (NaN fails both checks); the caller then convolves the other terms
+    directly.  The work runs over the nonzero window of ``full`` only;
+    ``remove_bernoulli_terms`` takes many terms out of one law at once.
     """
     f = np.asarray(full, dtype=float)
     n = f.size - 1
@@ -276,11 +279,7 @@ def remove_bernoulli(full: np.ndarray, p: float) -> np.ndarray | None:
     if not 0.0 <= p <= 1.0:
         raise DomainError("Bernoulli probability must lie in [0, 1]")
     q = 1.0 - p
-    # g vanishes where f[k] = 0 (if p < 1) and where f[k+1] = 0 (if p > 0),
-    # so only the window g[lo..hi], checked against f[lo..hi+1], is computed
-    support = np.flatnonzero(f)
-    lo = max(int(support[0]) - (q == 0.0), 0)
-    hi = min(int(support[-1]) - (p > 0.0), n - 1)
+    lo, hi = _window(f, p)
     fw = f[lo:hi + 2]
     fl = fw.tolist()
     g = [0.0] * (hi - lo + 1)  # g[j] is the mass at lo + j
@@ -296,19 +295,123 @@ def remove_bernoulli(full: np.ndarray, p: float) -> np.ndarray | None:
     for j in range(hi - lo, split - 1, -1):
         prev = g[j] = (fl[j + 1] - q * prev) / p
     gw = np.array(g)
-    if float(gw.min()) < -_DECONV_TOL:
-        return None
-    # masses that cancel to within the tolerance below zero (underflow at the
-    # top of the window) are zero; the residual check reads the masses returned
-    np.maximum(gw, 0.0, out=gw)
-    back = np.zeros(fw.size)
-    back[:-1] += q * gw
-    back[1:] += p * gw
-    if float(np.abs(back - fw).max()) > _DECONV_TOL:
+    if not _deconvolution_checks(gw, fw, p, q):
         return None
     out = np.zeros(n)
     out[lo:hi + 1] = gw
     return out
+
+
+def _window(f: np.ndarray, p: float) -> tuple[int, int]:
+    """The window ``lo..hi`` outside which the law of f without a Bernoulli(p) term vanishes.
+
+    g vanishes where f[k] = 0 (if p < 1) and where f[k+1] = 0 (if p > 0), so
+    only g[lo..hi], checked against f[lo..hi+1], is computed.
+    """
+    support = np.flatnonzero(f)
+    return (max(int(support[0]) - (p == 1.0), 0),
+            min(int(support[-1]) - (p > 0.0), f.size - 2))
+
+
+def _deconvolution_checks(g: np.ndarray, fw: np.ndarray, p, q):
+    """Whether g, the masses of a law with a Bernoulli(p) term taken out,
+    passes ``remove_bernoulli``'s checks against the window fw of the full law.
+
+    g is one row, with p and q = 1 - p floats, or one row per term, with p
+    and q columns.  Masses that cancel to within ``_DECONV_TOL`` below zero
+    (underflow at the top of the window) are set to zero in place, and the
+    residual check reads the masses returned.  Every check is written so that
+    NaN fails it.
+    """
+    ok = g.min(axis=-1, initial=0.0) >= -_DECONV_TOL
+    np.maximum(g, 0.0, out=g)
+    back = np.zeros(g.shape[:-1] + fw.shape)
+    back[..., :-1] += q * g
+    back[..., 1:] += p * g
+    back -= fw
+    return ok & (np.abs(back, out=back).max(axis=-1) <= _DECONV_TOL)
+
+
+def remove_bernoulli_terms(full: np.ndarray,
+                           terms: Sequence[float]) -> Iterator[np.ndarray | None]:
+    """``remove_bernoulli(full, p)`` for each p in ``terms``, in order, with its bytes.
+
+    Fewer than ``_BATCH_TERMS`` terms strictly between 0 and 1 are taken out
+    one at a time.  More share one sweep: every such term's row runs
+    ``remove_bernoulli``'s recurrences over the window of ``full`` that they
+    share, one vector operation per window entry across the terms, in blocks
+    whose working set holds at most ``_BLOCK_ENTRIES`` floats.  A row drops out of the forward
+    sweep where its own recurrence stops, so no row computes past its switch
+    point.  Terms 0 and 1, whose windows differ, are taken out alone.  Each
+    result is a fresh array, or None where ``remove_bernoulli`` gives None.
+    """
+    f = np.asarray(full, dtype=float)
+    p = np.asarray(terms, dtype=float).reshape(-1)
+    inner = (p > 0.0) & (p < 1.0)
+    if np.count_nonzero(inner) < _BATCH_TERMS:
+        for x in p.tolist():
+            yield remove_bernoulli(f, x)
+        return
+    n = f.size - 1
+    if n < 1:
+        raise DomainError("no Bernoulli term to remove from a point mass")
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise DomainError("Bernoulli probability must lie in [0, 1]")  # NaN fails too
+    lo, hi = _window(f, 0.5)  # the window of every term strictly between 0 and 1
+    fw = f[lo:hi + 2]
+    # a block's masses, their convolution back and one product: three matrices
+    step = max(1, _BLOCK_ENTRIES // (3 * fw.size))
+    for start in range(0, p.size, step):
+        block, mids = p[start:start + step], inner[start:start + step]
+        sweep = iter(_deconvolve_block(fw, block[mids]))
+        for x, mid in zip(block.tolist(), mids.tolist()):
+            if not mid:
+                yield remove_bernoulli(f, x)
+            elif (g := next(sweep)) is None:
+                yield None
+            else:
+                out = np.zeros(n)
+                out[lo:hi + 1] = g
+                yield out
+
+
+def _deconvolve_block(fw: np.ndarray, p: np.ndarray) -> list[np.ndarray | None]:
+    """``remove_bernoulli``'s window rows for terms p in (0, 1) that share the window
+    fw = f[lo..hi+1]: each row by the same operations in the same order, or None."""
+    if not p.size:
+        return []
+    q = 1.0 - p
+    width = fw.size - 1
+    g = np.zeros((width, p.size))  # g[j, r]: row r's mass at lo + j
+    split = np.full(p.size, width)  # g[:split[r], r] comes from the forward recurrence
+    live = np.arange(p.size)
+    pl, ql, prev = p, q, np.zeros(p.size)
+    # non-laws can overflow as the scalar recurrences do; their rows fail the checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(width):
+            pp = pl * prev
+            rest = fw[j] - pp  # (1-p) g[k]
+            stop = rest < pp
+            if stop.any():
+                split[live[stop]] = j
+                keep = ~stop
+                live, pl, ql, rest = live[keep], pl[keep], ql[keep], rest[keep]
+                if not live.size:
+                    break
+            prev = g[j, live] = rest / ql
+        # backward from the top, rows in order of their split: at entry j the
+        # rows with split <= j, a prefix of that order, run
+        order = np.argsort(split, kind="stable")
+        tops = np.arange(width - 1, -1, -1)
+        counts = np.searchsorted(split[order], tops, side="right").tolist()
+        po, qo, prev = p[order], q[order], np.zeros(p.size)
+        for j, c in zip(tops.tolist(), counts):
+            if not c:
+                break
+            prev = g[j, order[:c]] = (fw[j + 1] - qo[:c] * prev[:c]) / po[:c]
+    rows = g.T
+    ok = _deconvolution_checks(rows, fw, p[:, None], q[:, None])
+    return [row if good else None for row, good in zip(rows, ok.tolist())]
 
 
 def weighted_sum_distribution(weights: Sequence[float], probs: Sequence[float]) -> ValueDist:

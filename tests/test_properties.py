@@ -1,10 +1,11 @@
 """Property-based checks of the fast kernels against brute-force oracles.
 
 Covers the leave-one-out load laws (deconvolution with its direct-convolution
-fallback), the divide-and-conquer Poisson-binomial pmf and its repeated
-squaring of equal terms, the exact subset-sum atoms of weighted Bernoulli
-sums, the batched cost evaluator of the nonatomic solvers (whole load
-vectors and row subsets, with slopes), their Newton line search, the
+fallback, one term at a time or many in one sweep), the divide-and-conquer
+Poisson-binomial pmf and its repeated squaring of equal terms, the exact
+subset-sum atoms of weighted Bernoulli sums, array cost values against
+scalar calls, the batched cost evaluator of the nonatomic solvers (whole
+load vectors and row subsets, with slopes), their Newton line search, the
 vector Poisson series behind the auxiliary costs, the per-resource load laws
 behind ``esc`` and ``load_distribution``, the conditional costs behind
 ``verify_equilibrium`` and its one row per class of players, and the
@@ -18,6 +19,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from cglab import atomic
+from cglab import atomic, discrete_dist
 from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           conditional_cost_estimate, esc, load_distribution,
                           social_optimum_pure, verify_equilibrium)
@@ -33,7 +35,7 @@ from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, Pol
                         Structure, TableCost)
 from cglab.discrete_dist import (bernoulli_sum_pmf, binomial_ladder,
                                  leave_one_out_moments, poisson_expect, remove_bernoulli,
-                                 weighted_sum_distribution)
+                                 remove_bernoulli_terms, weighted_sum_distribution)
 from cglab.errors import CapacityError, DomainError
 from cglab.instances import UPPER, parallel_structure, wheatstone_structure
 from cglab.poisson_limit import AuxCost, build_limit_game
@@ -52,6 +54,10 @@ SPECIAL_P = (0.0, 1e-4, 0.5, 0.9, 1.0)
 
 probabilities = st.one_of(st.sampled_from(SPECIAL_P), st.floats(0.0, 1.0),
                           st.floats(0.0, 0.02))
+
+
+# a W1 column's key: 200 terms uniform(1e-4, 1.9/n) at usage one half
+W1_KEY = sorted((np.random.default_rng(1).uniform(1e-4, 1.9 / 200, 200) * 0.5).tolist())
 
 
 class TestLeaveOneOut:
@@ -101,17 +107,79 @@ class TestLeaveOneOut:
         # [0.3, 0.7] is not of the form (1-p) g + p shift(g) for p = 0.5 and a pmf g
         assert remove_bernoulli(np.array([0.3, 0.7]), 0.5) is None
 
+    def test_degenerate_inputs_return_none(self):
+        # a point mass at 1 has no law without a Bernoulli(1/2) term: the window
+        # of that law is empty, which used to raise ValueError from min()
+        assert remove_bernoulli(np.array([0.0, 1.0]), 0.5) is None
+        assert remove_bernoulli(np.array([0.0, 1.0]), 1.0).tobytes() == np.ones(1).tobytes()
+        # a NaN mass used to pass both checks and come back as [1, nan]
+        nan_law = np.array([0.5, np.nan, 0.5])
+        assert remove_bernoulli(nan_law, 0.5) is None
+        assert all(row is None for row in remove_bernoulli_terms(nan_law, np.linspace(0.1, 0.9, 30)))
+
+    @given(st.lists(probabilities, min_size=1, max_size=150), st.lists(probabilities, max_size=40))
+    @example(W1_KEY, [])
+    @example(np.random.default_rng(2).uniform(0.4, 0.6, 60).tolist(), [0.5])
+    @example(np.random.default_rng(3).uniform(0.9, 1.0, 60).tolist(), [0.9, 1.0 - 1e-12])
+    @example(None, np.linspace(0.01, 0.99, 40).tolist())  # every row of a non-law fails
+    def test_batched_rows_equal_single_removals(self, law, extra):
+        # the law's distinct terms, then terms that need not be in it; with
+        # law None, the masses [0.4, 0, 0.6] have a gap, so no law matches them
+        if law is None:
+            full, terms = np.array([0.4, 0.0, 0.6]), extra
+        else:
+            full, terms = bernoulli_sum_pmf(law).probs, sorted(set(law)) + extra
+        want = [remove_bernoulli(full, p) for p in terms]
+        if law is None:
+            assert all(row is None for row in want)
+        # the sweep at every count of terms, and the entry point's own choice
+        with mock.patch.object(discrete_dist, "_BATCH_TERMS", 1):
+            swept = list(remove_bernoulli_terms(full, terms))
+        for got in (swept, list(remove_bernoulli_terms(full, terms))):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a is None) == (b is None)
+                assert a is None or a.tobytes() == b.tobytes()
+
     def test_direct_convolution_fallback(self, monkeypatch):
-        # with every deconvolution rejected, each law comes from the other terms
+        # with every deconvolution rejected, one at a time or in a sweep, each
+        # law comes from the other terms
         rng = np.random.default_rng(3)
         s = wheatstone_structure()
         game = BernoulliGame(s, tuple(rng.uniform(0.05, 1.0, 40)), (0,) * 40)
         profile = MixedProfile(tuple(v / v.sum() for v in rng.uniform(0.0, 1.0, (40, 3))))
         want = verify_equilibrium(game, profile)
         monkeypatch.setattr(atomic, "remove_bernoulli", lambda full, p: None)
+        monkeypatch.setattr(atomic, "remove_bernoulli_terms",
+                            lambda full, terms: (None for _ in terms))
         got = verify_equilibrium(game, profile)
         for a, b in zip(got.players, want.players):
             assert np.abs(np.array(a.costs) - np.array(b.costs)).max() <= 1e-13
+
+    def test_swept_costs_equal_single_queries(self, monkeypatch):
+        # many distinct terms per column, certain players (probability 1 on a
+        # pure row) and mixed rows: every cost of the report, whose columns are
+        # swept, has the bytes of a fresh single query for that player
+        sweeps = []
+        sweep = discrete_dist._deconvolve_block
+        monkeypatch.setattr(discrete_dist, "_deconvolve_block",
+                            lambda fw, p: sweeps.append(p.size) or sweep(fw, p))
+        s = wheatstone_structure()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(24, 41))
+            probs = rng.choice(rng.uniform(0.01, 0.9, 12), n)
+            probs[:4] = 1.0
+            rows = [np.eye(3)[int(rng.integers(3))] if rng.random() < 0.3
+                    else rng.dirichlet(np.ones(3)) for _ in range(n)]
+            rows[0] = np.eye(3)[0]
+            game = BernoulliGame(s, tuple(probs), (0,) * n)
+            profile = MixedProfile(tuple(rows))
+            report = verify_equilibrium(game, profile)
+            for i, row in enumerate(report.players):
+                want = tuple(conditional_cost_estimate(game, profile, i, k) for k in range(3))
+                assert [c.hex() for c in row.costs] == [c.hex() for c in want]
+        assert sweeps and max(sweeps) >= discrete_dist._BATCH_TERMS
 
     @given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=199),
            st.sampled_from(SPECIAL_P), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
@@ -341,6 +409,21 @@ row_picks = st.lists(st.integers(0, 11), min_size=1, max_size=12)
 def _subset(picks, n: int) -> np.ndarray:
     """Distinct rows below n, in the order first picked."""
     return np.array(list(dict.fromkeys(i % n for i in picks)))
+
+
+class TestArrayCostValues:
+    @given(st.lists(coefficients, min_size=1, max_size=5), st.floats(1e-3, 1e3),
+           st.integers(0, 300))
+    @example([0.0, 1.0], 0.1, 300)
+    @example([0.3, 0.1, 0.0, 0.07], 1 / 3, 64)
+    def test_array_values_equal_scalar_calls(self, coeffs, w, n):
+        # the count-space optimum fills a weighted one-class table at the loads
+        # k w as one array; each entry must be the scalar call's
+        loads = np.arange(n + 1) * w
+        for cost in (PolynomialCost(tuple(coeffs)), AffineCost(coeffs[-1], coeffs[0])):
+            want = [k * w * float(cost.value(k * w)) for k in range(n + 1)]
+            got = loads * np.asarray(cost.value(loads), dtype=float)
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestAffineIsPolynomial:
@@ -720,6 +803,21 @@ class TestLoadLaw:
                     got[round(float(v), 9)] = got.get(round(float(v), 9), 0.0) + float(m)
             for key in set(got) | set(want):
                 assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-13)
+
+    def test_columns_with_the_same_users_share_one_enumeration(self, monkeypatch):
+        # under [.4, .2, .4] on the Wheatstone network, e1/e5 and e2/e4 have the
+        # same random users, so three enumerations serve five resources; the
+        # value is the fsum of the resources' values from stores of their own
+        w = np.random.default_rng(1).uniform(0.5, 1.5, 12)
+        game = WeightedGame(wheatstone_structure(), tuple(w / w.sum()), (0,) * 12)
+        profile = MixedProfile.symmetric(game, [0.4, 0.2, 0.4])
+        usage = atomic.choice_probabilities(game, profile)
+        want = math.fsum(atomic._LoadLaws(game, usage.copy()).edge_value(e) for e in range(5))
+        calls = []
+        monkeypatch.setattr(atomic, "weighted_sum_distribution", lambda ws, ps: (
+            calls.append(len(ws)) or weighted_sum_distribution(ws, ps)))
+        assert esc(game, profile).hex() == want.hex()
+        assert calls == [12, 12, 12]
 
     def test_more_than_twenty_unequal_random_users_stay_exact(self):
         # the laws of whole loads are enumerated up to 20 random terms; the
