@@ -61,7 +61,7 @@ import sys
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partialmethod
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -74,6 +74,7 @@ from .discrete_dist import (_BATCH_TERMS, Pmf, ValueDist, bernoulli_sum_pmf, bin
                             weighted_sum_distribution)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      PrecisionError, StructureError)
+from .wardrop import solve_wardrop
 
 TIE_TOL = 1e-12
 VERIFY_TOL = 1e-9  # default regret tolerance of an equilibrium check
@@ -842,6 +843,8 @@ def verify_equilibrium(game: Game, profile: MixedProfile,
     fixes that load.  A cost that is not finite raises ``PrecisionError``:
     no comparison with NaN could certify anything.
     """
+    if not tol >= 0:  # NaN fails too
+        raise DomainError(f"tol must be nonnegative, got {tol}")
     laws = _laws_of(game, profile)
     strategies = game.structure.strategies
     if game.kind == "bernoulli":
@@ -927,79 +930,80 @@ def best_response_dynamics(game: Game, initial: Sequence[int]) -> BestResponseRe
     return BestResponseResult(None, False, MAX_SWEEPS, None, None)
 
 
-def _require_symmetric(game: Game) -> None:
-    if len(set(game.player_types)) != 1:
-        raise ConfigError("symmetric solver needs all players of one type")
-    if len(set(game.magnitudes)) != 1:
-        raise ConfigError("symmetric solver needs identical weights/probabilities")
+class _EachRow(list):
+    """``CostBatch``'s evaluator of costs with scalar methods only, one row at a time."""
+
+    def _each(self, method: str, x: np.ndarray, idx) -> np.ndarray:
+        rows = np.arange(len(self))[idx].tolist()
+        return np.array([getattr(self[k], method)(u) for k, u in zip(rows, x.tolist())])
+
+    values = partialmethod(_each, "value")
+    integrals = partialmethod(_each, "integral")
+
+    def value_slopes(self, x: np.ndarray, idx) -> np.ndarray:
+        return np.stack((self.values(x, idx), self._each("derivative", x, idx)))
+
+
+class _BinomialMixture:
+    """u -> E g(K), K ~ Bin(m, r u), for a grid g(0..m): a resource's cost to one
+    player when each of the m others uses it with probability u.  ``derivative``
+    is m r E Δg(Bin(m - 1, r u)); ``integral`` is the Bernstein antiderivative
+    E G(Bin(m + 1, r u)) / (r (m + 1)), G(j) = g(0) + ... + g(j - 1).  r u is
+    clamped into [0, 1]: a line search can step a rounding error past 1.
+    """
+
+    is_continuous = True
+    stack = _EachRow
+
+    def __init__(self, grid, r: float):
+        self.grid, self.r = np.asarray(grid, dtype=float), r
+        self.m = self.grid.size - 1
+
+    def _expect(self, h: np.ndarray, u: float) -> float:
+        q = min(max(self.r * float(u), 0.0), 1.0)
+        return float(bernoulli_sum_pmf(np.full(h.size - 1, q)).probs @ h)
+
+    def value(self, u) -> float:
+        return self._expect(self.grid, u)
+
+    def derivative(self, u) -> float:
+        return self.m * self.r * self._expect(np.diff(self.grid), u) if self.m else 0.0
+
+    def integral(self, u) -> float:
+        running = np.concatenate(([0.0], np.cumsum(self.grid)))
+        return self._expect(running, u) / (self.r * (self.m + 1))
 
 
 def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL) -> MixedProfile:
-    """Shared mixed strategy making every identical player indifferent.
+    """A mixed strategy σ that is an equilibrium when every player plays it.
 
-    Scans pure symmetric profiles, then solves two-strategy indifference by
-    bisection, then falls back to a best-response fixed point over the full
-    simplex, damped by one half, for up to 2000 iterations.  The result is
-    returned only if it verifies under ``tol``.
+    With the others on σ, a player's cost on resource e is the binomial mixture
+    ĉ_e(σ_e) = E c_e(b (1 + K)), K ~ Bin(n - 1, r σ_e): b = 1 and r the
+    participation probability in a Bernoulli game, b the weight and r = 1 in a
+    weighted one.  So σ is an equilibrium exactly when its flows are a Wardrop
+    equilibrium, at demand 1, of the nonatomic game with costs ĉ_e, whose
+    potential is convex; ``solve_wardrop`` finds one to a gap of tol / 10 (one
+    exists: Nash 1951).  As r -> 0, ĉ_e tends to ``AuxCost``'s Poisson mixture.
+    σ is returned only if it verifies under ``tol``, which must be positive.
     """
-    _require_symmetric(game)
-    t = game.player_types[0]
-    m = len(game.structure.strategies[t])
-
-    def attempt(sigma: np.ndarray) -> MixedProfile | None:
-        prof = MixedProfile.symmetric(game, sigma)
-        if verify_equilibrium(game, prof, tol).ok:
-            return prof
-        return None
-
-    for s in range(m):
-        v = np.zeros(m)
-        v[s] = 1.0
-        found = attempt(v)
-        if found is not None:
-            return found
-
-    def pair_gap(a: int, b: int, q: float) -> float:
-        v = np.zeros(m)
-        v[a], v[b] = q, 1.0 - q
-        prof = MixedProfile.symmetric(game, v)
-        laws = _LoadLaws(game, choice_probabilities(game, prof))
-        return _strategy_cond_cost(laws, 0, a) - _strategy_cond_cost(laws, 0, b)
-
-    for a, b in itertools.combinations(range(m), 2):
-        lo_val, hi_val = pair_gap(a, b, 0.0), pair_gap(a, b, 1.0)
-        if not (lo_val < 0.0 < hi_val):
-            continue  # no interior indifference point; boundary cases are the pure scans
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if pair_gap(a, b, mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        v = np.zeros(m)
-        q = 0.5 * (lo + hi)
-        v[a], v[b] = q, 1.0 - q
-        found = attempt(v)
-        if found is not None:
-            return found
-
-    sigma = np.full(m, 1.0 / m)
-    for it in range(2000):
-        prof = MixedProfile.symmetric(game, sigma)
-        laws = _LoadLaws(game, choice_probabilities(game, prof))
-        costs = np.array([_strategy_cond_cost(laws, 0, s) for s in range(m)])
-        floor = costs.min()
-        target = (costs <= floor + TIE_TOL).astype(float)
-        target /= target.sum()
-        sigma = 0.5 * sigma + 0.5 * target
-        sigma = np.maximum(sigma, 0.0)
-        sigma /= sigma.sum()
-        if it % 10 == 9:  # the last iteration, 1999, is one of these
-            found = attempt(sigma)
-            if found is not None:
-                return found
-    raise ConvergenceError("no symmetric mixed equilibrium found at the requested tolerance")
+    if not tol > 0:  # NaN fails too
+        raise DomainError(f"the symmetric solver needs a positive tol, got {tol}")
+    if len(set(zip(game.player_types, game.magnitudes))) != 1:
+        raise ConfigError("symmetric solver needs players of one type and one weight/probability")
+    s, t, w = game.structure, game.player_types[0], game.magnitudes[0]
+    ks = np.arange(game.n_players)  # how many others use the resource
+    if game.kind == "bernoulli":
+        costs = [_BinomialMixture(c.value_int(ks + 1), w) for c in s.cost_fns]
+    else:
+        costs = [_BinomialMixture(c.value(w + w * ks), 1.0) for c in s.cost_fns]
+    reduced = Structure(s.resources, costs, (s.types[t],), (s.strategies[t],))
+    sol = solve_wardrop(reduced, DemandVector(np.ones(1)), target_eps=tol / 10)
+    profile = MixedProfile.symmetric(game, sol.pair.y)
+    report = verify_equilibrium(game, profile, tol)
+    if not report.ok:
+        raise ConvergenceError(f"the symmetric profile's regret {report.max_regret:.3e} "
+                               f"exceeds tol {tol:g}")
+    return profile
 
 
 # ---------------------------------------------------------------------------

@@ -329,10 +329,6 @@ class Structure:
         return len(self.types)
 
     @cached_property
-    def resource_index(self) -> dict[str, int]:
-        return {rid: i for i, rid in enumerate(self.resources)}
-
-    @cached_property
     def type_index(self) -> dict[str, int]:
         return {tid: i for i, tid in enumerate(self.types)}
 

@@ -253,8 +253,8 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *,
     ``CostBatch``; the returned epsilon and potential are recomputed through
     each resource's own cost methods.
     """
-    if target_eps <= 0:
-        raise DomainError("target_eps must be positive")
+    if not target_eps > 0:  # NaN fails too
+        raise DomainError(f"target_eps must be positive, got {target_eps}")
     batch, y = _setup(structure, demand, y0, "nonatomic solver")
     run = _path_equilibration(
         structure, demand, y, batch.values,

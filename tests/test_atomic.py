@@ -195,6 +195,14 @@ class TestVerifyEquilibrium:
         with pytest.raises(DomainError):
             wheatstone_partial_mix(game, 3, 1)  # k3 - 1 = 1 <= |k2 - k1| = 2
 
+    def test_tol_must_be_a_nonnegative_number(self):
+        # a NaN tol used to report every profile as no equilibrium
+        game = wheatstone_bernoulli(4)
+        for tol in (math.nan, -1e-9):
+            with pytest.raises(DomainError, match="tol"):
+                verify_equilibrium(game, wheatstone_symmetric_mix(game), tol)
+        assert verify_equilibrium(game, wheatstone_symmetric_mix(game), 0.0).ok
+
 
 class TestBestResponseDynamics:
     def test_bernoulli_wheatstone_halves(self):
@@ -306,6 +314,88 @@ class TestSymmetricMixedEquilibrium:
         game = BernoulliGame(s, (0.3, 0.6), (0, 0))
         with pytest.raises(ConfigError):
             symmetric_mixed_equilibrium(game)
+
+    def test_tol_must_be_positive(self):
+        # NaN and negative tolerances used to search for about a second and then
+        # raise ConvergenceError; the solve's gap target is a fraction of tol,
+        # so tol = 0 leaves it none
+        game = wheatstone_bernoulli(4)
+        for tol in (math.nan, -1.0, 0.0):
+            with pytest.raises(DomainError, match="tol"):
+                symmetric_mixed_equilibrium(game, tol)
+
+    def test_a_failed_verification_raises(self, monkeypatch):
+        # the profile is returned only when it verifies under tol
+        monkeypatch.setattr(atomic, "verify_equilibrium",
+                            lambda game, profile, tol: atomic.EquilibriumReport(1.0, (), tol))
+        with pytest.raises(ConvergenceError):
+            symmetric_mixed_equilibrium(wheatstone_bernoulli(4))
+
+
+def mixture_costs(game, monkeypatch):
+    """The binomial-mixture costs that ``symmetric_mixed_equilibrium`` solves for ``game``."""
+    seen = []
+    solve = atomic.solve_wardrop
+    monkeypatch.setattr(atomic, "solve_wardrop",
+                        lambda structure, demand, **kw: seen.append(structure)
+                        or solve(structure, demand, **kw))
+    symmetric_mixed_equilibrium(game)
+    return seen[0]
+
+
+def cubic_structure():
+    return Structure(("e1", "e2"), (PolynomialCost((0.2, 0.0, 0.5, 0.1)), AffineCost(0.3, 1.0)),
+                     ("od",), (((0,), (1,)),))
+
+
+class TestBinomialMixture:
+    GAMES = [(kind, build, n) for kind in (BernoulliGame, WeightedGame)
+             for build in (wheatstone_structure, pigou_structure, cubic_structure)
+             for n in (1, 2, 5, 64)]
+
+    @pytest.mark.parametrize("kind, build, n", GAMES)
+    def test_strategy_costs_are_the_conditional_costs(self, kind, build, n, monkeypatch):
+        # at random usages, the reduced game's strategy costs are the costs
+        # verify_equilibrium gives a player of the symmetric profile
+        s = build()
+        game = kind.homogeneous(s, unit_demand(s), n)
+        reduced = mixture_costs(game, monkeypatch)
+        rng = np.random.default_rng(n)
+        for sigma in rng.dirichlet(np.ones(len(s.strategies[0])), 8):
+            x = sigma @ s.incidence
+            got = s.incidence @ [c.value(u) for c, u in zip(reduced.cost_fns, x)]
+            want = verify_equilibrium(game, MixedProfile.symmetric(game, sigma)).players[0].costs
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind, build, n", GAMES)
+    def test_derivative_and_integral(self, kind, build, n, monkeypatch):
+        from scipy.integrate import quad
+
+        s = build()
+        for cost in mixture_costs(kind.homogeneous(s, unit_demand(s), n), monkeypatch).cost_fns:
+            for u in (1e-3, 0.3, 0.5, 0.999):
+                h = 1e-5  # the pmf's rounding error over 2h stays below 1e-8
+                central = (cost.value(u + h) - cost.value(u - h)) / (2 * h)
+                assert cost.derivative(u) == pytest.approx(central, rel=1e-7, abs=1e-8)
+                area = quad(cost.value, 0.0, u, epsabs=1e-13, epsrel=1e-12)[0]
+                assert cost.integral(u) == pytest.approx(area, rel=1e-10, abs=1e-13)
+            if n == 1:  # no other player: a constant
+                assert cost.derivative(0.5) == 0.0
+                assert cost.integral(0.5) == 0.5 * cost.value(0.0)
+
+    @pytest.mark.parametrize("kind", [BernoulliGame, WeightedGame])
+    def test_usages_a_rounding_step_outside_the_unit_interval(self, kind, monkeypatch):
+        # the line search can step there, and the binomial law's probability
+        # is clamped into [0, 1] (at n = 1 a Bernoulli player takes part surely)
+        s = wheatstone_structure()
+        for n in (1, 4):
+            for cost in mixture_costs(kind.homogeneous(s, unit_demand(s), n),
+                                      monkeypatch).cost_fns:
+                for edge, outside in ((0.0, -5e-324), (1.0, 1.0 + 4e-16), (1.0, 1.0 + 2e-15)):
+                    for method in ("value", "derivative", "integral"):
+                        got = getattr(cost, method)(outside)
+                        assert math.isfinite(got)
+                        assert got == pytest.approx(getattr(cost, method)(edge), rel=1e-14)
 
 
 class TestEsc:

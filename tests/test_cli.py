@@ -60,6 +60,19 @@ def test_atomic_solvers(bernoulli_game_file, capsys):
     assert out["regret"] <= 1e-9
 
 
+@pytest.mark.parametrize("mode", ["solve", "check"])
+def test_atomic_rejects_a_nan_tol(bernoulli_game_file, tmp_path, mode, capsys):
+    # a NaN tol used to fail the solve or the check with exit status 1, as if
+    # the profile were no equilibrium
+    args = ["--solve", "symmetric"]
+    if mode == "check":
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({str(i): [0.5, 0.0, 0.5] for i in range(10)}))
+        args = ["--profile", str(path)]
+    assert main(["atomic", str(bernoulli_game_file), *args, "--tol", "nan"]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
 def test_limit_emits_consumable_instance(pigou_instance, tmp_path):
     out = tmp_path / "limit.json"
     assert main(["limit", str(pigou_instance), "--json", str(out)]) == 0

@@ -9,8 +9,9 @@ load vectors and row subsets, with slopes), their Newton line search, the
 vector Poisson series behind the auxiliary costs, the per-resource load laws
 behind ``esc`` and ``load_distribution``, the conditional costs behind
 ``verify_equilibrium`` and its one row per class of players, and the
-count-space search for the pure social optimum; and that a falsified property
-is reported without ending the test session.
+count-space search for the pure social optimum, the symmetric mixed
+equilibria found as Wardrop equilibria of binomial mixtures; and that a
+falsified property is reported without ending the test session.
 """
 
 import ast
@@ -1184,6 +1185,49 @@ class TestCountSpaceOptimum:
         got = atomic._first_minimum(table[i:i + chunk] for i in range(0, rows, chunk))
         want = first_minimum_plain(table.tolist())
         assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+
+
+# a one-type game whose symmetric equilibrium mixes three strategies; the
+# three-stage search that preceded the Wardrop route raised ConvergenceError
+# on it at n = 2, 3, 4 and 8 in both models
+MIXING_GAME = ([(0, 0, 0, .26, 0), (.47, 0, 0, .85, 0), (.09, .91, 0, .2, .3),
+                (.61, 0, .11, .16, .35), (.94, .35, .43, 0, .98), (.21, .41, .44, 0, .86)],
+               [(1, 5), (0, 1, 3), (4, 5), (4,)])
+
+
+@st.composite
+def one_type_games(draw):
+    """Coefficient rows of degree <= 4 for 2-6 resources, and 2-5 distinct strategies."""
+    coefficient = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.lists(coefficient, min_size=1, max_size=5), min_size=2, max_size=6))
+    strategies = draw(st.lists(st.frozensets(st.integers(0, len(rows) - 1), min_size=1),
+                               min_size=2, max_size=5, unique=True))
+    return rows, [tuple(sorted(strategy)) for strategy in strategies]
+
+
+class TestSymmetricSolver:
+    @given(one_type_games(), st.integers(2, 512),
+           st.sampled_from(("bernoulli", "weighted", "table")))
+    @example(MIXING_GAME, 2, "bernoulli")
+    @example(MIXING_GAME, 3, "bernoulli")
+    @example(MIXING_GAME, 4, "bernoulli")
+    @example(MIXING_GAME, 8, "bernoulli")
+    @example(MIXING_GAME, 2, "weighted")
+    @example(MIXING_GAME, 3, "weighted")
+    @example(MIXING_GAME, 4, "weighted")
+    @example(MIXING_GAME, 8, "weighted")
+    def test_the_returned_profile_verifies(self, spec, n, model):
+        # polynomial costs in both models, and their tables c(0..n+1) in the Bernoulli one
+        rows, strategies = spec
+        costs = [PolynomialCost(tuple(row)) for row in rows]
+        if model == "table":
+            costs = [TableCost(tuple(c.value_int(np.arange(n + 2)))) for c in costs]
+        s = Structure(tuple(f"e{j}" for j in range(len(rows))), tuple(costs), ("t",),
+                      (tuple(strategies),))
+        cls = WeightedGame if model == "weighted" else BernoulliGame
+        game = cls.homogeneous(s, DemandVector(np.ones(1)), n)
+        profile = atomic.symmetric_mixed_equilibrium(game)
+        assert verify_equilibrium(game, profile).max_regret <= atomic.VERIFY_TOL
 
 
 class TestFailureReports:

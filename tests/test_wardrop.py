@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -56,6 +57,13 @@ class TestSolveWardrop:
         sol = solve_wardrop(s, unit_demand(s), target_eps=1e-15, max_iters=2)
         assert sol.converged and sol.iterations == 1
         assert sol.pair.x.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("target", [math.nan, 0.0, -1e-9])
+    def test_target_must_be_positive(self, target):
+        # a NaN target used to pass the check and come back not converged
+        s = parallel_structure()
+        with pytest.raises(DomainError, match="target_eps"):
+            solve_wardrop(s, unit_demand(s), target_eps=target)
 
     def test_iteration_budget_flags_nonconvergence(self):
         s = two_edge(AffineCost(1.0, 1.0), AffineCost(1.0, 0.0))
