@@ -8,16 +8,14 @@ exact.
 Every load law of an evaluation comes from one store, ``_LoadLaws``.  It
 splits each resource's column of usage probabilities once into a record
 (``_Column``): the certain users' weights and their fsum, and the random
-users' Bernoulli terms, whose sorted tuple keys one Poisson-binomial law that
-the store convolves once.  A player's conditional cost needs that law
-without the player, which is deconvolved out over the law's nonzero window
-(``remove_bernoulli``); ``verify_equilibrium`` takes every distinct term of
-a key out at once (``remove_bernoulli_terms``, one vectorised sweep across
-the terms above a break-even count) and reads each class of players' costs
-from one map per resource, from a player's own term to its cost.  A
-best-response move patches each changed column's record (one entry and one
-key term) and derives its law the same way, the mover's old term out, which
-the mover's own evaluation has just deconvolved, and its new one in.
+users' Bernoulli terms, whose sorted tuple keys one Poisson-binomial law.
+Each law is one record (``_Law``), convolved once: its pmf, its last
+single-term deconvolution (``remove_bernoulli``), and per grid of costs a
+map from a player's own term to its conditional cost, which best-response
+dynamics and ``verify_equilibrium`` fill alike, a term at a time or all at
+once (``remove_bernoulli_terms``).  A best-response move patches each
+changed column's record and carries its law: the mover's old term out, by
+the deconvolution its own evaluation has just made, and its new one in.
 Bernoulli games read every conditional cost from these count laws.  A
 weighted player's cost on a resource takes the first route that applies:
 
@@ -307,6 +305,34 @@ def resource_choice_prob(game: Game, profile: MixedProfile, i: int, e: int) -> f
 
 
 @dataclass(eq=False)
+class _Law:
+    """One Poisson-binomial count law of a store: the pmf of the sorted terms ``key``.
+
+    ``removed(q)`` takes one term out (``remove_bernoulli``) and keeps the
+    result for the last term asked, ``singles`` counts those removals since
+    the law's last sweep, and ``costs`` maps a cost grid's id to the
+    conditional costs read under the law, by the asking player's own term.
+    The pmf never changes, so the maps hold while any record holds the law.
+    """
+
+    key: tuple[float, ...]
+    pmf: np.ndarray
+    term: float | None = None
+    rest: np.ndarray | None = None
+    singles: int = 0
+    costs: dict[int, dict[float, float]] = field(default_factory=dict)
+
+    def removed(self, q: float) -> np.ndarray | None:
+        """``remove_bernoulli(pmf, q)``, kept for the last q asked: a player's
+        evaluation takes its term out of its resources' laws, and its move
+        takes the same term out again."""
+        if q != self.term:
+            self.term, self.rest = q, remove_bernoulli(self.pmf, q)
+            self.singles += 1
+        return self.rest
+
+
+@dataclass(eq=False)
 class _Column:
     """One resource's users, split once into certain weights and random terms.
 
@@ -318,11 +344,11 @@ class _Column:
     ``terms`` and ``weights`` (from ``mags``, every player's magnitude) their
     terms and weights: ``record`` sets them, and a record that a move patched
     derives them from ``own`` on first use, which a Bernoulli game's
-    conditional costs never make.  ``law`` (the key's pmf) and ``moments``
-    (leave-one-out raw moment rows, the whole sum's last) fill in on first
-    use, and ``values`` memoizes conditional costs by the asking player's own
-    entry: its term, and in a weighted game its weight and whether it is
-    certain, which fix the other players' load.
+    conditional costs never make.  ``law`` (the key's ``_Law``) and
+    ``moments`` (leave-one-out raw moment rows, the whole sum's last) fill in
+    on first use, and ``values`` memoizes a weighted player's conditional
+    costs by its own entry: its term, its weight and whether it is certain,
+    which fix the other players' load.
     """
 
     certain: dict[int, float]
@@ -330,7 +356,7 @@ class _Column:
     own: list[float]
     key: tuple[float, ...]
     mags: np.ndarray
-    law: np.ndarray | None = None
+    law: _Law | None = None
     moments: list[list[float]] | None = None
     values: dict = field(default_factory=dict)
 
@@ -378,53 +404,41 @@ class _LoadLaws:
     """Every load law of one evaluation of a game, and the expectations read from them.
 
     ``record(e)`` splits resource e's column of the usage matrix (players x
-    resources) once into a ``_Column``, which every expectation on e reads.
-    ``pmf`` convolves the Poisson-binomial law of each key (sorted Bernoulli
-    terms) once, so resources with the same random users share one law.  A
-    conditional cost needs the count without the player's own term q:
-    ``without`` deconvolves q out of the full law over its nonzero window
-    (``remove_bernoulli``), and convolves the other terms when the residual
-    check fails; the deconvolutions of the last term asked for are kept per
-    law until the next move (``_deconvolved``), since one player's resources
-    often share a law and its move takes the same term out again.  A law that
-    serves ``_BATCH_TERMS`` players one at a time between moves has all its
-    terms taken out in one sweep (``term_cost``), as in the last sweep of
-    best-response dynamics, where nobody moves.
-    ``conditional`` reads E c_e(base + weight Z) under it.  A single query
-    takes this path, since a best-response move changes a column before the
-    next player reads it; ``fill_conditionals`` gives every Bernoulli
-    player's costs at once for ``verify_equilibrium``, with the same bytes:
-    one ``remove_bernoulli_terms`` sweep per key, over the key's distinct
-    terms, and one map per resource from a player's own term to its cost.
+    resources) once into a ``_Column``.  ``law_of`` keeps one ``_Law`` per key
+    (sorted Bernoulli terms), convolved once and shared by the resources with
+    those random users.  A conditional cost needs the law without the
+    player's own term q: ``without`` deconvolves q out (``_Law.removed``), or
+    convolves the other terms when the residual check fails.  A Bernoulli
+    player's cost on e (``term_cost``) is read from the map that e's law keeps
+    for e's grid of costs (``unit_costs``; equal grids share an id).  A
+    missing entry takes q out alone, or, after ``_BATCH_TERMS`` such removals
+    since the law's last sweep, all of the key's terms in one sweep for every
+    record holding the law (``_fill``), as in the last sweep of best-response
+    dynamics, where nobody moves; ``fill_conditionals`` fills every law's maps
+    the same way for ``verify_equilibrium``.  A weighted player's cost
+    (``_edge_cost``) takes the first route that applies: (1) no other random
+    user: c_e at the certain load; (2) the other random users share one
+    weight: their count law without q; (3) a ``PolynomialCost``: the record's
+    leave-one-out raw moments; (4) else an enumeration of the other random
+    weights' sums, at most ``EXACT_TERMS`` of them.
 
-    A Bernoulli player's cost on e is ``conditional`` at its term.  A weighted
-    player's cost (``_edge_cost``) takes the first route that
-    applies: (1) no other random user: c_e at the certain load; (2) the other
-    random users share one weight: ``conditional``; (3) a ``PolynomialCost``:
-    the record's leave-one-out raw moments; (4) else an enumeration of the
-    other random weights' sums, at most ``EXACT_TERMS`` of them.
-
-    ``move`` replaces a player's row, as best-response dynamics does, and
-    patches each changed column's record: one entry of ``own`` changes, and
-    one term leaves or enters the sorted key.  A record that held its law
-    passes it on over its window: the mover's old term deconvolved out (the
-    deconvolution that the mover's evaluation has just made, or the law
-    convolved afresh when the residual check fails) and its new one convolved
-    in.  Pmfs that no record holds are dropped, found by identity, so at most
-    one law per resource is kept.
+    ``move`` replaces a player's row, as best-response dynamics does: each
+    changed record is patched (one entry of ``own``, one term of the key) and
+    gets the law held for its new key, else its old law with the mover's old
+    term taken out (the removal that the mover's evaluation has just made)
+    and its new one convolved in.  Laws that no record holds are dropped, with
+    their maps, so at most one law per resource is kept.
 
     ``edge_value`` is E[L c_e(L)], for resource e's column or for the sorted
-    magnitudes of certain users (the optimum search, which has no usage and
-    builds the key from its counts).  With weights it reads ``weighted_law``,
-    which enumerates a column whose random weights differ (columns with the
-    same random users in a row share one enumeration, so ``esc`` visits them
-    together), or c_e at the magnitudes' fsum; with probabilities, the key's
-    pmf against the grid ``load_costs(e)``.  The optimum search fills a resource that one class
-    uses without it, by the same arithmetic: the binomial ladder's laws have
-    the bytes of the equal-term keys' pmfs, and k w is the fsum of k copies
-    of w.  A profile's cost is the fsum of its resources' values, which does
-    not depend on edge order, so ``esc`` and the count-space optimum search,
-    which sum the same values, agree bit for bit.
+    magnitudes of certain users (the optimum search, which builds the key from
+    its counts): with weights, read off ``weighted_law``, which enumerates a
+    column whose random weights differ (columns with the same random users in
+    a row share one enumeration), or c_e at the magnitudes' fsum; with
+    probabilities, the key's pmf against ``load_costs(e)``.  The optimum
+    search fills a resource that one class uses by the same arithmetic (the
+    binomial ladder's laws have the bytes of the equal-term keys' pmfs, and
+    k w is the fsum of k copies of w), and a profile's cost is the fsum of
+    its resources' values, so ``esc`` and the search agree bit for bit.
     """
 
     def __init__(self, game: Game, usage: np.ndarray | None = None):
@@ -435,21 +449,18 @@ class _LoadLaws:
         n_res = game.structure.n_resources
         self.records: list[_Column | None] = [None] * n_res
         self._grids: list[np.ndarray | None] = [None] * n_res
+        self._grid_ids: list[int] = [-1] * n_res
+        self._grid_index: dict[bytes, int] = {}
         self._load_grids: list[np.ndarray | None] = [None] * n_res
-        self._pmfs: dict[tuple[float, ...], np.ndarray] = {(): np.ones(1)}  # nobody: 0
-        # remove_bernoulli's results for one term, by id of the law they came from
-        # (each entry holds its law, so no id is reused while it is kept)
-        self._removed_term = 0.0
-        self._removed: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-        self._singles: dict[int, int] = {}  # remove_bernoulli calls per law since the last move
+        self._laws: dict[tuple[float, ...], _Law] = {(): _Law((), np.ones(1))}  # nobody: 0
         self._enumerated: tuple[bytes, ValueDist] | None = None
 
-    def pmf(self, key: tuple[float, ...]) -> np.ndarray:
-        """Pmf of the count with these sorted Bernoulli terms."""
-        pmf = self._pmfs.get(key)
-        if pmf is None:
-            pmf = self._pmfs[key] = bernoulli_sum_pmf(key).probs
-        return pmf
+    def law_of(self, key: tuple[float, ...]) -> _Law:
+        """The law of the count with these sorted Bernoulli terms."""
+        law = self._laws.get(key)
+        if law is None:
+            law = self._laws[key] = _Law(key, bernoulli_sum_pmf(key).probs)
+        return law
 
     def record(self, e: int) -> _Column:
         """Resource e's users, split into certain weights and random terms."""
@@ -469,113 +480,69 @@ class _LoadLaws:
             col.__dict__.update(rand=rand, terms=own[rand], weights=self.mags[rand])
         return col
 
-    def law(self, e: int) -> np.ndarray:
-        """Pmf of resource e's random count."""
+    def law(self, e: int) -> _Law:
+        """The law of resource e's random count."""
         col = self.record(e)
         if col.law is None:
-            col.law = self.pmf(col.key)
+            col.law = self.law_of(col.key)
         return col.law
 
-    def _deconvolved(self, full: np.ndarray, q: float) -> np.ndarray | None:
-        """``remove_bernoulli(full, q)``, kept per law until the term changes or
-        a move: a player's evaluation takes its term out of its resources'
-        laws, and its move takes the same term out of the same laws."""
-        if q != self._removed_term:
-            self._removed_term, self._removed = q, {}
-        hit = self._removed.get(id(full))
-        if hit is None:
-            hit = self._removed[id(full)] = (full, remove_bernoulli(full, q))
-            self._singles[id(full)] = self._singles.get(id(full), 0) + 1
-        return hit[1]
-
-    def without(self, e: int, q: float) -> np.ndarray:
-        """Law of resource e's count without the term q (q = 0: the whole count)."""
-        full = self.law(e)
+    def without(self, law: _Law, q: float) -> np.ndarray:
+        """The pmf of ``law`` without the term q (q = 0: the whole law)."""
         if q == 0.0:
-            return full
-        pmf = self._deconvolved(full, q)
-        if pmf is None:
-            pmf = self._convolved_without(self.records[e].key, q)
-        return pmf
+            return law.pmf
+        pmf = law.removed(q)
+        return self._convolved_without(law.key, q) if pmf is None else pmf
 
     def _convolved_without(self, key: tuple[float, ...], q: float) -> np.ndarray:
-        """The law of the terms of ``key`` but one q, convolved directly."""
+        """The pmf of the terms of ``key`` but one q, convolved directly."""
         j = key.index(q)
-        return self.pmf(key[:j] + key[j + 1:])
-
-    def fill_conditionals(self) -> list[dict[float, float]]:
-        """Every conditional cost of a Bernoulli game's players, with the bytes
-        of ``_edge_cost``: one map per resource from a player's own term there
-        to its cost.
-
-        A map holds the distinct terms of the resource's key, and 0 (the whole
-        law) when some player's term there is 0.  Resources with one key share
-        one law, whose terms ``_term_costs`` takes out in one sweep, and
-        resources with one key and one cost grid share one map.
-        """
-        n_res = self.game.structure.n_resources
-        groups: dict[tuple[float, ...], dict[bytes, list[int]]] = {}
-        for e in range(n_res):
-            groups.setdefault(self.record(e).key, {}).setdefault(
-                self.unit_costs(e).tobytes(), []).append(e)
-        maps: dict[int, dict[float, float]] = {}
-        for key, by_grid in groups.items():
-            terms = list(dict.fromkeys(key))
-            if len(key) < self.game.n_players:
-                terms.append(0.0)
-            edges = list(by_grid.values())
-            grids = [self.unit_costs(group[0]) for group in edges]
-            for group, costs in zip(edges, self._term_costs(self.law(edges[0][0]), key, terms,
-                                                            grids)):
-                maps.update(dict.fromkeys(group, costs))
-        return [maps[e] for e in range(n_res)]
-
-    def _term_costs(self, full: np.ndarray, key: tuple[float, ...], terms: list[float],
-                    grids: list[np.ndarray]) -> list[dict[float, float]]:
-        """For each grid, the map from each of ``terms`` to the grid dotted with
-        the law of ``key`` (whose pmf is ``full``) without that term, as
-        ``conditional`` computes it: the positive terms are taken out in one
-        ``remove_bernoulli_terms`` sweep, and the term 0 reads the whole law."""
-        maps: list[dict[float, float]] = [{} for _ in grids]
-        removed = remove_bernoulli_terms(full, [q for q in terms if q > 0.0])
-        for q in terms:
-            pmf = next(removed) if q > 0.0 else full
-            if pmf is None:
-                pmf = self._convolved_without(key, q)
-            for grid, costs in zip(grids, maps):
-                costs[q] = float(pmf @ grid[:pmf.size])
-        return maps
+        return self.law_of(key[:j] + key[j + 1:]).pmf
 
     def term_cost(self, e: int, q: float) -> float:
-        """A Bernoulli player's conditional cost on resource e, at its term q there.
-
-        Once ``_BATCH_TERMS`` terms have been taken out of one law one at a
-        time since the last move, all of its key's terms are taken out in one
-        sweep (``_memoize_law``): best-response dynamics asks every player in
-        turn, and a sweep over ``_BATCH_TERMS`` terms costs about as much as
-        that many single ones.
-        """
-        cost = self.conditional(e, q)
-        col = self.records[e]
-        if self._singles.get(id(col.law), 0) >= _BATCH_TERMS:
-            self._memoize_law(col.law, col.key)
+        """A Bernoulli player's conditional cost on resource e, at its term q there."""
+        law = self.law(e)
+        costs = law.costs.setdefault(self._grid_id(e), {})
+        cost = costs.get(q)
+        if cost is None:
+            if q > 0.0 and law.singles >= _BATCH_TERMS:
+                self._fill(law, dict.fromkeys(law.key))
+                return costs[q]
+            pmf = self.without(law, q)
+            cost = costs[q] = float(pmf @ self.unit_costs(e)[:pmf.size])
         return cost
 
-    def _memoize_law(self, full: np.ndarray, key: tuple[float, ...]) -> None:
-        """Memoize the cost of every term of ``key`` on each record that holds
-        its law ``full``, under the memo key of a Bernoulli player's entry."""
-        self._singles[id(full)] = 0
-        by_grid: dict[bytes, list[int]] = {}
-        for e, col in enumerate(self.records):
-            if col is not None and col.law is full:
-                by_grid.setdefault(self.unit_costs(e).tobytes(), []).append(e)
-        edges = list(by_grid.values())
-        grids = [self.unit_costs(group[0]) for group in edges]
-        for group, costs in zip(edges, self._term_costs(full, key, list(dict.fromkeys(key)),
-                                                        grids)):
-            entries = {(q, 1.0, False): c for q, c in costs.items()}
-            for e in group:
-                self.records[e].values.update(entries)
+    def _fill(self, law: _Law, terms) -> None:
+        """Fill the maps of ``law`` for the cost grids of the records that hold
+        it at each of ``terms`` that one of them lacks: the positive terms are
+        taken out in one ``remove_bernoulli_terms`` sweep, and the term 0 reads
+        the whole law."""
+        grids = {self._grid_id(e): self._grids[e] for e, col in enumerate(self.records)
+                 if col is not None and col.law is law}
+        maps = [(law.costs.setdefault(gid, {}), grid) for gid, grid in grids.items()]
+        todo = [q for q in terms if any(q not in costs for costs, _ in maps)]
+        removed = remove_bernoulli_terms(law.pmf, [q for q in todo if q > 0.0])
+        for q in todo:
+            pmf = next(removed) if q > 0.0 else law.pmf
+            if pmf is None:
+                pmf = self._convolved_without(law.key, q)
+            for costs, grid in maps:
+                if q not in costs:
+                    costs[q] = float(pmf @ grid[:pmf.size])
+        law.singles = 0
+
+    def fill_conditionals(self) -> list[dict[float, float]]:
+        """Every conditional cost of a Bernoulli game's players: per resource,
+        the map of its law for its grid, from a player's own term there to its
+        cost, filled at every term of the column (0 too, when some player's
+        term there is 0) by one ``_fill`` per law."""
+        laws = [self.law(e) for e in range(self.game.structure.n_resources)]
+        for law in dict.fromkeys(laws):
+            terms = list(dict.fromkeys(law.key))
+            if len(law.key) < self.game.n_players:
+                terms.append(0.0)
+            self._fill(law, terms)
+        return [law.costs[self._grid_ids[e]] for e, law in enumerate(laws)]
 
     def unit_costs(self, e: int) -> np.ndarray:
         """c_e(1), ..., c_e(n + 1) for a Bernoulli game of n players."""
@@ -586,6 +553,14 @@ class _LoadLaws:
             grid = self._grids[e] = np.asarray(cost.value_int(ks), dtype=float)
         return grid
 
+    def _grid_id(self, e: int) -> int:
+        """The id of resource e's ``unit_costs``, one per distinct grid."""
+        gid = self._grid_ids[e]
+        if gid < 0:
+            index = self._grid_index
+            gid = self._grid_ids[e] = index.setdefault(self.unit_costs(e).tobytes(), len(index))
+        return gid
+
     def load_costs(self, e: int) -> np.ndarray:
         """k c_e(k) for k = 0, ..., n in a Bernoulli game of n players, read off
         ``unit_costs``."""
@@ -595,20 +570,6 @@ class _LoadLaws:
             grid = self._load_grids[e] = np.concatenate(
                 ([0.0], np.arange(1, n + 1) * self.unit_costs(e)[:n]))
         return grid
-
-    def conditional(self, e: int, q: float, base: float = 1.0, weight: float = 1.0) -> float:
-        """E[c_e(base + weight Z)], Z counting resource e's random users without the term q.
-
-        Bernoulli games read c_e through ``value_int`` (base and weight are 1),
-        weighted games through ``value``.
-        """
-        pmf = self.without(e, q)
-        if self.game.kind == "bernoulli":
-            vals = self.unit_costs(e)[:pmf.size]
-        else:
-            cost = self.game.structure.cost_fns[e]
-            vals = np.asarray(cost.value(base + weight * np.arange(pmf.size)), dtype=float)
-        return float(pmf @ vals)
 
     def move(self, i: int, row: np.ndarray) -> None:
         """Replace player i's row of the usage matrix, patching each changed
@@ -624,11 +585,10 @@ class _LoadLaws:
                 old = was.own[i]
                 col = self.records[e] = self._patched(was, i, usage[e])
                 if was.law is not None:
-                    self._carry(col, was.law, old, col.own[i])
-        held = {id(col.law) for col in self.records if col is not None}
-        for key in [key for key, pmf in self._pmfs.items() if key and id(pmf) not in held]:
-            del self._pmfs[key]
-        self._removed, self._singles = {}, {}
+                    col.law = self._carry(col.key, was.law, old, col.own[i])
+        held = {col.law for col in self.records if col is not None}
+        for key in [key for key, law in self._laws.items() if key and law not in held]:
+            del self._laws[key]
 
     def _patched(self, was: _Column, i: int, u: float) -> _Column:
         """``was`` with player i's usage probability changed to u, split as
@@ -656,19 +616,19 @@ class _LoadLaws:
             total = math.fsum(certain.values())
         return _Column(certain, total, own, key, self.mags)
 
-    def _carry(self, col: _Column, law: np.ndarray, old: float, new: float) -> None:
-        """Give the patched record ``col`` the law of the record it replaced,
-        ``law``, with the mover's old term taken out and its new one convolved in."""
-        carried = self._pmfs.get(col.key)
+    def _carry(self, key: tuple[float, ...], law: _Law, old: float, new: float) -> _Law:
+        """The law of ``key``, a patched record's: the one held, else ``law``,
+        the replaced record's, with the mover's old term taken out and its new
+        one convolved in."""
+        carried = self._laws.get(key)
         if carried is None:
-            if old > 0.0:
-                law = self._deconvolved(law, old)
-            if law is None:
-                carried = self.pmf(col.key)
-            else:
-                carried = self._pmfs[col.key] = (np.convolve(law, [1.0 - new, new])
-                                                 if new > 0.0 else law)
-        col.law = carried
+            pmf = law.removed(old) if old > 0.0 else law.pmf
+            if pmf is None:
+                return self.law_of(key)
+            if new > 0.0:
+                pmf = np.convolve(pmf, [1.0 - new, new])
+            carried = self._laws[key] = _Law(key, pmf)
+        return carried
 
     def weighted_law(self, e: int) -> ValueDist:
         """Law of resource e's weighted load: the certain weights' fsum plus the random rest."""
@@ -677,7 +637,7 @@ class _LoadLaws:
             return ValueDist(np.array([col.total]), np.ones(1))
         weight = col.shared_weight()
         if weight is not None:
-            rest = ValueDist.from_pmf(Pmf(self.law(e)), scale=weight)
+            rest = ValueDist.from_pmf(Pmf(self.law(e).pmf), scale=weight)
         else:
             # columns with the same random users share the last enumeration; it is
             # dropped before the next one is built, so at most one is alive
@@ -700,7 +660,7 @@ class _LoadLaws:
             key = self.record(e).key if key is None else key
             if not key:
                 return 0.0
-            pmf = self.pmf(key)
+            pmf = self.law_of(key).pmf
             return float(pmf @ self.load_costs(e)[:pmf.size])
         cost = self.game.structure.cost_fns[e]
         if key is not None:
@@ -734,20 +694,20 @@ def _edge_cost(laws: _LoadLaws, i: int, e: int) -> float:
     """
     col = laws.records[e] or laws.record(e)
     q = col.own[i]
-    bernoulli = laws.game.kind == "bernoulli"
-    w, sure = 1.0 if bernoulli else laws.game.weights[i], i in col.certain
+    if laws.game.kind == "bernoulli":
+        return laws.term_cost(e, q)
+    w, sure = laws.game.weights[i], i in col.certain
     hit = col.values.get((q, w, sure))
     if hit is not None:
         return hit
     cost = laws.game.structure.cost_fns[e]
     # fsum is correctly rounded, so this is the fsum of the other certain weights
     base = w + (math.fsum([*col.certain.values(), -w]) if sure else col.total)
-    if bernoulli:
-        hit = laws.term_cost(e, q)
-    elif col.rand.size == (q > 0.0):
+    if col.rand.size == (q > 0.0):
         hit = float(cost.value(base))
     elif (shared := col.shared_weight(i)) is not None:
-        hit = laws.conditional(e, q, base, shared)
+        pmf = laws.without(laws.law(e), q)
+        hit = float(pmf @ np.asarray(cost.value(base + shared * np.arange(pmf.size)), dtype=float))
     elif isinstance(cost, PolynomialCost):
         # c(b + V) = sum_k a_k sum_m C(k, m) b^(k-m) V^m, every term nonnegative.
         # When a power of the load could overflow, loads are scaled by 2^-top,
@@ -1042,7 +1002,7 @@ def load_distribution(game: Game, profile: MixedProfile, e: int):
     _check_index(e, game.structure.n_resources, "resource")
     laws = _laws_of(game, profile)
     if game.kind == "bernoulli":
-        return Pmf(laws.law(e))
+        return Pmf(laws.law(e).pmf)
     return laws.weighted_law(e)
 
 

@@ -27,7 +27,7 @@ from .atomic import (BernoulliGame, MixedProfile, WeightedGame, _laws_of,
                      social_optimum_pure, symmetric_mixed_equilibrium, verify_equilibrium)
 from .core import _as_list, _field, _integer, all_strategy_costs, social_cost
 from .discrete_dist import Pmf, poisson_pmf, tv_distance
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
                             regularity_constants, resolve_alpha)
 from .wardrop import poa_nonatomic, solve_social_optimum, solve_wardrop
@@ -70,7 +70,15 @@ class SequenceSpec:
         # d/n generators make the max weight/probability strictly decreasing
         if any(n < 1 for n in ns):
             raise DomainError("n values must be positive")
+        if isinstance(self.equilibria, str):
+            raise DomainError(f"equilibria must be a list of labels, not {self.equilibria!r}")
         object.__setattr__(self, "equilibria", tuple(self.equilibria))
+        if self.equilibria:
+            known = [label for label, _ in instances.EXAMPLES[self.example].family(self.model)]
+            unknown = [label for label in self.equilibria if label not in known]
+            if unknown:
+                raise DomainError(f"{self.example} has no {self.model} equilibria {unknown}; "
+                                  f"its labels are {known}")
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SequenceSpec":
@@ -79,7 +87,7 @@ class SequenceSpec:
         if extra:
             raise DomainError(f"unknown keys in sequence spec: {sorted(extra)}")
         kinds = {"alpha": _float_or_none, "beta_override": _float_or_none, "tail_tol": float,
-                 "target_eps": float, "seed": _integer, "equilibria": tuple}
+                 "target_eps": float, "seed": _integer, "equilibria": _as_list}
         return cls(**{f.name: _field(data, f.name, "sequence spec", kinds.get(f.name))
                       for f in fields(cls) if f.name in data or f.default is MISSING})
 
@@ -196,7 +204,7 @@ def _bernoulli_tv(game: BernoulliGame, profile: MixedProfile, limit_loads,
     laws = _laws_of(game, profile)  # one store: resources with the same users share a law
     worst = (0.0, 0.0)
     for e in range(game.structure.n_resources):
-        interval = tv_distance(Pmf(laws.law(e)), poisson_pmf(float(limit_loads[e]), tail_tol))
+        interval = tv_distance(Pmf(laws.law(e).pmf), poisson_pmf(float(limit_loads[e]), tail_tol))
         if interval.upper > worst[1]:
             worst = (interval.lower, interval.upper)
     return worst
@@ -207,10 +215,7 @@ def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
     ex, structure, demand, constants, limit_loads, summary = _limit_environment(spec)
     family = ex.family(spec.model)
     if spec.equilibria:
-        chosen = {label for label in spec.equilibria}
-        family = tuple((lbl, b) for lbl, b in family if lbl in chosen)
-        if not family:
-            raise ConfigError("spec selects no known equilibrium label")
+        family = tuple((lbl, b) for lbl, b in family if lbl in spec.equilibria)
     rows = []
     for n in spec.n_values:
         game = ex.game(spec.model, n)

@@ -184,7 +184,6 @@ def wheatstone_bernoulli_mixed_player_cost(n: int) -> float:
 class ExampleDef:
     name: str
     build: Callable[[], Structure]
-    models: tuple[str, ...]
     families: dict  # model -> ordered (label, builder) pairs
 
     def demand(self) -> DemandVector:
@@ -209,28 +208,24 @@ EXAMPLES: dict[str, ExampleDef] = {
     "wheatstone-weighted": ExampleDef(
         name="wheatstone-weighted",
         build=wheatstone_structure,
-        models=("weighted",),
         families={"weighted": (("worst", wheatstone_all_zigzag),
                                ("best", wheatstone_zigzag_with_mixer))},
     ),
     "wheatstone-bernoulli": ExampleDef(
         name="wheatstone-bernoulli",
         build=wheatstone_structure,
-        models=("bernoulli",),
         families={"bernoulli": (("worst", wheatstone_symmetric_mix),
                                 ("best", wheatstone_split))},
     ),
     "pigou": ExampleDef(
         name="pigou",
         build=pigou_structure,
-        models=("weighted", "bernoulli"),
         families={"weighted": (("worst", two_strategy_all_first),),
                   "bernoulli": (("worst", two_strategy_all_first),)},
     ),
     "parallel": ExampleDef(
         name="parallel",
         build=parallel_structure,
-        models=("weighted", "bernoulli"),
         families={"weighted": (("worst", two_strategy_symmetric),),
                   "bernoulli": (("worst", two_strategy_symmetric),)},
     ),

@@ -36,7 +36,9 @@ class WardropSolution:
     ``converged`` certifies the returned pair (``epsilon <= target_eps``);
     ``stop_reason`` says why the sweeps ended: ``"converged"`` (an iterate
     met the target), ``"budget"`` (``max_iters`` ran out) or ``"no_descent"``
-    (a sweep left the flows unchanged).
+    (a sweep returned flows that an earlier sweep started from, unchanged
+    ones included: the sweeps would cycle, and every flow of the cycle has
+    been scored already).  ``iterations`` counts the sweeps run.
     """
 
     pair: FlowLoadPair
@@ -195,19 +197,23 @@ def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarra
     density at their loads, ``strat`` the strategies' sums of ``d``, ``dx``
     the load direction to the all-or-nothing flows on ``strat``.  The sweeps
     stop at a score at most ``target``, after ``max_iters``, or when one
-    leaves the flows bitwise unchanged.  Returns the last flows, the scored
-    flows of least score, the last score (inf if none), the sweep count, the
-    stop reason, and the loads at the start and after each sweep.
+    returns flows scored earlier in the run: the sweep map is deterministic,
+    so the run would cycle through flows already scored.  Returns the last
+    flows, the scored flows of least score, the last score (inf if none), the
+    sweep count, the stop reason, and the loads at the start and after each
+    sweep.
     """
     inc = structure.incidence
     x = y @ inc
     loads = [x]
     best, best_cert, cert = y, math.inf, math.inf
     iterations, stop_reason = 0, "budget"
+    scored = set()  # the bytes of every scored y, signed zeros made positive
     for k in range(max_iters):
         d = density(x, slopes=True)
         strat = inc @ d[0]
         cert = certificate(y, strat, d[0], (_aon_flows(structure, demand, strat) - y) @ inc)
+        scored.add((y + 0.0).tobytes())
         if cert < best_cert:
             best, best_cert = y, cert
         if cert <= target:
@@ -217,7 +223,7 @@ def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarra
         swept, x_run = y.copy(), x.copy()
         for sl in structure.type_slices:
             _equilibrate_type(inc[sl], swept[sl], x_run, d, density)
-        if np.array_equal(swept, y):
+        if (swept + 0.0).tobytes() in scored:
             stop_reason = "no_descent"
             break
         y = swept

@@ -247,3 +247,13 @@ def test_converge_on_a_spec_without_model_fails_cleanly(tmp_path, capsys):
     assert main(["converge", str(spec_path), "--out", str(tmp_path / "report.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "model" in err
+
+
+def test_converge_rejects_an_unknown_equilibrium_label(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"example": "wheatstone-weighted", "model": "weighted",
+                                     "n_values": [2, 4], "beta_override": 1.0,
+                                     "equilibria": ["worst", "bset"]}))
+    assert main(["converge", str(spec_path), "--out", str(tmp_path / "report.csv")]) == 2
+    assert "bset" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()

@@ -49,8 +49,35 @@ class TestSequenceSpec:
                                        "seed": 3})
         assert spec.seed == 3 and spec.model == "bernoulli"
 
+    def test_equilibria_must_be_labels_of_the_family(self):
+        # an unknown label was dropped without a word: ["worst", "bset"] ran
+        # only "worst" and reported pos 4/3 where the family gives 7/6
+        with pytest.raises(DomainError, match="bset"):
+            weighted_spec(equilibria=("worst", "bset"))
+        with pytest.raises(DomainError, match="no weighted equilibrium family"):
+            SequenceSpec(example="wheatstone-bernoulli", model="weighted", n_values=(2,),
+                         equilibria=("worst",))
+        for bad in ("worst", ["worst", "bset"]):
+            data = {"example": "wheatstone-weighted", "model": "weighted",
+                    "n_values": [2], "equilibria": bad}
+            with pytest.raises(DomainError, match="worst"):
+                SequenceSpec.from_json(data)
+        with pytest.raises(DomainError, match="list of labels"):
+            weighted_spec(equilibria="worst")
+        assert weighted_spec(equilibria=["best"]).equilibria == ("best",)
+
 
 class TestRunConvergence:
+    def test_equilibria_select_the_family_members_run(self):
+        # at n = 2 the family's worst equilibrium costs 4/3 of the optimum and
+        # its best 7/6; each label runs alone, and both give the family's pair
+        rows = {labels: run_convergence(weighted_spec(n_values=(2,), equilibria=labels)).rows[0]
+                for labels in (("worst",), ("best",), ("best", "worst"))}
+        assert rows["worst",].poa == rows["worst",].pos == pytest.approx(4 / 3, abs=1e-12)
+        assert rows["best",].poa == rows["best",].pos == pytest.approx(7 / 6, abs=1e-12)
+        both = rows["best", "worst"]
+        assert (both.poa, both.pos) == (rows["worst",].poa, rows["best",].pos)
+
     def test_weighted_wheatstone_trajectory(self):
         report = run_convergence(weighted_spec())
         for row in report.rows:

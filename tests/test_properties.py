@@ -255,9 +255,9 @@ class TestLeaveOneOut:
             state[i] = best
             laws.move(i, s.incidence[s.type_slices[0]][best])
             live = {col.key for col in laws.records if col is not None}
-            assert set(laws._pmfs) - {()} <= live
+            assert set(laws._laws) - {()} <= live
             for col in laws.records:  # a rebuilt record reads its key's law
-                assert col is None or col.law is None or col.law is laws._pmfs[col.key]
+                assert col is None or col.law is None or col.law is laws._laws[col.key]
             assert len(live) <= s.n_resources
         fresh = atomic._LoadLaws(game, atomic.choice_probabilities(game, MixedProfile.pure(game, state)))
         for i in range(n):
@@ -333,17 +333,56 @@ class TestLeaveOneOut:
                 assert (col.certain, col.total) == (want.certain, want.total)
                 for name in ("rand", "terms", "weights"):
                     assert getattr(col, name).tobytes() == getattr(want, name).tobytes()
-                assert col.law is None or col.law is laws._pmfs[col.key]
+                assert col.law is None or col.law is laws._laws[col.key]
                 if col.law is not None and kind == "bernoulli":
-                    assert np.abs(col.law - fresh.law(e)).max() <= 1e-13
+                    assert np.abs(col.law.pmf - fresh.law(e).pmf).max() <= 1e-13
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_law_cost_maps_outlive_moves(self, seed):
+        # random Bernoulli games, mixed and pure rows, random moves with random
+        # conditional-cost queries between them.  A law's cost maps are kept
+        # across moves, so after every move each cost that a held law keeps for
+        # a resource's grid is, bit for bit, the cost that a fresh store gives
+        # for that resource and term.  The fresh store is handed the moved
+        # store's pmfs, since a carried law rounds apart from a freshly
+        # convolved one (by at most 1e-13, as the test above checks), and
+        # against fresh convolutions the costs agree to 1e-12.  The store keeps
+        # only the laws that its records hold, and the empty key's
+        rng = np.random.default_rng(seed)
+        game = _random_set_game(rng, "bernoulli", int(rng.integers(2, 41)), 5)
+        s = game.structure
+        usage = atomic.choice_probabilities(game, _random_rows(rng, game))
+        laws = atomic._LoadLaws(game, usage.copy())
+        for step in range(30):
+            for _ in range(int(rng.integers(0, 2 * game.n_players + 1))):
+                i = int(rng.integers(game.n_players))
+                k = int(rng.integers(len(s.strategies[game.player_types[i]])))
+                atomic._strategy_cond_cost(laws, i, k)
+            i = int(rng.integers(game.n_players))
+            t = game.player_types[i]
+            row = _random_rows(rng, game).probs[i] @ s.incidence[s.type_slices[t]]
+            usage[i] = row
+            laws.move(i, row)
+            held = {col.law for col in laws.records if col is not None and col.law is not None}
+            assert set(laws._laws.values()) <= held | {laws._laws[()]}
+            assert all(laws._laws[law.key] is law for law in held)
+            fresh = atomic._LoadLaws(game, usage.copy())
+            fresh._laws = {key: atomic._Law(key, law.pmf) for key, law in laws._laws.items()}
+            plain = atomic._LoadLaws(game, usage.copy())
+            for e, col in enumerate(laws.records):
+                if col is None or col.law is None:
+                    continue
+                for q, cost in col.law.costs.get(laws._grid_id(e), {}).items():
+                    assert cost.hex() == fresh.term_cost(e, q).hex()
+                    assert cost == pytest.approx(plain.term_cost(e, q), rel=1e-12, abs=1e-12)
 
     def test_reused_and_swept_removals_change_no_result(self, monkeypatch):
         # a move takes the mover's term out of the laws its evaluation just
-        # deconvolved, and a law that serves _BATCH_TERMS players one at a time
-        # between moves has its other terms swept out at once.  With the slot
-        # that keeps the deconvolutions patched off (every one runs again), with
-        # no sweep, and with a sweep after every second player, the dynamics end
-        # at the same bytes
+        # deconvolved, and a law that has had _BATCH_TERMS single removals since
+        # its last sweep has all its terms swept out at once.  With the
+        # slot that keeps a law's last removal patched off (every one runs again,
+        # and still counts), with no sweep, and with a sweep after every second
+        # single removal, the dynamics end at the same bytes
         calls = []
         remove = atomic.remove_bernoulli
         monkeypatch.setattr(atomic, "remove_bernoulli",
@@ -353,11 +392,14 @@ class TestLeaveOneOut:
         n = 256
         game = BernoulliGame(wheatstone_structure(), tuple(rng.uniform(1e-4, 1.9 / n, n)),
                              (0,) * n)
-        deconvolved, usual = atomic._LoadLaws._deconvolved, discrete_dist._BATCH_TERMS
+        def every_time(law, q):
+            law.singles += 1
+            return atomic.remove_bernoulli(law.pmf, q)
+
+        removed, usual = atomic._Law.removed, discrete_dist._BATCH_TERMS
         results = {}
         for slot, batch in ((True, usual), (False, usual), (True, 10**9), (True, 2)):
-            monkeypatch.setattr(atomic._LoadLaws, "_deconvolved", deconvolved if slot else (
-                lambda self, full, q: atomic.remove_bernoulli(full, q)))
+            monkeypatch.setattr(atomic._Law, "removed", removed if slot else every_time)
             monkeypatch.setattr(atomic, "_BATCH_TERMS", batch)
             calls.clear()
             res = atomic.best_response_dynamics(game, [UPPER] * n)
