@@ -77,18 +77,10 @@ def _cmd_limit(args) -> int:
     structure, demand = load_instance(args.instance)
     limit = build_limit_game(structure, demand, tail_tol=args.tail_tol, alpha=args.alpha)
     constants = regularity_constants(structure, limit.alpha)
-    payload = {
-        "instance": instance_to_json(limit.structure, demand),
-        "constants": {
-            "alpha": constants.alpha, "kappa": constants.kappa,
-            "beta": constants.beta, "beta_source": constants.beta_source,
-            "nu": constants.nu, "zeta": constants.zeta, "gamma": constants.gamma,
-            "c_cap": constants.c_cap, "c_cap_aux": constants.c_cap_aux,
-            "theta": constants.theta, "xi": constants.xi,
-            "theta_hat": constants.theta_hat, "xi_hat": constants.xi_hat,
-        },
-    }
-    _write_or_print(payload, args.json)
+    names = ("alpha", "kappa", "beta", "beta_source", "nu", "zeta", "gamma", "c_cap",
+             "c_cap_aux", "theta", "xi", "theta_hat", "xi_hat")
+    _write_or_print({"instance": instance_to_json(limit.structure, demand),
+                     "constants": {k: getattr(constants, k) for k in names}}, args.json)
     return 0
 
 

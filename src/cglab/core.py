@@ -83,27 +83,27 @@ class _PolynomialStack:
 
     Horner's rule on a padded row performs the very operations of ``polyval``,
     so values, derivatives and marginals equal the scalar methods bit for bit.
-    Each cost supplies its rows through ``_coefficient_rows``: value, direct
-    marginal part, slope, integral, and the load-derivatives of value and
-    marginal.  Every method takes the loads of the rows ``idx`` selects.
+    Each cost supplies its rows through ``_coefficient_rows``: value, slope,
+    integral, and the slope of the marginal ``c + x c'``.  Every method takes
+    the loads of the rows ``idx`` selects.
     """
 
     def __init__(self, cost_fns):
         rows = [c._coefficient_rows() for c in cost_fns]
-        (self._value, self._direct, self._slope, self._integral, self._value_slope,
-         self._marginal_slope) = (_pad_rows([r[i] for r in rows]) for i in range(6))
+        self._value, self._slope, self._integral, self._marginal_slope = (
+            _pad_rows([r[i] for r in rows]) for i in range(4))
 
     def values(self, x: np.ndarray, idx=ALL) -> np.ndarray:
         return _horner(self._value[idx], x)
 
     def marginals(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return _horner(self._direct[idx], x) + x * _horner(self._slope[idx], x)
+        return self.values(x, idx) + x * _horner(self._slope[idx], x)
 
     def integrals(self, x: np.ndarray, idx=ALL) -> np.ndarray:
         return _horner(self._integral[idx], x)
 
     def value_slopes(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return np.stack((self.values(x, idx), _horner(self._value_slope[idx], x)))
+        return np.stack((self.values(x, idx), _horner(self._slope[idx], x)))
 
     def marginal_slopes(self, x: np.ndarray, idx=ALL) -> np.ndarray:
         return np.stack((self.marginals(x, idx), _horner(self._marginal_slope[idx], x)))
@@ -178,7 +178,7 @@ class PolynomialCost:
         integral = [0.0] + [c / (j + 1) for j, c in enumerate(self.coeffs)]
         # d/dx (c + x c') = sum_j j (j + 1) c_j x^(j-1)
         marginal_slope = [j * (j + 1) * c for j, c in enumerate(self.coeffs)][1:] or [0.0]
-        return self.coeffs, self.coeffs, slope, integral, slope, marginal_slope
+        return self.coeffs, slope, integral, marginal_slope
 
     def growth_envelope(self) -> GrowthEnvelope:
         return GrowthEnvelope("poly", degree=self.degree, scale=sum(self.coeffs))

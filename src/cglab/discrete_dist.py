@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .core import _readonly
 from .errors import CapacityError, DomainError, PrecisionError
@@ -24,7 +23,6 @@ _NORM_TOL = 1e-12
 _DECONV_TOL = 1e-14
 _LOG_HUGE = 709.0  # log of the largest tail bound reported as finite; larger ones are inf
 _LOG_ROUND_UP = 16 * np.finfo(float).eps  # relative slack on a log-space tail bound
-_SF_FLOOR = 1e-280  # Poisson tails below this are bounded, not evaluated
 _SERIES_LIMIT = 1_000_000  # largest truncation point of a certified Poisson series
 _BLOCK_ENTRIES = 1 << 18  # Poisson weights, or deconvolved masses, formed at once
 _BATCH_TERMS = 24  # fewest terms that remove_bernoulli_terms takes out in one sweep
@@ -186,18 +184,22 @@ class BarbourHallBound(NamedTuple):
 def poisson_pmf(mean: float, tail_tol: float = 1e-12) -> Pmf:
     """Truncated Poisson pmf with certified tail mass below ``tail_tol``.
 
-    The cutoff K is the smallest one whose tail bound (``exp_weighted_poisson_tail``
-    at rate 0) falls under tail_tol; that bound is the reported ``tail_mass``.
+    The masses run to the point k_cut that ``_truncation`` certifies at rate
+    0.  The tail past k is the sum of the masses k+1..k_cut, rounded up by a
+    few ulps of their log-space terms, plus the certified tail past k_cut; the
+    cutoff is the smallest k whose tail is under tail_tol; that tail is ``tail_mass``.
     """
     if mean < 0:
         raise DomainError("Poisson mean must be nonnegative")
     if not 0.0 < tail_tol < 1.0:
         raise DomainError("tail_tol must lie in (0, 1)")
     means = np.array([mean], dtype=float)
-    ks = np.arange(_truncation(means, 0.0, 1.0, tail_tol)[0] + 1)
-    tails = exp_weighted_poisson_tail(means[0], ks, 0.0, 1.0)
+    k_cut, err = _truncation(means, 0.0, 1.0, tail_tol)
+    w = _poisson_weights(means, np.arange(k_cut + 1))[0]
+    size = k_cut * (1.0 + abs(math.log(mean or 1.0))) + mean + _log_factorial(k_cut)
+    tails = np.append(np.cumsum(w[:0:-1])[::-1], 0.0) * (1.0 + _LOG_ROUND_UP * size) + err[0]
     k_max = int(np.argmax(tails < tail_tol))
-    return Pmf(_poisson_weights(means, ks[:k_max + 1])[0], tail_mass=float(tails[k_max]))
+    return Pmf(w[:k_max + 1], tail_mass=float(tails[k_max]))
 
 
 def bernoulli_sum_pmf(probs: Sequence[float]) -> Pmf:
@@ -580,26 +582,34 @@ def borisov_ruzankin_bound(mean: float, nu: float, max_prob: float) -> float:
 # certified expectations under exponential growth envelopes
 
 
-def _log(x):
-    """Natural log, -inf at 0, without floating-point warnings."""
-    return special.xlogy(1.0, x)
+_log_factorials = np.zeros(1)  # log k! for k = 0, 1, ...: math.lgamma values, grown on demand
 
 
-def _log_poisson_sf(k: int, means: np.ndarray) -> np.ndarray:
+def _log_factorial(k):
+    """``log k!`` elementwise for integers 0 <= k <= _SERIES_LIMIT + 1, from a table
+    that at least doubles when it grows; a larger k raises ``PrecisionError``."""
+    global _log_factorials
+    table, top = _log_factorials, int(np.max(k))
+    if top >= table.size:
+        if top > _SERIES_LIMIT + 1:
+            raise PrecisionError("Poisson series past its certified limit")
+        size = min(max(2 * table.size, top + 1), _SERIES_LIMIT + 2)
+        table = _log_factorials = np.array([math.lgamma(j + 1.0) for j in range(size)])
+    return table[k]
+
+
+def _log_poisson_sf(k, means: np.ndarray) -> np.ndarray:
     """Upper bound on ``log P(Poisson(mean) > k)``, elementwise, never -inf by underflow.
 
-    Where ``pdtrc`` is representable it is used as is.  Below that, k lies far
-    above the mean, and the tail is at most its first term ``p(k+1)`` times the
-    geometric series of ratio ``mean / (k+2)``.
+    The tail is at most its first term ``p(k+1)`` times the geometric series
+    of ratio ``mean / (k+2)``, which bounds the ratio of each term to the
+    one before.  Where that ratio reaches 1, or the bound exceeds 1, the
+    bound is 0 (a tail of at most 1): ``fmin`` takes 0 over the NaN of a
+    ratio above 1, and over that of ``0 * log 0`` at k = -1 and mean 0.
     """
-    sf = special.pdtrc(k, means)
-    deep = sf < _SF_FLOOR
-    if not deep.any():
-        return _log(sf)
-    ratio = means / (k + 2.0)
-    first = special.xlogy(k + 1.0, means) - means - special.gammaln(k + 2.0)
-    bound = np.where(ratio < 1.0, first - special.log1p(-ratio), 0.0)
-    return np.where(deep, bound, _log(sf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = (k + 1.0) * np.log(means) - means - _log_factorial(k + 1)
+        return np.fmin(first - np.log1p(-means / (k + 2.0)), 0.0)
 
 
 def exp_weighted_poisson_tail(mean, k_max, rate, scale):
@@ -610,6 +620,7 @@ def exp_weighted_poisson_tail(mean, k_max, rate, scale):
     The bound is formed in log space, so it never overflows on the way; a
     bound beyond ``e^709`` comes back as inf.  Arguments (``k_max`` too)
     broadcast against each other; the result is a float for scalar arguments.
+    A ``k_max`` past ``_SERIES_LIMIT`` raises ``PrecisionError``.
     """
     mean, rate, scale = (np.asarray(v, dtype=float) for v in (mean, rate, scale))
     args = np.concatenate((mean.ravel(), rate.ravel(), scale.ravel()))
@@ -617,7 +628,8 @@ def exp_weighted_poisson_tail(mean, k_max, rate, scale):
         raise DomainError("mean, rate and scale must be finite and nonnegative")
     if rate.max() > 50:
         raise PrecisionError("growth-envelope rate too large to certify tails")
-    terms = (_log(scale), mean * np.expm1(rate), _log_poisson_sf(k_max, mean * np.exp(rate)))
+    with np.errstate(divide="ignore"):  # a zero scale has log -inf
+        terms = (np.log(scale), mean * np.expm1(rate), _log_poisson_sf(k_max, mean * np.exp(rate)))
     log_bound = terms[0] + terms[1] + terms[2]
     # the round trip through log space costs a few ulps of the terms: round up by them
     finite = np.isfinite(log_bound)
@@ -628,30 +640,34 @@ def exp_weighted_poisson_tail(mean, k_max, rate, scale):
 
 
 def _poisson_weights(means: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Poisson(mean) masses on ``ks = 0..K``, one row per mean.
+    """Poisson(mean) masses on ``ks = 0..K``, one row per mean, for a K that
+    ``_truncation`` returned: past it every tail is below 2^-60.
 
-    Exponentiated from the log-pmf, then scaled to the exact mass
-    ``P(X <= K)``: the large cancelling terms of the log-pmf at big means
-    leave no error in the overall scale, and ``e^{-mean}`` is never formed
-    on its own, so means where it underflows keep their mass.
+    Exponentiated from the log-pmf and normalised to sum 1, so each row sums
+    to the exact mass ``P(X <= K)`` to within 2^-60: the large cancelling
+    terms of the log-pmf at big means leave no error in the overall scale,
+    and ``e^{-mean}`` is never formed on its own, so means where it
+    underflows keep their mass.
     """
     w = np.multiply.outer(np.log(np.where(means > 0.0, means, 1.0)), ks)
-    w -= special.gammaln(ks + 1.0)
+    w -= _log_factorial(ks)
     w -= means[:, None]
     np.exp(w, out=w)
     zero = means == 0.0
     if zero.any():
         w[zero] = ks == 0
-    w *= (special.pdtr(ks[-1], means) / w.sum(axis=1))[:, None]
+    w *= (1.0 / w.sum(axis=1))[:, None]
     return w
 
 
 def _truncation(means: np.ndarray, rate, scale, tol: float) -> tuple[int, np.ndarray]:
     """One truncation point K for every mean, and each mean's certified tail bound there.
 
-    K starts a few standard deviations above the largest mean and doubles
+    K starts t = 10 sqrt(top + 1) + 20 above the largest mean, top, and doubles
     until every envelope-weighted tail (``exp_weighted_poisson_tail``) drops
-    below ``tol``; past ``_SERIES_LIMIT`` the series is not certified.
+    below ``tol``; past ``_SERIES_LIMIT`` the series is not certified.  Every
+    untilted tail there is below e^-45 < 2^-60, by Bernstein's inequality
+    ``P(X >= mean + t) <= exp(-t^2 / (2 (mean + t / 3)))`` for every mean <= top.
     """
     top = float(means.max(initial=0.0))
     if not (top < np.inf and means.min(initial=0.0) >= 0.0):

@@ -25,12 +25,12 @@ from .atomic import (BernoulliGame, MixedProfile, WeightedGame, _laws_of,
                      best_response_dynamics, choice_probabilities, expected_loads,
                      load_distribution, opt_and_poa, player_expected_cost,
                      social_optimum_pure, symmetric_mixed_equilibrium, verify_equilibrium)
-from .core import _as_list, _field, _integer, all_strategy_costs, social_cost
+from .core import _as_list, _field, _integer, all_strategy_costs
 from .discrete_dist import Pmf, poisson_pmf, tv_distance
 from .errors import DomainError
 from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
                             regularity_constants, resolve_alpha)
-from .wardrop import poa_nonatomic, solve_social_optimum, solve_wardrop
+from .wardrop import poa_nonatomic, solve_wardrop
 
 REPORT_SCHEMA = 1
 REPORT_COLUMNS = ("n", "model", "max_w_or_r", "loads", "l2_dist", "tv_lo", "tv_hi",
@@ -51,7 +51,6 @@ class SequenceSpec:
     alpha: float | None = None
     beta_override: float | None = None
     tail_tol: float = DEFAULT_TAIL_TOL
-    target_eps: float = 1e-10
     seed: int = 0
     equilibria: tuple[str, ...] = ()  # empty means the example's full family
 
@@ -73,12 +72,12 @@ class SequenceSpec:
         if isinstance(self.equilibria, str):
             raise DomainError(f"equilibria must be a list of labels, not {self.equilibria!r}")
         object.__setattr__(self, "equilibria", tuple(self.equilibria))
-        if self.equilibria:
-            known = [label for label, _ in instances.EXAMPLES[self.example].family(self.model)]
-            unknown = [label for label in self.equilibria if label not in known]
-            if unknown:
-                raise DomainError(f"{self.example} has no {self.model} equilibria {unknown}; "
-                                  f"its labels are {known}")
+        # the example must have a family for the model, even when every member runs
+        known = [label for label, _ in instances.EXAMPLES[self.example].family(self.model)]
+        unknown = [label for label in self.equilibria if label not in known]
+        if unknown:
+            raise DomainError(f"{self.example} has no {self.model} equilibria {unknown}; "
+                              f"its labels are {known}")
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SequenceSpec":
@@ -87,7 +86,7 @@ class SequenceSpec:
         if extra:
             raise DomainError(f"unknown keys in sequence spec: {sorted(extra)}")
         kinds = {"alpha": _float_or_none, "beta_override": _float_or_none, "tail_tol": float,
-                 "target_eps": float, "seed": _integer, "equilibria": _as_list}
+                 "seed": _integer, "equilibria": _as_list}
         return cls(**{f.name: _field(data, f.name, "sequence spec", kinds.get(f.name))
                       for f in fields(cls) if f.name in data or f.default is MISSING})
 
@@ -173,20 +172,15 @@ def _limit_environment(spec: SequenceSpec):
     alpha = resolve_alpha(demand, spec.alpha)
     constants = regularity_constants(structure, alpha, beta_override=spec.beta_override,
                                      tail_tol=min(spec.tail_tol, 1e-12))
+    limit_structure = structure
     if spec.model == "bernoulli":
         limit_structure = build_limit_game(structure, demand, tail_tol=spec.tail_tol,
                                            alpha=alpha).structure
-    else:
-        limit_structure = structure
-    we = solve_wardrop(limit_structure, demand, target_eps=spec.target_eps,
-                       max_iters=5000)
-    opt = solve_social_optimum(limit_structure, demand, target_gap=spec.target_eps,
-                               max_iters=5000)
-    eq_cost = social_cost(limit_structure, we.pair)
-    summary = LimitSummary(
-        eq_cost=eq_cost, opt_cost=opt.value, poa=eq_cost / opt.value,
-        loads={rid: float(we.pair.x[e]) for e, rid in enumerate(structure.resources)})
-    return ex, structure, demand, constants, we.pair.x, summary
+    solved = poa_nonatomic(limit_structure, demand)
+    x = solved.we.pair.x
+    summary = LimitSummary(solved.eq_cost, solved.opt_cost, solved.poa,
+                           {rid: float(x[e]) for e, rid in enumerate(structure.resources)})
+    return ex, structure, demand, constants, x, summary
 
 
 def _weighted_l2(game: WeightedGame, profile: MixedProfile, limit_loads) -> float:

@@ -40,8 +40,6 @@ def _require_integer_cost(cost):
         raise PrecisionError("auxiliary costs need an integer-domain base cost")
     try:
         return cost.growth_envelope().exp_majorant()
-    except PrecisionError:
-        raise
     except AttributeError:
         raise PrecisionError("base cost declares no growth envelope") from None
 

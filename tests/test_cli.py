@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cglab import harness
 from cglab.atomic import parse_game
 from cglab.cli import main
 from cglab.core import (DemandVector, _field, _integer, instance_to_json, load_instance,
@@ -256,4 +257,18 @@ def test_converge_rejects_an_unknown_equilibrium_label(tmp_path, capsys):
                                      "equilibria": ["worst", "bset"]}))
     assert main(["converge", str(spec_path), "--out", str(tmp_path / "report.csv")]) == 2
     assert "bset" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_converge_rejects_a_model_without_a_family_before_solving(tmp_path, monkeypatch,
+                                                                   capsys):
+    def limit_environment(spec):
+        raise AssertionError("the limit game was solved for a spec that cannot run")
+
+    monkeypatch.setattr(harness, "_limit_environment", limit_environment)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"example": "wheatstone-bernoulli", "model": "weighted",
+                                     "n_values": [2]}))
+    assert main(["converge", str(spec_path), "--out", str(tmp_path / "report.csv")]) == 2
+    assert "no weighted equilibrium family" in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()

@@ -1,17 +1,23 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import special, stats
 
+from cglab import discrete_dist
 from cglab.discrete_dist import (Pmf, ValueDist, barbour_hall_bound,
                                  bernoulli_sum_pmf, borisov_ruzankin_bound,
                                  exp_weighted_poisson_tail,
                                  poisson_expect, poisson_pmf,
                                  tv_distance, tv_poisson_bound,
                                  weighted_sum_distribution)
-from cglab.errors import CapacityError, DomainError
+from cglab.errors import CapacityError, DomainError, PrecisionError
+
+from oracles import _poisson_terms_mp
 
 
 def enumerate_bernoulli_sum(probs):
@@ -74,6 +80,16 @@ class TestPoissonPmf:
             for mean in np.linspace(0.01, 60.0, 300):
                 p = poisson_pmf(mean, tol)
                 assert special.pdtrc(p.k_max, mean) <= p.tail_mass < tol
+
+    @pytest.mark.parametrize("mean", [50.0, 500.0, 5000.0])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_loose_tolerance_keeps_the_pmf_normalised(self, mean, tol):
+        # a tail bound as loose as the geometric one, taken as the tail mass,
+        # exceeds the true tail by more than the normalisation check allows:
+        # poisson_pmf(500.0, 1e-8) raised DomainError
+        p = poisson_pmf(mean, tol)
+        assert special.pdtrc(p.k_max, mean) <= p.tail_mass < tol
+        assert p.tail_mass + p.prob(p.k_max) >= tol
 
     def test_large_mean_is_normalised(self):
         p = poisson_pmf(800.0)
@@ -369,6 +385,15 @@ class TestExpectations:
         bound = exp_weighted_poisson_tail(300.0, 2200, 1.0, 1.0)
         assert 4.40068473494883e-126 <= bound <= 4.41e-126
 
+    def test_tail_past_minus_one_is_one(self):
+        # P(X > -1) = 1; pdtrc(-1, mean) is NaN, and this bound came back inf
+        for mean in (0.0, 0.5, 3.0):
+            assert 1.0 <= exp_weighted_poisson_tail(mean, -1, 0.0, 1.0) <= 1.0 + 1e-14
+
+    def test_tail_past_the_series_limit_raises(self):
+        with pytest.raises(PrecisionError):
+            exp_weighted_poisson_tail(1.0, discrete_dist._SERIES_LIMIT + 1, 0.0, 1.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_bad_arguments_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -376,3 +401,64 @@ class TestExpectations:
         for args in ((bad, 5, 0.1, 1.0), (1.0, 5, bad, 1.0), (1.0, 5, 0.1, bad)):
             with pytest.raises(DomainError):
                 exp_weighted_poisson_tail(*args)
+
+
+class TestPoissonKernelsAgainstScipy:
+    """The numpy Poisson kernels against scipy.special and mpmath."""
+
+    def test_log_factorial_table_matches_gammaln(self):
+        # every k up to 200,000, then a sample up to the table's last entry
+        top = discrete_dist._SERIES_LIMIT + 1
+        for ks in (np.arange(200_001), np.append(np.arange(200_001, top, 997), top)):
+            want = special.gammaln(ks + 1.0)
+            got = discrete_dist._log_factorial(ks)
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert discrete_dist._log_factorial(0) == discrete_dist._log_factorial(1) == 0.0
+
+    def test_log_factorial_past_the_series_limit_raises(self):
+        with pytest.raises(PrecisionError):
+            discrete_dist._log_factorial(discrete_dist._SERIES_LIMIT + 2)
+
+    @given(st.integers(0, 4000), st.one_of(st.floats(0.0, 3000.0), st.floats(0.0, 1e-6)))
+    @example(0, 1.0)
+    @example(30, 31.999999)  # ratio mean / (k + 2) just below 1
+    @example(30, 32.0)  # ratio 1
+    @example(0, 1e-9)  # a bound within a relative 1e-19 of the tail
+    def test_tail_bound_never_below_pdtrc(self, k, mean):
+        want = special.pdtrc(k, mean)
+        if want >= 1e-300:  # both stay normal floats
+            assert exp_weighted_poisson_tail(mean, k, 0.0, 1.0) >= want
+
+    def test_tail_bound_never_below_pdtrc_on_a_grid(self):
+        rng = np.random.default_rng(5)
+        means = np.concatenate((rng.uniform(0.0, 2000.0, 200),
+                                10.0 ** rng.uniform(-8.0, 3.3, 200), [0.0]))[:, None]
+        ks = np.concatenate((np.arange(60), rng.integers(60, 4000, 240)))[None, :]
+        got = exp_weighted_poisson_tail(means, ks, 0.0, 1.0)
+        want = special.pdtrc(ks, means)
+        normal = want >= 1e-300
+        assert np.all(got[normal] >= want[normal])
+
+    @given(st.one_of(st.floats(0.0, 5000.0), st.floats(0.0, 10.0)))
+    @example(0.0)
+    @example(5.37)  # pdtr(30, 5.37) < 1 in floating point
+    @example(745.5)  # e^-mean underflows
+    @example(5000.0)
+    def test_poisson_weights_match_mpmath(self, mean):
+        means = np.array([mean])
+        k_max = discrete_dist._truncation(means, 0.0, 1.0, 1e-12)[0]
+        with mpmath.workdps(30):
+            want = np.zeros(k_max + 1)
+            for k, p in _poisson_terms_mp(mean, 0.0):
+                if k > k_max:
+                    break
+                want[k] = float(p)
+        got = discrete_dist._poisson_weights(means, np.arange(k_max + 1))[0]
+        assert np.abs(got - want).sum() <= 1e-15 * (1.0 + mean)
+
+    @pytest.mark.parametrize("top", [0.0, 0.5, 7.0, 300.0, 1e4, 9e5])
+    def test_truncation_starts_past_a_negligible_tail(self, top):
+        # the normalisation of _poisson_weights reads this for every mean up to top
+        k_max = discrete_dist._truncation(np.array([top]), 0.0, 1.0, 0.5)[0]
+        for mean in (0.0, top / 3.0, top):
+            assert special.pdtrc(k_max, mean) < 2.0 ** -60

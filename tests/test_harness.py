@@ -66,6 +66,15 @@ class TestSequenceSpec:
             weighted_spec(equilibria="worst")
         assert weighted_spec(equilibria=["best"]).equilibria == ("best",)
 
+    def test_model_without_a_family_fails_at_construction(self):
+        # without equilibria the spec used to construct, and fail only inside
+        # run_convergence, after the limit game had been solved
+        with pytest.raises(DomainError, match="no weighted equilibrium family"):
+            SequenceSpec("wheatstone-bernoulli", "weighted", (2,))
+        with pytest.raises(DomainError, match="no bernoulli equilibrium family"):
+            SequenceSpec.from_json({"example": "wheatstone-weighted", "model": "bernoulli",
+                                    "n_values": [2]})
+
 
 class TestRunConvergence:
     def test_equilibria_select_the_family_members_run(self):
