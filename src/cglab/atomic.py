@@ -901,7 +901,8 @@ class _EachRow(list):
     integrals = partialmethod(_each, "integral")
 
     def value_slopes(self, x: np.ndarray, idx) -> np.ndarray:
-        return np.stack((self.values(x, idx), self._each("derivative", x, idx)))
+        # contiguous rows: numpy's dot products round a strided row differently
+        return np.ascontiguousarray(self._each("value_slope", x, idx).reshape(-1, 2).T)
 
 
 class _BinomialMixture:
@@ -918,16 +919,32 @@ class _BinomialMixture:
     def __init__(self, grid, r: float):
         self.grid, self.r = np.asarray(grid, dtype=float), r
         self.m = self.grid.size - 1
+        self._step = np.diff(self.grid)
+
+    def _q(self, u) -> float:
+        return min(max(self.r * float(u), 0.0), 1.0)
 
     def _expect(self, h: np.ndarray, u: float) -> float:
-        q = min(max(self.r * float(u), 0.0), 1.0)
-        return float(bernoulli_sum_pmf(np.full(h.size - 1, q)).probs @ h)
+        return float(bernoulli_sum_pmf(np.full(h.size - 1, self._q(u))).probs @ h)
 
     def value(self, u) -> float:
         return self._expect(self.grid, u)
 
+    def value_slope(self, u) -> tuple[float, float]:
+        """``value`` and its derivative in u from one Bin(m - 1, q) pmf, q = r u:
+        with K of that law, E g(Bin(m, q)) = E[(1 - q) g(K) + q g(K + 1)], the
+        masses of one more term (the step ``bernoulli_sum_pmf`` takes for an odd
+        count, so there the value has its bytes), and the derivative is
+        m r E Δg(K)."""
+        if not self.m:
+            return float(self.grid[0]), 0.0
+        q = self._q(u)
+        probs = bernoulli_sum_pmf(np.full(self.m - 1, q)).probs
+        return (float(np.convolve(probs, [1.0 - q, q]) @ self.grid),
+                self.m * self.r * float(probs @ self._step))
+
     def derivative(self, u) -> float:
-        return self.m * self.r * self._expect(np.diff(self.grid), u) if self.m else 0.0
+        return self.value_slope(u)[1]
 
     def integral(self, u) -> float:
         running = np.concatenate(([0.0], np.cumsum(self.grid)))

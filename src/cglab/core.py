@@ -490,10 +490,10 @@ class CostBatch:
 
     A continuous cost class names in its ``stack`` attribute the evaluator of
     a list of its costs: affine and polynomial costs share one, auxiliary
-    costs have their own.  ``values`` and ``marginals`` also evaluate a subset
-    of the resources: with ``rows``, ``x`` holds just those rows' loads.  With
-    ``slopes`` they return a (2, n) array, the density and its derivative in
-    the load.
+    costs have their own (which hands polynomial bases to the first).
+    ``values`` and ``marginals`` also evaluate a subset of the resources: with
+    ``rows``, ``x`` holds just those rows' loads.  With ``slopes`` they return
+    a (2, n) array, the density and its derivative in the load.
     """
 
     def __init__(self, cost_fns):

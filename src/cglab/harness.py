@@ -153,7 +153,8 @@ class ConvergenceReport:
             "spec": {"example": self.spec.example, "model": self.spec.model,
                      "n_values": list(self.spec.n_values), "seed": self.spec.seed,
                      "alpha": self.spec.alpha, "beta_override": self.spec.beta_override,
-                     "tail_tol": self.spec.tail_tol},
+                     "tail_tol": self.spec.tail_tol,
+                     "equilibria": list(self.spec.equilibria)},
             "limit": {"eq": self.limit.eq_cost, "opt": self.limit.opt_cost,
                       "poa": self.limit.poa, "loads": self.limit.loads},
             "rows": [row.as_record() for row in self.rows],

@@ -4,7 +4,8 @@ Auxiliary costs replace an integer-domain cost c by its Poisson mixture
 ``x -> E[c(1 + X)]`` with ``X ~ Poisson(x)``; the resulting nonatomic game
 captures the behaviour of unit-weight players with vanishing participation
 probabilities.  This module certifies the series evaluation through declared
-growth envelopes and assembles every constant used in the convergence-rate
+growth envelopes, gives the solvers the exact polynomial of a polynomial
+base's mixture, and assembles every constant used in the convergence-rate
 bounds.
 """
 
@@ -42,6 +43,29 @@ def _require_integer_cost(cost):
         return cost.growth_envelope().exp_majorant()
     except AttributeError:
         raise PrecisionError("base cost declares no growth envelope") from None
+
+
+def _poisson_polynomial(coeffs) -> tuple[float, ...] | None:
+    """Ascending coefficients of ``x -> E c(1 + X)``, X ~ Poisson(x), for c = sum_k a_k y^k.
+
+    Touchard's identity E X^(j) = x^j for the falling factorial X^(j), with
+    (1 + X)^k = sum_j C(k, j) sum_i S(j, i) X^(i), gives the row
+    b_i = sum_k a_k sum_{j=i..k} C(k, j) S(j, i) = sum_k a_k S(k + 1, i + 1),
+    S the Stirling numbers of the second kind, exact integers here.  Every
+    term is nonnegative, one rounded product summed by ``fsum``.  None when the
+    row leaves the float range.
+    """
+    top = len(coeffs)
+    stirling = [[1]]  # stirling[n][m] = S(n, m), by S(n, m) = m S(n-1, m) + S(n-1, m-1)
+    for n in range(1, top + 1):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [m * prev[m] + prev[m - 1] for m in range(1, n + 1)])
+    try:
+        row = tuple(math.fsum(a * stirling[k + 1][i + 1] for k, a in enumerate(coeffs[i:], i))
+                    for i in range(top))
+    except OverflowError:
+        return None
+    return row if all(map(math.isfinite, row)) else None
 
 
 class _AuxSeries:
@@ -153,7 +177,10 @@ class AuxCost:
     Series truncation is certified against the base cost's growth envelope so
     each evaluation is accurate to ``tail_tol``.  Every method evaluates one
     vector Poisson series (``_AuxSeries``); the solvers evaluate all the
-    auxiliary costs of a structure together through ``stack``.
+    auxiliary costs of a structure together through ``stack``.  Over a
+    ``PolynomialCost`` base (``AffineCost`` included) the mixture is itself a
+    polynomial with nonnegative coefficients (``_poisson_polynomial``), held
+    as ``PolynomialCost`` for ``stack``; over any other base there is none.
     """
 
     is_continuous = True
@@ -167,14 +194,35 @@ class AuxCost:
         self.tail_tol = float(tail_tol)
         self.domain_cap = None if domain_cap is None else float(domain_cap)
         self._series = _AuxSeries((base,), self.tail_tol)
+        row = _poisson_polynomial(base.coeffs) if isinstance(base, PolynomialCost) else None
+        self._poisson = None if row is None else PolynomialCost(row)
         if self.domain_cap is not None:
             grid = self.values_on_grid(np.linspace(0.0, self.domain_cap, 1000))
             if np.any(np.diff(grid) < -1e-9):
                 raise PrecisionError("auxiliary cost fails monotonicity on the check grid")
 
     @staticmethod
-    def stack(cost_fns) -> _AuxSeries:
-        """All the given auxiliary costs as one series, certified to the smallest tail_tol."""
+    def stack(cost_fns):
+        """The given auxiliary costs as one ``CostBatch`` evaluator.
+
+        When every cost holds its Poisson polynomial, the evaluator is
+        ``PolynomialCost.stack`` over those polynomials: Horner's rule, exact
+        up to rounding, with no series and no tail.  Otherwise it is one
+        series over every base, certified to the smallest tail_tol.
+
+        The solvers' sweeps read this evaluator, and so do the potential
+        history of ``solve_wardrop`` and the linearization gap of
+        ``solve_social_optimum``.  The other numbers they return come from
+        the series: ``solve_wardrop`` recomputes its epsilon and potential,
+        and ``solve_social_optimum`` its value, through the per-resource
+        methods below.  Those methods, ``social_cost_convex_on``,
+        ``regularity_constants`` and ``build_limit_game``'s monotonicity grid
+        all keep the series.  Moving them to the polynomial waits on the
+        benchmark revision (ROADMAP item 1), whose tracer requires the
+        series kernels to be called.
+        """
+        if all(c._poisson is not None for c in cost_fns):
+            return PolynomialCost.stack([c._poisson for c in cost_fns])
         return _AuxSeries(tuple(c.base for c in cost_fns), min(c.tail_tol for c in cost_fns))
 
     def value(self, x):

@@ -255,9 +255,11 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *,
 
     Stops once the certified additive gap drops to ``target_eps``; if the
     sweep budget runs out first, the best iterate found is returned with
-    ``converged`` set to False.  The sweeps evaluate the costs through
-    ``CostBatch``; the returned epsilon and potential are recomputed through
-    each resource's own cost methods.
+    ``converged`` set to False.  The sweeps and the potential history
+    evaluate the costs through ``CostBatch``, which reads an auxiliary cost
+    over a polynomial base as its exact Poisson polynomial (``AuxCost.stack``);
+    the returned epsilon and potential are recomputed through each resource's
+    own cost methods.
     """
     if not target_eps > 0:  # NaN fails too
         raise DomainError(f"target_eps must be positive, got {target_eps}")

@@ -87,6 +87,14 @@ class TestRunConvergence:
         both = rows["best", "worst"]
         assert (both.poa, both.pos) == (rows["worst",].poa, rows["best",].pos)
 
+    def test_json_spec_records_the_equilibria_run(self):
+        # a report from part of the family used to carry the spec object of a
+        # full-family run
+        specs = [json.loads(run_convergence(weighted_spec(n_values=(2,), equilibria=labels))
+                            .to_json())["spec"] for labels in (("best",), ())]
+        assert [spec["equilibria"] for spec in specs] == [["best"], []]
+        assert specs[0] != specs[1]
+
     def test_weighted_wheatstone_trajectory(self):
         report = run_convergence(weighted_spec())
         for row in report.rows:

@@ -5,7 +5,7 @@ import pytest
 
 from cglab import poisson_limit
 from cglab.atomic import BernoulliGame, choice_probabilities, expected_loads
-from cglab.core import (AffineCost, DemandVector, GrowthEnvelope, PolynomialCost,
+from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
                         Structure, TableCost)
 from cglab.discrete_dist import bernoulli_sum_pmf, borisov_ruzankin_bound, tv_distance, poisson_pmf
 from cglab.errors import ConfigError, DomainError, PrecisionError
@@ -172,6 +172,45 @@ class TestAuxIntegral:
         aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)
         for hi in (0.3, 1.0, 2.5):
             assert aux.integral(hi) == pytest.approx(hi + hi * hi / 2.0, abs=1e-9)
+
+
+class TestAuxCostStack:
+    """The solvers' batch reads a polynomial base's mixture as its exact
+    polynomial, and every other base through the certified series."""
+
+    @staticmethod
+    def _series_calls(monkeypatch, costs) -> int:
+        calls = []
+        real = poisson_limit.poisson_expect
+        monkeypatch.setattr(poisson_limit, "poisson_expect",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        batch = CostBatch(costs)
+        x = np.linspace(0.0, 5.0, len(costs))
+        batch.values(x, slopes=True)
+        batch.marginals(x, slopes=True)
+        batch.integrals(x)
+        return len(calls)
+
+    def test_polynomial_bases_need_no_series(self, monkeypatch):
+        costs = [AuxCost(AffineCost(1.0, 0.5)), AuxCost(PolynomialCost((0.3, 1.0, 0.0, 0.2)))]
+        assert self._series_calls(monkeypatch, costs) == 0
+
+    def test_a_table_base_keeps_the_series(self, monkeypatch):
+        costs = [AuxCost(AffineCost(1.0, 0.5)),
+                 AuxCost(random_monotone_table(np.random.default_rng(0)))]
+        assert self._series_calls(monkeypatch, costs) > 0
+
+    def test_low_degree_rows(self):
+        # E[(1 + X)^2] = 1 + 3x + x^2, and E[(1 + X)^3] = 1 + 7x + 6x^2 + x^3
+        assert poisson_limit._poisson_polynomial((0.0, 0.0, 1.0)) == (1.0, 3.0, 1.0)
+        assert poisson_limit._poisson_polynomial((0.0, 0.0, 0.0, 1.0)) == (1.0, 7.0, 6.0, 1.0)
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.0, 0.0, 1e307),  # a term overflows
+                                        (0.0, 0.0, 0.0, 1e307, 1e307)])  # so does their sum
+    def test_a_row_past_the_float_range_keeps_the_series(self, coeffs):
+        aux = AuxCost(PolynomialCost(coeffs))
+        assert aux._poisson is None
+        assert isinstance(AuxCost.stack([aux]), poisson_limit._AuxSeries)
 
 
 class TestRegularityConstants:

@@ -6,12 +6,14 @@ Poisson-binomial pmf and its repeated squaring of equal terms, the exact
 subset-sum atoms of weighted Bernoulli sums, array cost values against
 scalar calls, the batched cost evaluator of the nonatomic solvers (whole
 load vectors and row subsets, with slopes), their Newton line search, the
-vector Poisson series behind the auxiliary costs, the per-resource load laws
+vector Poisson series behind the auxiliary costs and the exact Poisson
+polynomial that replaces it over polynomial bases, the per-resource load laws
 behind ``esc`` and ``load_distribution``, the conditional costs behind
 ``verify_equilibrium`` and its one row per class of players, and the
 count-space search for the pure social optimum, the symmetric mixed
-equilibria found as Wardrop equilibria of binomial mixtures; and that a
-falsified property is reported without ending the test session.
+equilibria found as Wardrop equilibria of binomial mixtures, with one pmf per
+value and slope; and that a falsified property is reported without ending
+the test session.
 """
 
 import ast
@@ -741,6 +743,52 @@ class TestAuxCostBatch:
             assert _close_to(marginal[e], c.marginal(v), TAIL_TOL * (1.0 + v), abs(marginal[e]))
             assert _close_to(marginal_slope[e], 2.0 * d1 + v * d2, TAIL_TOL * (2.0 + v),
                              2.0 * abs(d1) + v * abs(d2))
+
+
+def _close_or_underflow(got: float, want: float, rel: float) -> bool:
+    """Within ``rel`` of ``want``, or both below the normal float range, where
+    floats themselves carry fewer digits."""
+    return abs(got - want) <= rel * abs(want) + sys.float_info.min
+
+
+class TestPoissonPolynomial:
+    """``AuxCost.stack`` over polynomial bases: the exact Poisson polynomial
+    (Touchard) against term-by-term mpmath sums, with no tail to allow for."""
+
+    @given(st.lists(coefficients, min_size=1, max_size=5), st.floats(0.0, 60.0))
+    @example([0.0, 0.0, 0.0, 0.0, 1.0], 60.0)
+    @example([0.0], 3.0)
+    def test_value_slope_and_integral_match_mpmath(self, coeffs, x):
+        def c(j):  # exact integer powers: every term of the sum is nonnegative
+            return math.fsum(a * j ** i for i, a in enumerate(coeffs))
+
+        stack = AuxCost.stack([AuxCost(PolynomialCost(tuple(coeffs)))])
+        rows = np.zeros(1, dtype=int)
+        value, slope = stack.value_slopes(np.array([x]), rows)[:, 0]
+        integral = stack.integrals(np.array([x]), rows)[0]
+        slope_want = poisson_expect_mp(x, lambda k: math.fsum(
+            a * ((k + 2) ** i - (k + 1) ** i) for i, a in enumerate(coeffs)))
+        assert _close_or_underflow(value, poisson_expect_mp(x, lambda k: c(k + 1)), 1e-13)
+        assert _close_or_underflow(slope, slope_want, 1e-13)
+        assert _close_or_underflow(integral, aux_integral_mp(x, c), 1e-13)
+
+
+class TestBinomialMixtureSlopes:
+    """One Bin(m - 1, q) pmf gives both the value and the slope."""
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_one_pmf_matches_two(self, steps, r, u):
+        grid = np.cumsum(steps)
+        mix = atomic._BinomialMixture(grid, r)
+        q = min(r * u, 1.0)
+        m = grid.size - 1
+        value = float(bernoulli_sum_pmf(np.full(m, q)).probs @ grid)
+        slope = m * r * float(bernoulli_sum_pmf(np.full(m - 1, q)).probs
+                              @ np.diff(grid)) if m else 0.0
+        got = mix.value_slope(u)
+        assert _close_or_underflow(got[0], value, 1e-14)
+        assert _close_or_underflow(got[1], slope, 1e-14)
 
 
 steep_costs = st.one_of(
