@@ -290,14 +290,11 @@ def choice_probabilities(game: Game, profile: MixedProfile) -> np.ndarray:
 
 
 def resource_choice_prob(game: Game, profile: MixedProfile, i: int, e: int) -> float:
-    """Probability that player i's drawn strategy contains resource e, capped
-    at 1 as in ``choice_probabilities``."""
-    _check_profile(game, profile)
-    s = game.structure
+    """Probability that player i's drawn strategy contains resource e: its
+    entry of ``choice_probabilities``, which every load law is built from."""
     _check_index(i, game.n_players, "player")
-    _check_index(e, s.n_resources, "resource")
-    sl = s.type_slices[game.player_types[i]]
-    return min(float(profile.probs[i] @ s.incidence[sl][:, e]), 1.0)
+    _check_index(e, game.structure.n_resources, "resource")
+    return float(choice_probabilities(game, profile)[i, e])
 
 
 # ---------------------------------------------------------------------------
@@ -924,18 +921,13 @@ class _BinomialMixture:
     def _q(self, u) -> float:
         return min(max(self.r * float(u), 0.0), 1.0)
 
-    def _expect(self, h: np.ndarray, u: float) -> float:
-        return float(bernoulli_sum_pmf(np.full(h.size - 1, self._q(u))).probs @ h)
-
     def value(self, u) -> float:
-        return self._expect(self.grid, u)
+        return self.value_slope(u)[0]
 
     def value_slope(self, u) -> tuple[float, float]:
-        """``value`` and its derivative in u from one Bin(m - 1, q) pmf, q = r u:
+        """The value and its derivative in u from one Bin(m - 1, q) pmf, q = r u:
         with K of that law, E g(Bin(m, q)) = E[(1 - q) g(K) + q g(K + 1)], the
-        masses of one more term (the step ``bernoulli_sum_pmf`` takes for an odd
-        count, so there the value has its bytes), and the derivative is
-        m r E Δg(K)."""
+        masses of one more term, and the derivative is m r E Δg(K)."""
         if not self.m:
             return float(self.grid[0]), 0.0
         q = self._q(u)
@@ -948,7 +940,8 @@ class _BinomialMixture:
 
     def integral(self, u) -> float:
         running = np.concatenate(([0.0], np.cumsum(self.grid)))
-        return self._expect(running, u) / (self.r * (self.m + 1))
+        probs = bernoulli_sum_pmf(np.full(self.m + 1, self._q(u))).probs
+        return float(probs @ running) / (self.r * (self.m + 1))
 
 
 def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL) -> MixedProfile:
@@ -1034,22 +1027,16 @@ def strategy_flow_covariance(game: Game, profile: MixedProfile, t: int,
     for i in range(game.n_players):
         if game.player_types[i] != t:
             continue
-        mi = game.magnitudes[i]
-        p1 = float(profile.probs[i][s1])
-        p2 = float(profile.probs[i][s2])
+        # a player adds magnitude m with probability r p_s to strategy s's flow
+        m, r = (1.0, game.probs[i]) if game.kind == "bernoulli" else (game.magnitudes[i], 1.0)
+        p1, p2 = float(profile.probs[i][s1]), float(profile.probs[i][s2])
         if s1 == s2:
-            if game.kind == "bernoulli":
-                q = game.probs[i] * p1
-                total += q * (1.0 - q)
-            else:
-                total += mi * mi * p1 * (1.0 - p1)
+            q = r * p1
+            total += m * m * q * (1.0 - q)
         else:
             # exclusive draws: the cross moment vanishes, leaving minus the
             # product of the per-strategy means
-            if game.kind == "bernoulli":
-                total += -(game.probs[i] ** 2) * p1 * p2
-            else:
-                total += -(mi * mi) * p1 * p2
+            total -= m * m * r * r * p1 * p2
     return total
 
 

@@ -14,13 +14,12 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, PrecisionError, StructureError
 
-FEASIBILITY_TOL = 1e-9
 USAGE_TOL = 1e-10  # a strategy counts as used above this probability
 ALL = slice(None)  # every row of a cost stack
 
@@ -78,50 +77,72 @@ class GrowthEnvelope:
         return {"kind": "poly", "degree": self.degree, "scale": self.scale}
 
 
-class _PolynomialStack:
-    """Polynomial costs (affine ones included) stacked into zero-padded coefficient arrays.
+def _horner(coeffs, x):
+    """Ascending coefficients evaluated at x by Horner's rule.
 
-    Horner's rule on a padded row performs the very operations of ``polyval``,
-    so values, derivatives and marginals equal the scalar methods bit for bit.
-    Each cost supplies its rows through ``_coefficient_rows``: value, slope,
-    integral, and the slope of the marginal ``c + x c'``.  Every method takes
+    The one evaluator of polynomial costs: a cost's coefficient tuple at a
+    float gives a Python float, at a load array an array; a stack's column
+    array (one row per power, one column per cost) gives one value per cost.
+    Adding ``x * 0`` shapes the start like x.
+    """
+    acc = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
+
+
+class _Rows(NamedTuple):
+    """A polynomial cost's coefficient rows, each in ascending order."""
+
+    value: tuple[float, ...]
+    slope: tuple[float, ...]
+    integral: tuple[float, ...]
+    marginal_slope: tuple[float, ...]  # d/dx (c + x c') = sum_j j (j + 1) c_j x^(j-1)
+    curvature: tuple[float, ...]
+
+    @classmethod
+    def of(cls, coeffs: tuple[float, ...]) -> "_Rows":
+        def row(terms, skip):
+            return tuple(terms)[skip:] or (0.0,)
+
+        return cls(coeffs,
+                   row((j * c for j, c in enumerate(coeffs)), 1),
+                   (0.0,) + tuple(c / (j + 1) for j, c in enumerate(coeffs)),
+                   row((j * (j + 1) * c for j, c in enumerate(coeffs)), 1),
+                   row((j * (j - 1) * c for j, c in enumerate(coeffs)), 2))
+
+
+class _PolynomialStack:
+    """Polynomial costs stacked into zero-padded coefficient columns.
+
+    Every row goes through ``_horner``, the routine of the scalar methods, so
+    values, slopes and integrals equal theirs bit for bit.  Every method takes
     the loads of the rows ``idx`` selects.
     """
 
     def __init__(self, cost_fns):
-        rows = [c._coefficient_rows() for c in cost_fns]
         self._value, self._slope, self._integral, self._marginal_slope = (
-            _pad_rows([r[i] for r in rows]) for i in range(4))
+            _pad_columns([c._rows[i] for c in cost_fns]) for i in range(4))
 
     def values(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return _horner(self._value[idx], x)
-
-    def marginals(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return self.values(x, idx) + x * _horner(self._slope[idx], x)
+        return _horner(self._value[:, idx], x)
 
     def integrals(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return _horner(self._integral[idx], x)
+        return _horner(self._integral[:, idx], x)
 
     def value_slopes(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return np.stack((self.values(x, idx), _horner(self._slope[idx], x)))
+        return np.stack((self.values(x, idx), _horner(self._slope[:, idx], x)))
 
     def marginal_slopes(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return np.stack((self.marginals(x, idx), _horner(self._marginal_slope[idx], x)))
+        value, slope = self.values(x, idx), _horner(self._slope[:, idx], x)
+        return np.stack((value + x * slope, _horner(self._marginal_slope[:, idx], x)))
 
 
-def _pad_rows(rows) -> np.ndarray:
-    out = np.zeros((len(rows), max(len(r) for r in rows)))
+def _pad_columns(rows) -> np.ndarray:
+    out = np.zeros((max(len(r) for r in rows), len(rows)))
     for i, r in enumerate(rows):
-        out[i, :len(r)] = r
+        out[:len(r), i] = r
     return out
-
-
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows of ascending coefficients evaluated at x, in ``polyval``'s order of operations."""
-    acc = coeffs[:, -1] + x * 0
-    for j in range(coeffs.shape[1] - 2, -1, -1):
-        acc = coeffs[:, j] + acc * x
-    return acc
 
 
 @dataclass(frozen=True)
@@ -142,24 +163,23 @@ class PolynomialCost:
             raise DomainError("polynomial cost coefficients must be finite")
         if min(self.coeffs) < 0:
             raise DomainError("polynomial cost coefficients must be nonnegative")
+        object.__setattr__(self, "_rows", _Rows.of(self.coeffs))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def value(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
+        return _horner(self.coeffs, x)
 
     def value_int(self, k):
         return self.value(np.asarray(k, dtype=float)) if not np.isscalar(k) else self.value(float(k))
 
     def derivative(self, x):
-        d = [j * c for j, c in enumerate(self.coeffs)][1:] or [0.0]
-        return np.polynomial.polynomial.polyval(x, d)
+        return _horner(self._rows.slope, x)
 
     def integral(self, x):
-        anti = [0.0] + [c / (j + 1) for j, c in enumerate(self.coeffs)]
-        return np.polynomial.polynomial.polyval(x, anti)
+        return _horner(self._rows.integral, x)
 
     def marginal(self, x):
         return self.value(x) + x * self.derivative(x)
@@ -170,43 +190,20 @@ class PolynomialCost:
         return (float(lo), float(self.derivative(hi)))
 
     def curvature_max(self, hi: float) -> float:
-        dd = [j * (j - 1) * c for j, c in enumerate(self.coeffs)][2:] or [0.0]
-        return float(np.polynomial.polynomial.polyval(hi, dd))
-
-    def _coefficient_rows(self):
-        slope = [j * c for j, c in enumerate(self.coeffs)][1:] or [0.0]
-        integral = [0.0] + [c / (j + 1) for j, c in enumerate(self.coeffs)]
-        # d/dx (c + x c') = sum_j j (j + 1) c_j x^(j-1)
-        marginal_slope = [j * (j + 1) * c for j, c in enumerate(self.coeffs)][1:] or [0.0]
-        return self.coeffs, slope, integral, marginal_slope
+        return float(_horner(self._rows.curvature, hi))
 
     def growth_envelope(self) -> GrowthEnvelope:
         return GrowthEnvelope("poly", degree=self.degree, scale=sum(self.coeffs))
 
     def to_json(self) -> dict:
+        if self.degree == 1:
+            return {"kind": "affine", "a": self.coeffs[1], "b": self.coeffs[0]}
         return {"kind": "polynomial", "coeffs": list(self.coeffs)}
 
 
-class AffineCost(PolynomialCost):
-    """c(x) = slope * x + intercept: the degree-one polynomial cost ``(intercept, slope)``."""
-
-    def __init__(self, slope: float, intercept: float = 0.0):
-        super().__init__((intercept, slope))
-
-    @property
-    def slope(self) -> float:
-        return self.coeffs[1]
-
-    @property
-    def intercept(self) -> float:
-        return self.coeffs[0]
-
-    def value(self, x):
-        intercept, slope = self.coeffs  # Horner's two operations, without polyval's overhead
-        return slope * x + intercept
-
-    def to_json(self) -> dict:
-        return {"kind": "affine", "a": self.slope, "b": self.intercept}
+def AffineCost(slope: float, intercept: float = 0.0) -> PolynomialCost:
+    """c(x) = slope * x + intercept: the degree-one ``PolynomialCost((intercept, slope))``."""
+    return PolynomialCost((intercept, slope))
 
 
 @dataclass(frozen=True)
@@ -449,13 +446,10 @@ def loads_from_flows(structure: Structure, y) -> np.ndarray:
     return y @ structure.incidence
 
 
-def check_feasible(structure: Structure, demand: DemandVector, pair: FlowLoadPair,
-                   tol: float = FEASIBILITY_TOL) -> float:
-    """Maximum absolute violation over all feasibility constraints.
-
-    The pair is feasible iff the returned value does not exceed ``tol``;
-    nonnegativity, per-type totals and the load identity are all checked.
-    """
+def check_feasible(structure: Structure, demand: DemandVector, pair: FlowLoadPair) -> float:
+    """Maximum absolute violation over all feasibility constraints: nonnegativity,
+    per-type totals and the load identity.  Callers compare it with their own
+    tolerance."""
     y = pair.y
     if y.shape != (structure.n_flows,):
         raise StructureError("flow vector does not match the structure")
@@ -469,13 +463,13 @@ def check_feasible(structure: Structure, demand: DemandVector, pair: FlowLoadPai
 
 
 def strategy_cost(structure: Structure, x, t: int, s: int) -> float:
-    """Total cost of strategy ``s`` of type ``t`` at loads ``x``."""
+    """Total cost of strategy ``s`` of type ``t`` at loads ``x``: its entry of
+    ``all_strategy_costs``, which the solvers read."""
     if not 0 <= t < structure.n_types:
         raise StructureError(f"no type with index {t}")
     if not 0 <= s < len(structure.strategies[t]):
         raise StructureError(f"type {structure.types[t]!r} has no strategy {s}")
-    x = np.asarray(x, dtype=float)
-    return float(sum(structure.cost_fns[e].value(float(x[e])) for e in structure.strategies[t][s]))
+    return float(all_strategy_costs(structure, x)[structure.type_slices[t].start + s])
 
 
 def all_strategy_costs(structure: Structure, x) -> np.ndarray:
@@ -489,11 +483,11 @@ class CostBatch:
     """Every resource's cost at a whole load vector, one vector call per cost family.
 
     A continuous cost class names in its ``stack`` attribute the evaluator of
-    a list of its costs: affine and polynomial costs share one, auxiliary
-    costs have their own (which hands polynomial bases to the first).
-    ``values`` and ``marginals`` also evaluate a subset of the resources: with
-    ``rows``, ``x`` holds just those rows' loads.  With ``slopes`` they return
-    a (2, n) array, the density and its derivative in the load.
+    a list of its costs: polynomial costs have one, auxiliary costs have their
+    own (which hands polynomial bases to the first).  ``value_slopes`` and
+    ``marginal_slopes`` return a (2, n) array, a density and its derivative in
+    the load; with ``rows`` they evaluate just those resources, and ``x``
+    holds just their loads.
     """
 
     def __init__(self, cost_fns):
@@ -528,12 +522,15 @@ class CostBatch:
                 out[..., at] = got
         return out
 
-    def values(self, x, rows=None, slopes: bool = False) -> np.ndarray:
-        return self._eval("value_slopes" if slopes else "values", x, rows)
+    def values(self, x) -> np.ndarray:
+        return self._eval("values", x)
 
-    def marginals(self, x, rows=None, slopes: bool = False) -> np.ndarray:
-        """Derivatives of x * c(x): the marginal social costs."""
-        return self._eval("marginal_slopes" if slopes else "marginals", x, rows)
+    def value_slopes(self, x, rows=None) -> np.ndarray:
+        return self._eval("value_slopes", x, rows)
+
+    def marginal_slopes(self, x, rows=None) -> np.ndarray:
+        """The marginal social costs, derivatives of x * c(x), with their slopes."""
+        return self._eval("marginal_slopes", x, rows)
 
     def integrals(self, x) -> np.ndarray:
         """Integrals of the costs from 0 to x: the Beckmann potential's terms."""

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -150,11 +150,7 @@ class ConvergenceReport:
     def to_json(self) -> str:
         payload = {
             "schema": REPORT_SCHEMA,
-            "spec": {"example": self.spec.example, "model": self.spec.model,
-                     "n_values": list(self.spec.n_values), "seed": self.spec.seed,
-                     "alpha": self.spec.alpha, "beta_override": self.spec.beta_override,
-                     "tail_tol": self.spec.tail_tol,
-                     "equilibria": list(self.spec.equilibria)},
+            "spec": asdict(self.spec),
             "limit": {"eq": self.limit.eq_cost, "opt": self.limit.opt_cost,
                       "poa": self.limit.poa, "loads": self.limit.loads},
             "rows": [row.as_record() for row in self.rows],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from .core import ALL, AffineCost, DemandVector, PolynomialCost, Structure
+from .core import ALL, DemandVector, PolynomialCost, Structure
 from .discrete_dist import borisov_ruzankin_bound, poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
 from .wardrop import demand_perturbation_bound, strategy_cost_cap
@@ -36,13 +36,26 @@ class RateBounds(NamedTuple):
     sequence: float  # point bound plus the demand-gap term
 
 
-def _require_integer_cost(cost):
+def _require_integer_cost(cost) -> tuple[float, float]:
+    """(rate, scale) of an exponential majorant of the cost's growth envelope.
+
+    The series bound ``k -> c(1 + k)`` by scale e^rate e^(rate k); where
+    scale e^rate is not finite, no series of the cost can be certified.
+    """
     if not getattr(cost, "has_integer_eval", False):
         raise PrecisionError("auxiliary costs need an integer-domain base cost")
     try:
-        return cost.growth_envelope().exp_majorant()
+        envelope = cost.growth_envelope()
     except AttributeError:
         raise PrecisionError("base cost declares no growth envelope") from None
+    rate, scale = envelope.exp_majorant()
+    try:
+        finite = math.isfinite(scale * math.exp(rate))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise PrecisionError(f"the growth envelope {envelope} leaves the float range")
+    return rate, scale
 
 
 def _poisson_polynomial(coeffs) -> tuple[float, ...] | None:
@@ -143,10 +156,6 @@ class _AuxSeries:
     def value_slopes(self, x, idx) -> np.ndarray:
         return self._stacked(x, idx, (0, 1))
 
-    def marginals(self, x, idx) -> np.ndarray:
-        value, slope = self._stacked(x, idx, (0, 1))
-        return value + x * slope
-
     def marginal_slopes(self, x, idx) -> np.ndarray:
         value, slope, curvature = self._stacked(x, idx, (0, 1, 2))
         return np.stack((value + x * slope, 2.0 * slope + x * curvature))
@@ -178,9 +187,9 @@ class AuxCost:
     each evaluation is accurate to ``tail_tol``.  Every method evaluates one
     vector Poisson series (``_AuxSeries``); the solvers evaluate all the
     auxiliary costs of a structure together through ``stack``.  Over a
-    ``PolynomialCost`` base (``AffineCost`` included) the mixture is itself a
-    polynomial with nonnegative coefficients (``_poisson_polynomial``), held
-    as ``PolynomialCost`` for ``stack``; over any other base there is none.
+    ``PolynomialCost`` base the mixture is itself a polynomial with
+    nonnegative coefficients (``_poisson_polynomial``), held as
+    ``PolynomialCost`` for ``stack``; over any other base there is none.
     """
 
     is_continuous = True
@@ -370,11 +379,12 @@ def regularity_constants(structure: Structure, alpha: float, *,
                          tail_tol: float = 1e-12) -> BoundConstants:
     """Compute every rate-bound constant the structure's costs support.
 
-    beta resolution: an explicit override wins; otherwise the exact slope for
-    all-affine costs; otherwise the fallback ``min[c(2)-c(1)] * e^{-alpha}``
-    when positive.  Structures mixing constant resources with increasing ones
-    end up with no derivable beta, and bound evaluation then needs an override.
-    The weighted bounds never take the fallback (see ``weighted_beta``).
+    beta resolution: an explicit override wins; otherwise the exact slope when
+    every cost is a polynomial without curvature on [0, alpha]; otherwise the
+    fallback ``min[c(2)-c(1)] * e^{-alpha}`` when positive.  Structures mixing
+    constant resources with increasing ones end up with no derivable beta, and
+    bound evaluation then needs an override.  The weighted bounds never take
+    the fallback (see ``weighted_beta``).
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -408,8 +418,8 @@ def regularity_constants(structure: Structure, alpha: float, *,
         if beta_override <= 0:
             raise DomainError("beta override must be positive")
         beta, beta_source = float(beta_override), "override"
-    elif all(isinstance(c, AffineCost) for c in costs) and min(c.slope for c in costs) > 0:
-        beta, beta_source = min(c.slope for c in costs), "affine"
+    elif gamma == 0.0 and slope_min > 0:  # every cost affine on [0, alpha]
+        beta, beta_source = slope_min, "affine"
     elif delta1_min is not None and delta1_min * math.exp(-alpha) > 0:
         beta, beta_source = delta1_min * math.exp(-alpha), "first-difference"
     else:

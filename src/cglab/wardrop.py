@@ -171,7 +171,7 @@ def _equilibrate_type(inc: np.ndarray, y: np.ndarray, x: np.ndarray, d: np.ndarr
         evaluated = []
 
         def slope(gamma):
-            evaluated[:] = [density(np.maximum(x_r + gamma * dx, 0.0), rows, slopes=True)]
+            evaluated[:] = [density(np.maximum(x_r + gamma * dx, 0.0), rows)]
             return float(evaluated[0][0] @ dx), float(evaluated[0][1] @ (dx * dx))
 
         gamma = _segment_minimizer(slope, s0, float(d_r[1] @ (dx * dx)))
@@ -182,7 +182,7 @@ def _equilibrate_type(inc: np.ndarray, y: np.ndarray, x: np.ndarray, d: np.ndarr
         y[b] += shift
         x[rows] = np.maximum(x_r + shift * delta[rows], 0.0)
         # the search ends on its last evaluation or within SEGMENT_XTOL of it
-        d[:, rows] = evaluated[0] if evaluated else density(x[rows], rows, slopes=True)
+        d[:, rows] = evaluated[0] if evaluated else density(x[rows], rows)
 
 
 _Descent = namedtuple("_Descent", "last best certificate iterations stop_reason loads")
@@ -192,9 +192,9 @@ def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarra
                         density, certificate, target: float, max_iters: int) -> _Descent:
     """Gauss-Seidel sweeps of ``_equilibrate_type`` over the types from feasible flows ``y``.
 
-    ``density`` is ``CostBatch.values`` or ``.marginals``.  A sweep first
-    scores its flows by ``certificate(y, strat, d, dx)``: ``d`` is the
-    density at their loads, ``strat`` the strategies' sums of ``d``, ``dx``
+    ``density`` is ``CostBatch.value_slopes`` or ``.marginal_slopes``.  A
+    sweep first scores its flows by ``certificate(y, strat, d, dx)``: ``d`` is
+    the density at their loads, ``strat`` the strategies' sums of ``d``, ``dx``
     the load direction to the all-or-nothing flows on ``strat``.  The sweeps
     stop at a score at most ``target``, after ``max_iters``, or when one
     returns flows scored earlier in the run: the sweep map is deterministic,
@@ -210,7 +210,7 @@ def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarra
     iterations, stop_reason = 0, "budget"
     scored = set()  # the bytes of every scored y, signed zeros made positive
     for k in range(max_iters):
-        d = density(x, slopes=True)
+        d = density(x)
         strat = inc @ d[0]
         cert = certificate(y, strat, d[0], (_aon_flows(structure, demand, strat) - y) @ inc)
         scored.add((y + 0.0).tobytes())
@@ -265,7 +265,7 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *,
         raise DomainError(f"target_eps must be positive, got {target_eps}")
     batch, y = _setup(structure, demand, y0, "nonatomic solver")
     run = _path_equilibration(
-        structure, demand, y, batch.values,
+        structure, demand, y, batch.value_slopes,
         lambda y, strat, _d, _dx: _epsilon_from_costs(structure, demand, y, strat),
         target_eps, max_iters)
     pair = FlowLoadPair.from_flows(structure, run.best)
@@ -306,7 +306,7 @@ def solve_social_optimum(structure: Structure, demand: DemandVector, *,
     """
     batch, y = _setup(structure, demand, y0, "social optimum solver")
     _assert_sc_convex(structure.cost_fns, demand.total)
-    run = _path_equilibration(structure, demand, y, batch.marginals,
+    run = _path_equilibration(structure, demand, y, batch.marginal_slopes,
                               lambda _y, _strat, marg, dx: float(-(marg @ dx)),
                               target_gap, max_iters)
     pair = FlowLoadPair.from_flows(structure, run.last)

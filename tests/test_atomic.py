@@ -479,6 +479,16 @@ class TestOptAndPoa:
             assert res.poa == pytest.approx(wheatstone_bernoulli_poa(n), abs=1e-9)
             assert res.pos == 1.0
 
+    def test_past_the_budget_the_optimum_is_the_best_equilibrium(self):
+        # 706 interchangeable players over 3 strategies make C(708, 2) = 250,278
+        # count vectors, more than OPT_BUDGET
+        game = wheatstone_weighted(706)
+        assert math.comb(706 + 2, 2) > atomic.OPT_BUDGET
+        res = opt_and_poa(game, [wheatstone_all_zigzag(game)])
+        assert not res.opt_exact
+        assert res.opt_description == "best verified equilibrium (budget exceeded)"
+        assert res.opt == res.esc_values[0] and res.poa == res.pos == 1.0
+
     def test_verification_and_esc_share_column_laws(self, pmf_builds):
         # each distinct column's pmf is convolved once for the profile's
         # verification and its esc together
@@ -564,8 +574,8 @@ class TestOptAndPoa:
         # an absolute tie margin of 1e-15 swallowed every step below 2^-60 and
         # kept the first profile, ((0, 0, 6),) at 2 * 2^-60
         s = wheatstone_structure()
-        tiny = Structure(s.resources, tuple(AffineCost(math.ldexp(c.slope, -60),
-                                                       math.ldexp(c.intercept, -60))
+        tiny = Structure(s.resources, tuple(PolynomialCost(tuple(math.ldexp(a, -60)
+                                                                 for a in c.coeffs))
                                             for c in s.cost_fns), s.types, s.strategies)
         results = []
         for structure in (s, tiny):
@@ -641,16 +651,17 @@ class TestLoadDistribution:
 
 class TestFlowCovariance:
     def test_closed_form_matches_enumeration(self):
+        # both models, every type, and every pair of its strategies: variances
+        # (s1 = s2) and covariances (s1 != s2)
         rng = np.random.default_rng(91)
-        for kind in ("bernoulli", "weighted"):
-            game, prof = random_small_game(rng, kind)
-            if game.n_players > 5:
-                continue
-            t = game.player_types[0]
-            m = len(game.structure.strategies[t])
-            got = strategy_flow_covariance(game, prof, t, 0, min(1, m - 1))
-            want = covariance_brute_force(game, prof, t, 0, min(1, m - 1))
-            assert got == pytest.approx(want, abs=1e-10)
+        for kind in ("bernoulli", "weighted") * 3:
+            game, prof = random_small_game(rng, kind, max_players=4)
+            for t in sorted(set(game.player_types)):
+                m = len(game.structure.strategies[t])
+                for s1, s2 in itertools.product(range(m), repeat=2):
+                    got = strategy_flow_covariance(game, prof, t, s1, s2)
+                    want = covariance_brute_force(game, prof, t, s1, s2)
+                    assert got == pytest.approx(want, abs=1e-10)
 
     def test_symmetric_mix_formula(self):
         n = 6

@@ -163,6 +163,15 @@ class TestCostFunctions:
         assert c.integral(1.0) == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-15)
         assert c.marginal(1.0) == pytest.approx(3.0 + 4.0, abs=1e-15)
 
+    def test_affine_is_a_polynomial_constructor(self):
+        assert type(AffineCost(1.0)) is PolynomialCost
+        assert AffineCost(2.0, 0.5) == PolynomialCost((0.5, 2.0))
+        assert hash(AffineCost(1.0)) == hash(PolynomialCost((0.0, 1.0)))
+        assert type(PolynomialCost((1.0, 0.0, 2.0)).value(2.0)) is float
+        # a degree-one cost is written as affine however it was spelled
+        assert PolynomialCost((1.0, 2.0)).to_json() == {"kind": "affine", "a": 2.0, "b": 1.0}
+        assert PolynomialCost((1.0,)).to_json()["kind"] == "polynomial"
+
     @pytest.mark.parametrize("cost", [AffineCost(2.0, 0.5), AffineCost(0.0),
                                       PolynomialCost((0.1, 1.0, 0.3))])
     def test_json_round_trip(self, cost):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +96,12 @@ class TestRunConvergence:
                             .to_json())["spec"] for labels in (("best",), ())]
         assert [spec["equilibria"] for spec in specs] == [["best"], []]
         assert specs[0] != specs[1]
+
+    def test_json_spec_is_the_spec_fields(self):
+        spec = weighted_spec(n_values=(2,), equilibria=("best",))
+        got = json.loads(run_convergence(spec).to_json())["spec"]
+        assert sorted(got) == sorted(f.name for f in dataclasses.fields(SequenceSpec))
+        assert SequenceSpec.from_json(got) == spec
 
     def test_weighted_wheatstone_trajectory(self):
         report = run_convergence(weighted_spec())
@@ -192,6 +200,14 @@ class TestOptConvergence:
         for row, n in zip(table.rows, (5, 10, 20)):
             assert row.opt_n == pytest.approx(wheatstone_bernoulli_opt(n), abs=1e-9)
         assert table.rows[1].opt_n == pytest.approx(2.4, abs=1e-12)
+        assert table.monotone
+
+    def test_a_game_past_the_budget_gets_an_inexact_row(self):
+        table = opt_convergence(weighted_spec(n_values=(4, 706)))
+        exact, past = table.rows
+        assert exact.exact and not past.exact
+        assert math.isnan(past.opt_n) and math.isnan(past.gap)
+        assert past.opt_limit == exact.opt_limit
         assert table.monotone
 
     def test_constant_cost_instance_matches_exactly(self):

@@ -55,6 +55,11 @@ class TestAuxCostValues:
         with pytest.raises(PrecisionError):
             AuxCost(TableCost((0.0, 1.0, 2.0)), tail_tol=TAIL)
 
+    def test_envelope_past_the_float_range_rejected(self):
+        # scale e^rate overflows: no series of this cost can be certified
+        with pytest.raises(PrecisionError, match="growth envelope"):
+            AuxCost(TableCost((0.0, 1.0), GrowthEnvelope("exp", 1.0, 1e308)))
+
     def test_monotone_table_aux_increases(self):
         rng = np.random.default_rng(4)
         aux = AuxCost(random_monotone_table(rng), tail_tol=TAIL, domain_cap=2.0)
@@ -186,8 +191,8 @@ class TestAuxCostStack:
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         batch = CostBatch(costs)
         x = np.linspace(0.0, 5.0, len(costs))
-        batch.values(x, slopes=True)
-        batch.marginals(x, slopes=True)
+        batch.value_slopes(x)
+        batch.marginal_slopes(x)
         batch.integrals(x)
         return len(calls)
 
@@ -207,10 +212,12 @@ class TestAuxCostStack:
 
     @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.0, 0.0, 1e307),  # a term overflows
                                         (0.0, 0.0, 0.0, 1e307, 1e307)])  # so does their sum
-    def test_a_row_past_the_float_range_keeps_the_series(self, coeffs):
-        aux = AuxCost(PolynomialCost(coeffs))
-        assert aux._poisson is None
-        assert isinstance(AuxCost.stack([aux]), poisson_limit._AuxSeries)
+    def test_a_row_past_the_float_range_is_rejected(self, coeffs):
+        # the envelope leaves the float range before the row does, so the cost
+        # fails when it is built, not at its first evaluation
+        assert poisson_limit._poisson_polynomial(coeffs) is None
+        with pytest.raises(PrecisionError, match="growth envelope"):
+            AuxCost(PolynomialCost(coeffs))
 
 
 class TestRegularityConstants:
@@ -260,6 +267,13 @@ class TestRegularityConstants:
         want = math.sqrt(0.25) + math.sqrt(2 * 1.0 * 1 * (1.0 + 0.0) / 1.0)
         assert c.theta == pytest.approx(want, abs=1e-12)
         assert c.xi == pytest.approx(math.sqrt(2 * 1.0 / 1.0), abs=1e-12)
+
+    def test_a_table_without_envelope_leaves_the_series_constants_unset(self):
+        s = Structure(("a", "b"), (AffineCost(1.0), TableCost((0.0, 1.0, 2.0))), ("t",),
+                      (((0,), (1,)),))
+        c = regularity_constants(s, 1.5)
+        assert (c.nu, c.zeta, c.c_cap_aux) == (None, None, None)
+        assert c.beta is None and c.kappa == 1
 
 
 class TestLambdaBound:

@@ -4,11 +4,12 @@ Covers the leave-one-out load laws (deconvolution with its direct-convolution
 fallback, one term at a time or many in one sweep), the divide-and-conquer
 Poisson-binomial pmf and its repeated squaring of equal terms, the exact
 subset-sum atoms of weighted Bernoulli sums, array cost values against
-scalar calls, the batched cost evaluator of the nonatomic solvers (whole
-load vectors and row subsets, with slopes), their Newton line search, the
-vector Poisson series behind the auxiliary costs and the exact Poisson
-polynomial that replaces it over polynomial bases, the per-resource load laws
-behind ``esc`` and ``load_distribution``, the conditional costs behind
+scalar calls, each single-entry helper against the batch routine it reads,
+the batched cost evaluator of the nonatomic solvers (whole load vectors and
+row subsets, with slopes), their Newton line search, the vector Poisson
+series behind the auxiliary costs and the exact Poisson polynomial that
+replaces it over polynomial bases, the per-resource load laws behind ``esc``
+and ``load_distribution``, the conditional costs behind
 ``verify_equilibrium`` and its one row per class of players, and the
 count-space search for the pure social optimum, the symmetric mixed
 equilibria found as Wardrop equilibria of binomial mixtures, with one pmf per
@@ -17,6 +18,7 @@ the test session.
 """
 
 import ast
+import dataclasses
 import itertools
 import math
 import subprocess
@@ -33,15 +35,15 @@ from hypothesis import strategies as st
 from cglab import atomic, discrete_dist
 from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           conditional_cost_estimate, esc, load_distribution,
-                          social_optimum_pure, verify_equilibrium)
+                          resource_choice_prob, social_optimum_pure, verify_equilibrium)
 from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
-                        Structure, TableCost)
+                        Structure, TableCost, all_strategy_costs, strategy_cost)
 from cglab.discrete_dist import (bernoulli_sum_pmf, binomial_ladder,
                                  leave_one_out_moments, poisson_expect, remove_bernoulli,
                                  remove_bernoulli_terms, weighted_sum_distribution)
 from cglab.errors import CapacityError, DomainError
 from cglab.instances import UPPER, parallel_structure, wheatstone_structure
-from cglab.poisson_limit import AuxCost, build_limit_game
+from cglab.poisson_limit import AuxCost, build_limit_game, regularity_constants
 from cglab.wardrop import (_segment_minimizer, solve_social_optimum, solve_wardrop,
                            wardrop_epsilon)
 
@@ -552,8 +554,7 @@ class TestAffineIsPolynomial:
         assert affine.growth_envelope() == poly.growth_envelope()
         batch = CostBatch([affine, poly])
         at = np.array([x, x])
-        for got in (batch.values(at, slopes=True), batch.marginals(at, slopes=True),
-                    batch.integrals(at)):
+        for got in (batch.value_slopes(at), batch.marginal_slopes(at), batch.integrals(at)):
             assert bits(got[..., 0]) == bits(got[..., 1])
 
 
@@ -568,7 +569,7 @@ class TestCostBatch:
         want_values = np.array([float(c.value(float(v))) for c, v in rows])
         want_marginals = np.array([float(c.marginal(float(v))) for c, v in rows])
         assert batch.values(x).tobytes() == want_values.tobytes()
-        assert batch.marginals(x).tobytes() == want_marginals.tobytes()
+        assert batch.marginal_slopes(x)[0].tobytes() == want_marginals.tobytes()
         want_integrals = np.array([float(c.integral(float(v))) for c, v in rows])
         assert np.allclose(batch.integrals(x), want_integrals, rtol=1e-13, atol=0.0)
 
@@ -579,26 +580,109 @@ class TestCostBatch:
         x = np.array([v for _, v in rows])
         sub = _subset(picks, len(rows))
         batch = CostBatch(costs)
-        for method in (batch.values, batch.marginals):
-            full = method(x, slopes=True)
+        for method in (batch.value_slopes, batch.marginal_slopes):
+            full = method(x)
             assert full.shape == (2, len(rows))
-            assert full[0].tobytes() == method(x).tobytes()
-            assert method(x[sub], sub, slopes=True).tobytes() == full[:, sub].tobytes()
-            assert method(x[sub], sub).tobytes() == full[0, sub].tobytes()
+            assert method(x[sub], sub).tobytes() == full[:, sub].tobytes()
+        assert batch.values(x).tobytes() == batch.value_slopes(x)[0].tobytes()
         want = np.array([float(c.derivative(float(v))) for c, v in rows])
-        assert batch.values(x, slopes=True)[1].tobytes() == want.tobytes()
+        assert batch.value_slopes(x)[1].tobytes() == want.tobytes()
         want = [_marginal_slope(c, float(v)) for c, v in rows]
-        assert np.allclose(batch.marginals(x, slopes=True)[1], want, rtol=1e-12, atol=0.0)
+        assert np.allclose(batch.marginal_slopes(x)[1], want, rtol=1e-12, atol=0.0)
 
     def test_aux_rows_match_their_scalar_methods(self):
         costs = [AuxCost(AffineCost(1.0, 0.5)), PolynomialCost((0.2, 1.0)),
                  AuxCost(PolynomialCost((0.0, 0.0, 1.0)), tail_tol=1e-12)]
         x = np.array([0.7, 1.3, 2.9])
         batch = CostBatch(costs)
-        for method, got in (("value", batch.values(x)), ("marginal", batch.marginals(x)),
+        for method, got in (("value", batch.values(x)),
+                            ("marginal", batch.marginal_slopes(x)[0]),
                             ("integral", batch.integrals(x))):
             want = [float(getattr(c, method)(float(v))) for c, v in zip(costs, x)]
             assert np.allclose(got, want, rtol=1e-13, atol=1e-10), method
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _many_strategy_game(seed: int, kind: str):
+    """One type with 4-11 strategies over 4-5 resources, 1-5 players, a random profile."""
+    rng = np.random.default_rng(seed)
+    n_res = int(rng.integers(4, 6))
+    subsets = [c for k in range(1, n_res + 1) for c in itertools.combinations(range(n_res), k)]
+    picks = rng.choice(len(subsets), int(rng.integers(4, 12)), replace=False)
+    s = Structure(tuple(f"e{j}" for j in range(n_res)), (AffineCost(1.0),) * n_res, ("t",),
+                  (tuple(subsets[j] for j in sorted(picks)),))
+    n_players = int(rng.integers(1, 6))
+    cls = BernoulliGame if kind == "bernoulli" else WeightedGame
+    game = cls(s, tuple(rng.uniform(0.05, 1.0, n_players)), (0,) * n_players)
+    return game, _random_rows(rng, game)
+
+
+class TestOneRoutePerQuantity:
+    """Each quantity has one implementation: a single-entry helper returns the
+    entry of the batch routine, whichever way its input is spelled."""
+
+    @given(st.lists(coefficients, min_size=1, max_size=7), st.floats(0.0, 100.0))
+    @example([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 100.0)
+    @example([0.3, 0.0, 0.7], 0.1)
+    def test_scalar_methods_equal_a_one_row_stack(self, coeffs, x):
+        cost = PolynomialCost(tuple(coeffs))
+        stack, at = PolynomialCost.stack([cost]), np.array([x])
+        value, slope = stack.value_slopes(at)
+        for scalar, row in ((cost.value(x), stack.values(at)), (cost.derivative(x), slope),
+                            (cost.integral(x), stack.integrals(at)),
+                            (cost.marginal(x), stack.marginal_slopes(at)[0])):
+            assert type(scalar) is float
+            assert _bits(scalar) == _bits(row)
+        assert _bits(cost.value(at)) == _bits(value)
+
+    @given(st.lists(st.tuples(st.lists(coefficients, min_size=1, max_size=3), loads),
+                    min_size=1, max_size=8),
+           st.lists(st.frozensets(st.integers(0, 7), min_size=1), min_size=1, max_size=6))
+    @example([((0.7,), 4.8), ((1.7,), 1.4), ((0.3, 1.3, 1.4), 3.2), ((2.2,), 3.5),
+              ((0.3,), 1.5), ((1.6, 1.3), 0.0), ((1.8, 2.2), 4.9)],
+             [{5}, {1, 6}, {0, 2, 6}, {0, 3, 6}, {1, 2, 3, 4, 5}, {1, 2, 3, 5, 6}])
+    def test_strategy_cost_is_its_all_strategy_costs_entry(self, rows, picks):
+        n = len(rows)
+        strategies = tuple(dict.fromkeys(tuple(sorted({e % n for e in p})) for p in picks))
+        s = Structure(tuple(f"e{j}" for j in range(n)),
+                      tuple(PolynomialCost(tuple(c)) for c, _ in rows), ("t",), (strategies,))
+        x = np.array([v for _, v in rows])
+        want = all_strategy_costs(s, x)
+        for k in range(len(strategies)):
+            assert _bits(strategy_cost(s, x, 0, k)) == _bits(want[k])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("bernoulli", "weighted")))
+    @example(0, "bernoulli")
+    def test_resource_choice_prob_is_its_choice_probabilities_entry(self, seed, kind):
+        game, profile = _many_strategy_game(seed, kind)
+        want = atomic.choice_probabilities(game, profile)
+        for i in range(game.n_players):
+            for e in range(game.structure.n_resources):
+                assert _bits(resource_choice_prob(game, profile, i, e)) == _bits(want[i, e])
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).map(
+        lambda steps: np.cumsum(steps).tolist()), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example([0.27, 0.31, 0.33, 1.14, 2.05, 2.66, 3.39, 3.93, 4.87, 5.68, 5.69, 6.54, 6.58,
+              7.31, 7.48, 8.35, 8.89], 0.3, 0.42)  # m = 16
+    @example([0.27, 0.31, 0.33, 1.14, 2.05, 2.66, 3.39, 3.93], 0.3, 0.42)  # m = 7
+    def test_binomial_mixture_value_is_its_value_slope_value(self, grid, r, u):
+        mix = atomic._BinomialMixture(grid, r)
+        assert _bits(mix.value(u)) == _bits(mix.value_slope(u)[0])
+
+    @given(st.lists(st.tuples(st.floats(0.0, 3.0), coefficients), min_size=1, max_size=4),
+           st.floats(0.5, 8.0))
+    @example([(1.0, 0.0), (2.0, 1.0)], 1.5)
+    def test_constants_do_not_depend_on_how_a_cost_is_spelled(self, lines, alpha):
+        def constants(spell):
+            s = Structure(tuple(f"e{j}" for j in range(len(lines))),
+                          tuple(spell(a, b) for a, b in lines), ("t",),
+                          (tuple((j,) for j in range(len(lines))),))
+            return dataclasses.astuple(regularity_constants(s, alpha))
+
+        assert constants(AffineCost) == constants(lambda a, b: PolynomialCost((b, a)))
 
 
 def _marginal_slope(cost, x: float) -> float:
@@ -727,11 +811,11 @@ class TestAuxCostBatch:
         sub = _subset(picks, len(rows))
         is_aux = np.array([isinstance(c, AuxCost) for c in costs])
         batch = CostBatch(costs)
-        value, slope = batch.values(x, slopes=True)
-        marginal, marginal_slope = batch.marginals(x, slopes=True)
-        for full, got in ((np.stack((value, slope)), batch.values(x[sub], sub, slopes=True)),
+        value, slope = batch.value_slopes(x)
+        marginal, marginal_slope = batch.marginal_slopes(x)
+        for full, got in ((np.stack((value, slope)), batch.value_slopes(x[sub], sub)),
                           (np.stack((marginal, marginal_slope)),
-                           batch.marginals(x[sub], sub, slopes=True))):
+                           batch.marginal_slopes(x[sub], sub))):
             poly = ~is_aux[sub]
             assert got[:, poly].tobytes() == full[:, sub][:, poly].tobytes()
             assert _close_to(got, full[:, sub], TAIL_TOL * (2.0 + x[sub]), np.abs(full[:, sub]))
@@ -815,10 +899,10 @@ def _newton_minimizer(costs, x, dx) -> float:
     rows = np.arange(len(costs))
 
     def slope(gamma):
-        dens, ddens = batch.values(np.maximum(x + gamma * dx, 0.0), rows, slopes=True)
+        dens, ddens = batch.value_slopes(np.maximum(x + gamma * dx, 0.0), rows)
         return float(dens @ dx), float(ddens @ (dx * dx))
 
-    d0, dd0 = batch.values(x, slopes=True)
+    d0, dd0 = batch.value_slopes(x)
     return _segment_minimizer(slope, float(d0 @ dx), float(dd0 @ (dx * dx)))
 
 

@@ -269,6 +269,20 @@ def test_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_solving_leaves_numpy_polynomial_out():
+    # polynomial costs evaluate by the package's own Horner routine
+    env = dict(os.environ, PYTHONPATH=str(Path(cglab.__file__).resolve().parents[1]))
+    code = ("import sys, cglab\n"
+            "from cglab.instances import unit_demand, wheatstone_structure\n"
+            "s = wheatstone_structure()\n"
+            "cglab.solve_wardrop(s, unit_demand(s))\n"
+            "cglab.build_limit_game(s, unit_demand(s))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestPoaNonatomic:
     def test_wheatstone(self):
         s = wheatstone_structure()
