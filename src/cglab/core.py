@@ -56,11 +56,9 @@ class GrowthEnvelope:
 
     def bound(self, k):
         k = np.asarray(k, dtype=float)
-        if self.kind == "exp":
-            with np.errstate(over="ignore"):  # inf past the float range
-                out = self.scale * np.exp(self.rate * k)
-        else:
-            out = self.scale * (1.0 + k) ** self.degree
+        with np.errstate(over="ignore"):  # inf past the float range, but 0 for a zero scale
+            growth = np.exp(self.rate * k) if self.kind == "exp" else (1.0 + k) ** self.degree
+            out = self.scale * growth if self.scale else 0.0 * k
         return out if out.ndim else float(out)
 
     def exp_majorant(self) -> tuple[float, float]:

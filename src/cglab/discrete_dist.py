@@ -24,6 +24,7 @@ _DECONV_TOL = 1e-14
 _LOG_HUGE = 709.0  # log of the largest tail bound reported as finite; larger ones are inf
 _LOG_ROUND_UP = 16 * np.finfo(float).eps  # relative slack on a log-space tail bound
 _SERIES_LIMIT = 1_000_000  # largest truncation point of a certified Poisson series
+MAX_RATE = 50.0  # largest growth-envelope rate whose Poisson tails are certified
 _BLOCK_ENTRIES = 1 << 18  # Poisson weights, or deconvolved masses, formed at once
 _BATCH_TERMS = 24  # fewest terms that remove_bernoulli_terms takes out in one sweep
 EXACT_TERMS = 20  # most terms weighted_sum_distribution enumerates exactly
@@ -540,7 +541,7 @@ def tv_distance(p: Pmf, q: Pmf) -> TvInterval:
 
 def tv_poisson_bound(x: float, y: float) -> PoissonTvBound:
     """Upper bounds on the TV distance between Poisson(x) and Poisson(y)."""
-    if x < 0 or y < 0:
+    if not (x >= 0 and y >= 0):
         raise DomainError("Poisson parameters must be nonnegative")
     gap = abs(x - y)
     return PoissonTvBound(-math.expm1(-gap), gap)
@@ -555,8 +556,8 @@ def barbour_hall_bound(probs: Sequence[float]) -> BarbourHallBound:
     p = np.asarray(list(probs), dtype=float)
     if p.size == 0:
         raise DomainError("probability vector must be nonempty")
-    if float(p.min()) < 0 or float(p.max()) > 1.0:
-        raise DomainError("probabilities must lie in [0, 1]")
+    if not (float(p.min()) >= 0 and float(p.max()) <= 1.0):
+        raise DomainError("probabilities must lie in [0, 1]")  # NaN fails too
     x = float(p.sum())
     pmax = float(p.max())
     if x == 0.0:
@@ -571,9 +572,9 @@ def borisov_ruzankin_bound(mean: float, nu: float, max_prob: float) -> float:
     ``nu`` bounds the expected absolute second difference of h under the
     Poisson law and ``max_prob`` is the largest success probability.
     """
-    if max_prob >= 1.0:
+    if not max_prob < 1.0:
         raise DomainError("max_prob must be below 1")
-    if max_prob < 0 or mean < 0 or nu < 0:
+    if not (max_prob >= 0 and mean >= 0 and nu >= 0):
         raise DomainError("mean, nu and max_prob must be nonnegative")
     return 0.5 * mean * nu * max_prob * math.exp(max_prob) / (1.0 - max_prob) ** 2
 
@@ -626,7 +627,7 @@ def exp_weighted_poisson_tail(mean, k_max, rate, scale):
     args = np.concatenate((mean.ravel(), rate.ravel(), scale.ravel()))
     if not (args.min() >= 0.0 and args.max() < np.inf):
         raise DomainError("mean, rate and scale must be finite and nonnegative")
-    if rate.max() > 50:
+    if rate.max() > MAX_RATE:
         raise PrecisionError("growth-envelope rate too large to certify tails")
     with np.errstate(divide="ignore"):  # a zero scale has log -inf
         terms = (np.log(scale), mean * np.expm1(rate), _log_poisson_sf(k_max, mean * np.exp(rate)))
@@ -700,11 +701,13 @@ def poisson_expect(mean, h, rate, scale, tol: float = 1e-12) -> Expectation:
     means = means.reshape(-1)
     k_max, err = _truncation(means, rate, scale, tol)
     ks = np.arange(k_max + 1)
-    hv = _eval_on(h, ks, rows=means.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hv = _eval_on(h, ks, rows=means.size)
     overflow = ~np.isfinite(hv)
     if overflow.any():
-        # A shared K can reach far past where a fast-growing h stays finite.
-        # Those terms are dropped, and the envelope bounds what they held.
+        # A shared K can reach far past where a fast-growing h stays finite
+        # (inf, or nan for a difference of infs).  Those terms are dropped,
+        # and the envelope bounds what they held.
         first = np.where(overflow.any(axis=-1), overflow.argmax(axis=-1), ks.size)
         err = err + exp_weighted_poisson_tail(means, first - 1, rate, scale)
         if err.max() >= tol:

@@ -189,13 +189,12 @@ def _weighted_l2(game: WeightedGame, profile: MixedProfile, limit_loads) -> floa
     return float(np.sqrt(var + (mean - np.asarray(limit_loads)) ** 2).max())
 
 
-def _bernoulli_tv(game: BernoulliGame, profile: MixedProfile, limit_loads,
-                  tail_tol: float) -> tuple[float, float]:
-    """(lower, upper) of the worst per-edge TV distance to the Poisson limit."""
+def _bernoulli_tv(game: BernoulliGame, profile: MixedProfile, limit_pmfs) -> tuple[float, float]:
+    """(lower, upper) of the worst per-edge TV distance to the Poisson limit laws."""
     laws = _laws_of(game, profile)  # one store: resources with the same users share a law
     worst = (0.0, 0.0)
     for e in range(game.structure.n_resources):
-        interval = tv_distance(Pmf(laws.law(e).pmf), poisson_pmf(float(limit_loads[e]), tail_tol))
+        interval = tv_distance(Pmf(laws.law(e).pmf), limit_pmfs[e])
         if interval.upper > worst[1]:
             worst = (interval.lower, interval.upper)
     return worst
@@ -207,6 +206,8 @@ def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
     family = ex.family(spec.model)
     if spec.equilibria:
         family = tuple((lbl, b) for lbl, b in family if lbl in spec.equilibria)
+    limit_pmfs = ([poisson_pmf(float(v), spec.tail_tol) for v in limit_loads]
+                  if spec.model == "bernoulli" else None)  # built once, for every n
     rows = []
     for n in spec.n_values:
         game = ex.game(spec.model, n)
@@ -222,7 +223,7 @@ def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
         else:
             lo, hi = 0.0, 0.0
             for _, p in profiles:
-                plo, phi = _bernoulli_tv(game, p, limit_loads, spec.tail_tol)
+                plo, phi = _bernoulli_tv(game, p, limit_pmfs)
                 if phi > hi:
                     lo, hi = plo, phi
             l2, tv_lo, tv_hi = None, lo, hi

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 from .core import ALL, DemandVector, PolynomialCost, Structure
-from .discrete_dist import borisov_ruzankin_bound, poisson_expect
+from .discrete_dist import MAX_RATE, borisov_ruzankin_bound, poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
 from .wardrop import demand_perturbation_bound, strategy_cost_cap
 
@@ -39,46 +39,44 @@ class RateBounds(NamedTuple):
 def _require_integer_cost(cost) -> tuple[float, float]:
     """(rate, scale) of an exponential majorant of the cost's growth envelope.
 
-    The series bound ``k -> c(1 + k)`` by scale e^rate e^(rate k); where
-    scale e^rate is not finite, no series of the cost can be certified.
+    The series bound ``k -> c(1 + k)`` by scale e^rate e^(rate k).  This is the
+    one gate of auxiliary costs: where the envelope or its majorant cannot be
+    formed in floats, scale e^rate is not finite, or the rate is above
+    ``MAX_RATE``, no series of the cost can be certified: ``PrecisionError``.
     """
     if not getattr(cost, "has_integer_eval", False):
         raise PrecisionError("auxiliary costs need an integer-domain base cost")
     try:
-        envelope = cost.growth_envelope()
+        rate, scale = cost.growth_envelope().exp_majorant()
+        certifiable = math.isfinite(scale * math.exp(rate)) and rate <= MAX_RATE
     except AttributeError:
         raise PrecisionError("base cost declares no growth envelope") from None
-    rate, scale = envelope.exp_majorant()
-    try:
-        finite = math.isfinite(scale * math.exp(rate))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise PrecisionError(f"the growth envelope {envelope} leaves the float range")
+    except (DomainError, OverflowError):
+        certifiable = False
+    if not certifiable:
+        raise PrecisionError(f"the base cost's growth envelope leaves the float range or has "
+                             f"a rate above {MAX_RATE:g}: no series of it can be certified")
     return rate, scale
 
 
-def _poisson_polynomial(coeffs) -> tuple[float, ...] | None:
+def _poisson_polynomial(coeffs) -> tuple[float, ...]:
     """Ascending coefficients of ``x -> E c(1 + X)``, X ~ Poisson(x), for c = sum_k a_k y^k.
 
     Touchard's identity E X^(j) = x^j for the falling factorial X^(j), with
     (1 + X)^k = sum_j C(k, j) sum_i S(j, i) X^(i), gives the row
     b_i = sum_k a_k sum_{j=i..k} C(k, j) S(j, i) = sum_k a_k S(k + 1, i + 1),
     S the Stirling numbers of the second kind, exact integers here.  Every
-    term is nonnegative, one rounded product summed by ``fsum``.  None when the
-    row leaves the float range.
+    term is nonnegative, one rounded product summed by ``fsum``.  Every b_i is
+    finite: it is at most sum(a) B(d + 1), B the Bell numbers, below the
+    scale e^rate = sum(a) d! e^2 that ``_require_integer_cost`` found finite.
     """
     top = len(coeffs)
     stirling = [[1]]  # stirling[n][m] = S(n, m), by S(n, m) = m S(n-1, m) + S(n-1, m-1)
     for n in range(1, top + 1):
         prev = stirling[-1] + [0]
         stirling.append([0] + [m * prev[m] + prev[m - 1] for m in range(1, n + 1)])
-    try:
-        row = tuple(math.fsum(a * stirling[k + 1][i + 1] for k, a in enumerate(coeffs[i:], i))
-                    for i in range(top))
-    except OverflowError:
-        return None
-    return row if all(map(math.isfinite, row)) else None
+    return tuple(math.fsum(a * stirling[k + 1][i + 1] for k, a in enumerate(coeffs[i:], i))
+                 for i in range(top))
 
 
 class _AuxSeries:
@@ -111,7 +109,11 @@ class _AuxSeries:
     def _order_scale(self, order: int) -> np.ndarray:
         """Envelope scale of the order-th forward difference of ``k -> c(1 + k)``."""
         # |sum_j binom(order, j) (-1)^(order-j) c(1+k+j)| <= (1 + e^rate)^order scale e^{rate k}
-        return (2.0 ** order) * self._scale * np.exp(self._rate * order)
+        with np.errstate(over="ignore"):  # inf, not OverflowError, past the float range
+            scale = (np.float64(2.0) ** order) * self._scale * np.exp(self._rate * order)
+        if not np.isfinite(scale).all():
+            raise PrecisionError(f"the growth envelope of difference order {order} is not finite")
+        return scale
 
     def _expect(self, x, h, rate, scale):
         x = np.asarray(x, dtype=float)
@@ -195,29 +197,24 @@ class AuxCost:
     is_continuous = True
     has_integer_eval = True
 
-    def __init__(self, base, tail_tol: float = DEFAULT_TAIL_TOL,
-                 domain_cap: float | None = None):
+    def __init__(self, base, tail_tol: float = DEFAULT_TAIL_TOL):
         if not 0.0 < tail_tol < 1.0:
             raise DomainError("tail_tol must lie in (0, 1)")
         self.base = base
         self.tail_tol = float(tail_tol)
-        self.domain_cap = None if domain_cap is None else float(domain_cap)
         self._series = _AuxSeries((base,), self.tail_tol)
-        row = _poisson_polynomial(base.coeffs) if isinstance(base, PolynomialCost) else None
-        self._poisson = None if row is None else PolynomialCost(row)
-        if self.domain_cap is not None:
-            grid = self.values_on_grid(np.linspace(0.0, self.domain_cap, 1000))
-            if np.any(np.diff(grid) < -1e-9):
-                raise PrecisionError("auxiliary cost fails monotonicity on the check grid")
+        self._poisson = (PolynomialCost(_poisson_polynomial(base.coeffs))
+                         if isinstance(base, PolynomialCost) else None)
 
     @staticmethod
     def stack(cost_fns):
         """The given auxiliary costs as one ``CostBatch`` evaluator.
 
-        When every cost holds its Poisson polynomial, the evaluator is
-        ``PolynomialCost.stack`` over those polynomials: Horner's rule, exact
-        up to rounding, with no series and no tail.  Otherwise it is one
-        series over every base, certified to the smallest tail_tol.
+        When every base is a ``PolynomialCost`` (``_poisson`` is None just for
+        other bases), the evaluator is ``PolynomialCost.stack`` over their
+        Poisson polynomials: Horner's rule, exact up to rounding, with no
+        series and no tail.  Otherwise it is one series over every base,
+        certified to the smallest tail_tol.
 
         The solvers' sweeps read this evaluator, and so do the potential
         history of ``solve_wardrop`` and the linearization gap of
@@ -282,10 +279,15 @@ def build_limit_game(structure: Structure, demand: DemandVector,
                      alpha: float | None = None) -> LimitGame:
     """Nonatomic instance whose costs are the Poisson mixtures of the base costs.
 
-    ``alpha`` caps the load range used for validation (see ``resolve_alpha``).
+    ``alpha`` caps the load range (see ``resolve_alpha``); an auxiliary cost that
+    decreases on a 1,000-point grid over [0, alpha] raises ``PrecisionError``.
     """
     alpha = resolve_alpha(demand, alpha)
-    aux = tuple(AuxCost(c, tail_tol=tail_tol, domain_cap=alpha) for c in structure.cost_fns)
+    aux = tuple(AuxCost(c, tail_tol=tail_tol) for c in structure.cost_fns)
+    grid = np.linspace(0.0, alpha, 1000)
+    for cost in aux:
+        if np.any(np.diff(cost.values_on_grid(grid)) < -1e-9):
+            raise PrecisionError("auxiliary cost fails monotonicity on the check grid")
     return LimitGame(structure.with_costs(aux), demand, alpha)
 
 
@@ -324,10 +326,10 @@ class BoundConstants:
     c_cap_aux: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError("alpha must be positive")
-        if self.beta is not None and self.beta <= 0:
-            raise DomainError("beta must be positive when set")
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError("alpha must be finite and positive")
+        if self.beta is not None and not 0.0 < self.beta < math.inf:
+            raise DomainError("beta must be finite and positive when set")
 
     @property
     def weighted_beta(self) -> float | None:
@@ -386,8 +388,8 @@ def regularity_constants(structure: Structure, alpha: float, *,
     bound evaluation then needs an override.  The weighted bounds never take
     the fallback (see ``weighted_beta``).
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("alpha must be finite and positive")
     costs = structure.cost_fns
     kappa = structure.max_strategy_size
 
@@ -412,11 +414,12 @@ def regularity_constants(structure: Structure, alpha: float, *,
         slope_min = min(r[0] for r in ranges)
         slope_max = max(r[1] for r in ranges)
         gamma = max(c.curvature_max(alpha) for c in costs)
-        c_cap = strategy_cost_cap(structure, alpha)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range
+            c_cap = strategy_cost_cap(structure, alpha)
+        if not all(map(math.isfinite, (slope_max, gamma, c_cap))):
+            slope_min = slope_max = gamma = c_cap = None
 
-    if beta_override is not None:
-        if beta_override <= 0:
-            raise DomainError("beta override must be positive")
+    if beta_override is not None:  # BoundConstants checks it
         beta, beta_source = float(beta_override), "override"
     elif gamma == 0.0 and slope_min > 0:  # every cost affine on [0, alpha]
         beta, beta_source = slope_min, "affine"
@@ -464,10 +467,13 @@ def rate_bounds(constants: BoundConstants, model: str, param: float,
 
     weighted:  Theta sqrt(w)         and  + Xi sqrt(gap)   (L2 load distance)
     bernoulli: r + Theta^ sqrt(Lambda(r)) and + Xi^ sqrt(gap)  (total variation)
+    with w finite and positive, r in [0, 1) and gap finite and nonnegative.
     """
-    if demand_gap_l1 < 0:
-        raise DomainError("demand gap must be nonnegative")
+    if not 0.0 <= demand_gap_l1 < math.inf:
+        raise DomainError("demand gap must be finite and nonnegative")
     if model == "weighted":
+        if not 0.0 < param < math.inf:
+            raise DomainError("the max weight must be finite and positive")
         if constants.theta is None:
             raise ConfigError("weighted bounds need a positive lower bound beta on the raw "
                               "cost slopes (or an override), zeta and gamma")

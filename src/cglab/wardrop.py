@@ -338,18 +338,18 @@ def poa_nonatomic(structure: Structure, demand: DemandVector) -> NonatomicPoA:
 
 def approx_we_distance_bound(eps: float, alpha: float, beta: float) -> float:
     """Load-distance bound sqrt(eps * alpha / beta) for an eps-equilibrium."""
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
-    if eps < 0 or alpha < 0:
+    if not (eps >= 0 and alpha >= 0):
         raise DomainError("eps and alpha must be nonnegative")
     return math.sqrt(eps * alpha / beta)
 
 
 def demand_perturbation_bound(c_cap: float, beta: float, l1_demand_gap: float) -> float:
     """Load-distance bound sqrt(2 C / beta) * sqrt(l1 demand gap) between equilibria."""
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
-    if c_cap < 0 or l1_demand_gap < 0:
+    if not (c_cap >= 0 and l1_demand_gap >= 0):
         raise DomainError("c_cap and the demand gap must be nonnegative")
     return math.sqrt(2.0 * c_cap / beta) * math.sqrt(l1_demand_gap)
 

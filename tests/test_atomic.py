@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -586,6 +587,16 @@ class TestOptAndPoa:
         assert scaled.description == plain.description == "pure counts ((3, 0, 3),)"
         assert scaled.value == math.ldexp(plain.value, -60) == math.ldexp(1.5, -60)
         assert scaled_poa.poa == plain_poa.poa == 4.0 / 3.0
+
+    def test_weighted_count_table_of_non_polynomial_costs(self):
+        # the weighted count table fills a non-polynomial cost one load at a
+        # time; the optimum must be the esc of the counts it reports
+        s = parallel_structure()
+        s = s.with_costs(tuple(AuxCost(c) for c in s.cost_fns))
+        game = WeightedGame.homogeneous(s, unit_demand(s), 6)
+        found = social_optimum_pure(game)
+        ((first, second),) = ast.literal_eval(found.description.removeprefix("pure counts "))
+        assert found.value == esc(game, MixedProfile.pure(game, [0] * first + [1] * second))
 
     def test_two_magnitudes_in_one_type(self):
         # 3^6 profiles, but two classes of three interchangeable players:

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cglab import harness
 from cglab.atomic import parse_game
@@ -104,6 +110,38 @@ def test_limit_at_a_large_demand_fails_cleanly(tmp_path, capsys):
     constants = json.loads(out.read_text())["constants"]
     assert constants["alpha"] == 1500.0
     assert constants["c_cap_aux"] == pytest.approx(1501.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("param", ["-1", "nan"])
+def test_bounds_rejects_a_bad_max_weight(pigou_instance, param, capsys):
+    # -1 used to end in a math domain error traceback, and nan to print a NaN bound
+    code = main(["bounds", str(pigou_instance), "--model", "weighted", f"--param={param}",
+                 "--beta", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+UNCERTIFIABLE_COSTS = {
+    "coefficients past the float range": {"kind": "polynomial", "coeffs": [1e308, 1e308]},
+    "polynomial of degree 171": {"kind": "polynomial", "coeffs": [0.0] * 171 + [1.0]},
+    "poly envelope of degree 200": {"kind": "table", "values": [0.0, 1.0],
+                                    "envelope": {"kind": "poly", "degree": 200, "scale": 1.0}},
+    "exp envelope of rate 60": {"kind": "table", "values": [0.0, 1.0],
+                                "envelope": {"kind": "exp", "rate": 60.0, "scale": 1.0}},
+}
+
+
+@pytest.mark.parametrize("cost", UNCERTIFIABLE_COSTS.values(), ids=UNCERTIFIABLE_COSTS.keys())
+@pytest.mark.parametrize("command", [["limit"], ["bounds", "--model", "bernoulli",
+                                                  "--param", "0.1", "--beta", "1"]])
+def test_an_uncertifiable_base_fails_cleanly(tmp_path, cost, command, capsys):
+    # these exited 1 with an OverflowError traceback, or failed only when evaluated
+    obj = _pigou_obj()
+    obj["resources"][0]["cost"] = cost
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bounds_command(pigou_instance, capsys):
@@ -272,3 +310,53 @@ def test_converge_rejects_a_model_without_a_family_before_solving(tmp_path, monk
     assert main(["converge", str(spec_path), "--out", str(tmp_path / "report.csv")]) == 2
     assert "no weighted equilibrium family" in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
+
+
+def _polynomial(degree, low, lead):
+    return {"kind": "polynomial", "coeffs": [low] + [0.0] * (degree - 1) + [lead]
+            if degree else [lead]}
+
+
+def _table(fractions, scale, envelope):
+    return {"kind": "table", "values": [scale * f for f in sorted(fractions)],
+            "envelope": dict(envelope, scale=scale)}
+
+
+# every value is dominated by its envelope, whose bound is at least its scale
+HUGE = st.floats(0.0, 1e308)
+EXTREME_COSTS = st.one_of(
+    st.builds(_polynomial, st.integers(0, 200), HUGE, HUGE),
+    st.builds(_table, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40), HUGE,
+              st.one_of(st.builds(lambda rate: {"kind": "exp", "rate": rate},
+                                  st.floats(0.0, 800.0)),
+                        st.builds(lambda degree: {"kind": "poly", "degree": degree},
+                                  st.integers(0, 200)))))
+CLI_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5"])
+
+
+@given(EXTREME_COSTS, CLI_NUMBERS, CLI_NUMBERS, CLI_NUMBERS)
+# an OverflowError from the polynomial envelope's majorant, d! e
+@example(_polynomial(171, 0.0, 0.0), "nan", "nan", "nan")
+# numpy warnings from a tabulated cost past the float range; under them the
+# series' vector evaluation fell back to a scalar loop that raised TypeError
+@example(_polynomial(170, 1.0, 0.0), "nan", "nan", "nan")
+@example(_polynomial(125, 0.0, 1.0), "nan", "nan", "nan")
+# a raw cost at alpha past the float range: inf times a zero incidence entry
+@example(_polynomial(166, 0.0, 1.0557632890813203e+279), "nan", "nan", "nan")
+# the envelope's own bound overflowed while the table was checked against it
+@example(_table([0.0, 0.0], 4.49423283715579e+307, {"kind": "poly", "degree": 2}),
+         "nan", "nan", "nan")
+def test_extreme_costs_leave_the_cli_only_through_a_cglab_error(cost, param, beta, gap):
+    # warnings are errors in this suite, so a numpy overflow warning fails it too
+    obj = _pigou_obj()
+    obj["resources"][0]["cost"] = cost
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(obj))
+        runs = [["limit", str(path)]] + [
+            ["bounds", str(path), "--model", model, f"--param={param}", f"--beta={beta}",
+             f"--demand-gap={gap}"] for model in ("weighted", "bernoulli")]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)

@@ -173,7 +173,9 @@ class TestCostFunctions:
         assert PolynomialCost((1.0,)).to_json()["kind"] == "polynomial"
 
     @pytest.mark.parametrize("cost", [AffineCost(2.0, 0.5), AffineCost(0.0),
-                                      PolynomialCost((0.1, 1.0, 0.3))])
+                                      PolynomialCost((0.1, 1.0, 0.3)),
+                                      TableCost((0.0, 1.0, 3.0),
+                                                GrowthEnvelope("exp", rate=0.5, scale=4.0))])
     def test_json_round_trip(self, cost):
         again = parse_cost(cost.to_json())
         assert again == cost and type(again) is type(cost)

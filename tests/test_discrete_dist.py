@@ -252,6 +252,12 @@ class TestTvDistance:
 
 
 class TestPoissonTvBound:
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+    def test_parameters_outside_the_domain_rejected(self, x, y):
+        # a NaN parameter used to give a NaN bound
+        with pytest.raises(DomainError):
+            tv_poisson_bound(x, y)
+
     def test_equal_parameters(self):
         b = tv_poisson_bound(1.0, 1.0)
         assert b.tight == 0.0 and b.weak == 0.0
@@ -271,6 +277,12 @@ class TestPoissonTvBound:
 
 
 class TestBarbourHall:
+    @pytest.mark.parametrize("probs", [[math.nan, 0.1], [0.1, math.nan], [-0.1, 0.1]])
+    def test_probabilities_outside_the_domain_rejected(self, probs):
+        # a NaN probability used to pass the range check and give a NaN bound
+        with pytest.raises(DomainError):
+            barbour_hall_bound(probs)
+
     def test_ten_tenths(self):
         b = barbour_hall_bound([0.1] * 10)
         assert b.bound == pytest.approx(0.0632120558828558, abs=1e-12)
@@ -317,6 +329,13 @@ class TestBorisovRuzankin:
     def test_probability_one_rejected(self):
         with pytest.raises(DomainError):
             borisov_ruzankin_bound(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.1), (1.0, math.nan, 0.1),
+                                      (1.0, 1.0, math.nan), (-1.0, 1.0, 0.1)])
+    def test_arguments_outside_the_domain_rejected(self, args):
+        # a NaN argument used to give a NaN bound
+        with pytest.raises(DomainError):
+            borisov_ruzankin_bound(*args)
 
 
 class TestExpectations:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cglab import harness
 from cglab.atomic import expected_loads, load_distribution
 from cglab.discrete_dist import poisson_pmf, tv_distance
 from cglab.errors import DomainError
@@ -128,12 +129,21 @@ class TestRunConvergence:
         game = EXAMPLES["wheatstone-bernoulli"].game("bernoulli", 64)
         mix = wheatstone_symmetric_mix(game)
         loads = expected_loads(game, mix)
-        got = _bernoulli_tv(game, mix, loads, 1e-12)
+        got = _bernoulli_tv(game, mix, [poisson_pmf(float(x), 1e-12) for x in loads])
         assert len(pmf_builds) == 1
         want = max((tv_distance(load_distribution(game, mix, e),
                                 poisson_pmf(float(loads[e]), 1e-12))
                     for e in range(game.structure.n_resources)), key=lambda iv: iv.upper)
         assert got == (want.lower, want.upper)
+
+    def test_limit_laws_are_built_once_per_spec(self, monkeypatch):
+        # each resource's Poisson limit law used to be rebuilt for every n,
+        # every profile and every resource
+        built = []
+        monkeypatch.setattr(harness, "poisson_pmf",
+                            lambda *a: built.append(a) or poisson_pmf(*a))
+        run_convergence(bernoulli_spec(n_values=(2, 4, 8)))
+        assert len(built) == 5  # the Wheatstone network's resources
 
     def test_esc_column_converges_to_limit(self):
         report = run_convergence(bernoulli_spec(n_values=(10, 20, 40, 80)))

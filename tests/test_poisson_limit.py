@@ -25,6 +25,17 @@ def random_monotone_table(rng, size=13):
     return TableCost(tuple(values), GrowthEnvelope("exp", rate=0.2, scale=top))
 
 
+UNCERTIFIABLE_BASES = {
+    "exp envelope past the float range": TableCost((0.0, 1.0),
+                                                   GrowthEnvelope("exp", 1.0, 1e308)),
+    "coefficients past the float range": PolynomialCost((1e308, 1e308)),
+    "poly envelope of degree 200": TableCost((0.0, 1.0), GrowthEnvelope("poly", degree=200)),
+    "polynomial of degree 171": PolynomialCost((0.0,) * 171 + (1.0,)),
+    "exp envelope of rate 60": TableCost((0.0, 1.0), GrowthEnvelope("exp", rate=60.0)),
+    "exp envelope of rate 700": TableCost((0.0, 1.0), GrowthEnvelope("exp", rate=700.0)),
+}
+
+
 class TestAuxCostValues:
     def test_identity_base_gives_one_plus_x(self):
         aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)
@@ -55,14 +66,31 @@ class TestAuxCostValues:
         with pytest.raises(PrecisionError):
             AuxCost(TableCost((0.0, 1.0, 2.0)), tail_tol=TAIL)
 
-    def test_envelope_past_the_float_range_rejected(self):
-        # scale e^rate overflows: no series of this cost can be certified
+    @pytest.mark.parametrize("base", UNCERTIFIABLE_BASES.values(),
+                             ids=UNCERTIFIABLE_BASES.keys())
+    def test_envelope_past_the_float_range_rejected(self, base):
+        # no series of these costs can be certified; all but the first used to
+        # raise DomainError or OverflowError here, or construct and then fail
+        # at every evaluation
         with pytest.raises(PrecisionError, match="growth envelope"):
-            AuxCost(TableCost((0.0, 1.0), GrowthEnvelope("exp", 1.0, 1e308)))
+            AuxCost(base)
+        s = Structure(("a",), (base,), ("t",), (((0,),),))
+        c = regularity_constants(s, 1.5)
+        assert (c.nu, c.zeta, c.c_cap_aux) == (None, None, None)
+
+    def test_a_difference_envelope_past_the_float_range_rejected(self):
+        # 4 (1e307 e) e^2 overflows: this used to raise DomainError with numpy
+        # overflow warnings
+        base = TableCost((0.0, 1.0), GrowthEnvelope("exp", 1.0, 1e307))
+        with pytest.raises(PrecisionError, match="growth envelope"):
+            AuxCost(base).derivative(0.5, 2)
+        s = Structure(("a",), (base,), ("t",), (((0,),),))
+        c = regularity_constants(s, 1.5)
+        assert (c.nu, c.zeta, c.c_cap_aux) == (None, None, None)
 
     def test_monotone_table_aux_increases(self):
         rng = np.random.default_rng(4)
-        aux = AuxCost(random_monotone_table(rng), tail_tol=TAIL, domain_cap=2.0)
+        aux = AuxCost(random_monotone_table(rng), tail_tol=TAIL)
         xs = np.linspace(0.0, 2.0, 100)
         vals = aux.values_on_grid(xs)
         assert np.all(np.diff(vals) >= -1e-10)
@@ -215,7 +243,6 @@ class TestAuxCostStack:
     def test_a_row_past_the_float_range_is_rejected(self, coeffs):
         # the envelope leaves the float range before the row does, so the cost
         # fails when it is built, not at its first evaluation
-        assert poisson_limit._poisson_polynomial(coeffs) is None
         with pytest.raises(PrecisionError, match="growth envelope"):
             AuxCost(PolynomialCost(coeffs))
 
@@ -411,6 +438,33 @@ class TestRateBounds:
         steep = PolynomialCost((0.0, 1.0, 0.0, 1.0))
         c = regularity_constants(s.with_costs((steep, steep)), 1.5)
         assert c.beta_source == "first-difference" and c.weighted_beta == c.slope_min == 1.0
+
+    @pytest.mark.parametrize("model, param, gap", [
+        ("weighted", -1.0, 0.0), ("weighted", math.nan, 0.0), ("weighted", math.inf, 0.0),
+        ("weighted", 0.0, 0.0), ("bernoulli", math.nan, 0.0), ("weighted", 0.1, math.nan),
+        ("bernoulli", 0.1, math.nan), ("bernoulli", 0.1, math.inf)])
+    def test_parameters_outside_the_domain_rejected(self, model, param, gap):
+        # a negative max weight ended in a math domain error, and a NaN max
+        # weight or demand gap gave a NaN bound
+        with pytest.raises(DomainError):
+            rate_bounds(self.pigou_constants(), model, param, gap)
+
+    @pytest.mark.parametrize("fields", [{"alpha": math.nan}, {"alpha": math.inf},
+                                        {"alpha": 0.0}, {"beta": math.nan},
+                                        {"beta": math.inf}])
+    def test_constants_outside_the_domain_rejected(self, fields):
+        # a NaN alpha or beta used to pass the "<= 0" checks
+        from cglab.poisson_limit import BoundConstants
+
+        with pytest.raises(DomainError):
+            BoundConstants(**{"alpha": 1.0, "kappa": 1, **fields})
+
+    @pytest.mark.parametrize("alpha, beta", [(1.5, math.nan), (1.5, math.inf), (1.5, -1.0),
+                                             (math.nan, 1.0), (math.inf, 1.0)])
+    def test_regularity_arguments_outside_the_domain_rejected(self, alpha, beta):
+        # a NaN beta override used to come back as beta = nan
+        with pytest.raises(DomainError):
+            regularity_constants(pigou_structure(), alpha, beta_override=beta)
 
     def test_tv_dominance_on_pigou_sequence(self):
         s = pigou_structure()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -150,6 +151,25 @@ class TestPosterior:
 
 def _random_instance():
     return random_instance(np.random.default_rng(3), 12, 2, 5)
+
+
+class TestTypeProfileJson:
+    def profile(self, s):
+        weights = [np.arange(1.0, sl.stop - sl.start + 1) for sl in s.type_slices]
+        return TypeProfile(tuple(w / w.sum() for w in weights))
+
+    def test_round_trip(self):
+        s, _ = _random_instance()
+        sigma = self.profile(s)
+        again = TypeProfile.from_json(s, json.loads(json.dumps(sigma.to_json(s))))
+        assert [p.tobytes() for p in again.probs] == [p.tobytes() for p in sigma.probs]
+
+    def test_a_missing_type_is_rejected(self):
+        s, _ = _random_instance()
+        data = self.profile(s).to_json(s)
+        del data[s.types[1]]
+        with pytest.raises(StructureError, match=repr(s.types[1])):
+            TypeProfile.from_json(s, data)
 
 
 class TestPoissonGameEquilibrium:

@@ -318,6 +318,20 @@ class TestSensitivityBounds:
         with pytest.raises(DomainError):
             demand_perturbation_bound(1.0, -1.0, 0.1)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (0.1, math.nan, 1.0),
+                                      (0.1, 1.0, math.nan), (-0.1, 1.0, 1.0)])
+    def test_distance_arguments_outside_the_domain_rejected(self, args):
+        # a NaN argument used to give a NaN bound
+        with pytest.raises(DomainError):
+            approx_we_distance_bound(*args)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.1), (1.0, math.nan, 0.1),
+                                      (1.0, 1.0, math.nan), (-1.0, 1.0, 0.1)])
+    def test_perturbation_arguments_outside_the_domain_rejected(self, args):
+        # a NaN c_cap or beta used to give a NaN bound
+        with pytest.raises(DomainError):
+            demand_perturbation_bound(*args)
+
     def test_approximate_solutions_stay_close(self):
         # a start off the even split is a genuinely approximate equilibrium,
         # returned unmoved under a loose target; its distance to the known
