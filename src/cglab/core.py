@@ -191,7 +191,9 @@ class PolynomialCost:
         return float(_horner(self._rows.curvature, hi))
 
     def growth_envelope(self) -> GrowthEnvelope:
-        return GrowthEnvelope("poly", degree=self.degree, scale=sum(self.coeffs))
+        # trailing zero coefficients do not raise the growth
+        degree = max((j for j, c in enumerate(self.coeffs) if c), default=0)
+        return GrowthEnvelope("poly", degree=degree, scale=sum(self.coeffs))
 
     def to_json(self) -> dict:
         if self.degree == 1:

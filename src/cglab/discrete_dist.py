@@ -145,13 +145,16 @@ class ValueDist:
 def _eval_on(h, ks: np.ndarray, rows: int | None = None) -> np.ndarray:
     """Evaluate a scalar function on an array, falling back to a python loop.
 
-    With ``rows`` set, ``h`` may also return one row of values per mean.
+    With ``rows`` set, ``h`` may also return one row of values per mean.  The
+    loop runs only when the array call returns another shape or raises what
+    a scalar-only function raises on an array (``TypeError``, ``ValueError``);
+    every other error, a ``CglabError`` included, propagates.
     """
     try:
         out = np.asarray(h(ks), dtype=float)
         if out.shape == ks.shape or out.shape == (rows, ks.size):
             return out
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.fromiter((float(h(k)) for k in ks), dtype=float, count=ks.size)
 

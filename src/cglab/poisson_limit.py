@@ -4,9 +4,9 @@ Auxiliary costs replace an integer-domain cost c by its Poisson mixture
 ``x -> E[c(1 + X)]`` with ``X ~ Poisson(x)``; the resulting nonatomic game
 captures the behaviour of unit-weight players with vanishing participation
 probabilities.  This module certifies the series evaluation through declared
-growth envelopes, gives the solvers the exact polynomial of a polynomial
-base's mixture, and assembles every constant used in the convergence-rate
-bounds.
+growth envelopes, evaluates the values of a polynomial base's mixture, in the
+solvers' batch and one cost at a time, by its exact polynomial, and assembles
+every constant used in the convergence-rate bounds.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .wardrop import demand_perturbation_bound, strategy_cost_cap
 
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_ALPHA_HEADROOM = 1.5  # demand cap defaults to this multiple of the total demand
+_MIN_SUM_RATE = 1e-3  # least envelope rate of an auxiliary cost's running sum
 
 
 class LimitGame(NamedTuple):
@@ -59,6 +60,14 @@ def _require_integer_cost(cost) -> tuple[float, float]:
     return rate, scale
 
 
+def _loads(x) -> np.ndarray:
+    """Loads as a float array; a negative, NaN or infinite one raises ``DomainError``."""
+    x = np.asarray(x, dtype=float)
+    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < np.inf):
+        raise DomainError("auxiliary costs are defined for finite, nonnegative loads")
+    return x
+
+
 def _poisson_polynomial(coeffs) -> tuple[float, ...]:
     """Ascending coefficients of ``x -> E c(1 + X)``, X ~ Poisson(x), for c = sum_k a_k y^k.
 
@@ -67,15 +76,17 @@ def _poisson_polynomial(coeffs) -> tuple[float, ...]:
     b_i = sum_k a_k sum_{j=i..k} C(k, j) S(j, i) = sum_k a_k S(k + 1, i + 1),
     S the Stirling numbers of the second kind, exact integers here.  Every
     term is nonnegative, one rounded product summed by ``fsum``.  Every b_i is
-    finite: it is at most sum(a) B(d + 1), B the Bell numbers, below the
-    scale e^rate = sum(a) d! e^2 that ``_require_integer_cost`` found finite.
+    finite: it is at most sum(a) B(d + 1), B the Bell numbers and d the degree
+    of the highest nonzero a_k, below the scale e^rate = sum(a) d! e^2 that
+    ``_require_integer_cost`` found finite.  Zero coefficients are skipped, so
+    no Stirling number past that degree is formed as a float.
     """
     top = len(coeffs)
     stirling = [[1]]  # stirling[n][m] = S(n, m), by S(n, m) = m S(n-1, m) + S(n-1, m-1)
     for n in range(1, top + 1):
         prev = stirling[-1] + [0]
         stirling.append([0] + [m * prev[m] + prev[m - 1] for m in range(1, n + 1)])
-    return tuple(math.fsum(a * stirling[k + 1][i + 1] for k, a in enumerate(coeffs[i:], i))
+    return tuple(math.fsum(a * stirling[k + 1][i + 1] for k, a in enumerate(coeffs[i:], i) if a)
                  for i in range(top))
 
 
@@ -116,9 +127,7 @@ class _AuxSeries:
         return scale
 
     def _expect(self, x, h, rate, scale):
-        x = np.asarray(x, dtype=float)
-        if (x < 0).any():
-            raise DomainError("auxiliary costs are defined for nonnegative loads")
+        x = _loads(x)
         value = poisson_expect(x, h, rate, scale, self.tail_tol).value
         return float(value) if x.ndim == 0 else value
 
@@ -166,13 +175,17 @@ class _AuxSeries:
         """Integral of ``values`` from 0 to x, as ``E C(X)`` with ``C(j) = sum_{k<j} c(1+k)``.
 
         Termwise, ``int_0^x e^{-u} u^k / k! du = P(Poisson(x) >= k+1)``.  The
-        envelope of C is ``scale e^{rate j} / (e^rate - 1)``, or ``scale e^{j-1}``
-        for a bounded cost (rate 0, using j <= e^{j-1}).
+        envelope of C is ``scale e^{rate j} / (e^rate - 1)``.  Any rate at least
+        the declared one bounds c too, so the rate is floored at
+        ``_MIN_SUM_RATE``: a bounded cost (rate 0) gets an envelope, and a tiny
+        rate no quotient past the float range.
         """
         sel = ALL if idx is None else idx
-        positive = self._rate[sel] > 0.0
-        rate = np.where(positive, self._rate[sel], 1.0)
-        scale = self._scale[sel] / np.where(positive, np.expm1(rate), math.e)
+        rate = np.maximum(self._rate[sel], _MIN_SUM_RATE)
+        with np.errstate(over="ignore"):  # inf, not a warning, past the float range
+            scale = self._scale[sel] / np.expm1(rate)
+        if not np.isfinite(scale).all():
+            raise PrecisionError("the growth envelope of the running sum is not finite")
 
         def running_sum(ks):
             rows = self._rows(ks.size - 1, idx)
@@ -185,13 +198,17 @@ class _AuxSeries:
 class AuxCost:
     """Poisson mixture of an integer cost: value(x) = sum_k c(1+k) e^{-x} x^k / k!.
 
-    Series truncation is certified against the base cost's growth envelope so
-    each evaluation is accurate to ``tail_tol``.  Every method evaluates one
-    vector Poisson series (``_AuxSeries``); the solvers evaluate all the
-    auxiliary costs of a structure together through ``stack``.  Over a
-    ``PolynomialCost`` base the mixture is itself a polynomial with
-    nonnegative coefficients (``_poisson_polynomial``), held as
-    ``PolynomialCost`` for ``stack``; over any other base there is none.
+    Over a ``PolynomialCost`` base the mixture is itself a polynomial with
+    nonnegative coefficients (``_poisson_polynomial``), held as the
+    ``PolynomialCost`` ``_poisson``; over any other base there is none.
+    ``value``, ``values_on_grid`` (and so ``value_int``) and ``stack`` read
+    that polynomial by Horner's rule, exact up to rounding and bit for bit
+    alike.  Every other evaluation, and every evaluation over another base,
+    is one vector Poisson series (``_AuxSeries``), certified against the
+    base cost's growth envelope to ``tail_tol``.  ``integral`` keeps the
+    series over polynomial bases too: the benchmark's tracer requires the
+    series kernels to be called (ROADMAP item 1), and ``integral`` is their
+    last caller on the nonatomic workload.
     """
 
     is_continuous = True
@@ -218,29 +235,47 @@ class AuxCost:
 
         The solvers' sweeps read this evaluator, and so do the potential
         history of ``solve_wardrop`` and the linearization gap of
-        ``solve_social_optimum``.  The other numbers they return come from
-        the series: ``solve_wardrop`` recomputes its epsilon and potential,
-        and ``solve_social_optimum`` its value, through the per-resource
-        methods below.  Those methods, ``social_cost_convex_on``,
-        ``regularity_constants`` and ``build_limit_game``'s monotonicity grid
-        all keep the series.  Moving them to the polynomial waits on the
-        benchmark revision (ROADMAP item 1), whose tracer requires the
+        ``solve_social_optimum``.  The other numbers they return are
+        recomputed through the per-resource methods below: the epsilon of
+        ``solve_wardrop`` and the value of ``solve_social_optimum`` through
+        ``value``, so from the same polynomial, and the potential of
+        ``solve_wardrop`` through ``integral``, which keeps the series, as do
+        ``derivative``, ``marginal``, ``social_cost_convex_on`` and
+        ``regularity_constants``.  Moving those to the polynomial waits on
+        the benchmark revision (ROADMAP item 1), whose tracer requires the
         series kernels to be called.
         """
         if all(c._poisson is not None for c in cost_fns):
             return PolynomialCost.stack([c._poisson for c in cost_fns])
         return _AuxSeries(tuple(c.base for c in cost_fns), min(c.tail_tol for c in cost_fns))
 
+    def _values(self, x):
+        """The one route of ``value`` and ``values_on_grid``: the Poisson
+        polynomial by Horner's rule when there is one, else one series.
+
+        A negative, NaN or infinite load raises ``DomainError``, and a value
+        past the float range ``PrecisionError``.
+        """
+        if self._poisson is None:
+            return self._series.values(x)
+        x = _loads(x)
+        with np.errstate(over="ignore"):  # inf, not a warning, past the float range
+            value = self._poisson.value(x)
+        if not np.isfinite(value).all():
+            raise PrecisionError("the auxiliary cost leaves the float range at this load")
+        return float(value) if x.ndim == 0 else value
+
     def value(self, x):
         """At a load, or elementwise at an array of loads."""
-        return self._series.values(x)
+        return self._values(x)
 
     def value_int(self, k):
         return self.value(float(k)) if np.isscalar(k) else self.values_on_grid(k)
 
     def values_on_grid(self, xs) -> np.ndarray:
-        """Vectorized evaluation on a grid, sharing one certified truncation."""
-        return self._series.values(np.asarray(xs, dtype=float).ravel())
+        """Vectorized evaluation on a grid: one Horner pass over a polynomial
+        base, one certified series over any other."""
+        return self._values(np.asarray(xs, dtype=float).ravel())
 
     def derivative(self, x, order: int = 1):
         """E of the order-th forward difference of c at 1 + Poisson(x), at a load or a grid."""
@@ -281,6 +316,8 @@ def build_limit_game(structure: Structure, demand: DemandVector,
 
     ``alpha`` caps the load range (see ``resolve_alpha``); an auxiliary cost that
     decreases on a 1,000-point grid over [0, alpha] raises ``PrecisionError``.
+    Over a polynomial base the grid is one Horner pass of the Poisson
+    polynomial, whose coefficients are nonnegative, so it cannot fail there.
     """
     alpha = resolve_alpha(demand, alpha)
     aux = tuple(AuxCost(c, tail_tol=tail_tol) for c in structure.cost_fns)

@@ -257,9 +257,10 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *,
     sweep budget runs out first, the best iterate found is returned with
     ``converged`` set to False.  The sweeps and the potential history
     evaluate the costs through ``CostBatch``, which reads an auxiliary cost
-    over a polynomial base as its exact Poisson polynomial (``AuxCost.stack``);
-    the returned epsilon and potential are recomputed through each resource's
-    own cost methods.
+    over a polynomial base as its exact Poisson polynomial (``AuxCost.stack``).
+    The returned epsilon and potential are recomputed through each resource's
+    own ``value`` and ``integral``: over a polynomial base the first reads the
+    same polynomial, the second the certified series.
     """
     if not target_eps > 0:  # NaN fails too
         raise DomainError(f"target_eps must be positive, got {target_eps}")

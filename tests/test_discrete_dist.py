@@ -421,6 +421,20 @@ class TestExpectations:
             with pytest.raises(DomainError):
                 exp_weighted_poisson_tail(*args)
 
+    def test_an_error_of_the_vector_call_propagates(self):
+        # it used to be swallowed, and the scalar loop's 1.0 returned
+        def h(k):
+            if np.ndim(k):
+                raise PrecisionError("no vector value")
+            return 1.0
+
+        with pytest.raises(PrecisionError, match="no vector value"):
+            poisson_expect(1.0, h, 0.0, 1.0)
+
+    def test_a_scalar_only_function_falls_back_to_the_loop(self):
+        got = poisson_expect(2.0, lambda k: float(math.exp(0.1 * k)), 0.1, 1.0, 1e-13)
+        assert got.value == pytest.approx(math.exp(2.0 * math.expm1(0.1)), rel=1e-12)
+
 
 class TestPoissonKernelsAgainstScipy:
     """The numpy Poisson kernels against scipy.special and mpmath."""

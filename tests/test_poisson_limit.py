@@ -15,6 +15,8 @@ from cglab.poisson_limit import (AuxCost, build_limit_game, lambda_bound,
                                  poa_polynomial_bound, rate_bounds, regularity_constants)
 from cglab.wardrop import solve_wardrop
 
+from oracles import aux_integral_mp
+
 TAIL = 1e-12
 
 
@@ -34,6 +36,15 @@ UNCERTIFIABLE_BASES = {
     "exp envelope of rate 60": TableCost((0.0, 1.0), GrowthEnvelope("exp", rate=60.0)),
     "exp envelope of rate 700": TableCost((0.0, 1.0), GrowthEnvelope("exp", rate=700.0)),
 }
+
+
+def _count_series_calls(monkeypatch) -> list:
+    """The list that each later ``poisson_expect`` call of ``poisson_limit`` appends to."""
+    calls = []
+    real = poisson_limit.poisson_expect
+    monkeypatch.setattr(poisson_limit, "poisson_expect",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
 
 
 class TestAuxCostValues:
@@ -124,16 +135,34 @@ class TestAuxCostLargeLoads:
         assert c.beta is None
 
     def test_vector_value_int_is_one_series(self, monkeypatch):
-        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)), tail_tol=TAIL)
+        aux = AuxCost(random_monotone_table(np.random.default_rng(2)), tail_tol=TAIL)
         ks = np.arange(6)
-        calls = []
-        real = poisson_limit.poisson_expect
-        monkeypatch.setattr(poisson_limit, "poisson_expect",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        calls = _count_series_calls(monkeypatch)
         got = aux.value_int(ks)
         assert len(calls) == 1 and got.shape == (6,)
         for k, v in zip(ks, got):
             assert v == pytest.approx(aux.value(float(k)), abs=2 * TAIL)
+
+    def test_polynomial_values_need_no_series(self, monkeypatch):
+        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)), tail_tol=TAIL)
+        ks = np.arange(6)
+        calls = _count_series_calls(monkeypatch)
+        got = aux.value_int(ks)
+        assert got.shape == (6,)
+        assert got.tobytes() == aux.values_on_grid(ks).tobytes() == aux.value(ks).tobytes()
+        assert [aux.value(float(k)) for k in ks] == got.tolist()
+        assert calls == []
+
+    def test_a_large_load_has_its_exact_value(self):
+        # the series raised "Poisson series past its certified limit" here
+        aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)))
+        assert aux.value(1e7) == 1.0 + 3e7 + 1e14
+
+    def test_a_value_past_the_float_range_is_rejected(self):
+        aux = AuxCost(PolynomialCost((0.0, 0.0, 0.0, 0.0, 1.0)))
+        for x in (1e80, np.array([1.0, 1e80])):
+            with pytest.raises(PrecisionError, match="float range"):
+                aux.value(x)
 
     def test_vector_derivative_matches_scalar_calls(self):
         aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)), tail_tol=TAIL)
@@ -206,6 +235,18 @@ class TestAuxIntegral:
         for hi in (0.3, 1.0, 2.5):
             assert aux.integral(hi) == pytest.approx(hi + hi * hi / 2.0, abs=1e-9)
 
+    def test_a_tiny_envelope_rate(self):
+        # 1 / (e^rate - 1) overflowed: a warning, then DomainError
+        base = TableCost((0.0, 1.0), GrowthEnvelope("exp", rate=1e-310, scale=10.0))
+        want = aux_integral_mp(1.0, lambda k: float(base.value_int(k)))
+        assert AuxCost(base).integral(1.0) == pytest.approx(want, rel=1e-12)
+
+    def test_the_zero_polynomial_of_degree_171(self):
+        # its trailing zeros used to give it the envelope of degree 171, which
+        # leaves the float range
+        aux = AuxCost(PolynomialCost((0.0,) * 172))
+        assert (aux.value(3.0), aux.integral(3.0)) == (0.0, 0.0)
+
 
 class TestAuxCostStack:
     """The solvers' batch reads a polynomial base's mixture as its exact
@@ -213,10 +254,7 @@ class TestAuxCostStack:
 
     @staticmethod
     def _series_calls(monkeypatch, costs) -> int:
-        calls = []
-        real = poisson_limit.poisson_expect
-        monkeypatch.setattr(poisson_limit, "poisson_expect",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        calls = _count_series_calls(monkeypatch)
         batch = CostBatch(costs)
         x = np.linspace(0.0, 5.0, len(costs))
         batch.value_slopes(x)

@@ -856,6 +856,25 @@ class TestPoissonPolynomial:
         assert _close_or_underflow(slope, slope_want, 1e-13)
         assert _close_or_underflow(integral, aux_integral_mp(x, c), 1e-13)
 
+    @given(st.lists(coefficients, min_size=1, max_size=5), st.floats(0.0, 50.0))
+    @example([0.0, 0.0, 0.0, 0.0, 1.0], 50.0)
+    @example([0.0], 0.0)
+    def test_values_match_mpmath_and_the_batch(self, coeffs, x):
+        # value, values_on_grid, value_int and the batch share one Horner route
+        aux = AuxCost(PolynomialCost(tuple(coeffs)))
+        value = aux.value(x)
+        want = poisson_expect_mp(x, lambda k: math.fsum(a * (k + 1) ** i
+                                                        for i, a in enumerate(coeffs)))
+        assert _close_or_underflow(value, want, 1e-13)
+        at = np.array([x])
+        for entry in (aux.values_on_grid(at), aux.value_int(at),
+                      AuxCost.stack([aux]).values(at, np.zeros(1, dtype=int))):
+            assert entry.tobytes() == np.float64(value).tobytes()
+        for bad in (math.nan, math.inf, -math.inf, -1.0, -x - 1e-300):
+            for load in (bad, np.array([x, bad])):
+                with pytest.raises(DomainError):
+                    aux.value(load)
+
 
 class TestBinomialMixtureSlopes:
     """One Bin(m - 1, q) pmf gives both the value and the slope."""
