@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .atomic import (VERIFY_TOL, best_response_dynamics, load_game, load_profile,
                      symmetric_mixed_equilibrium, verify_equilibrium)
-from .core import _field, _integer, instance_to_json, load_instance
+from .core import instance_to_json, load_instance
 from .errors import CglabError
 from .harness import SequenceSpec, reproduce_example, run_convergence
-from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
-                            regularity_constants, resolve_alpha)
+from .poisson_limit import build_limit_game, rate_bounds, regularity_constants, resolve_alpha
 from .wardrop import TARGET_EPS, solution_to_json, solve_wardrop
 
 
@@ -75,7 +72,7 @@ def _cmd_atomic(args) -> int:
 
 def _cmd_limit(args) -> int:
     structure, demand = load_instance(args.instance)
-    limit = build_limit_game(structure, demand, tail_tol=args.tail_tol, alpha=args.alpha)
+    limit = build_limit_game(structure, demand, alpha=args.alpha)
     constants = regularity_constants(structure, limit.alpha)
     names = ("alpha", "kappa", "beta", "beta_source", "nu", "zeta", "gamma", "c_cap",
              "c_cap_aux", "theta", "xi", "theta_hat", "xi_hat")
@@ -98,9 +95,6 @@ def _cmd_bounds(args) -> int:
 def _cmd_converge(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = SequenceSpec.from_json(json.load(fh))
-    env_seed = _field(os.environ, "CGLAB_SEED", "environment", _integer, None)
-    if env_seed is not None:
-        spec = replace(spec, seed=env_seed)
     report = run_convergence(spec)
     report.write_csv(args.out)
     if args.json:
@@ -141,7 +135,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("limit", help="emit the Poisson limit instance and constants")
     p.add_argument("instance")
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL, dest="tail_tol")
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_limit)
 

@@ -51,6 +51,10 @@ class GrowthEnvelope:
             raise DomainError(f"unknown envelope kind {self.kind!r}")
         if not (math.isfinite(self.rate) and math.isfinite(self.scale)):
             raise DomainError("envelope rate and scale must be finite")
+        try:
+            object.__setattr__(self, "degree", _integer(self.degree))
+        except (TypeError, ValueError):
+            raise DomainError(f"envelope degree {self.degree!r} is not an integer") from None
         if self.scale < 0 or self.rate < 0 or self.degree < 0:
             raise DomainError("envelope parameters must be nonnegative")
 
@@ -424,9 +428,9 @@ def _strategy_distributions(probs, owner: str) -> tuple[np.ndarray, ...]:
     for i, p in enumerate(arrs):
         if p.ndim != 1 or p.size == 0:
             raise DomainError(f"{owner} {i} has an invalid strategy distribution")
-        if float(p.min()) < -1e-15:
-            raise DomainError(f"{owner} {i} has negative strategy probability")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
+        if not float(p.min()) >= -1e-15:  # written so that NaN fails it
+            raise DomainError(f"{owner} {i} has a negative or NaN strategy probability")
+        if not abs(float(p.sum()) - 1.0) <= 1e-12:
             raise DomainError(f"{owner} {i}'s strategy distribution is not normalized")
     return arrs
 
@@ -569,11 +573,10 @@ def parse_cost(obj: Mapping) -> Cost:
         return TableCost(_field(obj, "values", "table cost", _floats),
                          _parse_envelope(env) if env else None)
     if kind == "aux":
-        _reject_unknown(obj, {"kind", "base", "tail_tol"}, "aux cost")
-        from .poisson_limit import DEFAULT_TAIL_TOL, AuxCost  # deferred to avoid an import cycle
+        _reject_unknown(obj, {"kind", "base"}, "aux cost")
+        from .poisson_limit import AuxCost  # deferred to avoid an import cycle
 
-        return AuxCost(parse_cost(_field(obj, "base", "aux cost")),
-                       tail_tol=_field(obj, "tail_tol", "aux cost", float, DEFAULT_TAIL_TOL))
+        return AuxCost(parse_cost(_field(obj, "base", "aux cost")))
     raise StructureError(f"unknown cost kind {kind!r}")
 
 
@@ -606,8 +609,8 @@ def _floats(values) -> tuple[float, ...]:
 
 
 def _integer(value) -> int:
-    """An integral number, or a string of decimal digits (as environment variables
-    arrive); a fraction, a bool or anything else raises ValueError or TypeError."""
+    """An integral number, or a string of decimal digits; a fraction, a NaN, a
+    bool or anything else raises ValueError or TypeError."""
     if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
         return int(value)
     if isinstance(value, float) and value.is_integer():

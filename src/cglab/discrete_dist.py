@@ -19,6 +19,7 @@ import numpy as np
 from .core import _readonly
 from .errors import CapacityError, DomainError, PrecisionError
 
+TAIL_TOL = 1e-12  # certified Poisson tail of every series and pmf the package forms
 _NORM_TOL = 1e-12
 _DECONV_TOL = 1e-14
 _LOG_HUGE = 709.0  # log of the largest tail bound reported as finite; larger ones are inf
@@ -185,7 +186,7 @@ class BarbourHallBound(NamedTuple):
 # constructors
 
 
-def poisson_pmf(mean: float, tail_tol: float = 1e-12) -> Pmf:
+def poisson_pmf(mean: float, tail_tol: float = TAIL_TOL) -> Pmf:
     """Truncated Poisson pmf with certified tail mass below ``tail_tol``.
 
     The masses run to the point k_cut that ``_truncation`` certifies at rate
@@ -686,7 +687,7 @@ def _truncation(means: np.ndarray, rate, scale, tol: float) -> tuple[int, np.nda
             raise PrecisionError("cannot certify Poisson expectation under this envelope")
 
 
-def poisson_expect(mean, h, rate, scale, tol: float = 1e-12) -> Expectation:
+def poisson_expect(mean, h, rate, scale, tol: float = TAIL_TOL) -> Expectation:
     """Certified ``E[h(X)]`` for ``X ~ Poisson(mean)``, with ``|h(k)| <= scale e^{rate k}``.
 
     ``mean`` is a scalar or a vector of means; ``rate`` and ``scale`` give one

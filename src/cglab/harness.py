@@ -28,8 +28,7 @@ from .atomic import (BernoulliGame, MixedProfile, WeightedGame, _laws_of,
 from .core import _as_list, _field, _integer, all_strategy_costs
 from .discrete_dist import Pmf, poisson_pmf, tv_distance
 from .errors import DomainError
-from .poisson_limit import (DEFAULT_TAIL_TOL, build_limit_game, rate_bounds,
-                            regularity_constants, resolve_alpha)
+from .poisson_limit import build_limit_game, rate_bounds, regularity_constants, resolve_alpha
 from .wardrop import poa_nonatomic, solve_wardrop
 
 REPORT_SCHEMA = 1
@@ -50,7 +49,6 @@ class SequenceSpec:
     n_values: tuple[int, ...]
     alpha: float | None = None
     beta_override: float | None = None
-    tail_tol: float = DEFAULT_TAIL_TOL
     seed: int = 0
     equilibria: tuple[str, ...] = ()  # empty means the example's full family
 
@@ -85,7 +83,7 @@ class SequenceSpec:
         extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise DomainError(f"unknown keys in sequence spec: {sorted(extra)}")
-        kinds = {"alpha": _float_or_none, "beta_override": _float_or_none, "tail_tol": float,
+        kinds = {"alpha": _float_or_none, "beta_override": _float_or_none,
                  "seed": _integer, "equilibria": _as_list}
         return cls(**{f.name: _field(data, f.name, "sequence spec", kinds.get(f.name))
                       for f in fields(cls) if f.name in data or f.default is MISSING})
@@ -167,12 +165,10 @@ def _limit_environment(spec: SequenceSpec):
     structure = ex.build()
     demand = ex.demand()
     alpha = resolve_alpha(demand, spec.alpha)
-    constants = regularity_constants(structure, alpha, beta_override=spec.beta_override,
-                                     tail_tol=min(spec.tail_tol, 1e-12))
+    constants = regularity_constants(structure, alpha, beta_override=spec.beta_override)
     limit_structure = structure
     if spec.model == "bernoulli":
-        limit_structure = build_limit_game(structure, demand, tail_tol=spec.tail_tol,
-                                           alpha=alpha).structure
+        limit_structure = build_limit_game(structure, demand, alpha=alpha).structure
     solved = poa_nonatomic(limit_structure, demand)
     x = solved.we.pair.x
     summary = LimitSummary(solved.eq_cost, solved.opt_cost, solved.poa,
@@ -206,7 +202,7 @@ def run_convergence(spec: SequenceSpec) -> ConvergenceReport:
     family = ex.family(spec.model)
     if spec.equilibria:
         family = tuple((lbl, b) for lbl, b in family if lbl in spec.equilibria)
-    limit_pmfs = ([poisson_pmf(float(v), spec.tail_tol) for v in limit_loads]
+    limit_pmfs = ([poisson_pmf(float(v)) for v in limit_loads]
                   if spec.model == "bernoulli" else None)  # built once, for every n
     rows = []
     for n in spec.n_values:

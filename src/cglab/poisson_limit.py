@@ -21,7 +21,6 @@ from .discrete_dist import MAX_RATE, borisov_ruzankin_bound, poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
 from .wardrop import demand_perturbation_bound, strategy_cost_cap
 
-DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_ALPHA_HEADROOM = 1.5  # demand cap defaults to this multiple of the total demand
 _MIN_SUM_RATE = 1e-3  # least envelope rate of an auxiliary cost's running sum
 
@@ -100,10 +99,9 @@ class _AuxSeries:
     the rows ``idx`` selects at one load each, as ``CostBatch`` asks.
     """
 
-    def __init__(self, bases, tail_tol: float):
+    def __init__(self, bases):
         envelopes = np.array([_require_integer_cost(b) for b in bases], dtype=float)
         self.bases = tuple(bases)
-        self.tail_tol = float(tail_tol)
         self._rate = envelopes[:, 0]
         self._scale = envelopes[:, 1] * np.exp(self._rate)
         self._table = np.zeros((len(self.bases), 0))
@@ -128,7 +126,7 @@ class _AuxSeries:
 
     def _expect(self, x, h, rate, scale):
         x = _loads(x)
-        value = poisson_expect(x, h, rate, scale, self.tail_tol).value
+        value = poisson_expect(x, h, rate, scale).value
         return float(value) if x.ndim == 0 else value
 
     def _stacked(self, x, idx, orders, absolute: bool = False) -> np.ndarray:
@@ -205,21 +203,19 @@ class AuxCost:
     that polynomial by Horner's rule, exact up to rounding and bit for bit
     alike.  Every other evaluation, and every evaluation over another base,
     is one vector Poisson series (``_AuxSeries``), certified against the
-    base cost's growth envelope to ``tail_tol``.  ``integral`` keeps the
-    series over polynomial bases too: the benchmark's tracer requires the
-    series kernels to be called (ROADMAP item 1), and ``integral`` is their
-    last caller on the nonatomic workload.
+    base cost's growth envelope to ``discrete_dist.TAIL_TOL``, the one tail
+    tolerance of the package.  ``integral`` keeps the series over polynomial
+    bases too: the benchmark's tracer requires the series kernels to be
+    called (ROADMAP item 1), and ``integral`` is their last caller on the
+    nonatomic workload.
     """
 
     is_continuous = True
     has_integer_eval = True
 
-    def __init__(self, base, tail_tol: float = DEFAULT_TAIL_TOL):
-        if not 0.0 < tail_tol < 1.0:
-            raise DomainError("tail_tol must lie in (0, 1)")
+    def __init__(self, base):
         self.base = base
-        self.tail_tol = float(tail_tol)
-        self._series = _AuxSeries((base,), self.tail_tol)
+        self._series = _AuxSeries((base,))
         self._poisson = (PolynomialCost(_poisson_polynomial(base.coeffs))
                          if isinstance(base, PolynomialCost) else None)
 
@@ -230,8 +226,7 @@ class AuxCost:
         When every base is a ``PolynomialCost`` (``_poisson`` is None just for
         other bases), the evaluator is ``PolynomialCost.stack`` over their
         Poisson polynomials: Horner's rule, exact up to rounding, with no
-        series and no tail.  Otherwise it is one series over every base,
-        certified to the smallest tail_tol.
+        series and no tail.  Otherwise it is one series over every base.
 
         The solvers' sweeps read this evaluator, and so do the potential
         history of ``solve_wardrop`` and the linearization gap of
@@ -247,7 +242,7 @@ class AuxCost:
         """
         if all(c._poisson is not None for c in cost_fns):
             return PolynomialCost.stack([c._poisson for c in cost_fns])
-        return _AuxSeries(tuple(c.base for c in cost_fns), min(c.tail_tol for c in cost_fns))
+        return _AuxSeries(tuple(c.base for c in cost_fns))
 
     def _values(self, x):
         """The one route of ``value`` and ``values_on_grid``: the Poisson
@@ -294,7 +289,7 @@ class AuxCost:
         return bool(np.all(2.0 * self.derivative(xs) + xs * self.derivative(xs, 2) >= -1e-9))
 
     def to_json(self) -> dict:
-        return {"kind": "aux", "base": self.base.to_json(), "tail_tol": self.tail_tol}
+        return {"kind": "aux", "base": self.base.to_json()}
 
 
 def resolve_alpha(demand: DemandVector, alpha: float | None = None) -> float:
@@ -310,7 +305,6 @@ def resolve_alpha(demand: DemandVector, alpha: float | None = None) -> float:
 
 
 def build_limit_game(structure: Structure, demand: DemandVector,
-                     tail_tol: float = DEFAULT_TAIL_TOL,
                      alpha: float | None = None) -> LimitGame:
     """Nonatomic instance whose costs are the Poisson mixtures of the base costs.
 
@@ -320,7 +314,7 @@ def build_limit_game(structure: Structure, demand: DemandVector,
     polynomial, whose coefficients are nonnegative, so it cannot fail there.
     """
     alpha = resolve_alpha(demand, alpha)
-    aux = tuple(AuxCost(c, tail_tol=tail_tol) for c in structure.cost_fns)
+    aux = tuple(AuxCost(c) for c in structure.cost_fns)
     grid = np.linspace(0.0, alpha, 1000)
     for cost in aux:
         if np.any(np.diff(cost.values_on_grid(grid)) < -1e-9):
@@ -414,8 +408,7 @@ class BoundConstants:
 
 
 def regularity_constants(structure: Structure, alpha: float, *,
-                         beta_override: float | None = None,
-                         tail_tol: float = 1e-12) -> BoundConstants:
+                         beta_override: float | None = None) -> BoundConstants:
     """Compute every rate-bound constant the structure's costs support.
 
     beta resolution: an explicit override wins; otherwise the exact slope when
@@ -431,7 +424,7 @@ def regularity_constants(structure: Structure, alpha: float, *,
     kappa = structure.max_strategy_size
 
     try:
-        series = _AuxSeries(costs, tail_tol)
+        series = _AuxSeries(costs)
         rows = np.arange(len(costs))
         at_alpha = np.full(len(costs), float(alpha))
         curvature = series._stacked(at_alpha, rows, (2,), absolute=True)[0]

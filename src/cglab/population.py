@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (USAGE_TOL, DemandVector, Structure, _strategy_distributions,
+from .core import (USAGE_TOL, DemandVector, Structure, _integer, _strategy_distributions,
                    all_strategy_costs)
 from .discrete_dist import Pmf, bernoulli_sum_pmf, poisson_pmf
 from .errors import DomainError, StructureError
@@ -78,9 +78,10 @@ class PopulationModel:
         return bernoulli_sum_pmf(self.probs[t]).prob(n)
 
     def count_pmf(self, t: int) -> Pmf:
-        """Exact for Bernoulli counts; a Poisson count is truncated with tail mass below 1e-12."""
+        """Exact for Bernoulli counts; a Poisson count is truncated with tail mass
+        below ``discrete_dist.TAIL_TOL``."""
         if self.kind == "independent_poisson":
-            return poisson_pmf(self.means[t], 1e-12)
+            return poisson_pmf(self.means[t])
         return bernoulli_sum_pmf(self.probs[t])
 
 
@@ -123,6 +124,15 @@ def induced_flows(structure: Structure, demand: DemandVector,
     return y
 
 
+def _counts(values) -> list[int]:
+    """Player counts read by ``core._integer``; a fraction, a NaN or anything
+    else that is not an integer raises ``DomainError``."""
+    try:
+        return [_integer(v) for v in values]
+    except (TypeError, ValueError):
+        raise DomainError(f"counts must be integers, not {values!r}") from None
+
+
 def _multinomial_prob(counts: np.ndarray, weights: np.ndarray) -> float:
     """n! prod(w^c / c!), formed in log space; exactly 0.0 when a positive
     count falls on a weight that is zero (or a round-off negative)."""
@@ -148,7 +158,7 @@ def flow_profile_probability(model: PopulationModel, sigma: TypeProfile,
         raise StructureError("counts do not match the profile's types")
     out = 1.0
     for t, per_t in enumerate(counts):
-        c = np.asarray(per_t, dtype=int)
+        c = np.array(_counts(per_t), dtype=int)
         if c.size != sigma.probs[t].size:
             raise StructureError(f"type {t} counts have the wrong length")
         if c.min() < 0:
@@ -165,7 +175,7 @@ def posterior(model: PopulationModel, t: int, nbar: Sequence[int]) -> float:
     mean = model.expected_count(t)
     if mean <= 0:
         raise DomainError("posterior undefined for a type with zero expected count")
-    nb = [int(v) for v in nbar]
+    nb = _counts(nbar)
     if len(nb) != model.n_types:
         raise StructureError("count vector does not match the model's types")
     if min(nb) < 0:
@@ -217,8 +227,8 @@ def verify_poisson_game_equilibrium(structure: Structure, demand: DemandVector,
     With independent Poisson populations the expected cost of a strategy is
     the sum of auxiliary costs at the expected loads, so verification reduces
     to evaluating the limit game's strategy costs at flows demand * sigma.
-    The auxiliary costs are those ``build_limit_game`` builds, at the default
-    tail tolerance; no demand cap enters them.
+    The auxiliary costs are those ``build_limit_game`` builds; no demand cap
+    enters them.
     """
     y = induced_flows(structure, demand, sigma)
     x = y @ structure.incidence

@@ -147,7 +147,7 @@ def test_criterion_5_rate_bound_suite():
 def test_criterion_6_auxiliary_cost_correctness():
     with _Timer() as t:
         tail = 1e-12
-        aux_identity = AuxCost(AffineCost(1.0), tail_tol=tail)
+        aux_identity = AuxCost(AffineCost(1.0))
         for x in np.linspace(0.0, 2.0, 100):
             assert abs(aux_identity.value(float(x)) - (1.0 + x)) <= tail
 
@@ -158,13 +158,13 @@ def test_criterion_6_auxiliary_cost_correctness():
                                          scale=float(np.sum(increments)) + 1.0))
         h = 1e-4
         for base in (AffineCost(1.0, 0.5), PolynomialCost((0.0, 0.0, 1.0)), table):
-            aux = AuxCost(base, tail_tol=tail)
+            aux = AuxCost(base)
             for x in np.linspace(0.05, 2.0, 40):
                 fd = (aux.value(float(x) + h) - aux.value(float(x) - h)) / (2.0 * h)
                 assert abs(aux.derivative(float(x)) - fd) <= 1e-6
 
         for base in (AffineCost(1.0), PolynomialCost((0.0, 0.0, 1.0)), table):
-            aux = AuxCost(base, tail_tol=tail)
+            aux = AuxCost(base)
             for x in np.linspace(0.0, 2.0, 25):
                 assert aux.derivative(float(x)) > 0.0
     _report(6, "auxiliary cost evaluation and slopes", t, 5.0)

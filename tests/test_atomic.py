@@ -106,6 +106,28 @@ class TestResourceChoiceProb:
         assert verify_equilibrium(game, prof).players[1].costs[0] == 2.0
 
 
+class TestNanStrategyProbabilities:
+    # NaN passed both checks of a strategy distribution: on Pigou the
+    # weighted game then returned numbers (regret 1.0, esc 0.25, player cost
+    # 2.0) and the Bernoulli game a bare KeyError from verify_equilibrium
+    @pytest.mark.parametrize("row", [[float("nan"), 1.0], [float("nan"), float("nan")],
+                                     [float("nan"), 0.0]])
+    def test_rejected(self, row):
+        with pytest.raises(DomainError, match="player 0"):
+            MixedProfile((np.array(row), np.array([1.0, 0.0])))
+
+    def test_cli_profile_with_nan_exits_2(self, tmp_path, capsys):
+        s = pigou_structure()
+        obj = instance_to_json(s, unit_demand(s))
+        obj["players"] = [{"type": "od", "count": 2, "prob": "d/n"}]
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(obj))
+        profile = tmp_path / "profile.json"
+        profile.write_text('{"0": [NaN, 1.0], "1": [1.0, 0.0]}')
+        assert main(["atomic", str(game), "--profile", str(profile)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestIndexChecks:
     # a negative index would count from the end, and one past the end would
     # raise a bare IndexError or answer for a type nobody has

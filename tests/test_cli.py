@@ -175,7 +175,8 @@ def test_converge_writes_report(tmp_path, capsys):
     assert len(lines) == 4
 
 
-def test_converge_env_seed_override(tmp_path, monkeypatch, capsys):
+def test_converge_reports_the_spec_as_written(tmp_path, monkeypatch):
+    # no environment variable overrides the spec's seed
     spec = {"example": "pigou", "model": "bernoulli", "n_values": [5, 10],
             "beta_override": 1.0, "seed": 1}
     spec_path = tmp_path / "spec.json"
@@ -184,11 +185,16 @@ def test_converge_env_seed_override(tmp_path, monkeypatch, capsys):
     js = tmp_path / "report.json"
     monkeypatch.setenv("CGLAB_SEED", "42")
     assert main(["converge", str(spec_path), "--out", str(out), "--json", str(js)]) == 0
-    payload = json.loads(js.read_text())
-    assert payload["spec"]["seed"] == 42
-    monkeypatch.setenv("CGLAB_SEED", "x")
-    assert main(["converge", str(spec_path), "--out", str(out)]) == 2
-    assert "CGLAB_SEED" in capsys.readouterr().err
+    assert json.loads(js.read_text())["spec"] == {
+        "example": "pigou", "model": "bernoulli", "n_values": [5, 10], "alpha": None,
+        "beta_override": 1.0, "seed": 1, "equilibria": []}
+
+
+def test_limit_has_no_tail_tolerance_flag(pigou_instance, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", str(pigou_instance), "--tail-tol", "1e-10"])
+    assert exc.value.code == 2
+    assert "--tail-tol" in capsys.readouterr().err
 
 
 def test_converge_reports_plain_floats(tmp_path, capsys):
@@ -230,8 +236,9 @@ MALFORMED = {
     "affine slope not a number": (parse_cost, {"kind": "affine", "a": "x"}, "'a'"),
     "game without players": (parse_game, _pigou_obj(), "players"),
     "spec without model": (SequenceSpec.from_json, _without(SPEC, "model"), "model"),
-    "spec tail_tol not a number": (SequenceSpec.from_json, dict(SPEC, tail_tol="x"),
-                                   "tail_tol"),
+    "spec tail_tol": (SequenceSpec.from_json, dict(SPEC, tail_tol=1e-10), "tail_tol"),
+    "aux cost tail_tol": (parse_cost, {"kind": "aux", "base": {"kind": "affine", "a": 1.0},
+                                       "tail_tol": 1e-10}, "tail_tol"),
     "spec n_values not integers": (SequenceSpec.from_json, dict(SPEC, n_values="ab"),
                                    "n_values"),
     "spec alpha not a number": (SequenceSpec.from_json, dict(SPEC, alpha="x"), "alpha"),

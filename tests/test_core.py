@@ -216,6 +216,18 @@ class TestCostFunctions:
         with pytest.raises(StructureError):
             c.value(0.5)
 
+    @pytest.mark.parametrize("degree", [2.5, float("nan"), float("inf"), -1, True, "x"])
+    def test_envelope_degree_must_be_a_nonnegative_integer(self, degree):
+        # a fraction or NaN used to construct; an AuxCost over a table with
+        # that envelope then raised a bare TypeError from math.factorial
+        with pytest.raises(DomainError):
+            GrowthEnvelope("poly", degree=degree, scale=1.0)
+
+    def test_integral_envelope_degree_is_stored_as_an_int(self):
+        env = GrowthEnvelope("poly", degree=2.0, scale=1.5)
+        assert env.degree == 2 and type(env.degree) is int
+        assert env.exp_majorant() == GrowthEnvelope("poly", degree=2, scale=1.5).exp_majorant()
+
     def test_poly_envelope_majorant(self):
         env = GrowthEnvelope("poly", degree=2, scale=1.5)
         rate, scale = env.exp_majorant()

@@ -7,7 +7,8 @@ from cglab import poisson_limit
 from cglab.atomic import BernoulliGame, choice_probabilities, expected_loads
 from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
                         Structure, TableCost)
-from cglab.discrete_dist import bernoulli_sum_pmf, borisov_ruzankin_bound, tv_distance, poisson_pmf
+from cglab.discrete_dist import (TAIL_TOL, bernoulli_sum_pmf, borisov_ruzankin_bound,
+                                 poisson_pmf, tv_distance)
 from cglab.errors import ConfigError, DomainError, PrecisionError
 from cglab.instances import (pigou_structure, unit_demand, wheatstone_structure,
                              wheatstone_symmetric_mix)
@@ -17,7 +18,7 @@ from cglab.wardrop import solve_wardrop
 
 from oracles import aux_integral_mp
 
-TAIL = 1e-12
+TAIL = TAIL_TOL  # the certified tail of every auxiliary-cost series
 
 
 def random_monotone_table(rng, size=13):
@@ -49,25 +50,25 @@ def _count_series_calls(monkeypatch) -> list:
 
 class TestAuxCostValues:
     def test_identity_base_gives_one_plus_x(self):
-        aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)
+        aux = AuxCost(AffineCost(1.0))
         for x in np.linspace(0.0, 3.0, 100):
             assert abs(aux.value(float(x)) - (1.0 + x)) <= TAIL
 
     def test_constant_base_stays_constant(self):
-        aux = AuxCost(AffineCost(0.0, 2.0), tail_tol=TAIL)
+        aux = AuxCost(AffineCost(0.0, 2.0))
         for x in (0.0, 0.5, 1.7):
             assert abs(aux.value(x) - 2.0) <= TAIL
 
     def test_square_base_moments(self):
         # E[(1 +_X)^2] = 1 + 3x + x^2 for X ~ Poisson(x)
-        aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)), tail_tol=TAIL)
+        aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)))
         for x in (0.0, 0.4, 1.0, 2.3):
             want = 1.0 + 3.0 * x + x * x
             assert aux.value(x) == pytest.approx(want, abs=1e-10)
         assert aux.value(1.0) == pytest.approx(5.0, abs=1e-10)
 
     def test_vectorized_grid_matches_scalar(self):
-        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.5)), tail_tol=TAIL)
+        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.5)))
         xs = np.linspace(0.0, 2.0, 17)
         grid = aux.values_on_grid(xs)
         for x, v in zip(xs, grid):
@@ -75,7 +76,7 @@ class TestAuxCostValues:
 
     def test_missing_envelope_rejected(self):
         with pytest.raises(PrecisionError):
-            AuxCost(TableCost((0.0, 1.0, 2.0)), tail_tol=TAIL)
+            AuxCost(TableCost((0.0, 1.0, 2.0)))
 
     @pytest.mark.parametrize("base", UNCERTIFIABLE_BASES.values(),
                              ids=UNCERTIFIABLE_BASES.keys())
@@ -99,9 +100,14 @@ class TestAuxCostValues:
         c = regularity_constants(s, 1.5)
         assert (c.nu, c.zeta, c.c_cap_aux) == (None, None, None)
 
+    def test_table_with_an_integral_float_poly_degree(self):
+        # degree 2.0 used to reach math.factorial as a float: a bare TypeError
+        base = TableCost((0.0, 1.0, 4.0), GrowthEnvelope("poly", degree=2.0, scale=4.0))
+        assert AuxCost(base).value(0.0) == pytest.approx(1.0, abs=TAIL)
+
     def test_monotone_table_aux_increases(self):
         rng = np.random.default_rng(4)
-        aux = AuxCost(random_monotone_table(rng), tail_tol=TAIL)
+        aux = AuxCost(random_monotone_table(rng))
         xs = np.linspace(0.0, 2.0, 100)
         vals = aux.values_on_grid(xs)
         assert np.all(np.diff(vals) >= -1e-10)
@@ -111,7 +117,7 @@ class TestAuxCostLargeLoads:
     def test_bounded_table_keeps_its_value(self):
         # the series used to start from e^{-800} = 0.0 and return 0.0
         aux = AuxCost(TableCost((1.0, 1.0, 1.0), GrowthEnvelope("exp", 0.0, 1.0)))
-        assert abs(aux.value(800.0) - 1.0) <= aux.tail_tol
+        assert abs(aux.value(800.0) - 1.0) <= TAIL
 
     @pytest.mark.parametrize("x", [500.0, 1000.0])
     def test_identity_base_at_large_loads(self, x):
@@ -121,7 +127,7 @@ class TestAuxCostLargeLoads:
             got = aux.value(x)
         except PrecisionError:
             return
-        assert abs(got - (x + 1.0)) <= aux.tail_tol
+        assert abs(got - (x + 1.0)) <= TAIL
 
     def test_constants_at_a_large_cap(self):
         # (e^alpha - 1) nu overflows for alpha > 709; zeta is then left unset
@@ -135,7 +141,7 @@ class TestAuxCostLargeLoads:
         assert c.beta is None
 
     def test_vector_value_int_is_one_series(self, monkeypatch):
-        aux = AuxCost(random_monotone_table(np.random.default_rng(2)), tail_tol=TAIL)
+        aux = AuxCost(random_monotone_table(np.random.default_rng(2)))
         ks = np.arange(6)
         calls = _count_series_calls(monkeypatch)
         got = aux.value_int(ks)
@@ -144,7 +150,7 @@ class TestAuxCostLargeLoads:
             assert v == pytest.approx(aux.value(float(k)), abs=2 * TAIL)
 
     def test_polynomial_values_need_no_series(self, monkeypatch):
-        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)), tail_tol=TAIL)
+        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)))
         ks = np.arange(6)
         calls = _count_series_calls(monkeypatch)
         got = aux.value_int(ks)
@@ -165,7 +171,7 @@ class TestAuxCostLargeLoads:
                 aux.value(x)
 
     def test_vector_derivative_matches_scalar_calls(self):
-        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)), tail_tol=TAIL)
+        aux = AuxCost(PolynomialCost((0.5, 1.0, 0.0, 0.1)))
         xs = np.linspace(0.0, 3.0, 7)
         for order in (1, 2):
             grid = aux.derivative(xs, order)
@@ -175,12 +181,12 @@ class TestAuxCostLargeLoads:
 
 class TestAuxCostDerivative:
     def test_identity_base_unit_slope(self):
-        aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)
+        aux = AuxCost(AffineCost(1.0))
         for x in (0.0, 0.5, 2.0):
             assert aux.derivative(x) == pytest.approx(1.0, abs=1e-10)
 
     def test_square_base_slope(self):
-        aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)), tail_tol=TAIL)
+        aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)))
         assert aux.derivative(0.0) == pytest.approx(3.0, abs=1e-10)
         for x in (0.3, 1.1):
             assert aux.derivative(x) == pytest.approx(3.0 + 2.0 * x, abs=1e-9)
@@ -190,14 +196,14 @@ class TestAuxCostDerivative:
         h = 1e-4
         for base in (AffineCost(1.0, 0.5), PolynomialCost((0.0, 0.0, 1.0)),
                      random_monotone_table(rng)):
-            aux = AuxCost(base, tail_tol=TAIL)
+            aux = AuxCost(base)
             for x in np.linspace(0.05, 2.0, 50):
                 fd = (aux.value(float(x) + h) - aux.value(float(x) - h)) / (2 * h)
                 assert abs(aux.derivative(float(x)) - fd) <= 1e-6
 
     def test_strictly_positive_when_base_varies_above_one(self):
         rng = np.random.default_rng(15)
-        aux = AuxCost(random_monotone_table(rng), tail_tol=TAIL)
+        aux = AuxCost(random_monotone_table(rng))
         for x in np.linspace(0.0, 2.0, 100):
             assert aux.derivative(float(x)) > 0.0
 
@@ -206,24 +212,24 @@ class TestAuxCostDerivative:
         alpha = 2.0
         constants = regularity_constants(structure, alpha)
         for cost in structure.cost_fns:
-            aux = AuxCost(cost, tail_tol=TAIL)
+            aux = AuxCost(cost)
             for x in np.linspace(0.0, alpha, 50):
                 assert aux.derivative(float(x)) <= constants.zeta + 1e-9
 
     def test_second_derivative_of_square_base(self):
-        aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)), tail_tol=TAIL)
+        aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)))
         # second difference of (1+k)^2 is constant 2
         assert aux.derivative(0.7, order=2) == pytest.approx(2.0, abs=1e-9)
 
     def test_unsupported_order(self):
-        aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)
+        aux = AuxCost(AffineCost(1.0))
         with pytest.raises(DomainError):
             aux.derivative(0.5, 0)
 
 
 class TestAuxIntegral:
     def test_matches_quadrature(self):
-        aux = AuxCost(PolynomialCost((0.0, 1.0, 0.5)), tail_tol=TAIL)
+        aux = AuxCost(PolynomialCost((0.0, 1.0, 0.5)))
         for hi in (0.5, 1.0, 2.0):
             xs = np.linspace(0.0, hi, 2001)
             vals = aux.values_on_grid(xs)
@@ -231,7 +237,7 @@ class TestAuxIntegral:
             assert aux.integral(hi) == pytest.approx(trapz, abs=1e-6)
 
     def test_identity_base_closed_form(self):
-        aux = AuxCost(AffineCost(1.0), tail_tol=TAIL)
+        aux = AuxCost(AffineCost(1.0))
         for hi in (0.3, 1.0, 2.5):
             assert aux.integral(hi) == pytest.approx(hi + hi * hi / 2.0, abs=1e-9)
 
@@ -366,7 +372,7 @@ class TestLambdaBound:
         s = wheatstone_structure()
         d = unit_demand(s)
         constants = regularity_constants(s, 1.5)
-        aux = [AuxCost(c, tail_tol=TAIL) for c in s.cost_fns]
+        aux = [AuxCost(c) for c in s.cost_fns]
         for n in (5, 10, 20):
             game = BernoulliGame.homogeneous(s, d, n)
             profile = wheatstone_symmetric_mix(game)
@@ -540,7 +546,7 @@ class TestBorisovConsistency:
     def test_mixture_cost_close_to_bernoulli_sum_cost(self):
         # |E c(1+S) - aux(E S)| for Bernoulli sums S under the quadratic cost
         cost = PolynomialCost((0.0, 0.0, 1.0))
-        aux = AuxCost(cost, tail_tol=TAIL)
+        aux = AuxCost(cost)
         rng = np.random.default_rng(31)
         for _ in range(30):
             n = int(rng.integers(2, 25))

@@ -96,7 +96,30 @@ class TestFlowProfileProbability:
             model.count_prob(0, 200), rel=1e-11)
 
 
+    @pytest.mark.parametrize("counts", [((1.5, 0.5),), ((1.0, float("nan")),), (("a", 0),),
+                                        ((1, None),)])
+    def test_non_integral_counts_rejected(self, counts):
+        # [[1.5, 0.5]] used to get the probability of [[1, 0]], and a NaN
+        # count raised a bare ValueError
+        model = PopulationModel.poisson([1.0])
+        sigma = TypeProfile((np.array([0.5, 0.5]),))
+        with pytest.raises(DomainError, match="counts"):
+            flow_profile_probability(model, sigma, counts)
+
+    def test_integral_float_counts_read_as_integers(self):
+        model = PopulationModel.poisson([1.0])
+        sigma = TypeProfile((np.array([0.5, 0.5]),))
+        assert (flow_profile_probability(model, sigma, ((2.0, 1.0),))
+                == flow_profile_probability(model, sigma, ((2, 1),)))
+
+
 class TestPosterior:
+    @pytest.mark.parametrize("nbar", [(1.7,), (float("nan"),), (0.5,)])
+    def test_non_integral_counts_rejected(self, nbar):
+        # posterior(m, 0, [1.7]) used to equal that of [1]
+        with pytest.raises(DomainError, match="counts"):
+            posterior(PopulationModel.poisson([1.0]), 0, nbar)
+
     def test_poisson_environmental_equivalence(self):
         model = PopulationModel.poisson([1.5, 0.7])
         for nbar in itertools.product(range(6), range(6)):
@@ -151,6 +174,13 @@ class TestPosterior:
 
 def _random_instance():
     return random_instance(np.random.default_rng(3), 12, 2, 5)
+
+
+def test_type_profile_rejects_nan_probabilities():
+    # NaN passed both checks of a strategy distribution
+    for row in ([float("nan"), 1.0], [float("nan"), float("nan")]):
+        with pytest.raises(DomainError, match="type 0"):
+            TypeProfile((np.array(row),))
 
 
 class TestTypeProfileJson:

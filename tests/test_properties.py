@@ -592,7 +592,7 @@ class TestCostBatch:
 
     def test_aux_rows_match_their_scalar_methods(self):
         costs = [AuxCost(AffineCost(1.0, 0.5)), PolynomialCost((0.2, 1.0)),
-                 AuxCost(PolynomialCost((0.0, 0.0, 1.0)), tail_tol=1e-12)]
+                 AuxCost(PolynomialCost((0.0, 0.0, 1.0)))]
         x = np.array([0.7, 1.3, 2.9])
         batch = CostBatch(costs)
         for method, got in (("value", batch.values(x)),
@@ -747,7 +747,7 @@ class TestPoissonSeries:
     def test_aux_value_and_integral_match_mpmath(self, x, b):
         base = BASES[b]
         rate = base.growth_envelope().exp_majorant()[0]
-        aux = AuxCost(base, tail_tol=TAIL_TOL)
+        aux = AuxCost(base)
         want = poisson_expect_mp(x, lambda k: float(base.value_int(k + 1)), rate)
         assert _close_to_oracle(aux.value(x), want)
         want = aux_integral_mp(x, lambda k: float(base.value_int(k)), rate)
@@ -805,7 +805,7 @@ class TestAuxCostBatch:
     @example([(2, 3.0, True), (1, 0.0, False), (3, 40.0, True)], [2, 0])
     def test_row_subsets_and_slopes_match_scalar_methods(self, rows, picks):
         # table bases have no continuous evaluation, so their rows are always auxiliary
-        costs = [AuxCost(BASES[b], tail_tol=TAIL_TOL) if aux or b >= 2 else BASES[b]
+        costs = [AuxCost(BASES[b]) if aux or b >= 2 else BASES[b]
                  for b, _, aux in rows]
         x = np.array([v for _, v, _ in rows])
         sub = _subset(picks, len(rows))
@@ -946,7 +946,7 @@ class TestSegmentMinimizer:
     @example([(0, False, 0.0), (0, True, 0.0)], 2.0)  # interior
     @example([(1, False, 2.0), (0, True, 0.0)], 0.5)  # gamma 1
     def test_aux_segments_match_bisection(self, rows, flow):
-        costs, x, dx = _segment([(AuxCost(STEEP_BASES[b], tail_tol=1e-12), joins, other)
+        costs, x, dx = _segment([(AuxCost(STEEP_BASES[b]), joins, other)
                                  for b, joins, other in rows], flow)
         want = bisection_minimizer(costs, x, dx)
         got = _newton_minimizer(costs, x, dx)
