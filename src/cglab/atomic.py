@@ -10,14 +10,14 @@ splits each resource's column of usage probabilities once into a record
 (``_Column``): the certain users' weights and their fsum, and the random
 users' Bernoulli terms, whose sorted tuple keys one Poisson-binomial law.
 Each law is one record (``_Law``), convolved once: its pmf, its last
-single-term deconvolution (``remove_bernoulli``), and per grid of costs a
-map from a player's own term to its conditional cost, which best-response
-dynamics and ``verify_equilibrium`` fill alike, a term at a time or all at
-once (``remove_bernoulli_terms``).  A best-response move patches each
-changed column's record and carries its law: the mover's old term out, by
-the deconvolution its own evaluation has just made, and its new one in.
-Bernoulli games read every conditional cost from these count laws.  A
-weighted player's cost on a resource takes the first route that applies:
+single-term deconvolution (``remove_bernoulli``), and per grid of costs (the
+game's) a map from a player's own term to its conditional cost, which
+best-response dynamics and ``verify_equilibrium`` fill alike, a term at a
+time or all at once (``remove_bernoulli_terms``).  A best-response move
+patches each changed column's record and carries its law: the mover's old
+term out, by the deconvolution its own evaluation has just made, and its new
+one in.  Bernoulli games read every conditional cost from these count laws.
+A weighted player's cost on a resource takes the first route that applies:
 
 1. no other random user: the cost at the certain load;
 2. the other random users share one weight: their count law;
@@ -61,12 +61,13 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, partialmethod
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (USAGE_TOL, DemandVector, PolynomialCost, Structure, _as_list, _field,
-                   _integer, _reject_unknown, _strategy_distributions, parse_instance)
+from .core import (USAGE_TOL, DemandVector, PolynomialCost, Structure, _as_list,
+                   _check_index, _field, _integer, _reject_unknown, _strategy_distributions,
+                   parse_instance)
 from .discrete_dist import (_BATCH_TERMS, Pmf, ValueDist, bernoulli_sum_pmf, binomial_ladder,
                             leave_one_out_moments, remove_bernoulli, remove_bernoulli_terms,
                             weighted_sum_distribution)
@@ -80,138 +81,148 @@ OPT_BUDGET = 250_000  # count vectors the exact optimum search may score
 MAX_SWEEPS = 500  # best-response sweeps before the dynamics give up
 
 
-def _type_demands(game) -> DemandVector:
-    """Per-type sums of the players' weights or participation probabilities."""
-    d = np.zeros(game.structure.n_types)
-    for m, t in zip(game.magnitudes, game.player_types):
-        d[t] += m
-    return DemandVector(d)
+class _AtomicGame:
+    """What a game fixes alike in both player models: its players' types and
+    magnitudes, the demand they add up to per type, and the checks every game
+    passes when it is built.  A player model gives its magnitudes' field and
+    what one is called (``_magnitude``), their rule (``_check_magnitudes``),
+    the costs it can evaluate and how (``_costs``), and its largest load and
+    the largest load a cost is read at (``_top_loads``).
 
-
-def _require_finite(evaluate, load) -> float:
-    """A cost, given by its ``evaluate`` method, at the largest load a game can
-    put on it; a cost that is not finite there is rejected."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            top = float(evaluate(load))
-    except PrecisionError as exc:
-        raise StructureError(f"cost not evaluable up to {load}: {exc}") from None
-    if not math.isfinite(top):
-        raise StructureError(f"cost is not finite at the largest load {load}")
-    return top
-
-
-def _require_finite_social_cost(load: float, tops: list[float]) -> None:
-    """Reject a game whose social cost could overflow.
-
-    Costs are nondecreasing, so when no load exceeds ``load`` and ``tops``
-    bound each resource's cost there, each resource's E[L c(L)] is at most
-    ``load * max(tops)`` and their sum at most ``len(tops)`` times that.  A
-    finite bound keeps every value ``esc`` and the optimum search add, and
-    their sum, finite.
+    Costs are nondecreasing, so the resources' number times the largest load
+    times the largest cost there bounds every value ``esc`` and the optimum
+    search add, and their sum: a game whose bound overflows is rejected.
     """
-    bound = len(tops) * load * max(tops, default=0.0)
-    if not math.isfinite(bound):
-        raise StructureError(f"the social cost bound {len(tops)} * {load} * {max(tops)} "
-                             "overflows")
+
+    structure: Structure
+    player_types: tuple[int, ...]
+    kind: str
+    _magnitude: tuple[str, str]
+    _costs: tuple[str, str, str]
+
+    def __post_init__(self):
+        name, each = self._magnitude
+        object.__setattr__(self, name, tuple(float(m) for m in getattr(self, name)))
+        object.__setattr__(self, "player_types", tuple(int(t) for t in self.player_types))
+        if len(self.magnitudes) != len(self.player_types):
+            raise StructureError(f"one {each} per player is required")
+        self._check_magnitudes()
+        if any(t < 0 or t >= self.structure.n_types for t in self.player_types):
+            raise StructureError("player type out of range")
+        capability, method, message = self._costs
+        load, read_at = self._top_loads()
+        tops = []
+        for c in self.structure.cost_fns:
+            if not getattr(c, capability, False):
+                raise StructureError(message)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tops.append(float(getattr(c, method)(read_at)))
+            except PrecisionError as exc:
+                raise StructureError(f"cost not evaluable up to {read_at}: {exc}") from None
+            if not math.isfinite(tops[-1]):
+                raise StructureError(f"cost is not finite at the largest load {read_at}")
+        bound = len(tops) * load * max(tops, default=0.0)
+        if not math.isfinite(bound):
+            raise StructureError(f"the social cost bound {len(tops)} * {load} * {max(tops)} "
+                                 "overflows")
+
+    @property
+    def n_players(self) -> int:
+        return len(self.player_types)
+
+    @property
+    def magnitudes(self) -> tuple[float, ...]:
+        return getattr(self, self._magnitude[0])
+
+    @cached_property
+    def demand(self) -> DemandVector:
+        """Per-type sums of the players' magnitudes."""
+        d = np.zeros(self.structure.n_types)
+        for m, t in zip(self.magnitudes, self.player_types):
+            d[t] += m
+        return DemandVector(d)
+
+    @classmethod
+    def homogeneous(cls, structure: Structure, demand: DemandVector, n: int):
+        """n players per type of positive demand, each with an equal share of
+        it: its weight, or its participation probability."""
+        try:
+            n = _integer(n)
+        except (TypeError, ValueError):
+            raise DomainError(f"the player count must be an integer, not {n!r}") from None
+        if n < 1:
+            raise DomainError(f"the player count must be positive, not {n}")
+        mags, types = [], []
+        for t in range(structure.n_types):
+            if demand[t] <= 0:
+                continue
+            mags.extend([demand[t] / n] * n)
+            types.extend([t] * n)
+        return cls(structure, tuple(mags), tuple(types))
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedGame:
+class WeightedGame(_AtomicGame):
     structure: Structure
     weights: tuple[float, ...]
     player_types: tuple[int, ...]
 
     kind = "weighted"
+    _magnitude = ("weights", "weight")
+    _costs = ("is_continuous", "value", "weighted games need continuous cost functions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "player_types", tuple(int(t) for t in self.player_types))
-        if len(self.weights) != len(self.player_types):
-            raise StructureError("one weight per player is required")
+    def _check_magnitudes(self) -> None:
         if not math.isfinite(sum(self.weights)):
             raise DomainError("player weights and their total must be finite")
         if any(w <= 0 for w in self.weights):
             raise StructureError("player weights must be positive")
-        if any(t < 0 or t >= self.structure.n_types for t in self.player_types):
-            raise StructureError("player type out of range")
+
+    def _top_loads(self) -> tuple[float, float]:
+        """Every player on one resource: the total weight, where costs are read too."""
         total = math.fsum(self.weights)
-        tops = []
-        for c in self.structure.cost_fns:
-            if not getattr(c, "is_continuous", False):
-                raise StructureError("weighted games need continuous cost functions")
-            tops.append(_require_finite(c.value, total))
-        _require_finite_social_cost(total, tops)
+        return total, total
 
-    @property
-    def n_players(self) -> int:
-        return len(self.weights)
 
-    @property
-    def magnitudes(self) -> tuple[float, ...]:
-        return self.weights
+class _CostGrids(NamedTuple):
+    """A Bernoulli game's costs at the counts its loads take, per resource."""
 
-    demand = cached_property(_type_demands)
-
-    @classmethod
-    def homogeneous(cls, structure: Structure, demand: DemandVector, n: int) -> "WeightedGame":
-        """n players per type, each carrying an equal share of the type demand."""
-        weights, types = [], []
-        for t in range(structure.n_types):
-            if demand[t] <= 0:
-                continue
-            weights.extend([demand[t] / n] * n)
-            types.extend([t] * n)
-        return cls(structure, tuple(weights), tuple(types))
+    units: list[np.ndarray]  # c_e(1), ..., c_e(n + 1)
+    loads: list[np.ndarray]  # k c_e(k) for k = 0, ..., n
+    ids: list[int]  # one per distinct grid of ``units``
 
 
 @dataclass(frozen=True, eq=False)
-class BernoulliGame:
+class BernoulliGame(_AtomicGame):
     structure: Structure
     probs: tuple[float, ...]
     player_types: tuple[int, ...]
 
     kind = "bernoulli"
+    _magnitude = ("probs", "participation probability")
+    _costs = ("has_integer_eval", "value_int",
+              "Bernoulli games need integer-domain cost functions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(r) for r in self.probs))
-        object.__setattr__(self, "player_types", tuple(int(t) for t in self.player_types))
-        if len(self.probs) != len(self.player_types):
-            raise StructureError("one participation probability per player is required")
+    def _check_magnitudes(self) -> None:
         if any(not 0.0 < r <= 1.0 for r in self.probs):
             raise StructureError("participation probabilities must lie in (0, 1]")
-        if any(t < 0 or t >= self.structure.n_types for t in self.player_types):
-            raise StructureError("player type out of range")
-        n = len(self.probs)
-        tops = []
-        for c in self.structure.cost_fns:
-            if not getattr(c, "has_integer_eval", False):
-                raise StructureError("Bernoulli games need integer-domain cost functions")
-            tops.append(_require_finite(c.value_int, n + 1))
-        _require_finite_social_cost(n, tops)
 
-    @property
-    def n_players(self) -> int:
-        return len(self.probs)
+    def _top_loads(self) -> tuple[int, int]:
+        """Every player on one resource: n, and costs are read up to n + 1."""
+        return self.n_players, self.n_players + 1
 
-    @property
-    def magnitudes(self) -> tuple[float, ...]:
-        return self.probs
-
-    demand = cached_property(_type_demands)
-
-    @classmethod
-    def homogeneous(cls, structure: Structure, demand: DemandVector, n: int) -> "BernoulliGame":
-        probs, types = [], []
-        for t in range(structure.n_types):
-            if demand[t] <= 0:
-                continue
-            r = demand[t] / n
-            if not 0.0 < r <= 1.0:
-                raise DomainError(f"per-player probability {r} outside (0, 1]")
-            probs.extend([r] * n)
-            types.extend([t] * n)
-        return cls(structure, tuple(probs), tuple(types))
+    @cached_property
+    def _grids(self) -> _CostGrids:
+        """Every cost at the counts that the conditional costs E c_e(1 + Z) and
+        the values E[L c_e(L)] read, evaluated once per game.  Resources with
+        equal costs share an id, and so the maps of conditional costs that a
+        law of ``_LoadLaws`` keeps per grid."""
+        n = self.n_players
+        ks = np.arange(1, n + 2)
+        units = [np.asarray(c.value_int(ks), dtype=float) for c in self.structure.cost_fns]
+        loads = [np.concatenate(([0.0], ks[:n] * grid[:n])) for grid in units]
+        index: dict[bytes, int] = {}
+        return _CostGrids(units, loads, [index.setdefault(g.tobytes(), len(index)) for g in units])
 
 
 Game = WeightedGame | BernoulliGame
@@ -256,12 +267,6 @@ def _check_profile(game: Game, profile: MixedProfile) -> None:
         m = len(game.structure.strategies[game.player_types[i]])
         if p.size != m:
             raise StructureError(f"player {i} profile has wrong length")
-
-
-def _check_index(k: int, size: int, what: str) -> None:
-    """Reject an index outside 0 .. size - 1; a negative one would count from the end."""
-    if not 0 <= k < size:
-        raise StructureError(f"no {what} with index {k}")
 
 
 def choice_probabilities(game: Game, profile: MixedProfile) -> np.ndarray:
@@ -400,15 +405,17 @@ class _Column:
 class _LoadLaws:
     """Every load law of one evaluation of a game, and the expectations read from them.
 
-    ``record(e)`` splits resource e's column of the usage matrix (players x
-    resources) once into a ``_Column``.  ``law_of`` keeps one ``_Law`` per key
-    (sorted Bernoulli terms), convolved once and shared by the resources with
-    those random users.  A conditional cost needs the law without the
+    The store holds the state of one evaluation only: a Bernoulli game's cost
+    grids are the game's (``BernoulliGame._grids``).  ``record(e)`` splits
+    resource e's column of the usage matrix (players x resources) once into a
+    ``_Column``.  ``law_of`` keeps one ``_Law`` per key (sorted Bernoulli
+    terms), convolved once and shared by the resources with those random
+    users.  A conditional cost needs the law without the
     player's own term q: ``without`` deconvolves q out (``_Law.removed``), or
     convolves the other terms when the residual check fails.  A Bernoulli
     player's cost on e (``term_cost``) is read from the map that e's law keeps
-    for e's grid of costs (``unit_costs``; equal grids share an id).  A
-    missing entry takes q out alone, or, after ``_BATCH_TERMS`` such removals
+    for e's grid of costs c_e(1..n+1) (equal grids share an id).  A missing
+    entry takes q out alone, or, after ``_BATCH_TERMS`` such removals
     since the law's last sweep, all of the key's terms in one sweep for every
     record holding the law (``_fill``), as in the last sweep of best-response
     dynamics, where nobody moves; ``fill_conditionals`` fills every law's maps
@@ -431,7 +438,7 @@ class _LoadLaws:
     its counts): with weights, read off ``weighted_law``, which enumerates a
     column whose random weights differ (columns with the same random users in
     a row share one enumeration), or c_e at the magnitudes' fsum; with
-    probabilities, the key's pmf against ``load_costs(e)``.  The optimum
+    probabilities, the key's pmf against the grid of k c_e(k).  The optimum
     search fills a resource that one class uses by the same arithmetic (the
     binomial ladder's laws have the bytes of the equal-term keys' pmfs, and
     k w is the fsum of k copies of w), and a profile's cost is the fsum of
@@ -443,12 +450,7 @@ class _LoadLaws:
         self.usage = usage
         self.mags = np.asarray(game.magnitudes, dtype=float)
         self.top = math.frexp(math.fsum(game.magnitudes))[1]  # every load is below 2^top
-        n_res = game.structure.n_resources
-        self.records: list[_Column | None] = [None] * n_res
-        self._grids: list[np.ndarray | None] = [None] * n_res
-        self._grid_ids: list[int] = [-1] * n_res
-        self._grid_index: dict[bytes, int] = {}
-        self._load_grids: list[np.ndarray | None] = [None] * n_res
+        self.records: list[_Column | None] = [None] * game.structure.n_resources
         self._laws: dict[tuple[float, ...], _Law] = {(): _Law((), np.ones(1))}  # nobody: 0
         self._enumerated: tuple[bytes, ValueDist] | None = None
 
@@ -498,15 +500,15 @@ class _LoadLaws:
 
     def term_cost(self, e: int, q: float) -> float:
         """A Bernoulli player's conditional cost on resource e, at its term q there."""
-        law = self.law(e)
-        costs = law.costs.setdefault(self._grid_id(e), {})
+        law, grids = self.law(e), self.game._grids
+        costs = law.costs.setdefault(grids.ids[e], {})
         cost = costs.get(q)
         if cost is None:
             if q > 0.0 and law.singles >= _BATCH_TERMS:
                 self._fill(law, dict.fromkeys(law.key))
                 return costs[q]
             pmf = self.without(law, q)
-            cost = costs[q] = float(pmf @ self.unit_costs(e)[:pmf.size])
+            cost = costs[q] = float(pmf @ grids.units[e][:pmf.size])
         return cost
 
     def _fill(self, law: _Law, terms) -> None:
@@ -514,9 +516,10 @@ class _LoadLaws:
         it at each of ``terms`` that one of them lacks: the positive terms are
         taken out in one ``remove_bernoulli_terms`` sweep, and the term 0 reads
         the whole law."""
-        grids = {self._grid_id(e): self._grids[e] for e, col in enumerate(self.records)
-                 if col is not None and col.law is law}
-        maps = [(law.costs.setdefault(gid, {}), grid) for gid, grid in grids.items()]
+        grids = self.game._grids
+        held = {grids.ids[e]: grids.units[e] for e, col in enumerate(self.records)
+                if col is not None and col.law is law}
+        maps = [(law.costs.setdefault(gid, {}), grid) for gid, grid in held.items()]
         todo = [q for q in terms if any(q not in costs for costs, _ in maps)]
         removed = remove_bernoulli_terms(law.pmf, [q for q in todo if q > 0.0])
         for q in todo:
@@ -539,34 +542,8 @@ class _LoadLaws:
             if len(law.key) < self.game.n_players:
                 terms.append(0.0)
             self._fill(law, terms)
-        return [law.costs[self._grid_ids[e]] for e, law in enumerate(laws)]
-
-    def unit_costs(self, e: int) -> np.ndarray:
-        """c_e(1), ..., c_e(n + 1) for a Bernoulli game of n players."""
-        grid = self._grids[e]
-        if grid is None:
-            cost = self.game.structure.cost_fns[e]
-            ks = np.arange(self.game.n_players + 1) + 1
-            grid = self._grids[e] = np.asarray(cost.value_int(ks), dtype=float)
-        return grid
-
-    def _grid_id(self, e: int) -> int:
-        """The id of resource e's ``unit_costs``, one per distinct grid."""
-        gid = self._grid_ids[e]
-        if gid < 0:
-            index = self._grid_index
-            gid = self._grid_ids[e] = index.setdefault(self.unit_costs(e).tobytes(), len(index))
-        return gid
-
-    def load_costs(self, e: int) -> np.ndarray:
-        """k c_e(k) for k = 0, ..., n in a Bernoulli game of n players, read off
-        ``unit_costs``."""
-        grid = self._load_grids[e]
-        if grid is None:
-            n = self.game.n_players
-            grid = self._load_grids[e] = np.concatenate(
-                ([0.0], np.arange(1, n + 1) * self.unit_costs(e)[:n]))
-        return grid
+        ids = self.game._grids.ids
+        return [law.costs[ids[e]] for e, law in enumerate(laws)]
 
     def move(self, i: int, row: np.ndarray) -> None:
         """Replace player i's row of the usage matrix, patching each changed
@@ -650,7 +627,7 @@ class _LoadLaws:
         users with the sorted magnitudes ``key``.
 
         A Bernoulli load's value is its key's pmf against resource e's grid of
-        k c_e(k), k = 0..n, derived once per resource from the costs that the
+        k c_e(k), k = 0..n, which the game derives from the costs that the
         conditional costs read.
         """
         if self.game.kind == "bernoulli":
@@ -658,7 +635,7 @@ class _LoadLaws:
             if not key:
                 return 0.0
             pmf = self.law_of(key).pmf
-            return float(pmf @ self.load_costs(e)[:pmf.size])
+            return float(pmf @ self.game._grids.loads[e][:pmf.size])
         cost = self.game.structure.cost_fns[e]
         if key is not None:
             load = math.fsum(key)
@@ -961,10 +938,11 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL) -> MixedPro
     if len(set(zip(game.player_types, game.magnitudes))) != 1:
         raise ConfigError("symmetric solver needs players of one type and one weight/probability")
     s, t, w = game.structure, game.player_types[0], game.magnitudes[0]
-    ks = np.arange(game.n_players)  # how many others use the resource
     if game.kind == "bernoulli":
-        costs = [_BinomialMixture(c.value_int(ks + 1), w) for c in s.cost_fns]
+        # c_e(1 + k) for k = 0..n - 1 others on the resource
+        costs = [_BinomialMixture(grid[:-1], w) for grid in game._grids.units]
     else:
+        ks = np.arange(game.n_players)  # how many others use the resource
         costs = [_BinomialMixture(c.value(w + w * ks), 1.0) for c in s.cost_fns]
     reduced = Structure(s.resources, costs, (s.types[t],), (s.strategies[t],))
     sol = solve_wardrop(reduced, DemandVector(np.ones(1)), target_eps=tol / 10)
@@ -1056,7 +1034,6 @@ def _compositions(n: int, k: int) -> np.ndarray:
 @dataclass(frozen=True)
 class OptResult:
     value: float
-    exact: bool
     description: str
 
 
@@ -1107,7 +1084,7 @@ def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
 
     A resource that only one class uses, with a varying count, is filled from
     the counts k = 0..n_j: in a Bernoulli game by one ``binomial_ladder`` per
-    class, each law dotted with the resource's ``load_costs`` as
+    class, each law dotted with the resource's grid of k c_e(k) as
     ``edge_value`` dots the key's pmf (the ladder's k-th law has that pmf's
     bytes); in a weighted game at the load k w, which equals the fsum of k
     copies of w since both are correctly rounded (a ``PolynomialCost`` takes
@@ -1151,7 +1128,7 @@ def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
         if not solo[j]:
             continue
         if bernoulli:
-            grids = [(laws.load_costs(e), at) for e, at in solo[j]]
+            grids = [(game._grids.loads[e], at) for e, at in solo[j]]
             for k, pmf in enumerate(binomial_ladder(w, n)):
                 for grid, at in grids:
                     values[at + k] = float(pmf @ grid[:k + 1])
@@ -1185,10 +1162,10 @@ def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
     best, best_row = _first_minimum(blocks())
     best_counts = tuple(tuple(int(v) for v in c[r])
                         for c, r in zip(comps, np.unravel_index(best_row, shape)))
-    return OptResult(best, True, f"pure counts {best_counts}")
+    return OptResult(best, f"pure counts {best_counts}")
 
 
-def social_optimum_pure(game: Game, budget: int = OPT_BUDGET) -> OptResult | None:
+def social_optimum_pure(game: Game) -> OptResult | None:
     """Exact minimum expected social cost over pure profiles, when enumerable.
 
     The expected social cost is multilinear in the players' mixed strategies,
@@ -1196,13 +1173,13 @@ def social_optimum_pure(game: Game, budget: int = OPT_BUDGET) -> OptResult | Non
     Players of one type and one magnitude are interchangeable, so profiles
     are enumerated by per-class strategy counts; a profile replaces the best
     so far only when it is cheaper by more than 1e-15 times the best.
-    Returns None when the count vectors number more than ``budget``.
+    Returns None when the count vectors number more than ``OPT_BUDGET``.
     """
     s = game.structure
     classes = Counter(zip(game.player_types, game.magnitudes))
     combos = math.prod(math.comb(n + len(s.strategies[t]) - 1, len(s.strategies[t]) - 1)
                        for (t, _), n in classes.items())
-    if combos > budget:
+    if combos > OPT_BUDGET:
         return None
     return _count_space_optimum(game, classes)
 

@@ -608,6 +608,12 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _check_index(k: int, size: int, what: str) -> None:
+    """Reject an index outside 0 .. size - 1; a negative one would count from the end."""
+    if not 0 <= k < size:
+        raise StructureError(f"no {what} with index {k}")
+
+
 def _integer(value) -> int:
     """An integral number, or a string of decimal digits; a fraction, a NaN, a
     bool or anything else raises ValueError or TypeError."""

@@ -28,7 +28,7 @@ class PrecisionError(CglabError):
 
 
 class ConfigError(CglabError):
-    """Required settings are missing (seed, bound constants, ...)."""
+    """Required settings are missing (bound constants, ...), or a solver does not apply."""
 
 
 class ConvergenceError(CglabError):

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (USAGE_TOL, DemandVector, Structure, _integer, _strategy_distributions,
-                   all_strategy_costs)
+from .core import (USAGE_TOL, DemandVector, Structure, _check_index, _integer,
+                   _strategy_distributions, all_strategy_costs)
 from .discrete_dist import Pmf, bernoulli_sum_pmf, poisson_pmf
 from .errors import DomainError, StructureError
 from .poisson_limit import AuxCost, build_limit_game
@@ -64,12 +64,16 @@ class PopulationModel:
         return len(self.means) if self.kind == "independent_poisson" else len(self.probs)
 
     def expected_count(self, t: int) -> float:
+        _check_index(t, self.n_types, "type")
         if self.kind == "independent_poisson":
             return self.means[t]
         return float(sum(self.probs[t]))
 
     def count_prob(self, t: int, n: int) -> float:
-        """P(N_t = n), computed directly (no truncation)."""
+        """P(N_t = n), computed directly (no truncation); 0.0 for a negative n.
+        A count that is not an integer raises ``DomainError``."""
+        _check_index(t, self.n_types, "type")
+        n = _counts([n])[0]
         if n < 0:
             return 0.0
         if self.kind == "independent_poisson":
@@ -80,6 +84,7 @@ class PopulationModel:
     def count_pmf(self, t: int) -> Pmf:
         """Exact for Bernoulli counts; a Poisson count is truncated with tail mass
         below ``discrete_dist.TAIL_TOL``."""
+        _check_index(t, self.n_types, "type")
         if self.kind == "independent_poisson":
             return poisson_pmf(self.means[t])
         return bernoulli_sum_pmf(self.probs[t])

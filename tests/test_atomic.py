@@ -14,8 +14,8 @@ from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           social_optimum_pure, strategy_flow_covariance,
                           symmetric_mixed_equilibrium, verify_equilibrium)
 from cglab.cli import main
-from cglab.core import (AffineCost, GrowthEnvelope, PolynomialCost, Structure, TableCost,
-                        instance_to_json)
+from cglab.core import (AffineCost, DemandVector, GrowthEnvelope, PolynomialCost, Structure,
+                        TableCost, instance_to_json)
 from cglab.discrete_dist import ValueDist, bernoulli_sum_pmf
 from cglab.errors import (CapacityError, ConfigError, ConvergenceError, DomainError,
                           PrecisionError, StructureError)
@@ -564,13 +564,13 @@ class TestOptAndPoa:
                 game = BernoulliGame(s, (1 / 3, 1 / 3, 1 / 3, 0.5, 0.5),
                                      (0, 0, 0, 1, 1))
             found = social_optimum_pure(game)
-            assert found.exact and found.description.startswith("pure counts")
+            assert found.description.startswith("pure counts")
             best = min(
                 esc_brute_force(game, MixedProfile.pure(game, list(outcome)))
                 for outcome in itertools.product(range(2), repeat=5))
             assert found.value == pytest.approx(best, abs=1e-12)
 
-    def test_budget_edge(self):
+    def test_budget_edge(self, monkeypatch):
         # the count search runs when its combo count equals the budget and
         # returns None one below, exactly as the assignment oracle does
         s = Structure(("a", "b", "c"),
@@ -579,18 +579,22 @@ class TestOptAndPoa:
         homogeneous = [wheatstone_bernoulli(4), wheatstone_weighted(5),
                        BernoulliGame(s, (1 / 3, 0.5, 1 / 3, 0.5, 1 / 3), (0, 1, 0, 1, 0))]
         for game, combos in zip(homogeneous, (15, 21, 12)):
-            found = social_optimum_pure(game, budget=combos)
+            monkeypatch.setattr(atomic, "OPT_BUDGET", combos)
+            found = social_optimum_pure(game)
             want = pure_optimum_by_assignment(game, budget=combos)
             assert (found.value, found.description) == want
-            assert found.exact and found.description.startswith("pure counts")
-            assert social_optimum_pure(game, budget=combos - 1) is None
+            assert found.description.startswith("pure counts")
+            monkeypatch.setattr(atomic, "OPT_BUDGET", combos - 1)
+            assert social_optimum_pure(game) is None
             assert pure_optimum_by_assignment(game, budget=combos - 1) is None
         # unequal weights: one class per (type, weight), here 3^3 count vectors
         game = WeightedGame(wheatstone_structure(), (0.2, 0.3, 0.5), (0, 0, 0))
-        found = social_optimum_pure(game, budget=27)
+        monkeypatch.setattr(atomic, "OPT_BUDGET", 27)
+        found = social_optimum_pure(game)
         assert found.value == pure_optimum_by_assignment(game, 27)[0]
         assert found.description.startswith("pure counts")
-        assert social_optimum_pure(game, budget=26) is None
+        monkeypatch.setattr(atomic, "OPT_BUDGET", 26)
+        assert social_optimum_pure(game) is None
 
     def test_tie_rule_is_relative_to_the_optimum(self):
         # every cost scaled by 2^-60 scales every social cost by 2^-60 exactly;
@@ -620,18 +624,20 @@ class TestOptAndPoa:
         ((first, second),) = ast.literal_eval(found.description.removeprefix("pure counts "))
         assert found.value == esc(game, MixedProfile.pure(game, [0] * first + [1] * second))
 
-    def test_two_magnitudes_in_one_type(self):
+    def test_two_magnitudes_in_one_type(self, monkeypatch):
         # 3^6 profiles, but two classes of three interchangeable players:
         # 10 x 10 count vectors fit a budget far below the profile count
         s = wheatstone_structure()
         for game in (WeightedGame(s, (0.1, 0.2) * 3, (0,) * 6),
                      BernoulliGame(s, (0.3, 0.6) * 3, (0,) * 6)):
-            found = social_optimum_pure(game, budget=100)
+            monkeypatch.setattr(atomic, "OPT_BUDGET", 100)
+            found = social_optimum_pure(game)
             assert found is not None and found.description.startswith("pure counts")
             best = min(esc_brute_force(game, MixedProfile.pure(game, list(state)))
                        for state in itertools.product(range(3), repeat=6))
             assert found.value == pytest.approx(best, abs=1e-12)
-            assert social_optimum_pure(game, budget=99) is None
+            monkeypatch.setattr(atomic, "OPT_BUDGET", 99)
+            assert social_optimum_pure(game) is None
 
 
 class TestLoadDistribution:
@@ -799,6 +805,30 @@ class TestGameFiles:
         obj["players"][0]["speed"] = 3
         with pytest.raises(StructureError):
             parse_game(obj)
+
+
+class TestHomogeneousPlayerCount:
+    @pytest.mark.parametrize("kind", [WeightedGame, BernoulliGame])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, float("nan"), None, "two"])
+    def test_player_count_must_be_a_positive_integer(self, kind, n):
+        # 0 raised a bare ZeroDivisionError, 2.5 a bare TypeError, a weighted
+        # game of -3 players had no players, and True built one player
+        s = wheatstone_structure()
+        with pytest.raises(DomainError, match="player count"):
+            kind.homogeneous(s, unit_demand(s), n)
+
+    @pytest.mark.parametrize("kind", [WeightedGame, BernoulliGame])
+    def test_integral_counts_are_read_as_integers(self, kind):
+        s = wheatstone_structure()
+        for n in (3.0, np.int64(3), "3"):
+            game = kind.homogeneous(s, unit_demand(s), n)
+            assert game.magnitudes == kind.homogeneous(s, unit_demand(s), 3).magnitudes
+            assert game.n_players == 3
+
+    def test_a_type_demand_above_n_is_not_a_probability(self):
+        s = wheatstone_structure()
+        with pytest.raises(StructureError, match="participation probabilities"):
+            BernoulliGame.homogeneous(s, DemandVector(np.array([2.0])), 1)
 
 
 class TestWeightValidation:

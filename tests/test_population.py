@@ -53,6 +53,32 @@ class TestPopulationModel:
         with pytest.raises(DomainError):
             PopulationModel.poisson([bad])
 
+    @pytest.mark.parametrize("model", [PopulationModel.poisson([1.0, 2.0]),
+                                       PopulationModel.bernoulli([[0.5, 0.5], [0.2]])])
+    @pytest.mark.parametrize("n", [1.5, float("nan"), True, None])
+    def test_count_must_be_an_integer(self, model, n):
+        # a Poisson model gave 0.2767 at 1.5, nan at NaN and P(N = 1) at True;
+        # a Bernoulli model raised a bare IndexError at 1.5
+        with pytest.raises(DomainError, match="counts"):
+            model.count_prob(0, n)
+
+    def test_integral_counts_read_as_integers(self):
+        model = PopulationModel.poisson([1.0, 2.0])
+        assert model.count_prob(1, 3.0) == model.count_prob(1, 3)
+        assert model.count_prob(1, -1) == 0.0
+
+    @pytest.mark.parametrize("model", [PopulationModel.poisson([1.0, 2.0]),
+                                       PopulationModel.bernoulli([[0.5, 0.5], [0.2]])])
+    @pytest.mark.parametrize("t", [-1, 2])
+    def test_type_index_is_checked(self, model, t):
+        # -1 read the last type (count_prob(-1, 0) gave 0.1353 on means (1, 2)),
+        # and 2 raised a bare IndexError
+        for call in (lambda: model.count_prob(t, 0), lambda: model.count_pmf(t),
+                     lambda: model.expected_count(t), lambda: posterior(model, t, (0, 0)),
+                     lambda: posterior_count_pmf(model, t)):
+            with pytest.raises(StructureError, match="type"):
+                call()
+
 
 class TestFlowProfileProbability:
     def test_poisson_flows_factor_into_independent_poissons(self):
