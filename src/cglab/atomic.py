@@ -66,8 +66,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (USAGE_TOL, DemandVector, PolynomialCost, Structure, _as_list,
-                   _check_index, _field, _integer, _reject_unknown, _strategy_distributions,
-                   parse_instance)
+                   _check_index, _field, _integer, _integer_arg, _readonly, _reject_unknown,
+                   _strategy_distributions, parse_instance)
 from .discrete_dist import (_BATCH_TERMS, Pmf, ValueDist, bernoulli_sum_pmf, binomial_ladder,
                             leave_one_out_moments, remove_bernoulli, remove_bernoulli_terms,
                             weighted_sum_distribution)
@@ -103,12 +103,12 @@ class _AtomicGame:
     def __post_init__(self):
         name, each = self._magnitude
         object.__setattr__(self, name, tuple(float(m) for m in getattr(self, name)))
-        object.__setattr__(self, "player_types", tuple(int(t) for t in self.player_types))
+        n_types = self.structure.n_types
+        object.__setattr__(self, "player_types",
+                           tuple(_check_index(t, n_types, "type") for t in self.player_types))
         if len(self.magnitudes) != len(self.player_types):
             raise StructureError(f"one {each} per player is required")
         self._check_magnitudes()
-        if any(t < 0 or t >= self.structure.n_types for t in self.player_types):
-            raise StructureError("player type out of range")
         capability, method, message = self._costs
         load, read_at = self._top_loads()
         tops = []
@@ -147,12 +147,7 @@ class _AtomicGame:
     def homogeneous(cls, structure: Structure, demand: DemandVector, n: int):
         """n players per type of positive demand, each with an equal share of
         it: its weight, or its participation probability."""
-        try:
-            n = _integer(n)
-        except (TypeError, ValueError):
-            raise DomainError(f"the player count must be an integer, not {n!r}") from None
-        if n < 1:
-            raise DomainError(f"the player count must be positive, not {n}")
+        n = _integer_arg(n, "player count", 1)
         mags, types = [], []
         for t in range(structure.n_types):
             if demand[t] <= 0:
@@ -243,10 +238,8 @@ class MixedProfile:
     @classmethod
     def pure(cls, game: Game, strategies: Sequence[int]) -> "MixedProfile":
         out = []
-        for i, s in enumerate(strategies):
-            m = len(game.structure.strategies[game.player_types[i]])
-            _check_index(s, m, f"strategy of player {i}")
-            v = np.zeros(m)
+        for s, t in zip(_pure_state(game, strategies), game.player_types):
+            v = np.zeros(len(game.structure.strategies[t]))
             v[s] = 1.0
             out.append(v)
         return cls(tuple(out))
@@ -258,6 +251,14 @@ class MixedProfile:
 
     def to_json(self) -> dict:
         return {str(i): [float(v) for v in p] for i, p in enumerate(self.probs)}
+
+
+def _pure_state(game: Game, strategies: Sequence[int]) -> list[int]:
+    """One strategy index per player, each read by ``_check_index``."""
+    if len(strategies) != game.n_players:
+        raise StructureError("a pure profile needs one strategy per player")
+    return [_check_index(s, len(game.structure.strategies[t]), f"strategy of player {i}")
+            for i, (s, t) in enumerate(zip(strategies, game.player_types))]
 
 
 def _check_profile(game: Game, profile: MixedProfile) -> None:
@@ -297,8 +298,8 @@ def choice_probabilities(game: Game, profile: MixedProfile) -> np.ndarray:
 def resource_choice_prob(game: Game, profile: MixedProfile, i: int, e: int) -> float:
     """Probability that player i's drawn strategy contains resource e: its
     entry of ``choice_probabilities``, which every load law is built from."""
-    _check_index(i, game.n_players, "player")
-    _check_index(e, game.structure.n_resources, "resource")
+    i = _check_index(i, game.n_players, "player")
+    e = _check_index(e, game.structure.n_resources, "resource")
     return float(choice_probabilities(game, profile)[i, e])
 
 
@@ -720,15 +721,15 @@ def conditional_cost_estimate(game: Game, profile: MixedProfile, i: int, s: int)
     takes at most ``EXACT_TERMS`` (20) terms and raises ``CapacityError``
     beyond that.
     """
-    _check_index(i, game.n_players, "player")
-    _check_index(s, len(game.structure.strategies[game.player_types[i]]),
-                 f"strategy of player {i}")
+    i = _check_index(i, game.n_players, "player")
+    s = _check_index(s, len(game.structure.strategies[game.player_types[i]]),
+                     f"strategy of player {i}")
     return _strategy_cond_cost(_laws_of(game, profile), i, s)
 
 
 def player_expected_cost(game: Game, profile: MixedProfile, i: int) -> float:
     """Unconditional expected cost of player i (inactive players pay nothing)."""
-    _check_index(i, game.n_players, "player")
+    i = _check_index(i, game.n_players, "player")
     laws = _laws_of(game, profile)
     total = sum(float(profile.probs[i][s]) * _strategy_cond_cost(laws, i, s)
                 for s in range(profile.probs[i].size) if profile.probs[i][s] > 0.0)
@@ -833,9 +834,7 @@ def best_response_dynamics(game: Game, initial: Sequence[int]) -> BestResponseRe
     optimum; otherwise they move to the lowest-index best response.  A revisit
     of an earlier state is returned as a cycle report rather than an error.
     """
-    state = list(initial)
-    if len(state) != game.n_players:
-        raise StructureError("initial profile does not cover every player")
+    state = _pure_state(game, initial)
     laws = _LoadLaws(game, choice_probabilities(game, MixedProfile.pure(game, state)))
     history = [tuple(state)]
     seen = {tuple(state): 0}
@@ -987,7 +986,7 @@ def load_distribution(game: Game, profile: MixedProfile, e: int):
     Bernoulli games yield a pmf on the integers; weighted games yield a
     value distribution (shifted, scaled counts when the random weights agree).
     """
-    _check_index(e, game.structure.n_resources, "resource")
+    e = _check_index(e, game.structure.n_resources, "resource")
     laws = _laws_of(game, profile)
     if game.kind == "bernoulli":
         return Pmf(laws.law(e).pmf)
@@ -998,9 +997,9 @@ def strategy_flow_covariance(game: Game, profile: MixedProfile, t: int,
                              s1: int, s2: int) -> float:
     """Covariance of the random flows on two strategies of one type (closed form)."""
     _check_profile(game, profile)
-    _check_index(t, game.structure.n_types, "type")
-    for k in (s1, s2):
-        _check_index(k, len(game.structure.strategies[t]), f"strategy of type {t}")
+    t = _check_index(t, game.structure.n_types, "type")
+    s1, s2 = (_check_index(k, len(game.structure.strategies[t]), f"strategy of type {t}")
+              for k in (s1, s2))
     total = 0.0
     for i in range(game.n_players):
         if game.player_types[i] != t:
@@ -1287,11 +1286,8 @@ def load_game(path: str | Path) -> Game:
 def load_profile(path: str | Path, game: Game) -> MixedProfile:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    out = []
-    for i in range(game.n_players):
-        if str(i) not in data:
-            raise StructureError(f"profile file is missing player {i}")
-        out.append(np.asarray(data[str(i)], dtype=float))
-    prof = MixedProfile(tuple(out))
+    keys = [str(i) for i in range(game.n_players)]  # as MixedProfile.to_json writes them
+    _reject_unknown(data, set(keys), "profile file")
+    prof = MixedProfile(tuple(_field(data, k, "profile file", _readonly) for k in keys))
     _check_profile(game, prof)
     return prof

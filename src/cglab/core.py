@@ -51,11 +51,8 @@ class GrowthEnvelope:
             raise DomainError(f"unknown envelope kind {self.kind!r}")
         if not (math.isfinite(self.rate) and math.isfinite(self.scale)):
             raise DomainError("envelope rate and scale must be finite")
-        try:
-            object.__setattr__(self, "degree", _integer(self.degree))
-        except (TypeError, ValueError):
-            raise DomainError(f"envelope degree {self.degree!r} is not an integer") from None
-        if self.scale < 0 or self.rate < 0 or self.degree < 0:
+        object.__setattr__(self, "degree", _integer_arg(self.degree, "envelope degree", 0))
+        if self.scale < 0 or self.rate < 0:
             raise DomainError("envelope parameters must be nonnegative")
 
     def bound(self, k):
@@ -295,9 +292,10 @@ class Structure:
         object.__setattr__(self, "resources", tuple(self.resources))
         object.__setattr__(self, "cost_fns", tuple(self.cost_fns))
         object.__setattr__(self, "types", tuple(self.types))
+        n_res = len(self.resources)
         object.__setattr__(self, "strategies",
-                           tuple(tuple(tuple(int(e) for e in s) for s in per_t)
-                                 for per_t in self.strategies))
+                           tuple(tuple(tuple(_check_index(e, n_res, "resource") for e in s)
+                                       for s in per_t) for per_t in self.strategies))
         if len(set(self.resources)) != len(self.resources):
             raise StructureError("resource ids must be unique")
         if len(set(self.types)) != len(self.types):
@@ -306,7 +304,6 @@ class Structure:
             raise StructureError("one cost function per resource is required")
         if len(self.strategies) != len(self.types):
             raise StructureError("one strategy list per type is required")
-        n_res = len(self.resources)
         for t, per_t in enumerate(self.strategies):
             if not per_t:
                 raise StructureError(f"type {self.types[t]!r} has no strategies")
@@ -314,8 +311,6 @@ class Structure:
             for s in per_t:
                 if not s:
                     raise StructureError(f"type {self.types[t]!r} has an empty strategy")
-                if any(e < 0 or e >= n_res for e in s):
-                    raise StructureError("strategy references an undeclared resource")
                 key = frozenset(s)
                 if key in seen:
                     raise StructureError(f"type {self.types[t]!r} repeats a strategy")
@@ -469,10 +464,8 @@ def check_feasible(structure: Structure, demand: DemandVector, pair: FlowLoadPai
 def strategy_cost(structure: Structure, x, t: int, s: int) -> float:
     """Total cost of strategy ``s`` of type ``t`` at loads ``x``: its entry of
     ``all_strategy_costs``, which the solvers read."""
-    if not 0 <= t < structure.n_types:
-        raise StructureError(f"no type with index {t}")
-    if not 0 <= s < len(structure.strategies[t]):
-        raise StructureError(f"type {structure.types[t]!r} has no strategy {s}")
+    t = _check_index(t, structure.n_types, "type")
+    s = _check_index(s, len(structure.strategies[t]), f"strategy of type {t}")
     return float(all_strategy_costs(structure, x)[structure.type_slices[t].start + s])
 
 
@@ -608,12 +601,6 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _check_index(k: int, size: int, what: str) -> None:
-    """Reject an index outside 0 .. size - 1; a negative one would count from the end."""
-    if not 0 <= k < size:
-        raise StructureError(f"no {what} with index {k}")
-
-
 def _integer(value) -> int:
     """An integral number, or a string of decimal digits; a fraction, a NaN, a
     bool or anything else raises ValueError or TypeError."""
@@ -624,6 +611,28 @@ def _integer(value) -> int:
     if isinstance(value, (str, float, bool)):
         raise ValueError
     return operator.index(value)
+
+
+def _integer_arg(value, what: str, least: int | None = None) -> int:
+    """A count, index, degree or order argument read by ``_integer``: a value it
+    refuses, or one below ``least``, raises ``DomainError`` naming ``what``."""
+    try:
+        k = _integer(value)
+        if least is None or k >= least:
+            return k
+    except (TypeError, ValueError):
+        pass
+    bound = "" if least is None else f" >= {least}"
+    raise DomainError(f"{what}: {value!r} is not an integer{bound}")
+
+
+def _check_index(k, size: int, what: str) -> int:
+    """Index ``k`` read by ``_integer_arg``; one outside 0 .. size - 1, where a
+    negative one would count from the end, raises ``StructureError``."""
+    k = _integer_arg(k, f"{what} index")
+    if not 0 <= k < size:
+        raise StructureError(f"no {what} with index {k}")
+    return k
 
 
 def _as_list(value) -> list | tuple:

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import _readonly
+from .core import _integer_arg, _readonly
 from .errors import CapacityError, DomainError, PrecisionError
 
 TAIL_TOL = 1e-12  # certified Poisson tail of every series and pmf the package forms
@@ -67,9 +67,9 @@ class Pmf:
         return np.arange(len(self))
 
     def prob(self, k: int) -> float:
-        if 0 <= k < len(self):
-            return float(self.probs[k])
-        return 0.0
+        """P(K = k) for an integer k, 0.0 outside the stored range."""
+        k = _integer_arg(k, "count")
+        return float(self.probs[k]) if 0 <= k < len(self) else 0.0
 
     def mean(self) -> float:
         """Mean over the stored range (the truncated tail is ignored)."""
@@ -508,8 +508,7 @@ def leave_one_out_moments(weights: Sequence[float], probs: Sequence[float],
         raise DomainError("weights must be finite and nonnegative")
     if w.size and not (float(p.min()) >= 0.0 and float(p.max()) <= 1.0):
         raise DomainError("probabilities must lie in [0, 1]")
-    if degree < 0:
-        raise DomainError("moment degree must be nonnegative")
+    degree = _integer_arg(degree, "moment degree", 0)
     n = w.size
     binom = [[float(math.comb(m, a)) for a in range(m + 1)] for m in range(degree + 1)]
     terms = p[:, None] * w[:, None] ** np.arange(1, degree + 1)

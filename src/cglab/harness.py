@@ -25,7 +25,7 @@ from .atomic import (BernoulliGame, MixedProfile, WeightedGame, _laws_of,
                      best_response_dynamics, choice_probabilities, expected_loads,
                      load_distribution, opt_and_poa, player_expected_cost,
                      social_optimum_pure, symmetric_mixed_equilibrium, verify_equilibrium)
-from .core import _as_list, _field, _integer, all_strategy_costs
+from .core import _as_list, _field, _integer, _integer_arg, all_strategy_costs
 from .discrete_dist import Pmf, poisson_pmf, tv_distance
 from .errors import DomainError
 from .poisson_limit import build_limit_game, rate_bounds, regularity_constants, resolve_alpha
@@ -57,19 +57,20 @@ class SequenceSpec:
             raise DomainError(f"unknown example {self.example!r}")
         if self.model not in ("weighted", "bernoulli"):
             raise DomainError(f"unknown model {self.model!r}")
-        try:
-            ns = tuple(_integer(n) for n in _as_list(self.n_values))
-        except (TypeError, ValueError):
-            raise DomainError(f"n_values must be integers, not {self.n_values!r}") from None
-        object.__setattr__(self, "n_values", ns)
+        if not isinstance(self.equilibria, (list, tuple)):
+            raise DomainError(f"equilibria must be a list of labels, not {self.equilibria!r}")
+        # each field is read once, as its file key is, so a value its reader
+        # refuses raises DomainError naming the field
+        reads = {"n_values": lambda ns: tuple(_integer_arg(n, "n_values", 1)
+                                              for n in _as_list(ns)),
+                 "alpha": _float_or_none, "beta_override": _float_or_none,
+                 "seed": _integer, "equilibria": tuple}
+        for name, read in reads.items():
+            object.__setattr__(self, name, _field(vars(self), name, "sequence spec", read))
+        ns = self.n_values
+        # d/n generators make the max weight/probability strictly decreasing
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise DomainError("n values must be strictly increasing")
-        # d/n generators make the max weight/probability strictly decreasing
-        if any(n < 1 for n in ns):
-            raise DomainError("n values must be positive")
-        if isinstance(self.equilibria, str):
-            raise DomainError(f"equilibria must be a list of labels, not {self.equilibria!r}")
-        object.__setattr__(self, "equilibria", tuple(self.equilibria))
         # the example must have a family for the model, even when every member runs
         known = [label for label, _ in instances.EXAMPLES[self.example].family(self.model)]
         unknown = [label for label in self.equilibria if label not in known]
@@ -83,9 +84,7 @@ class SequenceSpec:
         extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise DomainError(f"unknown keys in sequence spec: {sorted(extra)}")
-        kinds = {"alpha": _float_or_none, "beta_override": _float_or_none,
-                 "seed": _integer, "equilibria": _as_list}
-        return cls(**{f.name: _field(data, f.name, "sequence spec", kinds.get(f.name))
+        return cls(**{f.name: _field(data, f.name, "sequence spec")
                       for f in fields(cls) if f.name in data or f.default is MISSING})
 
 

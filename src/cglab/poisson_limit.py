@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from .core import ALL, DemandVector, PolynomialCost, Structure
+from .core import ALL, DemandVector, PolynomialCost, Structure, _integer_arg
 from .discrete_dist import MAX_RATE, borisov_ruzankin_bound, poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
 from .wardrop import demand_perturbation_bound, strategy_cost_cap
@@ -157,8 +157,7 @@ class _AuxSeries:
 
     def derivatives(self, x, order: int = 1):
         """E of the order-th forward difference of c at ``1 + Poisson(x)``."""
-        if order < 1:
-            raise DomainError("derivative order must be at least 1")
+        order = _integer_arg(order, "derivative order", 1)
         return self._expect(x, lambda ks: np.diff(self._rows(ks.size + order), n=order),
                             self._rate, self._order_scale(order))
 
@@ -525,8 +524,6 @@ def rate_bounds(constants: BoundConstants, model: str, param: float,
 
 def poa_polynomial_bound(degree: int) -> float:
     """Anarchy bound for nonatomic games with polynomial costs of the given degree."""
-    if not isinstance(degree, (int, np.integer)) or degree < 1:
-        raise DomainError("degree must be an integer >= 1")
-    d = float(degree)
+    d = float(_integer_arg(degree, "degree", 1))
     top = (d + 1.0) * (d + 1.0) ** (1.0 / d)
     return top / (top - d)

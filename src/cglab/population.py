@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (USAGE_TOL, DemandVector, Structure, _check_index, _integer,
-                   _strategy_distributions, all_strategy_costs)
+from .core import (USAGE_TOL, DemandVector, Structure, _check_index, _field, _integer_arg,
+                   _readonly, _reject_unknown, _strategy_distributions, all_strategy_costs)
 from .discrete_dist import Pmf, bernoulli_sum_pmf, poisson_pmf
 from .errors import DomainError, StructureError
 from .poisson_limit import AuxCost, build_limit_game
@@ -64,7 +64,7 @@ class PopulationModel:
         return len(self.means) if self.kind == "independent_poisson" else len(self.probs)
 
     def expected_count(self, t: int) -> float:
-        _check_index(t, self.n_types, "type")
+        t = _check_index(t, self.n_types, "type")
         if self.kind == "independent_poisson":
             return self.means[t]
         return float(sum(self.probs[t]))
@@ -72,8 +72,8 @@ class PopulationModel:
     def count_prob(self, t: int, n: int) -> float:
         """P(N_t = n), computed directly (no truncation); 0.0 for a negative n.
         A count that is not an integer raises ``DomainError``."""
-        _check_index(t, self.n_types, "type")
-        n = _counts([n])[0]
+        t = _check_index(t, self.n_types, "type")
+        n = _integer_arg(n, "player counts")
         if n < 0:
             return 0.0
         if self.kind == "independent_poisson":
@@ -84,7 +84,7 @@ class PopulationModel:
     def count_pmf(self, t: int) -> Pmf:
         """Exact for Bernoulli counts; a Poisson count is truncated with tail mass
         below ``discrete_dist.TAIL_TOL``."""
-        _check_index(t, self.n_types, "type")
+        t = _check_index(t, self.n_types, "type")
         if self.kind == "independent_poisson":
             return poisson_pmf(self.means[t])
         return bernoulli_sum_pmf(self.probs[t])
@@ -108,12 +108,8 @@ class TypeProfile:
 
     @classmethod
     def from_json(cls, structure: Structure, data) -> "TypeProfile":
-        out = []
-        for t, tid in enumerate(structure.types):
-            if tid not in data:
-                raise StructureError(f"type profile is missing type {tid!r}")
-            out.append(np.asarray(data[tid], dtype=float))
-        return cls(tuple(out))
+        _reject_unknown(data, set(structure.types), "type profile")
+        return cls(tuple(_field(data, tid, "type profile", _readonly) for tid in structure.types))
 
 
 def induced_flows(structure: Structure, demand: DemandVector,
@@ -127,15 +123,6 @@ def induced_flows(structure: Structure, demand: DemandVector,
             raise StructureError(f"type {structure.types[t]!r} profile has wrong length")
         y[sl] = demand[t] * sigma.probs[t]
     return y
-
-
-def _counts(values) -> list[int]:
-    """Player counts read by ``core._integer``; a fraction, a NaN or anything
-    else that is not an integer raises ``DomainError``."""
-    try:
-        return [_integer(v) for v in values]
-    except (TypeError, ValueError):
-        raise DomainError(f"counts must be integers, not {values!r}") from None
 
 
 def _multinomial_prob(counts: np.ndarray, weights: np.ndarray) -> float:
@@ -163,11 +150,9 @@ def flow_profile_probability(model: PopulationModel, sigma: TypeProfile,
         raise StructureError("counts do not match the profile's types")
     out = 1.0
     for t, per_t in enumerate(counts):
-        c = np.array(_counts(per_t), dtype=int)
+        c = np.array([_integer_arg(v, "player counts", 0) for v in per_t], dtype=int)
         if c.size != sigma.probs[t].size:
             raise StructureError(f"type {t} counts have the wrong length")
-        if c.min() < 0:
-            raise DomainError("counts must be nonnegative")
         out *= model.count_prob(t, int(c.sum())) * _multinomial_prob(c, sigma.probs[t])
     return out
 
@@ -177,10 +162,11 @@ def posterior(model: PopulationModel, t: int, nbar: Sequence[int]) -> float:
 
     Size-biasing in the t coordinate: (n_t + 1) mu(nbar + delta_t) / E[N_t].
     """
+    t = _check_index(t, model.n_types, "type")
     mean = model.expected_count(t)
     if mean <= 0:
         raise DomainError("posterior undefined for a type with zero expected count")
-    nb = _counts(nbar)
+    nb = [_integer_arg(v, "player counts") for v in nbar]
     if len(nb) != model.n_types:
         raise StructureError("count vector does not match the model's types")
     if min(nb) < 0:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (USAGE_TOL, CostBatch, DemandVector, FlowLoadPair, PolynomialCost,
-                   Structure, all_strategy_costs, check_feasible, potential, social_cost)
+                   Structure, _integer_arg, all_strategy_costs, check_feasible, potential,
+                   social_cost)
 from .errors import DomainError, FeasibilityError, PrecisionError
 
 
@@ -209,7 +210,7 @@ def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarra
     best, best_cert, cert = y, math.inf, math.inf
     iterations, stop_reason = 0, "budget"
     scored = set()  # the bytes of every scored y, signed zeros made positive
-    for k in range(max_iters):
+    for k in range(_integer_arg(max_iters, "max_iters", 0)):
         d = density(x)
         strat = inc @ d[0]
         cert = certificate(y, strat, d[0], (_aon_flows(structure, demand, strat) - y) @ inc)

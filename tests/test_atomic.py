@@ -155,6 +155,76 @@ class TestIndexChecks:
         with pytest.raises(StructureError):
             call(game, wheatstone_symmetric_mix(game))
 
+    # one index argument k of each call, with an index in range
+    ONE_INDEX = {
+        "choice-player": (lambda g, p, k: resource_choice_prob(g, p, k, 0), 1),
+        "choice-resource": (lambda g, p, k: resource_choice_prob(g, p, 0, k), 1),
+        "cond-player": (lambda g, p, k: conditional_cost_estimate(g, p, k, 0), 1),
+        "cond-strategy": (lambda g, p, k: conditional_cost_estimate(g, p, 0, k), 1),
+        "cost-player": (lambda g, p, k: player_expected_cost(g, p, k), 1),
+        "load-resource": (lambda g, p, k: load_distribution(g, p, k).probs.tolist(), 1),
+        "cov-type": (lambda g, p, k: strategy_flow_covariance(g, p, k, 0, 1), 0),
+        "cov-s1": (lambda g, p, k: strategy_flow_covariance(g, p, 0, k, 0), 1),
+        "cov-s2": (lambda g, p, k: strategy_flow_covariance(g, p, 0, 0, k), 1),
+        "pure": (lambda g, p, k: MixedProfile.pure(g, [k, 0, 0, 0]).probs[0].tolist(), 1),
+        "best-response": (lambda g, p, k: best_response_dynamics(g, [k, 0, 0, 0]).strategies,
+                          1),
+    }
+
+    @pytest.mark.parametrize("bad", [0.5, True, float("nan")], ids=["half", "bool", "nan"])
+    @pytest.mark.parametrize("name", ONE_INDEX)
+    def test_non_integer_index_rejected(self, name, bad):
+        # 0.5 raised a bare TypeError or IndexError, and True read index 1
+        game = wheatstone_bernoulli(4)
+        with pytest.raises(DomainError, match="index"):
+            self.ONE_INDEX[name][0](game, wheatstone_symmetric_mix(game), bad)
+
+    @pytest.mark.parametrize("name", ONE_INDEX)
+    def test_integral_index_gives_the_int_result(self, name):
+        call, k = self.ONE_INDEX[name]
+        game = wheatstone_bernoulli(4)
+        profile = wheatstone_symmetric_mix(game)
+        want = call(game, profile, k)
+        for same in (np.int64(k), float(k)):
+            assert call(game, profile, same) == want
+
+    @pytest.mark.parametrize("bad", [0.7, True, float("nan")], ids=["fraction", "bool", "nan"])
+    @pytest.mark.parametrize("kind", [WeightedGame, BernoulliGame])
+    def test_non_integer_player_types_rejected(self, kind, bad):
+        # player types (0.7, 0.2) were truncated to (0, 0), and NaN raised a
+        # bare ValueError
+        with pytest.raises(DomainError, match="type index"):
+            kind(wheatstone_structure(), (0.5, 0.5), (bad, 0.2))
+
+    @pytest.mark.parametrize("kind", [WeightedGame, BernoulliGame])
+    def test_integral_player_types_give_the_int_result(self, kind):
+        game = kind(wheatstone_structure(), (0.5, 0.5), (np.int64(0), 0.0))
+        assert game.player_types == (0, 0)
+        assert [type(t) for t in game.player_types] == [int, int]
+
+    def test_profile_file_keys_must_name_players(self, tmp_path, capsys):
+        # a 2-player game took keys "7" and "x" without a word
+        s = pigou_structure()
+        obj = instance_to_json(s, unit_demand(s))
+        obj["players"] = [{"type": "od", "count": 2, "prob": "d/n"}]
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(obj))
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"0": [1.0, 0.0], "1": [1.0, 0.0], "7": [1.0, 0.0],
+                                       "x": "junk"}))
+        with pytest.raises(StructureError, match=r"\['7', 'x'\]"):
+            atomic.load_profile(profile, atomic.load_game(game))
+        assert main(["atomic", str(game), "--profile", str(profile)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        # a value that is no vector raised a bare ValueError
+        profile.write_text(json.dumps({"0": "junk", "1": [1.0, 0.0]}))
+        with pytest.raises(DomainError, match="'0'"):
+            atomic.load_profile(profile, atomic.load_game(game))
+        # keys are the strings MixedProfile.to_json writes
+        profile.write_text(json.dumps({"00": [1.0, 0.0], "1": [1.0, 0.0]}))
+        with pytest.raises(StructureError, match="'00'"):
+            atomic.load_profile(profile, atomic.load_game(game))
+
 
 class TestConditionalExpectedCost:
     def test_bernoulli_wheatstone_others_on_upper(self):

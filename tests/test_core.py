@@ -96,6 +96,20 @@ class TestStrategyCost:
         with pytest.raises(StructureError):
             strategy_cost(s, np.zeros(5), 0, 3)
 
+    @pytest.mark.parametrize("bad", [0.5, True, float("nan")], ids=["half", "bool", "nan"])
+    @pytest.mark.parametrize("which", ["type", "strategy"])
+    def test_non_integer_index_rejected(self, which, bad):
+        # (0.5, 0) raised a bare TypeError, (0, 1.5) a bare IndexError, and
+        # True read index 1
+        t, k = (bad, 0) if which == "type" else (0, bad)
+        with pytest.raises(DomainError, match="index"):
+            strategy_cost(wheatstone_structure(), np.full(5, 0.5), t, k)
+
+    def test_integral_index_gives_the_int_result(self):
+        s, x = wheatstone_structure(), np.full(5, 0.5)
+        for t, k in ((np.int64(0), np.int64(1)), (0.0, 1.0)):
+            assert strategy_cost(s, x, t, k) == strategy_cost(s, x, 0, 1)
+
 
 class TestSocialCost:
     def test_wheatstone_equilibrium_cost(self):
@@ -243,6 +257,17 @@ class TestStructureValidation:
     def test_strategy_out_of_range(self):
         with pytest.raises(StructureError):
             Structure(("a",), (AffineCost(1.0),), ("t",), (((1,),),))
+
+    @pytest.mark.parametrize("bad", [0.5, True, float("nan")], ids=["half", "bool", "nan"])
+    def test_non_integer_resource_index_rejected(self, bad):
+        # strategies ((0.5,), (1.7,)) were truncated to ((0,), (1,))
+        with pytest.raises(DomainError, match="resource index"):
+            Structure(("a", "b"), (AffineCost(1.0),) * 2, ("t",), (((bad,), (1.7,)),))
+
+    def test_integral_resource_index_gives_the_int_result(self):
+        s = Structure(("a", "b"), (AffineCost(1.0),) * 2, ("t",), (((np.int64(0),), (1.0,)),))
+        assert s.strategies == (((0,), (1,)),)
+        assert [type(e) for per_t in s.strategies for st in per_t for e in st] == [int, int]
 
     def test_empty_strategy(self):
         with pytest.raises(StructureError):

@@ -11,7 +11,7 @@ from scipy import special, stats
 from cglab import discrete_dist
 from cglab.discrete_dist import (Pmf, ValueDist, barbour_hall_bound,
                                  bernoulli_sum_pmf, borisov_ruzankin_bound,
-                                 exp_weighted_poisson_tail,
+                                 exp_weighted_poisson_tail, leave_one_out_moments,
                                  poisson_expect, poisson_pmf,
                                  tv_distance, tv_poisson_bound,
                                  weighted_sum_distribution)
@@ -134,6 +134,17 @@ class TestBernoulliSum:
         with pytest.raises(DomainError):
             bernoulli_sum_pmf([1.2])
 
+    @pytest.mark.parametrize("bad", [1.5, True, math.nan], ids=["fraction", "bool", "nan"])
+    def test_prob_of_a_non_integer_rejected(self, bad):
+        # 1.5 raised a bare IndexError, and NaN gave 0.0
+        with pytest.raises(DomainError, match="count"):
+            bernoulli_sum_pmf([0.5, 0.5]).prob(bad)
+
+    def test_prob_of_an_integral_count_gives_the_int_result(self):
+        p = bernoulli_sum_pmf([0.5, 0.5])
+        assert p.prob(np.int64(1)) == p.prob(1.0) == p.prob(1) == 0.5
+        assert p.prob(-1) == p.prob(-1.0) == p.prob(3) == 0.0
+
 
 class TestWeightedSum:
     def test_half_weights(self):
@@ -218,6 +229,19 @@ class TestWeightedSum:
     def test_malformed_laws_are_rejected(self, build):
         with pytest.raises(DomainError):
             build()
+
+
+class TestLeaveOneOutMoments:
+    @pytest.mark.parametrize("bad", [1.5, True, math.nan], ids=["fraction", "bool", "nan"])
+    def test_non_integer_degree_rejected(self, bad):
+        # 1.5 and NaN raised a bare TypeError, and True gave the degree-one rows
+        with pytest.raises(DomainError, match="moment degree"):
+            leave_one_out_moments([1.0, 2.0], [0.5, 0.25], bad)
+
+    def test_integral_degree_gives_the_int_result(self):
+        want = leave_one_out_moments([1.0, 2.0], [0.5, 0.25], 2)
+        for same in (np.int64(2), 2.0):
+            assert leave_one_out_moments([1.0, 2.0], [0.5, 0.25], same).tolist() == want.tolist()
 
 
 class TestTvDistance:

@@ -1,8 +1,10 @@
 """Reports byte for byte against the files under ``tests/golden/``.
 
 The files are the CSV, JSON and stdout of ``cglab converge`` on the
-benchmark's four criterion-5 specs at seed 2, and the stdout of
-``cglab example`` for every worked example, all run in-process through
+benchmark's four criterion-5 specs at seed 2, the stdout of
+``cglab example`` for every worked example, and the stdout of
+``cglab wardrop``, ``cglab limit`` and ``cglab bounds`` (both player models)
+on the three shipped structures at unit demand, all run in-process through
 ``cglab.cli.main``.  A change that keeps its arithmetic keeps these bytes.
 A change that moves digits regenerates the files, so that its diff shows
 every moved digit::
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from cglab import cli, instances
+from cglab import cli, core, instances
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -39,6 +41,8 @@ def _criterion5_specs() -> tuple[dict, ...]:
 
 
 SPECS = _criterion5_specs()
+STRUCTURES = ("parallel", "pigou", "wheatstone")
+BOUNDS_ARGS = ("--param", "0.1", "--beta", "1")
 
 
 def _main(argv: list[str]) -> tuple[int, str]:
@@ -68,6 +72,24 @@ def example_output(name: str) -> dict[str, bytes]:
     return {f"example-{name}.stdout": printed.encode("utf-8")}
 
 
+def instance_outputs(name: str) -> dict[str, bytes]:
+    """What ``cglab wardrop``, ``limit`` and ``bounds`` print for one shipped structure."""
+    structure = getattr(instances, f"{name}_structure")()
+    payload = core.instance_to_json(structure, instances.unit_demand(structure))
+    commands = {"wardrop": [], "limit": [],
+                "bounds-bernoulli": ["--model", "bernoulli", *BOUNDS_ARGS],
+                "bounds-weighted": ["--model", "weighted", *BOUNDS_ARGS]}
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        for stem, extra in commands.items():
+            code, printed = _main([stem.split("-")[0], str(path), *extra])
+            assert code == 0, printed
+            outputs[f"{stem}-{name}.stdout"] = printed.encode("utf-8")
+    return outputs
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=[s["example"] for s in SPECS])
 def test_converge_reports_are_golden(spec):
     for name, blob in converge_outputs(spec).items():
@@ -80,6 +102,12 @@ def test_example_transcripts_are_golden(name):
         assert blob == (GOLDEN / file_name).read_bytes(), file_name
 
 
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_instance_transcripts_are_golden(name):
+    for file_name, blob in instance_outputs(name).items():
+        assert blob == (GOLDEN / file_name).read_bytes(), file_name
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     outputs = {}
@@ -87,6 +115,8 @@ if __name__ == "__main__":
         outputs.update(converge_outputs(spec))
     for name in sorted(instances.EXAMPLES):
         outputs.update(example_output(name))
+    for name in STRUCTURES:
+        outputs.update(instance_outputs(name))
     for name, blob in outputs.items():
         (GOLDEN / name).write_bytes(blob)
     print(f"wrote {len(outputs)} files to {GOLDEN}", file=sys.stderr)

@@ -52,6 +52,28 @@ class TestSequenceSpec:
                                        "seed": 3})
         assert spec.seed == 3 and spec.model == "bernoulli"
 
+    @pytest.mark.parametrize("field, bad", [("alpha", "x"), ("beta_override", "x"),
+                                            ("seed", 0.5), ("seed", True),
+                                            ("seed", math.nan), ("n_values", (2.5,)),
+                                            ("n_values", (True,)), ("n_values", (math.nan,))])
+    def test_constructor_reads_every_field(self, field, bad):
+        # alpha="x" constructed and run_convergence raised a bare TypeError;
+        # seed 0.5 was echoed into the JSON report
+        with pytest.raises(DomainError, match=field):
+            SequenceSpec(**{"example": "pigou", "model": "bernoulli", "n_values": (5,),
+                            field: bad})
+
+    def test_constructor_reads_numbers_as_the_json_reader_does(self):
+        # seed "7" and beta_override "1" were echoed into the report as strings
+        spec = SequenceSpec("pigou", "bernoulli", (5.0,), alpha=2, beta_override="1",
+                            seed="7", equilibria=["worst"])
+        assert spec == SequenceSpec.from_json({"example": "pigou", "model": "bernoulli",
+                                               "n_values": [5], "alpha": 2.0,
+                                               "beta_override": 1.0, "seed": 7,
+                                               "equilibria": ["worst"]})
+        assert [type(v) for v in (spec.alpha, spec.beta_override, spec.seed)] == [float,
+                                                                                 float, int]
+
     def test_equilibria_must_be_labels_of_the_family(self):
         # an unknown label was dropped without a word: ["worst", "bset"] ran
         # only "worst" and reported pos 4/3 where the family gives 7/6

@@ -226,6 +226,18 @@ class TestAuxCostDerivative:
         with pytest.raises(DomainError):
             aux.derivative(0.5, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, True, math.nan], ids=["fraction", "bool", "nan"])
+    def test_non_integer_order_rejected(self, bad):
+        # 1.5 and NaN raised a bare TypeError, and True gave the first derivative
+        with pytest.raises(DomainError, match="derivative order"):
+            AuxCost(PolynomialCost((0.0, 0.0, 1.0))).derivative(0.7, order=bad)
+
+    def test_integral_order_gives_the_int_result(self):
+        # 2.0 used to raise a bare TypeError
+        aux = AuxCost(PolynomialCost((0.0, 0.0, 1.0)))
+        for same in (np.int64(2), 2.0):
+            assert aux.derivative(0.7, order=same) == aux.derivative(0.7, order=2)
+
 
 class TestAuxIntegral:
     def test_matches_quadrature(self):
@@ -540,6 +552,17 @@ class TestPolynomialPoaBound:
     def test_degree_zero_rejected(self):
         with pytest.raises(DomainError):
             poa_polynomial_bound(0)
+
+    def test_non_integer_degree_rejected(self):
+        # True used to give the degree-one bound 4/3
+        for bad in (0.5, True, math.nan):
+            with pytest.raises(DomainError, match="degree"):
+                poa_polynomial_bound(bad)
+
+    def test_integral_degree_gives_the_int_result(self):
+        # 2.0 used to be refused
+        for same in (np.int64(2), 2.0):
+            assert poa_polynomial_bound(same) == poa_polynomial_bound(2)
 
 
 class TestBorisovConsistency:

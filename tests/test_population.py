@@ -79,6 +79,31 @@ class TestPopulationModel:
             with pytest.raises(StructureError, match="type"):
                 call()
 
+    TYPE_CALLS = {"count_prob": lambda m, t: m.count_prob(t, 1),
+                  "count_pmf": lambda m, t: m.count_pmf(t).probs.tolist(),
+                  "expected_count": lambda m, t: m.expected_count(t),
+                  "posterior": lambda m, t: posterior(m, t, (1, 0)),
+                  "posterior_count_pmf": lambda m, t: posterior_count_pmf(m, t).probs.tolist()}
+
+    @pytest.mark.parametrize("model", [PopulationModel.poisson([1.0, 2.0]),
+                                       PopulationModel.bernoulli([[0.5, 0.5], [0.2]])],
+                             ids=["poisson", "bernoulli"])
+    @pytest.mark.parametrize("bad", [0.5, True, float("nan")], ids=["half", "bool", "nan"])
+    @pytest.mark.parametrize("name", TYPE_CALLS)
+    def test_non_integer_type_index_rejected(self, name, bad, model):
+        # 0.5 raised a bare TypeError, and True read type 1
+        with pytest.raises(DomainError, match="type index"):
+            self.TYPE_CALLS[name](model, bad)
+
+    @pytest.mark.parametrize("model", [PopulationModel.poisson([1.0, 2.0]),
+                                       PopulationModel.bernoulli([[0.5, 0.5], [0.2]])],
+                             ids=["poisson", "bernoulli"])
+    @pytest.mark.parametrize("name", TYPE_CALLS)
+    def test_integral_type_index_gives_the_int_result(self, name, model):
+        call = self.TYPE_CALLS[name]
+        for same in (np.int64(1), 1.0):
+            assert call(model, same) == call(model, 1)
+
 
 class TestFlowProfileProbability:
     def test_poisson_flows_factor_into_independent_poissons(self):
@@ -123,7 +148,7 @@ class TestFlowProfileProbability:
 
 
     @pytest.mark.parametrize("counts", [((1.5, 0.5),), ((1.0, float("nan")),), (("a", 0),),
-                                        ((1, None),)])
+                                        ((1, None),), ((True, 0),)])
     def test_non_integral_counts_rejected(self, counts):
         # [[1.5, 0.5]] used to get the probability of [[1, 0]], and a NaN
         # count raised a bare ValueError
@@ -140,7 +165,7 @@ class TestFlowProfileProbability:
 
 
 class TestPosterior:
-    @pytest.mark.parametrize("nbar", [(1.7,), (float("nan"),), (0.5,)])
+    @pytest.mark.parametrize("nbar", [(1.7,), (float("nan"),), (0.5,), (True,)])
     def test_non_integral_counts_rejected(self, nbar):
         # posterior(m, 0, [1.7]) used to equal that of [1]
         with pytest.raises(DomainError, match="counts"):
@@ -225,6 +250,13 @@ class TestTypeProfileJson:
         data = self.profile(s).to_json(s)
         del data[s.types[1]]
         with pytest.raises(StructureError, match=repr(s.types[1])):
+            TypeProfile.from_json(s, data)
+
+    def test_a_type_the_structure_lacks_is_rejected(self):
+        # a stray type id was ignored without a word
+        s, _ = _random_instance()
+        data = dict(self.profile(s).to_json(s), stray=[1.0])
+        with pytest.raises(StructureError, match="stray"):
             TypeProfile.from_json(s, data)
 
 

@@ -215,6 +215,26 @@ class TestStopReason:
         assert sol.converged and opt.converged
         assert solution_to_json(s, sol)["stop_reason"] == "converged"
 
+    @pytest.mark.parametrize("bad", [2.5, True, math.nan, -3],
+                             ids=["fraction", "bool", "nan", "negative"])
+    def test_budget_must_be_a_nonnegative_integer(self, bad):
+        # 2.5 and NaN raised a bare TypeError, True ran one sweep, and -3 ran
+        # none and came back with stop reason "budget"
+        s = self.skewed_pair()
+        for solve in (solve_wardrop, solve_social_optimum):
+            with pytest.raises(DomainError, match="max_iters"):
+                solve(s, unit_demand(s), max_iters=bad)
+
+    def test_integral_budget_gives_the_int_result(self):
+        s = self.skewed_pair()
+        d = unit_demand(s)
+        for solve in (solve_wardrop, solve_social_optimum):
+            want = solve(s, d, max_iters=2)
+            for same in (np.int64(2), 2.0):
+                got = solve(s, d, max_iters=same)
+                assert (got.pair.x.tolist(), got.iterations) == (want.pair.x.tolist(),
+                                                                 want.iterations)
+
     def test_budget(self):
         s = self.skewed_pair()
         d = unit_demand(s)
