@@ -864,18 +864,21 @@ def best_response_dynamics(game: Game, initial: Sequence[int]) -> BestResponseRe
 
 
 class _EachRow(list):
-    """``CostBatch``'s evaluator of costs with scalar methods only, one row at a time."""
+    """``CostBatch``'s evaluator of costs with scalar methods only, one row at a
+    time: ``value_slopes`` is its scalar route, ``value_slopes_at``, at every row."""
 
-    def _each(self, method: str, x: np.ndarray, idx) -> np.ndarray:
-        rows = np.arange(len(self))[idx].tolist()
-        return np.array([getattr(self[k], method)(u) for k, u in zip(rows, x.tolist())])
+    def _each(self, method: str, x: np.ndarray) -> np.ndarray:
+        return np.array([getattr(c, method)(u) for c, u in zip(self, x.tolist())])
 
     values = partialmethod(_each, "value")
     integrals = partialmethod(_each, "integral")
 
-    def value_slopes(self, x: np.ndarray, idx) -> np.ndarray:
-        # contiguous rows: numpy's dot products round a strided row differently
-        return np.ascontiguousarray(self._each("value_slope", x, idx).reshape(-1, 2).T)
+    def value_slopes(self, x: np.ndarray) -> np.ndarray:
+        return np.array(self.value_slopes_at(range(len(self)), x.tolist()))
+
+    def value_slopes_at(self, idx, xs) -> tuple[list, list]:
+        pairs = [self[i].value_slope(u) for i, u in zip(idx, xs)]
+        return [v for v, _ in pairs], [s for _, s in pairs]
 
 
 class _BinomialMixture:

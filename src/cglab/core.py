@@ -8,6 +8,7 @@ per-resource totals.  All objects are immutable values after construction.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import operator
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import DomainError, PrecisionError, StructureError
 
 USAGE_TOL = 1e-10  # a strategy counts as used above this probability
-ALL = slice(None)  # every row of a cost stack
 
 
 def _readonly(a) -> np.ndarray:
@@ -115,26 +115,39 @@ class _PolynomialStack:
     """Polynomial costs stacked into zero-padded coefficient columns.
 
     Every row goes through ``_horner``, the routine of the scalar methods, so
-    values, slopes and integrals equal theirs bit for bit.  Every method takes
-    the loads of the rows ``idx`` selects.
+    values, slopes and integrals equal theirs bit for bit.  The array methods
+    take every row's load; the ``*_at`` methods, a segment's scalar route,
+    take the rows ``idx`` and their loads as lists of Python floats and read
+    each cost's ``_Rows`` tuples, so a zero-padded column gives the same bits.
     """
 
     def __init__(self, cost_fns):
+        self._rows = [c._rows for c in cost_fns]
         self._value, self._slope, self._integral, self._marginal_slope = (
-            _pad_columns([c._rows[i] for c in cost_fns]) for i in range(4))
+            _pad_columns([r[i] for r in self._rows]) for i in range(4))
 
-    def values(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return _horner(self._value[:, idx], x)
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return _horner(self._value, x)
 
-    def integrals(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return _horner(self._integral[:, idx], x)
+    def integrals(self, x: np.ndarray) -> np.ndarray:
+        return _horner(self._integral, x)
 
-    def value_slopes(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        return np.stack((self.values(x, idx), _horner(self._slope[:, idx], x)))
+    def value_slopes(self, x: np.ndarray) -> np.ndarray:
+        return np.stack((self.values(x), _horner(self._slope, x)))
 
-    def marginal_slopes(self, x: np.ndarray, idx=ALL) -> np.ndarray:
-        value, slope = self.values(x, idx), _horner(self._slope[:, idx], x)
-        return np.stack((value + x * slope, _horner(self._marginal_slope[:, idx], x)))
+    def marginal_slopes(self, x: np.ndarray) -> np.ndarray:
+        value, slope = self.values(x), _horner(self._slope, x)
+        return np.stack((value + x * slope, _horner(self._marginal_slope, x)))
+
+    def value_slopes_at(self, idx, xs) -> tuple[list, list]:
+        rows = self._rows
+        return ([_horner(rows[i].value, u) for i, u in zip(idx, xs)],
+                [_horner(rows[i].slope, u) for i, u in zip(idx, xs)])
+
+    def marginal_slopes_at(self, idx, xs) -> tuple[list, list]:
+        values, slopes = self.value_slopes_at(idx, xs)
+        return ([v + u * s for v, u, s in zip(values, xs, slopes)],
+                [_horner(self._rows[i].marginal_slope, u) for i, u in zip(idx, xs)])
 
 
 def _pad_columns(rows) -> np.ndarray:
@@ -366,7 +379,17 @@ class Structure:
         return f"{self.types[t]}/{s}"
 
     def with_costs(self, cost_fns: Sequence) -> "Structure":
-        return Structure(self.resources, tuple(cost_fns), self.types, self.strategies)
+        """This structure with other costs.  Only their count is checked: the
+        copy shares the checked fields and the cached layouts, none of which
+        depends on the costs."""
+        cost_fns = tuple(cost_fns)
+        if len(cost_fns) != len(self.resources):
+            raise StructureError("one cost function per resource is required")
+        for layout in ("type_index", "flow_index", "type_slices", "incidence"):
+            getattr(self, layout)  # cached here, so that both structures read one copy
+        out = copy.copy(self)
+        object.__setattr__(out, "cost_fns", cost_fns)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,12 +471,17 @@ def loads_from_flows(structure: Structure, y) -> np.ndarray:
 def check_feasible(structure: Structure, demand: DemandVector, pair: FlowLoadPair) -> float:
     """Maximum absolute violation over all feasibility constraints: nonnegativity,
     per-type totals and the load identity.  Callers compare it with their own
-    tolerance."""
+    tolerance.  A flow or load that is NaN or infinite is an infinite violation:
+    no comparison below would see a NaN."""
     y = pair.y
     if y.shape != (structure.n_flows,):
         raise StructureError("flow vector does not match the structure")
+    if pair.x.shape != (structure.n_resources,):
+        raise StructureError("load vector does not match the structure")
     if len(demand) != structure.n_types:
         raise StructureError("demand vector does not match the structure")
+    if not (np.isfinite(y).all() and np.isfinite(pair.x).all()):
+        return math.inf
     worst = max(0.0, float(-y.min())) if y.size else 0.0
     for t, sl in enumerate(structure.type_slices):
         worst = max(worst, abs(float(y[sl].sum()) - demand[t]))
@@ -477,14 +505,18 @@ def all_strategy_costs(structure: Structure, x) -> np.ndarray:
 
 
 class CostBatch:
-    """Every resource's cost at a whole load vector, one vector call per cost family.
+    """Every resource's cost, one call per cost family.
 
     A continuous cost class names in its ``stack`` attribute the evaluator of
     a list of its costs: polynomial costs have one, auxiliary costs have their
     own (which hands polynomial bases to the first).  ``value_slopes`` and
     ``marginal_slopes`` return a (2, n) array, a density and its derivative in
-    the load; with ``rows`` they evaluate just those resources, and ``x``
-    holds just their loads.
+    the load, at a whole load vector: the solvers score each sweep on these.
+    ``value_slopes_at`` and ``marginal_slopes_at`` are their scalar route, for
+    a line-search segment, which moves only the few resources of one strategy
+    and not the other: they take those resources' indices and loads
+    as lists and return the two rows as lists of Python floats, so that no
+    numpy call is made per entry.
     """
 
     def __init__(self, cost_fns):
@@ -494,44 +526,60 @@ class CostBatch:
             if stack is None:
                 raise PrecisionError(f"{type(c).__name__} costs have no vector evaluation")
             families.setdefault(stack, []).append(e)
-        self._size = len(cost_fns)
-        self._families = [(np.array(rows), make([cost_fns[e] for e in rows]))
+        self._families = [(rows, make([cost_fns[e] for e in rows]))
                           for make, rows in families.items()]
-        self._family = np.empty(self._size, dtype=int)
-        self._local = np.empty(self._size, dtype=int)  # position within its family
+        # each resource's family and position within it, for a segment's dispatch
+        self._home = [None] * len(cost_fns)
         for f, (rows, _) in enumerate(self._families):
-            self._family[rows] = f
-            self._local[rows] = np.arange(rows.size)
+            for i, e in enumerate(rows):
+                self._home[e] = (f, i)
 
-    def _eval(self, method: str, x, rows=None) -> np.ndarray:
+    def _eval(self, method: str, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if len(self._families) == 1:  # local positions are the resource indices
-            return getattr(self._families[0][1], method)(x, ALL if rows is None else rows)
-        rows = np.arange(self._size) if rows is None else np.asarray(rows)
-        family = self._family[rows]
+        if len(self._families) == 1:  # positions in the family are the resource indices
+            return getattr(self._families[0][1], method)(x)
         out = None
-        for f, (_, stack) in enumerate(self._families):
-            at = np.flatnonzero(family == f)
-            if at.size:
-                got = getattr(stack, method)(x[at], self._local[rows[at]])
-                if out is None:
-                    out = np.empty(got.shape[:-1] + rows.shape)
-                out[..., at] = got
+        for rows, stack in self._families:
+            got = getattr(stack, method)(x[rows])
+            if out is None:
+                out = np.empty(got.shape[:-1] + x.shape)
+            out[..., rows] = got
         return out
+
+    def _eval_at(self, method: str, idx, xs) -> tuple[list, list]:
+        if len(self._families) == 1:
+            return getattr(self._families[0][1], method)(idx, xs)
+        values, slopes = [0.0] * len(idx), [0.0] * len(idx)
+        for f, (_, stack) in enumerate(self._families):
+            at = [k for k, e in enumerate(idx) if self._home[e][0] == f]
+            if at:
+                got = getattr(stack, method)([self._home[idx[k]][1] for k in at],
+                                             [xs[k] for k in at])
+                for k, v, s in zip(at, *got):
+                    values[k], slopes[k] = v, s
+        return values, slopes
 
     def values(self, x) -> np.ndarray:
         return self._eval("values", x)
 
-    def value_slopes(self, x, rows=None) -> np.ndarray:
-        return self._eval("value_slopes", x, rows)
+    def value_slopes(self, x) -> np.ndarray:
+        return self._eval("value_slopes", x)
 
-    def marginal_slopes(self, x, rows=None) -> np.ndarray:
+    def marginal_slopes(self, x) -> np.ndarray:
         """The marginal social costs, derivatives of x * c(x), with their slopes."""
-        return self._eval("marginal_slopes", x, rows)
+        return self._eval("marginal_slopes", x)
 
     def integrals(self, x) -> np.ndarray:
         """Integrals of the costs from 0 to x: the Beckmann potential's terms."""
         return self._eval("integrals", x)
+
+    def value_slopes_at(self, idx, xs) -> tuple[list, list]:
+        """The entries ``idx`` of ``value_slopes`` at their loads ``xs``."""
+        return self._eval_at("value_slopes_at", idx, xs)
+
+    def marginal_slopes_at(self, idx, xs) -> tuple[list, list]:
+        """The entries ``idx`` of ``marginal_slopes`` at their loads ``xs``."""
+        return self._eval_at("marginal_slopes_at", idx, xs)
 
 
 def social_cost(structure: Structure, pair: FlowLoadPair) -> float:

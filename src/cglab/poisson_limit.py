@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from .core import ALL, DemandVector, PolynomialCost, Structure, _integer_arg
+from .core import DemandVector, PolynomialCost, Structure, _integer_arg
 from .discrete_dist import MAX_RATE, borisov_ruzankin_bound, poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
 from .wardrop import demand_perturbation_bound, strategy_cost_cap
 
 DEFAULT_ALPHA_HEADROOM = 1.5  # demand cap defaults to this multiple of the total demand
 _MIN_SUM_RATE = 1e-3  # least envelope rate of an auxiliary cost's running sum
+_ALL = slice(None)  # every row of an _AuxSeries
 
 
 class LimitGame(NamedTuple):
@@ -95,8 +96,9 @@ class _AuxSeries:
     Row i holds a base cost c_i, its table ``c_i(1..n)`` (grown on demand and
     shared by every call) and the envelope ``(rate_i, scale_i)`` of
     ``k -> c_i(1 + k)``.  Each method makes one ``poisson_expect`` call.
-    Without ``idx`` a single row is evaluated at any vector of loads; with it,
-    the rows ``idx`` selects at one load each, as ``CostBatch`` asks.
+    An index array ``idx`` (every row by default) evaluates the rows it
+    selects at one load each, as ``CostBatch`` asks; an integer ``idx``
+    evaluates that one row at any vector of loads, as ``AuxCost`` asks.
     """
 
     def __init__(self, bases):
@@ -106,14 +108,14 @@ class _AuxSeries:
         self._scale = envelopes[:, 1] * np.exp(self._rate)
         self._table = np.zeros((len(self.bases), 0))
 
-    def _rows(self, n: int, idx=None) -> np.ndarray:
-        """``c_i(1..n)``: one row per entry of ``idx``, or without it the single row."""
+    def _rows(self, n: int, idx) -> np.ndarray:
+        """``c_i(1..n)`` for the rows ``idx`` selects."""
         table = self._table
         if table.shape[1] < n:
             ks = np.arange(1, max(n, 2 * table.shape[1]) + 1)
             table = np.array([np.asarray(b.value_int(ks), dtype=float) for b in self.bases])
             self._table = table
-        return table[0, :n] if idx is None else table[idx, :n]
+        return table[idx, :n]
 
     def _order_scale(self, order: int) -> np.ndarray:
         """Envelope scale of the order-th forward difference of ``k -> c(1 + k)``."""
@@ -149,26 +151,32 @@ class _AuxSeries:
         return self._expect(np.tile(x, len(orders)), differences, rate,
                             scale).reshape(len(orders), -1)
 
-    def values(self, x, idx=None):
+    def values(self, x, idx=_ALL):
         """``E c(1 + X)`` for ``X ~ Poisson(x)``."""
-        if idx is not None:
-            return self._stacked(x, idx, (0,))[0]
-        return self._expect(x, lambda ks: self._rows(ks.size), self._rate, self._scale)
+        return self._expect(x, lambda ks: self._rows(ks.size, idx), self._rate[idx],
+                            self._scale[idx])
 
     def derivatives(self, x, order: int = 1):
         """E of the order-th forward difference of c at ``1 + Poisson(x)``."""
         order = _integer_arg(order, "derivative order", 1)
-        return self._expect(x, lambda ks: np.diff(self._rows(ks.size + order), n=order),
+        return self._expect(x, lambda ks: np.diff(self._rows(ks.size + order, 0), n=order),
                             self._rate, self._order_scale(order))
 
-    def value_slopes(self, x, idx) -> np.ndarray:
+    def value_slopes(self, x, idx=_ALL) -> np.ndarray:
         return self._stacked(x, idx, (0, 1))
 
-    def marginal_slopes(self, x, idx) -> np.ndarray:
+    def marginal_slopes(self, x, idx=_ALL) -> np.ndarray:
         value, slope, curvature = self._stacked(x, idx, (0, 1, 2))
         return np.stack((value + x * slope, 2.0 * slope + x * curvature))
 
-    def integrals(self, x, idx=None):
+    def value_slopes_at(self, idx, xs) -> list:
+        """A segment's scalar route: one series over the rows ``idx``."""
+        return self.value_slopes(np.array(xs), np.array(idx)).tolist()
+
+    def marginal_slopes_at(self, idx, xs) -> list:
+        return self.marginal_slopes(np.array(xs), np.array(idx)).tolist()
+
+    def integrals(self, x, idx=_ALL):
         """Integral of ``values`` from 0 to x, as ``E C(X)`` with ``C(j) = sum_{k<j} c(1+k)``.
 
         Termwise, ``int_0^x e^{-u} u^k / k! du = P(Poisson(x) >= k+1)``.  The
@@ -177,10 +185,9 @@ class _AuxSeries:
         ``_MIN_SUM_RATE``: a bounded cost (rate 0) gets an envelope, and a tiny
         rate no quotient past the float range.
         """
-        sel = ALL if idx is None else idx
-        rate = np.maximum(self._rate[sel], _MIN_SUM_RATE)
+        rate = np.maximum(self._rate[idx], _MIN_SUM_RATE)
         with np.errstate(over="ignore"):  # inf, not a warning, past the float range
-            scale = self._scale[sel] / np.expm1(rate)
+            scale = self._scale[idx] / np.expm1(rate)
         if not np.isfinite(scale).all():
             raise PrecisionError("the growth envelope of the running sum is not finite")
 
@@ -227,9 +234,11 @@ class AuxCost:
         Poisson polynomials: Horner's rule, exact up to rounding, with no
         series and no tail.  Otherwise it is one series over every base.
 
-        The solvers' sweeps read this evaluator, and so do the potential
-        history of ``solve_wardrop`` and the linearization gap of
-        ``solve_social_optimum``.  The other numbers they return are
+        The solvers score each sweep on this evaluator's whole-vector methods,
+        as do the potential history of ``solve_wardrop`` and the linearization
+        gap of ``solve_social_optimum``; their line searches read its scalar
+        route (``value_slopes_at``, ``marginal_slopes_at``), the same entries
+        as Python floats.  The other numbers they return are
         recomputed through the per-resource methods below: the epsilon of
         ``solve_wardrop`` and the value of ``solve_social_optimum`` through
         ``value``, so from the same polynomial, and the potential of
@@ -251,7 +260,7 @@ class AuxCost:
         past the float range ``PrecisionError``.
         """
         if self._poisson is None:
-            return self._series.values(x)
+            return self._series.values(x, 0)
         x = _loads(x)
         with np.errstate(over="ignore"):  # inf, not a warning, past the float range
             value = self._poisson.value(x)
@@ -280,7 +289,7 @@ class AuxCost:
 
     def integral(self, x: float) -> float:
         """Integral of the auxiliary cost from 0 to x (for potential values)."""
-        return self._series.integrals(float(x))
+        return self._series.integrals(float(x), 0)
 
     def social_cost_convex_on(self, hi: float) -> bool:
         """Grid check, on 65 points, that x * value(x) is convex on [0, hi]."""

@@ -14,11 +14,23 @@ certifies, and the descent, which only lowers the potential, can raise it.
 The optimum returns its last iterate: each sweep lowers the social cost, so
 the last evaluated linearization gap, a bound on that iterate's excess cost,
 bounds the returned one's too.
+
+A sweep scores its flows on whole numpy vectors (the density at every load,
+the strategies' costs, the certificate).  Its line searches do not: a shift
+from p to b moves only the resources of one strategy and not the other (2 to
+10 on the W3 instances, whose strategies have 2 to 5 resources), where a
+numpy call per evaluation costs more than its arithmetic.
+So each segment reads the two strategies' resource tuples, evaluates the
+density through the cost batch's scalar route (``CostBatch.value_slopes_at``
+and ``.marginal_slopes_at``) and sums its slopes on Python floats, from left
+to right in resource order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -151,60 +163,75 @@ def _segment_minimizer(slope, s0: float, ds0: float) -> float:
     return 1.0 if not hi_tried and gamma > 1.0 - SEGMENT_XTOL else gamma
 
 
-def _equilibrate_type(inc: np.ndarray, y: np.ndarray, x: np.ndarray, d: np.ndarray,
-                      density) -> None:
-    """Shift one type's flows ``y`` (incidence rows ``inc``) to its cheapest strategy b.
+def _equilibrate_type(strategies, inc: np.ndarray, y: np.ndarray, x: list, d: list,
+                      segment) -> None:
+    """Shift one type's flows ``y`` to its cheapest strategy b.
 
     Used strategies p drain into b, the priciest first, by the exact minimiser
-    along ``y_p (inc[b] - inc[p])``.  The loads ``x`` and the density with its
-    slopes ``d`` (two rows) follow in place on the rows a shift moves, the
-    only ones its line search evaluates."""
-    b = int(np.argmin(inc @ d[0]))
+    along the shift of p's flow onto b.  ``strategies`` holds the type's
+    resource sets and ``inc`` their incidence rows, which price them on the
+    density; the loads ``x`` and the density with its slopes ``d`` (two rows)
+    are lists of floats.  A shift moves only the resources of one strategy and
+    not the other: its line search reads their loads and densities, evaluates
+    them through ``segment`` (a ``CostBatch`` scalar route), sums over them from
+    left to right, and leaves ``x`` and ``d`` updated on them in place.
+    """
+    value, slope = d
+    density = np.array(value)
+    b = int(np.argmin(inc @ density))
     used = np.flatnonzero(y > 0.0)
-    for p in used[np.argsort(-(inc[used] @ d[0]), kind="stable")]:
-        delta = inc[b] - inc[p]
-        rows = np.flatnonzero(delta)
-        x_r, dx, d_r = x[rows], y[p] * delta[rows], d[:, rows]
-        s0 = float(d_r[0] @ dx)
+    into = strategies[b]
+    for p in used[np.argsort(-(inc[used] @ density), kind="stable")].tolist():
+        rows = sorted(into ^ strategies[p])
+        flow = float(y[p])
+        dx = [flow if e in into else -flow for e in rows]
+        terms = [value[e] * u for e, u in zip(rows, dx)]
+        s0 = sum(terms)
         # a slope within the rounding error of its own dot product is no descent
-        if s0 >= -rows.size * np.finfo(float).eps * float(np.abs(d_r[0]) @ np.abs(dx)):
+        if s0 >= -len(rows) * sys.float_info.epsilon * sum(map(abs, terms)):
             continue
+        x_r, dx2 = [x[e] for e in rows], [u * u for u in dx]
         evaluated = []
 
-        def slope(gamma):
-            evaluated[:] = [density(np.maximum(x_r + gamma * dx, 0.0), rows)]
-            return float(evaluated[0][0] @ dx), float(evaluated[0][1] @ (dx * dx))
+        def slope_at(gamma):
+            evaluated[:] = segment(rows, [max(u + gamma * v, 0.0) for u, v in zip(x_r, dx)])
+            return (sum(map(operator.mul, evaluated[0], dx)),
+                    sum(map(operator.mul, evaluated[1], dx2)))
 
-        gamma = _segment_minimizer(slope, s0, float(d_r[1] @ (dx * dx)))
+        gamma = _segment_minimizer(slope_at, s0,
+                                   sum([slope[e] * u for e, u in zip(rows, dx2)]))
         if gamma == 0.0:
             continue
-        shift = y[p] if gamma == 1.0 else gamma * y[p]
-        y[p] = 0.0 if gamma == 1.0 else y[p] - shift
+        shift = flow if gamma == 1.0 else gamma * flow
+        y[p] = 0.0 if gamma == 1.0 else flow - shift
         y[b] += shift
-        x[rows] = np.maximum(x_r + shift * delta[rows], 0.0)
+        loads = [max(u + shift if e in into else u - shift, 0.0) for e, u in zip(rows, x_r)]
         # the search ends on its last evaluation or within SEGMENT_XTOL of it
-        d[:, rows] = evaluated[0] if evaluated else density(x[rows], rows)
+        for e, u, v, w in zip(rows, loads, *(evaluated or segment(rows, loads))):
+            x[e], value[e], slope[e] = u, v, w
 
 
 _Descent = namedtuple("_Descent", "last best certificate iterations stop_reason loads")
 
 
 def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarray,
-                        density, certificate, target: float, max_iters: int) -> _Descent:
+                        density, segment, certificate, target: float,
+                        max_iters: int) -> _Descent:
     """Gauss-Seidel sweeps of ``_equilibrate_type`` over the types from feasible flows ``y``.
 
-    ``density`` is ``CostBatch.value_slopes`` or ``.marginal_slopes``.  A
-    sweep first scores its flows by ``certificate(y, strat, d, dx)``: ``d`` is
-    the density at their loads, ``strat`` the strategies' sums of ``d``, ``dx``
-    the load direction to the all-or-nothing flows on ``strat``.  The sweeps
-    stop at a score at most ``target``, after ``max_iters``, or when one
-    returns flows scored earlier in the run: the sweep map is deterministic,
-    so the run would cycle through flows already scored.  Returns the last
-    flows, the scored flows of least score, the last score (inf if none), the
-    sweep count, the stop reason, and the loads at the start and after each
-    sweep.
+    ``density`` is ``CostBatch.value_slopes`` or ``.marginal_slopes`` and
+    ``segment`` its scalar route.  A sweep first scores its flows by
+    ``certificate(y, strat, d, dx)``: ``d`` is the density at their loads,
+    ``strat`` the strategies' sums of ``d``, ``dx`` the load direction to the
+    all-or-nothing flows on ``strat``.  The sweeps stop at a score at most
+    ``target``, after ``max_iters``, or when one returns flows scored earlier
+    in the run: the sweep map is deterministic, so the run would cycle through
+    flows already scored.  Returns the last flows, the scored flows of least
+    score, the last score (inf if none), the sweep count, the stop reason, and
+    the loads at the start and after each sweep.
     """
     inc = structure.incidence
+    sets = [[frozenset(s) for s in per_t] for per_t in structure.strategies]
     x = y @ inc
     loads = [x]
     best, best_cert, cert = y, math.inf, math.inf
@@ -221,9 +248,9 @@ def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarra
             stop_reason = "converged"
             break
         iterations = k + 1
-        swept, x_run = y.copy(), x.copy()
-        for sl in structure.type_slices:
-            _equilibrate_type(inc[sl], swept[sl], x_run, d, density)
+        swept, x_run, d_run = y.copy(), x.tolist(), d.tolist()
+        for per_t, sl in zip(sets, structure.type_slices):
+            _equilibrate_type(per_t, inc[sl], swept[sl], x_run, d_run, segment)
         if (swept + 0.0).tobytes() in scored:
             stop_reason = "no_descent"
             break
@@ -256,18 +283,20 @@ def solve_wardrop(structure: Structure, demand: DemandVector, *,
 
     Stops once the certified additive gap drops to ``target_eps``; if the
     sweep budget runs out first, the best iterate found is returned with
-    ``converged`` set to False.  The sweeps and the potential history
-    evaluate the costs through ``CostBatch``, which reads an auxiliary cost
-    over a polynomial base as its exact Poisson polynomial (``AuxCost.stack``).
-    The returned epsilon and potential are recomputed through each resource's
-    own ``value`` and ``integral``: over a polynomial base the first reads the
-    same polynomial, the second the certified series.
+    ``converged`` set to False.  The sweeps, their line searches and the
+    potential history evaluate the costs through ``CostBatch`` (the line
+    searches through its scalar route, entry for entry the same values),
+    which reads an auxiliary cost over a polynomial base as its exact Poisson
+    polynomial (``AuxCost.stack``).  The returned epsilon and potential are
+    recomputed through each resource's own ``value`` and ``integral``: over a
+    polynomial base the first reads the same polynomial, the second the
+    certified series.
     """
     if not target_eps > 0:  # NaN fails too
         raise DomainError(f"target_eps must be positive, got {target_eps}")
     batch, y = _setup(structure, demand, y0, "nonatomic solver")
     run = _path_equilibration(
-        structure, demand, y, batch.value_slopes,
+        structure, demand, y, batch.value_slopes, batch.value_slopes_at,
         lambda y, strat, _d, _dx: _epsilon_from_costs(structure, demand, y, strat),
         target_eps, max_iters)
     pair = FlowLoadPair.from_flows(structure, run.best)
@@ -309,6 +338,7 @@ def solve_social_optimum(structure: Structure, demand: DemandVector, *,
     batch, y = _setup(structure, demand, y0, "social optimum solver")
     _assert_sc_convex(structure.cost_fns, demand.total)
     run = _path_equilibration(structure, demand, y, batch.marginal_slopes,
+                              batch.marginal_slopes_at,
                               lambda _y, _strat, marg, dx: float(-(marg @ dx)),
                               target_gap, max_iters)
     pair = FlowLoadPair.from_flows(structure, run.last)

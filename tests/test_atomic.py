@@ -426,7 +426,7 @@ class TestSymmetricMixedEquilibrium:
 
     def test_a_target_below_the_rounding_floor_stops_on_a_cycle(self, monkeypatch):
         # at tol 1e-300 the solve's gap target lies below what rounding lets the
-        # gap reach, and from sweep 8 the sweeps alternate between two flows.
+        # gap reach, and from sweep 9 the sweeps alternate between two flows.
         # A sweep that returns flows already scored ends the solve: it used to
         # run all 1,000 sweeps (about 6 s), for the same best iterate and the
         # same failed verification
@@ -437,7 +437,7 @@ class TestSymmetricMixedEquilibrium:
         with pytest.raises(ConvergenceError, match="regret 5.329e-15"):
             symmetric_mixed_equilibrium(wheatstone_bernoulli(1024), tol=1e-300)
         (sol,) = sols
-        assert (sol.stop_reason, sol.iterations) == ("no_descent", 8)
+        assert (sol.stop_reason, sol.iterations) == ("no_descent", 9)
         assert sol.pair.y.tolist() == [0.4999999999999993, 0.0, 0.5000000000000007]
 
 

@@ -73,6 +73,23 @@ class TestCheckFeasible:
             pair = FlowLoadPair.from_flows(s, y)
             assert check_feasible(s, d, pair) <= 1e-12
 
+    def test_a_load_vector_of_another_length_is_refused(self):
+        # it broadcast against the loads and read as feasible (violation 0.0)
+        s = pigou_structure()
+        pair = FlowLoadPair(np.array([0.5, 0.5]), np.array([0.5]))
+        with pytest.raises(StructureError, match="load vector"):
+            check_feasible(s, unit_demand(s), pair)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["flow", "load"])
+    def test_a_non_finite_entry_is_an_infinite_violation(self, bad, where):
+        # max(0.0, nan) keeps 0.0, so a NaN flow used to pass as feasible
+        s = pigou_structure()
+        pair = FlowLoadPair.from_flows(s, [0.0, 1.0])
+        y, x = pair.y.copy(), pair.x.copy()
+        (y if where == "flow" else x)[0] = bad
+        assert check_feasible(s, unit_demand(s), FlowLoadPair(y, x)) == np.inf
+
 
 class TestStrategyCost:
     def test_wheatstone_zigzag_at_equilibrium_loads(self):
@@ -281,6 +298,26 @@ class TestStructureValidation:
     def test_type_without_strategies(self):
         with pytest.raises(StructureError):
             Structure(("a",), (AffineCost(1.0),), ("t",), ((),))
+
+
+class TestWithCosts:
+    def test_equals_a_fresh_build_and_shares_the_layouts(self):
+        s = wheatstone_structure()
+        costs = [PolynomialCost((float(e), 1.0, 0.5)) for e in range(s.n_resources)]
+        got = s.with_costs(costs)
+        fresh = Structure(s.resources, tuple(costs), s.types, s.strategies)
+        for name in ("resources", "cost_fns", "types", "strategies", "type_index",
+                     "flow_index", "type_slices"):
+            assert getattr(got, name) == getattr(fresh, name), name
+        assert got.incidence.tobytes() == fresh.incidence.tobytes()
+        assert not got.incidence.flags.writeable
+        assert got.incidence is s.incidence and got.strategies is s.strategies
+        assert s.cost_fns == wheatstone_structure().cost_fns  # the original keeps its costs
+
+    @pytest.mark.parametrize("count", [0, 4, 6])
+    def test_a_wrong_cost_count_is_refused(self, count):
+        with pytest.raises(StructureError, match="one cost function per resource"):
+            wheatstone_structure().with_costs((AffineCost(1.0),) * count)
 
 
 class TestDemandVector:

@@ -9,7 +9,7 @@ from scipy import special
 from cglab import population
 from cglab.core import FlowLoadPair, all_strategy_costs
 from cglab.discrete_dist import poisson_pmf, tv_distance
-from cglab.errors import DomainError, StructureError
+from cglab.errors import DomainError, FeasibilityError, StructureError
 from cglab.instances import (pigou_structure, random_instance, unit_demand,
                              wheatstone_structure)
 from cglab.poisson_limit import build_limit_game
@@ -346,6 +346,13 @@ class TestWardropEquivalence:
         assert report.wardrop_eps > 1e-3
         # both certificates see the same strategy costs, so they agree exactly
         assert report.poisson_regret == pytest.approx(report.wardrop_eps, abs=1e-12)
+
+    def test_a_nan_pair_is_rejected(self):
+        s = pigou_structure()
+        d = unit_demand(s)
+        pair = FlowLoadPair.from_flows(s, [math.nan, 1.0])
+        with pytest.raises(FeasibilityError):
+            wardrop_equivalence_check(s, d, TypeProfile((np.array([1.0, 0.0]),)), pair)
 
     def test_mismatched_flows_detected(self):
         s = pigou_structure()

@@ -37,12 +37,13 @@ from cglab.atomic import (BernoulliGame, MixedProfile, WeightedGame,
                           conditional_cost_estimate, esc, load_distribution,
                           resource_choice_prob, social_optimum_pure, verify_equilibrium)
 from cglab.core import (AffineCost, CostBatch, DemandVector, GrowthEnvelope, PolynomialCost,
-                        Structure, TableCost, all_strategy_costs, strategy_cost)
+                        Structure, TableCost, all_strategy_costs, check_feasible,
+                        strategy_cost)
 from cglab.discrete_dist import (TAIL_TOL, bernoulli_sum_pmf, binomial_ladder,
                                  leave_one_out_moments, poisson_expect, remove_bernoulli,
                                  remove_bernoulli_terms, weighted_sum_distribution)
 from cglab.errors import CapacityError, DomainError
-from cglab.instances import UPPER, parallel_structure, wheatstone_structure
+from cglab.instances import UPPER, parallel_structure, random_instance, wheatstone_structure
 from cglab.poisson_limit import AuxCost, build_limit_game, regularity_constants
 from cglab.wardrop import (_segment_minimizer, solve_social_optimum, solve_wardrop,
                            wardrop_epsilon)
@@ -580,15 +581,60 @@ class TestCostBatch:
         x = np.array([v for _, v in rows])
         sub = _subset(picks, len(rows))
         batch = CostBatch(costs)
-        for method in (batch.value_slopes, batch.marginal_slopes):
+        for method, at in ((batch.value_slopes, batch.value_slopes_at),
+                           (batch.marginal_slopes, batch.marginal_slopes_at)):
             full = method(x)
             assert full.shape == (2, len(rows))
-            assert method(x[sub], sub).tobytes() == full[:, sub].tobytes()
+            assert _bits(at(sub.tolist(), x[sub].tolist())) == full[:, sub].tobytes()
         assert batch.values(x).tobytes() == batch.value_slopes(x)[0].tobytes()
         want = np.array([float(c.derivative(float(v))) for c, v in rows])
         assert batch.value_slopes(x)[1].tobytes() == want.tobytes()
         want = [_marginal_slope(c, float(v)) for c, v in rows]
         assert np.allclose(batch.marginal_slopes(x)[1], want, rtol=1e-12, atol=0.0)
+
+    @given(st.lists(st.tuples(st.sampled_from(("poly", "aux", "mixture")),
+                              st.lists(coefficients, min_size=1, max_size=5), loads),
+                    min_size=1, max_size=8), row_picks)
+    @example([("poly", [0.0, 0.0, 0.0, 0.0, 1.0], 3.5), ("aux", [0.5, 0.0, 2.0], 0.0),
+              ("mixture", [0.25, 0.0, 1.0], 0.4)], [2, 0])
+    @example([("aux", [0.0], 7.0), ("aux", [1.0, 0.0, 0.0, 0.5], 1e3)], [1])
+    def test_scalar_route_is_the_vector_route_bitwise(self, rows, picks):
+        # a segment's scalar route returns the entries of the whole-vector
+        # evaluation, whatever family each resource is in
+        def cost(kind, coeffs):
+            if kind == "mixture":  # grid g(0..m) from the steps, participation from the last
+                return atomic._BinomialMixture(np.cumsum(coeffs), 1.0 / (1.0 + coeffs[-1]))
+            poly = PolynomialCost(tuple(coeffs))
+            return AuxCost(poly) if kind == "aux" else poly
+
+        costs = [cost(kind, coeffs) for kind, coeffs, _ in rows]
+        x = np.array([v for _, _, v in rows])
+        sub = _subset(picks, len(rows)).tolist()
+        batch = CostBatch(costs)
+        routes = [(batch.value_slopes, batch.value_slopes_at)]
+        if all(kind != "mixture" for kind, _, _ in rows):  # mixtures have no marginal route
+            routes.append((batch.marginal_slopes, batch.marginal_slopes_at))
+        for method, at in routes:
+            got = at(sub, x[sub].tolist())
+            assert all(type(v) is float for row in got for v in row)
+            assert _bits(got) == method(x)[:, sub].tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @example(1)
+    def test_solvers_pass_the_benchmark_checks(self, seed):
+        # the checks of the nonatomic benchmark workload, on its reduced shape
+        s, d = random_instance(np.random.default_rng(seed), 12, 2, 8)
+        limit = build_limit_game(s, d).structure
+        for structure, sol in ((s, solve_wardrop(s, d)),
+                               (limit, solve_wardrop(limit, d, max_iters=200))):
+            assert sol.epsilon == wardrop_epsilon(structure, d, sol.pair)
+            assert check_feasible(structure, d, sol.pair) <= 1e-9
+        opt = solve_social_optimum(s, d, max_iters=50)
+        assert check_feasible(s, d, opt.pair) <= 1e-9
+        # out of budget, the gap is that of the iterate before the last step
+        evaluated = (solve_social_optimum(s, d, max_iters=49).pair
+                     if opt.stop_reason == "budget" else opt.pair)
+        assert opt.gap == linearization_gap(s, d, evaluated)
 
     def test_aux_rows_match_their_scalar_methods(self):
         costs = [AuxCost(AffineCost(1.0, 0.5)), PolynomialCost((0.2, 1.0)),
@@ -812,9 +858,10 @@ class TestAuxCostBatch:
         batch = CostBatch(costs)
         value, slope = batch.value_slopes(x)
         marginal, marginal_slope = batch.marginal_slopes(x)
-        for full, got in ((np.stack((value, slope)), batch.value_slopes(x[sub], sub)),
+        for full, got in ((np.stack((value, slope)),
+                           np.array(batch.value_slopes_at(sub.tolist(), x[sub].tolist()))),
                           (np.stack((marginal, marginal_slope)),
-                           batch.marginal_slopes(x[sub], sub))):
+                           np.array(batch.marginal_slopes_at(sub.tolist(), x[sub].tolist())))):
             poly = ~is_aux[sub]
             assert got[:, poly].tobytes() == full[:, sub][:, poly].tobytes()
             assert _close_to(got, full[:, sub], TAIL_TOL * (2.0 + x[sub]), np.abs(full[:, sub]))
@@ -846,9 +893,8 @@ class TestPoissonPolynomial:
             return math.fsum(a * j ** i for i, a in enumerate(coeffs))
 
         stack = AuxCost.stack([AuxCost(PolynomialCost(tuple(coeffs)))])
-        rows = np.zeros(1, dtype=int)
-        value, slope = stack.value_slopes(np.array([x]), rows)[:, 0]
-        integral = stack.integrals(np.array([x]), rows)[0]
+        value, slope = stack.value_slopes(np.array([x]))[:, 0]
+        integral = stack.integrals(np.array([x]))[0]
         slope_want = poisson_expect_mp(x, lambda k: math.fsum(
             a * ((k + 2) ** i - (k + 1) ** i) for i, a in enumerate(coeffs)))
         assert _close_or_underflow(value, poisson_expect_mp(x, lambda k: c(k + 1)), 1e-13)
@@ -867,7 +913,7 @@ class TestPoissonPolynomial:
         assert _close_or_underflow(value, want, 1e-13)
         at = np.array([x])
         for entry in (aux.values_on_grid(at), aux.value_int(at),
-                      AuxCost.stack([aux]).values(at, np.zeros(1, dtype=int))):
+                      AuxCost.stack([aux]).values(at)):
             assert entry.tobytes() == np.float64(value).tobytes()
         for bad in (math.nan, math.inf, -math.inf, -1.0, -x - 1e-300):
             for load in (bad, np.array([x, bad])):
@@ -914,10 +960,11 @@ def _segment(rows, flow: float):
 
 def _newton_minimizer(costs, x, dx) -> float:
     batch = CostBatch(costs)
-    rows = np.arange(len(costs))
+    rows = list(range(len(costs)))
 
     def slope(gamma):
-        dens, ddens = batch.value_slopes(np.maximum(x + gamma * dx, 0.0), rows)
+        dens, ddens = map(np.array, batch.value_slopes_at(
+            rows, np.maximum(x + gamma * dx, 0.0).tolist()))
         return float(dens @ dx), float(ddens @ (dx * dx))
 
     d0, dd0 = batch.value_slopes(x)

@@ -169,6 +169,19 @@ class TestWardropEpsilon:
         with pytest.raises(FeasibilityError):
             wardrop_epsilon(s, unit_demand(s), pair)
 
+    def test_a_nan_flow_is_rejected(self):
+        # the gap of a NaN pair read 0.0, a false certificate
+        s = pigou_structure()
+        with pytest.raises(FeasibilityError, match="violation inf"):
+            wardrop_epsilon(s, unit_demand(s), FlowLoadPair.from_flows(s, [math.nan, 1.0]))
+
+    @pytest.mark.parametrize("solve", [solve_wardrop, solve_social_optimum])
+    def test_a_nan_start_is_rejected(self, solve):
+        # solve_wardrop returned the NaN pair as converged with epsilon 0.0
+        s = pigou_structure()
+        with pytest.raises(FeasibilityError, match="starting flows are infeasible"):
+            solve(s, unit_demand(s), y0=[math.nan, 1.0])
+
 
 class TestSocialOptimum:
     def test_wheatstone_half_half(self):
