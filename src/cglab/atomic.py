@@ -30,11 +30,15 @@ A weighted player's cost on a resource takes the first route that applies:
 which is enumerated when its random weights differ.  An enumeration takes at
 most ``discrete_dist.EXACT_TERMS`` = 20 random terms of unequal weight and
 raises ``CapacityError`` beyond that.  ``opt_and_poa`` hands each profile's
-verification and ``esc`` one store, and ``verify_equilibrium`` evaluates one
-cost row per class of players (type, magnitude and probability row).
+verification and ``esc`` one store.
 
-The exact social optimum is searched over pure profiles.  Players of one type
-and one magnitude form a class and are interchangeable, so a profile is a
+Players of one type and one magnitude form a class and are interchangeable.
+A game decides its classes in one place, ``_AtomicGame._classes``, which the
+three readers share: ``verify_equilibrium`` evaluates one cost row per class
+and probability row, ``symmetric_mixed_equilibrium`` needs exactly one class,
+and the exact social optimum counts its profiles per class.
+
+The exact social optimum is searched over pure profiles.  A profile is a
 vector of per-class strategy counts, and a resource's value depends only on
 how many players of each class use it.  The search therefore holds every
 count vector as one row of an integer array, gets each resource's per-class
@@ -56,7 +60,6 @@ import json
 import math
 import operator
 import sys
-from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, partialmethod
@@ -66,8 +69,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (USAGE_TOL, DemandVector, PolynomialCost, Structure, _as_list,
-                   _check_index, _field, _integer, _integer_arg, _readonly, _reject_unknown,
-                   _strategy_distributions, parse_instance)
+                   _check_demand, _check_index, _field, _integer, _integer_arg, _readonly,
+                   _reject_unknown, _strategy_distributions, parse_instance)
 from .discrete_dist import (_BATCH_TERMS, Pmf, ValueDist, bernoulli_sum_pmf, binomial_ladder,
                             leave_one_out_moments, remove_bernoulli, remove_bernoulli_terms,
                             weighted_sum_distribution)
@@ -81,13 +84,23 @@ OPT_BUDGET = 250_000  # count vectors the exact optimum search may score
 MAX_SWEEPS = 500  # best-response sweeps before the dynamics give up
 
 
+class _Classes(NamedTuple):
+    """A game's player classes: players of one type and one magnitude, who are
+    interchangeable in every cost."""
+
+    keys: list[tuple[int, float]]  # each class's (type, magnitude), sorted
+    sizes: list[int]  # players per class
+    of: list[int]  # each player's class
+
+
 class _AtomicGame:
     """What a game fixes alike in both player models: its players' types and
-    magnitudes, the demand they add up to per type, and the checks every game
-    passes when it is built.  A player model gives its magnitudes' field and
-    what one is called (``_magnitude``), their rule (``_check_magnitudes``),
-    the costs it can evaluate and how (``_costs``), and its largest load and
-    the largest load a cost is read at (``_top_loads``).
+    magnitudes, their classes, the demand they add up to per type, and the
+    checks every game passes when it is built.  A player model gives its
+    magnitudes' field and what one is called (``_magnitude``), their rule
+    (``_check_magnitudes``), the costs it can evaluate and how (``_costs``),
+    and its largest load and the largest load a cost is read at
+    (``_top_loads``).
 
     Costs are nondecreasing, so the resources' number times the largest load
     times the largest cost there bounds every value ``esc`` and the optimum
@@ -108,6 +121,8 @@ class _AtomicGame:
                            tuple(_check_index(t, n_types, "type") for t in self.player_types))
         if len(self.magnitudes) != len(self.player_types):
             raise StructureError(f"one {each} per player is required")
+        if not self.player_types:
+            raise StructureError("a game needs at least one player")
         self._check_magnitudes()
         capability, method, message = self._costs
         load, read_at = self._top_loads()
@@ -136,6 +151,15 @@ class _AtomicGame:
         return getattr(self, self._magnitude[0])
 
     @cached_property
+    def _classes(self) -> _Classes:
+        """The one place that groups players into classes."""
+        players = list(zip(self.player_types, self.magnitudes))
+        keys = sorted(set(players))
+        index = {key: j for j, key in enumerate(keys)}
+        of = [index[key] for key in players]
+        return _Classes(keys, np.bincount(of).tolist(), of)
+
+    @cached_property
     def demand(self) -> DemandVector:
         """Per-type sums of the players' magnitudes."""
         d = np.zeros(self.structure.n_types)
@@ -147,6 +171,7 @@ class _AtomicGame:
     def homogeneous(cls, structure: Structure, demand: DemandVector, n: int):
         """n players per type of positive demand, each with an equal share of
         it: its weight, or its participation probability."""
+        _check_demand(structure, demand)
         n = _integer_arg(n, "player count", 1)
         mags, types = [], []
         for t in range(structure.n_types):
@@ -768,11 +793,11 @@ def verify_equilibrium(game: Game, profile: MixedProfile,
     A strategy counts as used when its probability exceeds ``USAGE_TOL``.
     The profile is an (approximate) equilibrium iff the result is at most tol.
 
-    Players of one class (type, magnitude and probability row) see the same
-    other players' load on every resource, so the first player of a class
-    computes the class's row and the others copy it.  In a Bernoulli game a
-    player's cost on a resource depends only on its own term there, so the
-    row is read from the resource maps of ``_LoadLaws.fill_conditionals``,
+    Players of one class (``_AtomicGame._classes``) who play one probability
+    row see the same other players' load on every resource, so the first of
+    them computes the row of costs and the others copy it.  In a Bernoulli
+    game a player's cost on a resource depends only on its own term there, so
+    the row is read from the resource maps of ``_LoadLaws.fill_conditionals``,
     each strategy's costs added in edge order as ``_strategy_cond_cost``
     adds them; in a weighted game ``_edge_cost`` memoizes by exactly what
     fixes that load.  A cost that is not finite raises ``PrecisionError``:
@@ -787,11 +812,11 @@ def verify_equilibrium(game: Game, profile: MixedProfile,
         owns = [col.own for col in laws.records]
     rows = []
     worst = 0.0
-    classes: dict[tuple, tuple] = {}
-    for i in range(game.n_players):
+    seen: dict[tuple, tuple] = {}
+    for i, j in enumerate(game._classes.of):
         t = game.player_types[i]
-        key = (t, game.magnitudes[i], profile.probs[i].tobytes())
-        row = classes.get(key)
+        key = (j, profile.probs[i].tobytes())
+        row = seen.get(key)
         if row is None:
             if game.kind == "bernoulli":
                 costs = [sum([maps[e][owns[e][i]] for e in strategy])
@@ -803,7 +828,7 @@ def verify_equilibrium(game: Game, profile: MixedProfile,
             best = min(costs)
             regret = max([c - best for c, p in zip(costs, profile.probs[i].tolist())
                           if p > USAGE_TOL], default=0.0)
-            row = classes[key] = (tuple(costs), best, regret)
+            row = seen[key] = (tuple(costs), best, regret)
             worst = max(worst, regret)
         rows.append(PlayerRegret(i, *row))
     return EquilibriumReport(worst, tuple(rows), tol)
@@ -937,9 +962,10 @@ def symmetric_mixed_equilibrium(game: Game, tol: float = VERIFY_TOL) -> MixedPro
     """
     if not tol > 0:  # NaN fails too
         raise DomainError(f"the symmetric solver needs a positive tol, got {tol}")
-    if len(set(zip(game.player_types, game.magnitudes))) != 1:
+    keys = game._classes.keys
+    if len(keys) != 1:
         raise ConfigError("symmetric solver needs players of one type and one weight/probability")
-    s, t, w = game.structure, game.player_types[0], game.magnitudes[0]
+    s, [(t, w)] = game.structure, keys
     if game.kind == "bernoulli":
         # c_e(1 + k) for k = 0..n - 1 others on the resource
         costs = [_BinomialMixture(grid[:-1], w) for grid in game._grids.units]
@@ -1072,17 +1098,17 @@ def _first_minimum(blocks) -> tuple[float, int | None]:
     return best, best_row
 
 
-def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
+def _count_space_optimum(game: Game) -> OptResult:
     """Minimum over per-class strategy counts, each scored from per-resource tables.
 
-    ``classes`` counts the players of each (type, magnitude).  The strategy
-    counts of a class are the rows of ``_compositions``; every combination of
-    one row per class, classes in key order, is a profile, visited in
-    ``itertools.product`` order.  A resource's value depends only on how many
-    players of each class use it, so each resource gets one table over the
-    per-class counts that vary on it; ``parts[j]`` holds, per composition of
-    class j and per resource, that class's share of the flat index into
-    ``values``, where the tables lie one after another.
+    The strategy counts of a class of ``_AtomicGame._classes`` are the rows
+    of ``_compositions``; every combination of one row per class, classes in
+    key order, is a profile, visited in ``itertools.product`` order.  A
+    resource's value depends only on how many players of each class use it,
+    so each resource gets one table over the per-class counts that vary on
+    it; ``parts[j]`` holds, per composition of class j and per resource, that
+    class's share of the flat index into ``values``, where the tables lie one
+    after another.
 
     A resource that only one class uses, with a varying count, is filled from
     the counts k = 0..n_j: in a Bernoulli game by one ``binomial_ladder`` per
@@ -1098,8 +1124,7 @@ def _count_space_optimum(game: Game, classes: Counter) -> OptResult:
     """
     s = game.structure
     laws = _LoadLaws(game)
-    keys = sorted(classes)
-    sizes = [classes[k] for k in keys]
+    keys, sizes = game._classes.keys, game._classes.sizes
     mags = [w for _, w in keys]
     comps = [_compositions(n, len(s.strategies[t])) for n, (t, _) in zip(sizes, keys)]
     # users[j][r, e]: players of class j on resource e under composition r
@@ -1172,18 +1197,17 @@ def social_optimum_pure(game: Game) -> OptResult | None:
 
     The expected social cost is multilinear in the players' mixed strategies,
     so its minimum over all mixed profiles is attained at a pure profile.
-    Players of one type and one magnitude are interchangeable, so profiles
-    are enumerated by per-class strategy counts; a profile replaces the best
+    Players of one class (``_AtomicGame._classes``) are interchangeable, so
+    profiles are enumerated by per-class strategy counts; a profile replaces the best
     so far only when it is cheaper by more than 1e-15 times the best.
     Returns None when the count vectors number more than ``OPT_BUDGET``.
     """
-    s = game.structure
-    classes = Counter(zip(game.player_types, game.magnitudes))
+    s, classes = game.structure, game._classes
     combos = math.prod(math.comb(n + len(s.strategies[t]) - 1, len(s.strategies[t]) - 1)
-                       for (t, _), n in classes.items())
+                       for (t, _), n in zip(classes.keys, classes.sizes))
     if combos > OPT_BUDGET:
         return None
-    return _count_space_optimum(game, classes)
+    return _count_space_optimum(game)
 
 
 @dataclass(frozen=True)

@@ -468,6 +468,12 @@ def loads_from_flows(structure: Structure, y) -> np.ndarray:
     return y @ structure.incidence
 
 
+def _check_demand(structure: Structure, demand: DemandVector) -> None:
+    """Refuse a demand vector without exactly one entry per type of the structure."""
+    if len(demand) != structure.n_types:
+        raise StructureError("demand vector does not match the structure")
+
+
 def check_feasible(structure: Structure, demand: DemandVector, pair: FlowLoadPair) -> float:
     """Maximum absolute violation over all feasibility constraints: nonnegativity,
     per-type totals and the load identity.  Callers compare it with their own
@@ -478,8 +484,7 @@ def check_feasible(structure: Structure, demand: DemandVector, pair: FlowLoadPai
         raise StructureError("flow vector does not match the structure")
     if pair.x.shape != (structure.n_resources,):
         raise StructureError("load vector does not match the structure")
-    if len(demand) != structure.n_types:
-        raise StructureError("demand vector does not match the structure")
+    _check_demand(structure, demand)
     if not (np.isfinite(y).all() and np.isfinite(pair.x).all()):
         return math.inf
     worst = max(0.0, float(-y.min())) if y.size else 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from .core import DemandVector, PolynomialCost, Structure, _integer_arg
+from .core import DemandVector, PolynomialCost, Structure, _check_demand, _integer_arg
 from .discrete_dist import MAX_RATE, borisov_ruzankin_bound, poisson_expect
 from .errors import ConfigError, DomainError, PrecisionError
 from .wardrop import demand_perturbation_bound, strategy_cost_cap
@@ -321,6 +321,7 @@ def build_limit_game(structure: Structure, demand: DemandVector,
     Over a polynomial base the grid is one Horner pass of the Poisson
     polynomial, whose coefficients are nonnegative, so it cannot fail there.
     """
+    _check_demand(structure, demand)
     alpha = resolve_alpha(demand, alpha)
     aux = tuple(AuxCost(c) for c in structure.cost_fns)
     grid = np.linspace(0.0, alpha, 1000)

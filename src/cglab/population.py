@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (USAGE_TOL, DemandVector, Structure, _check_index, _field, _integer_arg,
-                   _readonly, _reject_unknown, _strategy_distributions, all_strategy_costs)
+from .core import (USAGE_TOL, DemandVector, Structure, _check_demand, _check_index, _field,
+                   _integer_arg, _readonly, _reject_unknown, _strategy_distributions,
+                   all_strategy_costs)
 from .discrete_dist import Pmf, bernoulli_sum_pmf, poisson_pmf
 from .errors import DomainError, StructureError
 from .poisson_limit import AuxCost, build_limit_game
@@ -115,6 +116,7 @@ class TypeProfile:
 def induced_flows(structure: Structure, demand: DemandVector,
                   sigma: TypeProfile) -> np.ndarray:
     """Flat expected strategy flows: demand times the type's strategy weights."""
+    _check_demand(structure, demand)
     if len(sigma) != structure.n_types:
         raise StructureError("type profile does not match the structure")
     y = np.zeros(structure.n_flows)

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (USAGE_TOL, CostBatch, DemandVector, FlowLoadPair, PolynomialCost,
-                   Structure, _integer_arg, all_strategy_costs, check_feasible, potential,
-                   social_cost)
+                   Structure, _check_demand, _integer_arg, all_strategy_costs, check_feasible,
+                   potential, social_cost)
 from .errors import DomainError, FeasibilityError, PrecisionError
 
 
@@ -263,6 +263,7 @@ def _path_equilibration(structure: Structure, demand: DemandVector, y: np.ndarra
 def _setup(structure: Structure, demand: DemandVector, y0, solver: str) -> tuple:
     """The structure's ``CostBatch`` and the start: ``y0`` once checked feasible,
     or all-or-nothing flows on the zero-load costs."""
+    _check_demand(structure, demand)
     if not all(getattr(c, "is_continuous", False) for c in structure.cost_fns):
         raise PrecisionError(f"the {solver} needs continuous cost functions")
     batch = CostBatch(structure.cost_fns)

@@ -202,6 +202,17 @@ class TestIndexChecks:
         assert game.player_types == (0, 0)
         assert [type(t) for t in game.player_types] == [int, int]
 
+    @pytest.mark.parametrize("build", [
+        lambda kind: kind(pigou_structure(), (), ()),
+        lambda kind: kind.homogeneous(pigou_structure(), DemandVector(np.zeros(1)), 3),
+    ], ids=["empty", "zero-demand"])
+    @pytest.mark.parametrize("kind", [WeightedGame, BernoulliGame])
+    def test_a_game_without_players_is_refused(self, kind, build):
+        # it built, and social_optimum_pure and opt_and_poa then raised a bare
+        # IndexError
+        with pytest.raises(StructureError, match="at least one player"):
+            build(kind)
+
     def test_profile_file_keys_must_name_players(self, tmp_path, capsys):
         # a 2-player game took keys "7" and "x" without a word
         s = pigou_structure()

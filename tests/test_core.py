@@ -3,12 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from cglab import atomic, poisson_limit, population, wardrop
 from cglab.core import (AffineCost, DemandVector, FlowLoadPair, GrowthEnvelope,
                         PolynomialCost, Structure, TableCost, check_feasible,
                         instance_to_json, loads_from_flows, parse_cost, parse_instance,
                         social_cost, strategy_cost)
 from cglab.errors import DomainError, PrecisionError, StructureError
 from cglab.instances import pigou_structure, unit_demand, wheatstone_structure
+from cglab.population import TypeProfile
+
+SIGMA = TypeProfile((np.array([1.0, 0.0]),))  # pigou's one type, all on e1
 
 
 def wheatstone_pair(y_upper, y_zig, y_lower):
@@ -89,6 +93,36 @@ class TestCheckFeasible:
         y, x = pair.y.copy(), pair.x.copy()
         (y if where == "flow" else x)[0] = bad
         assert check_feasible(s, unit_demand(s), FlowLoadPair(y, x)) == np.inf
+
+
+class TestDemandLength:
+    """Every entry point that reads a demand vector refuses one whose length
+    is not the structure's type count."""
+
+    CALLS = {
+        "check_feasible": lambda s, d: check_feasible(s, d, FlowLoadPair.from_flows(s, [1, 0])),
+        "solve_wardrop": lambda s, d: wardrop.solve_wardrop(s, d),
+        "solve_social_optimum": lambda s, d: wardrop.solve_social_optimum(s, d),
+        "poa_nonatomic": lambda s, d: wardrop.poa_nonatomic(s, d),
+        "build_limit_game": lambda s, d: poisson_limit.build_limit_game(s, d),
+        "verify_poisson_game_equilibrium": lambda s, d: (
+            population.verify_poisson_game_equilibrium(s, d, SIGMA)),
+        "wardrop_equivalence_check": lambda s, d: population.wardrop_equivalence_check(
+            s, d, SIGMA, FlowLoadPair.from_flows(s, [1, 0])),
+        "homogeneous-weighted": lambda s, d: atomic.WeightedGame.homogeneous(s, d, 3),
+        "homogeneous-bernoulli": lambda s, d: atomic.BernoulliGame.homogeneous(s, d, 3),
+    }
+
+    # an empty demand raised a bare IndexError from most of these, and
+    # build_limit_game returned alpha 1.5e-12; three entries were read as the
+    # first one (solve_social_optimum, the Poisson-game check, homogeneous) or
+    # gave build_limit_game alpha 4.5 from the phantom types' demand
+    @pytest.mark.parametrize("size", [0, 3])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_a_demand_of_another_length_is_refused(self, name, size):
+        s = pigou_structure()
+        with pytest.raises(StructureError, match="demand vector does not match"):
+            self.CALLS[name](s, DemandVector(np.ones(size)))
 
 
 class TestStrategyCost:

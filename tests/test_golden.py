@@ -4,8 +4,10 @@ The files are the CSV, JSON and stdout of ``cglab converge`` on the
 benchmark's four criterion-5 specs at seed 2, the stdout of
 ``cglab example`` for every worked example, and the stdout of
 ``cglab wardrop``, ``cglab limit`` and ``cglab bounds`` (both player models)
-on the three shipped structures at unit demand, all run in-process through
-``cglab.cli.main``.  A change that keeps its arithmetic keeps these bytes.
+on the three shipped structures at unit demand, and the exit code and
+stdout of ``cglab atomic`` (``--solve symmetric``, ``--solve pure`` and
+``--profile``) on Wheatstone games of one class and of two, all run
+in-process through ``cglab.cli.main``.  A change that keeps its arithmetic keeps these bytes.
 A change that moves digits regenerates the files, so that its diff shows
 every moved digit::
 
@@ -43,6 +45,18 @@ def _criterion5_specs() -> tuple[dict, ...]:
 SPECS = _criterion5_specs()
 STRUCTURES = ("parallel", "pigou", "wheatstone")
 BOUNDS_ARGS = ("--param", "0.1", "--beta", "1")
+# Wheatstone games: ten players of one class per model, and six players of
+# two magnitudes in one type; each with a profile whose rows repeat within a
+# class and recur across the two classes
+ONE_CLASS_ROWS = [[0.5, 0.0, 0.5]] * 6 + [[1.0, 0.0, 0.0]] * 2 + [[0.0, 0.0, 1.0]] * 2
+ATOMIC_GAMES = {
+    "weighted": ([{"type": "od", "count": 10, "weight": "d/n"}], ONE_CLASS_ROWS),
+    "bernoulli": ([{"type": "od", "count": 10, "prob": "d/n"}], ONE_CLASS_ROWS),
+    "two-class": ([{"type": "od", "count": 4, "weight": 0.125},
+                   {"type": "od", "count": 2, "weight": 0.25}],
+                  [[0.5, 0.0, 0.5]] * 2 + [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                           [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]),
+}
 
 
 def _main(argv: list[str]) -> tuple[int, str]:
@@ -90,6 +104,25 @@ def instance_outputs(name: str) -> dict[str, bytes]:
     return outputs
 
 
+def atomic_outputs(name: str) -> dict[str, bytes]:
+    """Exit code and stdout of ``cglab atomic`` on one game of ``ATOMIC_GAMES``."""
+    players, rows = ATOMIC_GAMES[name]
+    structure = instances.wheatstone_structure()
+    payload = dict(core.instance_to_json(structure, instances.unit_demand(structure)),
+                   players=players)
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        game, profile = Path(tmp) / "game.json", Path(tmp) / "profile.json"
+        game.write_text(json.dumps(payload), encoding="utf-8")
+        profile.write_text(json.dumps({str(i): row for i, row in enumerate(rows)}),
+                           encoding="utf-8")
+        for stem, extra in {"symmetric": ["--solve", "symmetric"], "pure": ["--solve", "pure"],
+                            "profile": ["--profile", str(profile)]}.items():
+            code, printed = _main(["atomic", str(game), *extra])
+            outputs[f"atomic-{stem}-{name}.out"] = f"exit {code}\n{printed}".encode("utf-8")
+    return outputs
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=[s["example"] for s in SPECS])
 def test_converge_reports_are_golden(spec):
     for name, blob in converge_outputs(spec).items():
@@ -108,6 +141,12 @@ def test_instance_transcripts_are_golden(name):
         assert blob == (GOLDEN / file_name).read_bytes(), file_name
 
 
+@pytest.mark.parametrize("name", sorted(ATOMIC_GAMES))
+def test_atomic_transcripts_are_golden(name):
+    for file_name, blob in atomic_outputs(name).items():
+        assert blob == (GOLDEN / file_name).read_bytes(), file_name
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     outputs = {}
@@ -117,6 +156,8 @@ if __name__ == "__main__":
         outputs.update(example_output(name))
     for name in STRUCTURES:
         outputs.update(instance_outputs(name))
+    for name in ATOMIC_GAMES:
+        outputs.update(atomic_outputs(name))
     for name, blob in outputs.items():
         (GOLDEN / name).write_bytes(blob)
     print(f"wrote {len(outputs)} files to {GOLDEN}", file=sys.stderr)

@@ -23,6 +23,7 @@ import itertools
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -1255,8 +1256,22 @@ class TestWeightedMoments:
 
 
 class TestClassRows:
-    """``verify_equilibrium`` evaluates one row per class of players (type,
-    magnitude, probability row) and copies it to the class."""
+    """A game groups its players into classes of one type and one magnitude
+    (``_AtomicGame._classes``), and ``verify_equilibrium`` evaluates one row
+    per class and probability row and copies it to the players who share them."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("weighted", "bernoulli")),
+           st.booleans())
+    def test_class_index_counts_type_magnitude_pairs(self, seed, kind, homogeneous):
+        rng = np.random.default_rng(seed)
+        game = (random_homogeneous_game(rng, kind, max_types=3, max_players=8) if homogeneous
+                else random_small_game(rng, kind)[0])
+        players = list(zip(game.player_types, game.magnitudes))
+        counts = Counter(players)
+        classes = game._classes
+        assert classes.keys == sorted(counts)
+        assert classes.sizes == [counts[key] for key in classes.keys]
+        assert [classes.keys[j] for j in classes.of] == players
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(("weighted", "bernoulli")))
     @example(1, "weighted")
